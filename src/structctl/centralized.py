@@ -267,6 +267,10 @@ def check_certificate(A: SparsityPattern, B: SparsityPattern, verdict: Verdict) 
 # ---------------------------------------------------------------------------
 # numeric cross-check
 
+# The probe builds dense n x n(p+1) controllability matrices; past this many
+# states it is refused.
+PROBE_MAX_STATES = 64
+
 
 def numeric_probe(
     A: SparsityPattern,
@@ -274,7 +278,7 @@ def numeric_probe(
     seed: int = 0,
     trials: int = 3,
     tol: float = 1e-8,
-    limit: int = 64,
+    limit: int = PROBE_MAX_STATES,
 ) -> bool:
     """Random realizations of the pattern tested for full controllability-matrix
     rank.  True as soon as one trial reaches full rank; a zero B is False

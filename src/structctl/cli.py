@@ -1,10 +1,11 @@
 """Command-line front end: verify systems, generate instances, inspect traces.
 
 Exit codes: 0 when the system is controllable (or the requested condition
-holds), 1 when it is not, 2 for bad input, bad usage, or a check whose
-preconditions the instance does not meet.  A failed precondition never turns
-into a 0/1 verdict.  The machine-readable JSON report goes to stdout; a
-one-line human summary goes to stderr.
+holds), 1 when it is not, 2 for bad input, bad usage, a check whose
+preconditions the instance does not meet, or an internal error.  A failed
+precondition or an internal error never turns into a 0/1 verdict.  The
+machine-readable JSON report goes to stdout; a one-line human summary goes to
+stderr.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import json
 import os
 import sys
 
-from .centralized import numeric_probe, verify
+from .centralized import PROBE_MAX_STATES, numeric_probe, verify
 from .distributed import controlled_program
 from .model import (
     InterconnectedSystem,
@@ -122,11 +123,16 @@ def _verify_centralized(args) -> tuple[dict, bool]:
         "states": gA.rows,
         "inputs": gB.cols,
     }
-    if args.seed is not None and gA.rows <= 64:
-        report["numeric_probe"] = {
-            "seed": args.seed,
-            "full_rank": numeric_probe(gA, gB, seed=args.seed),
-        }
+    if args.seed is not None:
+        probe = {"seed": args.seed}
+        if gA.rows <= PROBE_MAX_STATES:
+            probe["full_rank"] = numeric_probe(gA, gB, seed=args.seed)
+        else:
+            probe["skipped"] = (
+                f"{gA.rows} states exceed the numeric probe's limit of "
+                f"{PROBE_MAX_STATES}"
+            )
+        report["numeric_probe"] = probe
     return report, verdict.controllable
 
 
@@ -407,6 +413,20 @@ def _run_command(argv) -> int:
             err["details"] = exc.details
         print(json.dumps(err, indent=2, sort_keys=True))
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        raise  # main() quiets a closed stdout
+    except Exception as exc:
+        # A fault inside the checks is never a verdict: exit 1 would claim a
+        # verified negative.  traceback is imported here, not at start-up,
+        # because only this path needs it.
+        import traceback
+
+        traceback.print_exc()
+        message = f"internal error: {type(exc).__name__}: {exc}"
+        err = {"command": args.command, "error": message}
+        print(json.dumps(err, indent=2, sort_keys=True))
+        print(f"error: {message}", file=sys.stderr)
         return 2
 
     summary = report.pop("_summary", None)

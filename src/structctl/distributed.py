@@ -33,7 +33,7 @@ import heapq
 
 from .graphkit import scc
 from .model import InterconnectedSystem, state_digraph
-from .runtime import AgentContext, Recv, Send
+from .runtime import AgentContext, Recv, Send, and_consensus
 
 S = ("s",)
 T = ("t",)
@@ -532,22 +532,26 @@ def _barrier(ctx: AgentContext, region: Region):
 
 def _census(ctx: AgentContext, region: Region, cap: int):
     """Gossip the global label census; apply the gap heuristic; report
-    whether any excess anywhere is still mobile."""
-    all_labels = sorted(region.label[v] for v in region.own if region.label[v] < cap)
+    whether any excess anywhere is still mobile.
+
+    The gap needs only which labels below the cap are present, and mobility
+    only the lowest label holding excess, so each agent contributes its
+    distinct labels and ``[]`` or ``[lowest excess label]``."""
+    all_labels = sorted({region.label[v] for v in region.own if region.label[v] < cap})
     exc_labels = sorted(
         region.label[v]
         for v in region.own
         if region.excess[v] > 0 and region.label[v] < cap
-    )
-    known = {ctx.id: (all_labels, exc_labels)}
+    )[:1]
+    known = {ctx.id: [all_labels, exc_labels]}
     for _ in range(ctx.r):
-        payload = {str(i): [list(a), list(e)] for i, (a, e) in sorted(known.items())}
+        payload = {str(i): v for i, v in sorted(known.items())}
         for j in ctx.neighbors:
             yield Send(j, payload)
         for j in ctx.neighbors:
             heard = yield Recv(j)
             for key, val in heard.items():
-                known.setdefault(int(key), (val[0], val[1]))
+                known.setdefault(int(key), val)
 
     present = {0}
     for a, _ in known.values():
@@ -617,18 +621,6 @@ def _snapshot(region: Region, pass_no: int) -> dict:
     }
 
 
-def _and_consensus(ctx: AgentContext, value: bool):
-    """r rounds of AND-flooding with every neighbor."""
-    for _ in range(ctx.r):
-        for j in ctx.neighbors:
-            yield Send(j, bool(value))
-        heard = []
-        for j in ctx.neighbors:
-            heard.append((yield Recv(j)))
-        value = bool(value) and all(heard)
-    return bool(value)
-
-
 def _controlled_impl(
     ctx: AgentContext, drop_incoming_boundary: bool, collect_states: bool
 ):
@@ -642,7 +634,7 @@ def _controlled_impl(
     prd_stats = yield from _prd(ctx, region, cap, collect_states)
     mchd = region.sink_flow() == ctx.subsystem.n
 
-    ctld = yield from _and_consensus(ctx, rchd and mchd)
+    ctld = yield from and_consensus(ctx, rchd and mchd)
     out = {
         "ctld": ctld,
         "rchd": rchd,

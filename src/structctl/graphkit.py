@@ -585,7 +585,6 @@ def max_preflow(net: FlowNetwork) -> FlowNetwork:
                     net.label[w] = n + 1
                     label_count[n + 1] = label_count.get(n + 1, 0) + 1
 
-    active = [v for v in sorted(net.vertices) if v not in (s, t) and net.excess[v] > 0]
     while True:
         active = [
             v

@@ -15,9 +15,14 @@ deterministic, so two runs of the same program on the same system produce
 byte-identical traces.
 
 Agents may only exchange messages with neighbors in the interconnection
-topology (either direction).  Payloads must be JSON-representable; they are
-serialized at send time, so later mutation by the sender cannot leak through,
-and every receiver gets a fresh copy.
+topology (either direction).  Payloads must be JSON-representable.  Each
+payload is encoded once at send time, and the encoded text is decoded right
+away into the copy that is queued for its one receiver; the text goes into the
+trace.  Later mutation by the sender therefore cannot leak through, and every
+receiver gets a fresh copy.  A payload whose decoded copy does not equal it
+(tuples, non-string keys) or that the encoder refuses is walked by a strict
+checker, which either accepts it (tuples become lists) or raises
+:class:`ProtocolError` naming the fault.
 """
 
 from __future__ import annotations
@@ -143,14 +148,39 @@ def _normalize_payload(value, where: str):
     raise ProtocolError(f"{where}: payload value {value!r} is not JSON-representable")
 
 
-def _encode_payload(value, where: str) -> str:
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True, allow_nan=False)
+
+
+def _encode_payload(value, where: str) -> tuple[str, object]:
+    """The compact JSON text of a payload and a fresh copy decoded from it."""
+    try:
+        text = _ENCODER.encode(value)
+        copy = json.loads(text)
+        if copy == value:
+            return text, copy
+    except (TypeError, ValueError):
+        pass
+    # The encoder coerces non-string keys and rejects sets and NaN without
+    # saying which part of the payload is at fault; the strict walk does.
     normalized = _normalize_payload(value, where)
     try:
-        return json.dumps(
-            normalized, separators=(",", ":"), sort_keys=True, allow_nan=False
-        )
+        text = _ENCODER.encode(normalized)
     except ValueError as exc:
         raise ProtocolError(f"{where}: {exc}") from None
+    return text, json.loads(text)
+
+
+def and_consensus(ctx: AgentContext, value: bool):
+    """r rounds of AND-flooding with every neighbor; the value sent each
+    round is the one held at the start of that round."""
+    for _ in range(ctx.r):
+        for j in ctx.neighbors:
+            yield Send(j, bool(value))
+        heard = []
+        for j in ctx.neighbors:
+            heard.append((yield Recv(j)))
+        value = bool(value) and all(heard)
+    return bool(value)
 
 
 class _AgentState:
@@ -189,6 +219,7 @@ def run(
             r=sys.r,
         )
     agents = {i: _AgentState(program(contexts[i])) for i in range(sys.r)}
+    neighbors = {i: frozenset(ctx.neighbors) for i, ctx in contexts.items()}
     # Unconsumed messages per (sender, receiver): FIFO of (send_round, payload).
     queues: dict[tuple[int, int], deque] = {}
     trace = Trace()
@@ -201,8 +232,7 @@ def run(
                 q = queues.get((agent.awaiting, i))
                 if not (q and q[0][0] < current_round):
                     return  # nothing deliverable yet; stays blocked
-                _, payload = q.popleft()
-                resume = json.loads(payload)
+                _, resume = q.popleft()
                 agent.awaiting = None
             try:
                 action = agent.gen.send(resume)
@@ -211,15 +241,17 @@ def run(
                 agent.output = stop.value
                 return
             if isinstance(action, Send):
-                if action.to not in contexts[i].neighbors:
+                if action.to not in neighbors[i]:
                     raise ProtocolError(
                         f"agent {i}: send to {action.to}, which is not a neighbor"
                     )
-                payload = _encode_payload(action.payload, f"agent {i} -> {action.to}")
-                queues.setdefault((i, action.to), deque()).append(
-                    (current_round, payload)
+                text, copy = _encode_payload(
+                    action.payload, f"agent {i} -> {action.to}"
                 )
-                trace.records.append(TraceRecord(current_round, i, action.to, payload))
+                queues.setdefault((i, action.to), deque()).append(
+                    (current_round, copy)
+                )
+                trace.records.append(TraceRecord(current_round, i, action.to, text))
             elif isinstance(action, Recv):
                 agent.awaiting = action.frm
             else:

@@ -35,7 +35,7 @@ from .model import (
     system_bipartite,
     system_digraph,
 )
-from .runtime import AgentContext, Recv, RunResult, Send, run
+from .runtime import AgentContext, Recv, RunResult, Send, and_consensus, run
 
 _VARIANTS = ("primal", "dual")
 
@@ -230,17 +230,7 @@ def _seq_strt_ctl(ctx: AgentContext, variant: str):
         blocks.append((n_j, A_j, E_j))
 
     ctld = _verdict_from_parts(own.n, own.p, own.A, own.B, blocks, variant)["ctld"]
-
-    # r rounds of AND-flooding with all neighbors; the value sent each round
-    # is the one held at the start of that round.
-    for _ in range(ctx.r):
-        for j in ctx.neighbors:
-            yield Send(j, ctld)
-        heard = []
-        for j in ctx.neighbors:
-            heard.append((yield Recv(j)))
-        ctld = ctld and all(heard)
-    return bool(ctld)
+    return (yield from and_consensus(ctx, ctld))
 
 
 def seq_strt_ctl(ctx: AgentContext):

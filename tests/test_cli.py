@@ -9,6 +9,7 @@ import pytest
 from conftest import build_system
 from structctl.cli import main
 from structctl.model import dumps, load, save
+from structctl.runtime import Recv, Send
 from structctl.serial import is_serial
 from structctl.similar import similar_dumps
 
@@ -198,10 +199,63 @@ class TestVerifyInputHandling:
         assert rep["numeric_probe"]["seed"] == 9
         assert rep["numeric_probe"]["full_rank"] is True
 
+    def test_numeric_probe_skip_is_reported(self, capsys, tmp_path):
+        chain = {(k + 1, k) for k in range(69)}
+        path = tmp_path / "big.json"
+        save(build_system([(70, 1, chain, {(0, 0)})], []), path)
+        code, out, _ = run_cli(
+            capsys, "verify", "--mode", "centralized", "--input", str(path),
+            "--seed", "9",
+        )
+        assert code == 0
+        assert report_of(out)["numeric_probe"] == {
+            "seed": 9,
+            "skipped": "70 states exceed the numeric probe's limit of 64",
+        }
+
     def test_unknown_mode_rejected_by_parser(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--mode", "psychic", "--input", "x.json"])
         assert exc.value.code == 2
+
+
+def _deadlocking(ctx):
+    yield Recv(ctx.neighbors[0])
+
+
+def _unencodable(ctx):
+    yield Send(ctx.neighbors[0], {1, 2})
+
+
+class TestInternalErrors:
+    """A fault inside a run is exit 2 with the error report, never a verdict."""
+
+    @pytest.mark.parametrize(
+        "program, error",
+        [
+            (_deadlocking, "DeadlockError: no message in flight can unblock"),
+            (_unencodable, "ProtocolError: agent 0 -> 1: payload value"),
+        ],
+        ids=["deadlock", "protocol"],
+    )
+    def test_runtime_faults_exit_2(self, capsys, monkeypatch, ring_file, program, error):
+        monkeypatch.setattr("structctl.cli.controlled_program", lambda **_: program)
+        code, out, err = run_cli(capsys, "verify", "--mode", "distributed", "--input", ring_file)
+        assert code == 2
+        assert report_of(out)["error"].startswith(f"internal error: {error}")
+        assert "Traceback" in err
+
+    def test_unsettled_discharge_exits_2(self, capsys, monkeypatch, ring_file):
+        def always_mobile(ctx, region, cap):
+            return True
+            yield  # pragma: no cover
+
+        monkeypatch.setattr("structctl.distributed._census", always_mobile)
+        code, out, _ = run_cli(capsys, "verify", "--mode", "distributed", "--input", ring_file)
+        assert code == 2
+        assert report_of(out)["error"] == (
+            "internal error: RuntimeError: agent 0: discharge failed to settle"
+        )
 
 
 class TestGen:

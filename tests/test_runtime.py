@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import build_system
 from structctl.runtime import (
@@ -14,6 +17,8 @@ from structctl.runtime import (
     Send,
     Trace,
     TraceRecord,
+    _encode_payload,
+    _normalize_payload,
     run,
 )
 
@@ -150,6 +155,25 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="keys must be strings"):
             run(line2, program)
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({True: 1}, "dict keys must be strings, got True"),
+            ({1: "x"}, "dict keys must be strings, got 1"),
+            ([{"a": [{2: "b"}]}], "dict keys must be strings, got 2"),
+            ({"a": 1, 2: "b"}, "dict keys must be strings, got 2"),
+            ([1.0, float("nan")], "Out of range float values are not JSON compliant"),
+            ({"s": {3}}, "payload value {3} is not JSON-representable"),
+        ],
+        ids=["bool-key", "int-key", "nested-int-key", "mixed-keys", "nan", "set"],
+    )
+    def test_malformed_payload_names_the_fault(self, line2, payload, message):
+        def program(ctx):
+            yield Send(ctx.neighbors[0], payload)
+
+        with pytest.raises(ProtocolError, match=re.escape(f"agent 0 -> 1: {message}")):
+            run(line2, program)
+
     def test_yielding_garbage(self, line2):
         def program(ctx):
             yield "not an action"
@@ -215,3 +239,63 @@ class TestDeterminism:
             assert again.trace.to_jsonl() == first.trace.to_jsonl()
             assert again.outputs == first.outputs
             assert again.rounds == first.rounds
+
+
+class TestPayloadCopies:
+    def test_mutation_after_send_does_not_leak(self, line3):
+        def program(ctx):
+            if ctx.id == 1:
+                sent = {"xs": [1, 2]}
+                yield Send(0, sent)
+                yield Send(2, sent)
+                sent["xs"].append(3)
+                sent["late"] = True
+                return sent
+            got = yield Recv(1)
+            got["xs"].append(ctx.id)
+            return got
+
+        res = run(line3, program)
+        assert res.outputs[1] == {"xs": [1, 2, 3], "late": True}
+        assert res.outputs[0] == {"xs": [1, 2, 0]}
+        assert res.outputs[2] == {"xs": [1, 2, 2]}
+        assert [rec.payload for rec in res.trace] == ['{"xs":[1,2]}'] * 2
+
+
+def _strict_encode(value):
+    """The reference: walk the payload strictly, then encode the result."""
+    normalized = _normalize_payload(value, "w")
+    try:
+        return json.dumps(
+            normalized, separators=(",", ":"), sort_keys=True, allow_nan=False
+        )
+    except ValueError as exc:
+        raise ProtocolError(f"w: {exc}") from None
+
+
+_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)
+)
+_keys = st.one_of(st.text(max_size=3), st.integers(-2, 2), st.booleans())
+_payloads = st.recursive(
+    _scalars | st.frozensets(st.integers(0, 3), max_size=2),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(_keys, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestEncodeMatchesStrictWalk:
+    @given(_payloads)
+    def test_same_text_or_same_error(self, value):
+        try:
+            expected = _strict_encode(value)
+        except ProtocolError as exc:
+            with pytest.raises(ProtocolError) as got:
+                _encode_payload(value, "w")
+            assert str(got.value) == str(exc)
+            return
+        text, copy = _encode_payload(value, "w")
+        assert text == expected
+        assert copy == json.loads(expected)

@@ -175,7 +175,7 @@ def check_certificate(A: SparsityPattern, B: SparsityPattern, verdict: Verdict) 
         states = set(cert["states"])
         if verdict.controllable or not states:
             return False
-        if any((i, j) in B.nonzeros for i in states for j in range(B.cols)):
+        if any(k in states for k, _ in B.nonzeros):
             return False
         return not any(
             k in states and l not in states for k, l in A.nonzeros
@@ -189,10 +189,10 @@ def check_certificate(A: SparsityPattern, B: SparsityPattern, verdict: Verdict) 
             return False
         if len(set(rights)) != len(rights):
             return False
-        feeders = set()
-        for _, k in rights:
-            feeders.update(("x", l) for kk, l in A.nonzeros if kk == k)
-            feeders.update(("u", j) for kk, j in B.nonzeros if kk == k)
+        # One pass over each pattern keeps the replay linear in its size.
+        members = {k for _, k in rights}
+        feeders = {("x", l) for k, l in A.nonzeros if k in members}
+        feeders.update(("u", j) for k, j in B.nonzeros if k in members)
         return len(feeders) < len(rights)
 
     if kind == "reach-and-match":

@@ -2,8 +2,8 @@
 
 Exit codes: 0 when the system is controllable (or the requested condition
 holds), 1 when it is not, 2 for bad input, bad usage, a check whose
-preconditions the instance does not meet, or an internal error.  A failed
-precondition or an internal error never turns into a 0/1 verdict.  The
+preconditions the instance does not meet, an inconclusive result, or an
+internal error.  None of these ever turns into a 0/1 verdict.  The
 machine-readable JSON report goes to stdout; a one-line human summary goes to
 stderr.
 """
@@ -168,6 +168,14 @@ def _verify_distributed(args) -> tuple[dict, bool]:
     }
     if args.trace:
         _write_trace(args.trace, result, outs)
+    if args.fig5_simplify and not controllable:
+        # Ignoring the incoming boundary can lose matching flow, so the
+        # simplified run says "not controllable" on some controllable systems.
+        raise CliError(
+            "--fig5-simplify: a negative result of the simplified run is "
+            "inconclusive; run without --fig5-simplify for a verdict",
+            details={"matching_size": report["matching_size"], "states": report["states"]},
+        )
     return report, controllable
 
 

@@ -17,7 +17,8 @@ Termination and the pass bound: each pass starts by recomputing every own
 label as the residual distance to the sink given the cached boundary labels
 (never below the previous label, so labels stay monotone and valid), pushes
 strictly downhill with boundary exits preferred, and ends with a boundary
-exchange plus a gossiped label census that applies the gap heuristic
+exchange plus a flooded label census (the union of the labels below the
+cap and the lowest label holding excess) that applies the gap heuristic
 globally.  From the second pass on, the recomputation becomes a synchronous
 multi-round sweep that relaxes distances across regions to a global
 fixpoint, which rules out the count-to-infinity laddering two mutually
@@ -30,10 +31,11 @@ the cap.
 from __future__ import annotations
 
 import heapq
+from collections import ChainMap
 
 from .graphkit import scc
 from .model import InterconnectedSystem, state_digraph
-from .runtime import AgentContext, Recv, Send, and_consensus
+from .runtime import AgentContext, Recv, Send, and_consensus, flood
 
 S = ("s",)
 T = ("t",)
@@ -55,24 +57,23 @@ def boundary_vertex_count(sys: InterconnectedSystem) -> int:
 
 
 def _gossip_sizes(ctx: AgentContext):
-    """r rounds of map flooding; afterwards every agent knows every
-    subsystem's (state-digraph SCC count, n, p)."""
+    """Flood per-agent entries ``{id: [state-digraph SCC count, n, p]}``;
+    returns every subsystem's ``[SCC count, n, p]``."""
     own = ctx.subsystem
     own_sccs = len(scc(state_digraph(own.A)).components)
-    known = {ctx.id: (own_sccs, own.n, own.p)}
-    for _ in range(ctx.r):
-        payload = {str(i): list(v) for i, v in sorted(known.items())}
-        for j in ctx.neighbors:
-            yield Send(j, payload)
-        for j in ctx.neighbors:
-            heard = yield Recv(j)
-            for key, val in heard.items():
-                known.setdefault(int(key), tuple(val))
+    # Merging is setdefault (the first entry for a key wins).  The whole map
+    # goes out every round, not only new entries: an agent with nothing new
+    # would otherwise send an empty map.
+    known = yield from flood(
+        ctx,
+        {str(ctx.id): [own_sccs, own.n, own.p]},
+        lambda known, heard: dict(ChainMap(known, *heard)),
+    )
     if len(known) != ctx.r:
         raise RuntimeError(
             f"agent {ctx.id}: size gossip incomplete ({len(known)} of {ctx.r})"
         )
-    return known
+    return list(known.values())
 
 
 def _reached_steps(ctx: AgentContext, iterations: int):
@@ -107,31 +108,26 @@ def _reached_steps(ctx: AgentContext, iterations: int):
     return reached, sizes, completed
 
 
-def _reached_impl(ctx: AgentContext, extra_iterations: int = 0):
-    info = yield from _gossip_sizes(ctx)
-    N = sum(v[0] for v in info.values())
-    got, sizes, completed = yield from _reached_steps(ctx, N + extra_iterations)
-    return {
-        "rchd": len(got) == ctx.subsystem.n,
-        "reached": sorted(got),
-        "N": N,
-        "sizes_by_iteration": sizes,
-        "completed_iteration": completed,
-    }
-
-
-def reached(ctx: AgentContext):
-    """Agent program: true iff every own state is input-reachable globally."""
-    return _reached_impl(ctx)
-
-
 def reached_program(extra_iterations: int = 0):
-    """``reached`` with extra outer iterations appended (fixpoint probing)."""
+    """Agent program: true iff every own state is input-reachable globally;
+    ``extra_iterations`` appends outer iterations (fixpoint probing)."""
 
-    def program(ctx: AgentContext):
-        return _reached_impl(ctx, extra_iterations)
+    def reached(ctx: AgentContext):
+        info = yield from _gossip_sizes(ctx)
+        N = sum(v[0] for v in info)
+        got, sizes, completed = yield from _reached_steps(ctx, N + extra_iterations)
+        return {
+            "rchd": len(got) == ctx.subsystem.n,
+            "reached": sorted(got),
+            "N": N,
+            "sizes_by_iteration": sizes,
+            "completed_iteration": completed,
+        }
 
-    return program
+    return reached
+
+
+reached = reached_program()
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +394,7 @@ def _exact_relabel(ctx: AgentContext, region: Region, cap: int):
     t = 0
     while True:
         t += 1
-        for j in sorted(ctx.neighbors):
+        for j in ctx.neighbors:
             yield Send(
                 j,
                 {
@@ -410,7 +406,7 @@ def _exact_relabel(ctx: AgentContext, region: Region, cap: int):
                 },
             )
         improved = False
-        for j in sorted(ctx.neighbors):
+        for j in ctx.neighbors:
             heard = yield Recv(j)
             last_change = max(last_change, heard["chg"])
             for key, val in heard["d"].items():
@@ -531,39 +527,38 @@ def _barrier(ctx: AgentContext, region: Region):
 
 
 def _census(ctx: AgentContext, region: Region, cap: int):
-    """Gossip the global label census; apply the gap heuristic; report
+    """Flood the global label census; apply the gap heuristic; report
     whether any excess anywhere is still mobile.
 
-    The gap needs only which labels below the cap are present, and mobility
-    only the lowest label holding excess, so each agent contributes its
-    distinct labels and ``[]`` or ``[lowest excess label]``."""
-    all_labels = sorted({region.label[v] for v in region.own if region.label[v] < cap})
-    exc_labels = sorted(
-        region.label[v]
-        for v in region.own
-        if region.excess[v] > 0 and region.label[v] < cap
-    )[:1]
-    known = {ctx.id: [all_labels, exc_labels]}
-    for _ in range(ctx.r):
-        payload = {str(i): v for i, v in sorted(known.items())}
-        for j in ctx.neighbors:
-            yield Send(j, payload)
-        for j in ctx.neighbors:
-            heard = yield Recv(j)
-            for key, val in heard.items():
-                known.setdefault(int(key), val)
+    The gap needs only the labels below the cap that are present, and
+    mobility only the lowest label holding excess, so the flooded value is
+    the idempotent aggregate [sorted union of labels, [] or [lowest]]."""
+    me = str(ctx.id)
 
-    present = {0}
-    for a, _ in known.values():
-        present.update(a)
+    def merge(agg: dict, heard: list) -> dict:
+        parts = [agg[me]] + [part for msg in heard for part in msg.values()]
+        low = [l for _, lows in parts for l in lows]
+        labels = sorted({l for ls, _ in parts for l in ls})
+        return {me: [labels, [min(low)] if low else []]}
+
+    below = [v for v in region.own if region.label[v] < cap]
+    # Keyed by the sender's id alone, each message keeps the census shape
+    # {"<id>": [[labels], [low]]}, which trace readers tell apart from the
+    # size gossip's {"<id>": [scc, n, p]}.
+    agg = {me: [
+        sorted({region.label[v] for v in below}),
+        sorted(region.label[v] for v in below if region.excess[v] > 0)[:1],
+    ]}
+    labels, low = (yield from flood(ctx, agg, merge))[me]
+
+    present = {0, *labels}
     gap = 1
     while gap in present:
         gap += 1
     for v in region.own:
         if gap < region.label[v] < cap:
             region.label[v] = cap
-    mobile = any(l < gap for _, e in known.values() for l in e)
-    return mobile
+    return any(l < gap for l in low)
 
 
 def _prd(ctx: AgentContext, region: Region, cap: int, collect_states: bool):
@@ -621,52 +616,45 @@ def _snapshot(region: Region, pass_no: int) -> dict:
     }
 
 
-def _controlled_impl(
-    ctx: AgentContext, drop_incoming_boundary: bool, collect_states: bool
-):
-    info = yield from _gossip_sizes(ctx)
-    N = sum(v[0] for v in info.values())
-    got, sizes, completed = yield from _reached_steps(ctx, N)
-    rchd = len(got) == ctx.subsystem.n
-
-    cap = 2 * sum(v[1] for v in info.values()) + sum(v[2] for v in info.values()) + 2
-    region = Region(ctx, include_incoming=not drop_incoming_boundary)
-    prd_stats = yield from _prd(ctx, region, cap, collect_states)
-    mchd = region.sink_flow() == ctx.subsystem.n
-
-    ctld = yield from and_consensus(ctx, rchd and mchd)
-    out = {
-        "ctld": ctld,
-        "rchd": rchd,
-        "mchd": mchd,
-        "sink_flow": region.sink_flow(),
-        "n": ctx.subsystem.n,
-        "reached": sorted(got),
-        "N": N,
-        "reached_sizes": sizes,
-        "reached_completed": completed,
-        "passes": prd_stats["passes"],
-        "transfers_by_pass": prd_stats["transfers_by_pass"],
-        "sink_saturated_pass": prd_stats["sink_saturated_pass"],
-    }
-    if collect_states:
-        out["states"] = prd_stats["states"]
-    return out
-
-
-def controlled(ctx: AgentContext):
-    """Agent program: reachability plus the region preflow plus consensus;
-    every agent returns the global controllability verdict and its stats."""
-    return _controlled_impl(ctx, False, False)
-
-
 def controlled_program(
     drop_incoming_boundary: bool = False, collect_states: bool = False
 ):
-    """``controlled`` with the incoming-boundary region simplification and/or
-    per-pass state snapshots enabled."""
+    """Agent program: reachability plus the region preflow plus consensus;
+    every agent returns the global controllability verdict and its stats.
+    ``drop_incoming_boundary`` enables the incoming-boundary region
+    simplification, ``collect_states`` per-pass state snapshots."""
 
-    def program(ctx: AgentContext):
-        return _controlled_impl(ctx, drop_incoming_boundary, collect_states)
+    def controlled(ctx: AgentContext):
+        info = yield from _gossip_sizes(ctx)
+        N = sum(v[0] for v in info)
+        got, sizes, completed = yield from _reached_steps(ctx, N)
+        rchd = len(got) == ctx.subsystem.n
 
-    return program
+        cap = 2 * sum(v[1] for v in info) + sum(v[2] for v in info) + 2
+        region = Region(ctx, include_incoming=not drop_incoming_boundary)
+        prd_stats = yield from _prd(ctx, region, cap, collect_states)
+        mchd = region.sink_flow() == ctx.subsystem.n
+
+        ctld = yield from and_consensus(ctx, rchd and mchd)
+        out = {
+            "ctld": ctld,
+            "rchd": rchd,
+            "mchd": mchd,
+            "sink_flow": region.sink_flow(),
+            "n": ctx.subsystem.n,
+            "reached": sorted(got),
+            "N": N,
+            "reached_sizes": sizes,
+            "reached_completed": completed,
+            "passes": prd_stats["passes"],
+            "transfers_by_pass": prd_stats["transfers_by_pass"],
+            "sink_saturated_pass": prd_stats["sink_saturated_pass"],
+        }
+        if collect_states:
+            out["states"] = prd_stats["states"]
+        return out
+
+    return controlled
+
+
+controlled = controlled_program()

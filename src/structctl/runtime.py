@@ -15,14 +15,16 @@ deterministic, so two runs of the same program on the same system produce
 byte-identical traces.
 
 Agents may only exchange messages with neighbors in the interconnection
-topology (either direction).  Payloads must be JSON-representable.  Each
-payload is encoded once at send time, and the encoded text is decoded right
-away into the copy that is queued for its one receiver; the text goes into the
-trace.  Later mutation by the sender therefore cannot leak through, and every
-receiver gets a fresh copy.  A payload whose decoded copy does not equal it
-(tuples, non-string keys) or that the encoder refuses is walked by a strict
-checker, which either accepts it (tuples become lists) or raises
-:class:`ProtocolError` naming the fault.
+topology (either direction).  :func:`flood` is the one r-round exchange with
+every neighbor; size gossip, label census and AND-consensus all use it.
+
+Payloads must be JSON-representable.  Each payload is encoded once at send
+time, and the encoded text is decoded right away into the copy that is queued
+for its one receiver; the text goes into the trace.  Later mutation by the
+sender therefore cannot leak through, and every receiver gets a fresh copy.
+A payload whose decoded copy does not equal it (tuples, non-string keys) or
+that the encoder refuses is walked by a strict checker, which either accepts
+it (tuples become lists) or raises :class:`ProtocolError` naming the fault.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Generator, Iterator
 
 from .model import (
@@ -76,9 +79,10 @@ class AgentContext:
     outgoing: dict[int, SparsityPattern]
     r: int
 
-    @property
-    def neighbors(self) -> list[int]:
-        return sorted(set(self.incoming) | set(self.outgoing))
+    @cached_property
+    def neighbors(self) -> tuple[int, ...]:
+        """Every neighbor in either direction, ascending; computed once."""
+        return tuple(sorted(set(self.incoming) | set(self.outgoing)))
 
 
 AgentProgram = Callable[[AgentContext], Generator]
@@ -170,17 +174,24 @@ def _encode_payload(value, where: str) -> tuple[str, object]:
     return text, json.loads(text)
 
 
-def and_consensus(ctx: AgentContext, value: bool):
-    """r rounds of AND-flooding with every neighbor; the value sent each
-    round is the one held at the start of that round."""
+def flood(ctx: AgentContext, value, merge: Callable):
+    """``ctx.r`` rounds of exchange with every neighbor: each round sends
+    the value held at the start of the round to every neighbor, receives one
+    message from each in the same order, and sets ``value = merge(value,
+    heard)`` with ``heard`` the list of those messages.  Returns the value."""
     for _ in range(ctx.r):
         for j in ctx.neighbors:
-            yield Send(j, bool(value))
+            yield Send(j, value)
         heard = []
         for j in ctx.neighbors:
             heard.append((yield Recv(j)))
-        value = bool(value) and all(heard)
-    return bool(value)
+        value = merge(value, heard)
+    return value
+
+
+def and_consensus(ctx: AgentContext, value: bool):
+    """The AND of every agent's ``value``, flooded over ``ctx.r`` rounds."""
+    return flood(ctx, bool(value), lambda v, heard: v and all(heard))
 
 
 class _AgentState:

@@ -9,8 +9,8 @@ connections, and the dynamics of its incoming neighbors: it stacks those
 blocks, finds a minimum-weight maximum matching that favors staying inside
 diagonal blocks, and checks that its own right vertices are covered and its
 own states are locally input-reachable.  The per-agent booleans are then
-combined by r rounds of AND-flooding with all neighbors, so every agent
-returns the same verdict.
+combined by the runtime's ``and_consensus``, an AND ``flood`` over r rounds,
+so every agent returns the same verdict.
 
 ``check_lemma4`` runs the identical per-subsystem computation without the
 message passing; it is the reference the distributed run is compared against
@@ -30,6 +30,7 @@ from .graphkit import min_weight_max_matching, non_top_linked_components
 from .model import (
     InterconnectedSystem,
     SparsityPattern,
+    Subsystem,
     condensed_graph,
     out_degrees,
     system_bipartite,
@@ -71,7 +72,7 @@ def is_serial(sys: InterconnectedSystem, variant: str = "primal") -> SerialCheck
 
 
 def _stack_blocks(
-    own: tuple[int, int, SparsityPattern, SparsityPattern],
+    own: Subsystem,
     blocks: list[tuple[int, SparsityPattern, SparsityPattern]],
     variant: str,
 ) -> tuple[SparsityPattern, SparsityPattern]:
@@ -82,9 +83,9 @@ def _stack_blocks(
     Primal couples neighbors into own rows (E_j is n_i x n_j); dual couples
     own columns into neighbor rows (E_j is n_j x n_i).
     """
-    n_i, p_i, A_i, B_i = own
+    n_i = own.n
     total = n_i + sum(n_j for n_j, _, _ in blocks)
-    entries = set(A_i.nonzeros)
+    entries = set(own.A.nonzeros)
     off = n_i
     for n_j, A_j, E_j in blocks:
         entries.update((off + k, off + l) for k, l in A_j.nonzeros)
@@ -94,16 +95,14 @@ def _stack_blocks(
             entries.update((off + k, l) for k, l in E_j.nonzeros)
         off += n_j
     A_stacked = SparsityPattern(total, total, frozenset(entries))
-    B_stacked = SparsityPattern(total, p_i, B_i.nonzeros)
+    B_stacked = SparsityPattern(total, own.p, own.B.nonzeros)
     return A_stacked, B_stacked
 
 
 def _local_verdict(
-    n_i: int,
-    A_stacked: SparsityPattern,
-    B_stacked: SparsityPattern,
-    A_own: SparsityPattern,
-    B_own: SparsityPattern,
+    own: Subsystem,
+    blocks: list[tuple[int, SparsityPattern, SparsityPattern]],
+    variant: str,
 ) -> dict:
     """One subsystem's matched/reached decision on its stacked neighborhood.
 
@@ -111,7 +110,8 @@ def _local_verdict(
     weight 2 for everything else (coupling and input edges); ties among
     minimum-weight maximum matchings are broken toward covering own rights.
     """
-    b = system_bipartite(A_stacked, B_stacked)
+    n_i = own.n
+    b = system_bipartite(*_stack_blocks(own, blocks, variant))
     weights = {}
     for l, rt in b.edges:
         if l[0] == "x" and (l[1] < n_i) == (rt[1] < n_i):
@@ -122,7 +122,7 @@ def _local_verdict(
     m = min_weight_max_matching(b, weights, prefer_rights=own_rights)
     unmatched_own = sorted(k for (_, k) in own_rights - m.matched_rights)
 
-    local = system_digraph(A_own, B_own)
+    local = system_digraph(own.A, own.B)
     stranded = sorted(
         v[1]
         for comp in non_top_linked_components(local)
@@ -141,18 +141,6 @@ def _local_verdict(
     }
 
 
-def _verdict_from_parts(
-    n_i: int,
-    p_i: int,
-    A_i: SparsityPattern,
-    B_i: SparsityPattern,
-    blocks: list[tuple[int, SparsityPattern, SparsityPattern]],
-    variant: str,
-) -> dict:
-    A_stacked, B_stacked = _stack_blocks((n_i, p_i, A_i, B_i), blocks, variant)
-    return _local_verdict(n_i, A_stacked, B_stacked, A_i, B_i)
-
-
 def _blocks_for(sys: InterconnectedSystem, i: int, variant: str):
     """Stacked-neighbor blocks for subsystem i, in ascending neighbor id."""
     blocks = []
@@ -168,18 +156,7 @@ def _blocks_for(sys: InterconnectedSystem, i: int, variant: str):
 def check_lemma4(sys: InterconnectedSystem, variant: str = "primal") -> bool:
     """Centralized mirror: AND of every subsystem's stacked-neighborhood
     verdict, computed exactly as the agents compute it."""
-    _check_variant(variant)
-    return all(
-        _verdict_from_parts(
-            sys.subsystem(i).n,
-            sys.subsystem(i).p,
-            sys.subsystem(i).A,
-            sys.subsystem(i).B,
-            _blocks_for(sys, i, variant),
-            variant,
-        )["ctld"]
-        for i in range(sys.r)
-    )
+    return all(v["ctld"] for v in check_lemma4_details(sys, variant).values())
 
 
 def check_lemma4_details(sys: InterconnectedSystem, variant: str = "primal") -> dict:
@@ -187,14 +164,7 @@ def check_lemma4_details(sys: InterconnectedSystem, variant: str = "primal") -> 
     _check_variant(variant)
     per = {}
     for i in range(sys.r):
-        v = _verdict_from_parts(
-            sys.subsystem(i).n,
-            sys.subsystem(i).p,
-            sys.subsystem(i).A,
-            sys.subsystem(i).B,
-            _blocks_for(sys, i, variant),
-            variant,
-        )
+        v = _local_verdict(sys.subsystem(i), _blocks_for(sys, i, variant), variant)
         v.pop("matching")
         per[i] = v
     return per
@@ -204,48 +174,43 @@ def check_lemma4_details(sys: InterconnectedSystem, variant: str = "primal") -> 
 # the agent program
 
 
-def _seq_strt_ctl(ctx: AgentContext, variant: str):
-    own = ctx.subsystem
-    if variant == "primal":
-        limit, count = "outgoing", len(ctx.outgoing)
-    else:
-        limit, count = "incoming", len(ctx.incoming)
-    if count > 1:
-        raise ValueError(
-            f"agent {ctx.id}: {count} {limit} neighbors; the {variant} variant "
-            f"needs at most one"
-        )
-
-    # Dynamics go to the side that will stack us; we stack the other side.
-    send_to = ctx.outgoing if variant == "primal" else ctx.incoming
-    stack_from = ctx.incoming if variant == "primal" else ctx.outgoing
-    for j in sorted(send_to):
-        yield Send(j, sorted(own.A.nonzeros))
-    blocks = []
-    for j in sorted(stack_from):
-        pairs = yield Recv(j)
-        E_j = stack_from[j]
-        n_j = E_j.cols if variant == "primal" else E_j.rows
-        A_j = SparsityPattern(n_j, n_j, frozenset((k, l) for k, l in pairs))
-        blocks.append((n_j, A_j, E_j))
-
-    ctld = _verdict_from_parts(own.n, own.p, own.A, own.B, blocks, variant)["ctld"]
-    return (yield from and_consensus(ctx, ctld))
-
-
-def seq_strt_ctl(ctx: AgentContext):
-    """Agent program: stacked-neighborhood verdict plus AND-consensus."""
-    return _seq_strt_ctl(ctx, "primal")
-
-
 def seq_strt_ctl_variant(variant: str):
-    """The same program with the stacking side chosen up front."""
+    """Agent program: stacked-neighborhood verdict plus AND-consensus, with
+    the stacking side chosen up front."""
     _check_variant(variant)
 
-    def program(ctx: AgentContext):
-        return _seq_strt_ctl(ctx, variant)
+    def seq_strt_ctl(ctx: AgentContext):
+        own = ctx.subsystem
+        if variant == "primal":
+            limit, count = "outgoing", len(ctx.outgoing)
+        else:
+            limit, count = "incoming", len(ctx.incoming)
+        if count > 1:
+            raise ValueError(
+                f"agent {ctx.id}: {count} {limit} neighbors; the {variant} variant "
+                f"needs at most one"
+            )
 
-    return program
+        # Dynamics go to the side that will stack us; we stack the other side.
+        send_to = ctx.outgoing if variant == "primal" else ctx.incoming
+        stack_from = ctx.incoming if variant == "primal" else ctx.outgoing
+        for j in sorted(send_to):
+            yield Send(j, sorted(own.A.nonzeros))
+        blocks = []
+        for j in sorted(stack_from):
+            pairs = yield Recv(j)
+            E_j = stack_from[j]
+            n_j = E_j.cols if variant == "primal" else E_j.rows
+            A_j = SparsityPattern(n_j, n_j, frozenset((k, l) for k, l in pairs))
+            blocks.append((n_j, A_j, E_j))
+
+        ctld = _local_verdict(own, blocks, variant)["ctld"]
+        return (yield from and_consensus(ctx, ctld))
+
+    return seq_strt_ctl
+
+
+seq_strt_ctl = seq_strt_ctl_variant("primal")
 
 
 def run_seq_strt_ctl(

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import build_system
 from structctl.cli import main
-from structctl.model import dumps, load, save
+from structctl.model import dumps, load, random_system, save
 from structctl.runtime import Recv, Send
 from structctl.serial import is_serial
 from structctl.similar import similar_dumps
@@ -98,6 +98,22 @@ class TestVerifyModes:
         assert rep["messages"]["count"] > 0
         assert all(rep["agent_verdicts"][str(i)] for i in range(4))
         assert all(rep["agents"][str(i)]["passes"] == 2 for i in range(4))
+
+    @pytest.mark.parametrize("seed", [4, 7])
+    def test_simplified_negative_is_inconclusive(self, capsys, tmp_path, seed):
+        # controllable systems on which the simplified regions lose flow
+        path = tmp_path / "g.json"
+        save(random_system(2 + seed % 5, (1, 8), (1, 2), 0.3, seed=seed), path)
+        code, _, _ = run_cli(capsys, "verify", "--mode", "centralized", "--input", str(path))
+        assert code == 0
+        code, out, _ = run_cli(
+            capsys, "verify", "--mode", "distributed", "--input", str(path),
+            "--fig5-simplify",
+        )
+        assert code == 2
+        rep = report_of(out)
+        assert "inconclusive" in rep["error"]
+        assert rep["details"]["matching_size"] < rep["details"]["states"]
 
     def test_serial_holds(self, capsys, tmp_path, serial_pair):
         path = tmp_path / "pair.json"

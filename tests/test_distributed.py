@@ -3,6 +3,7 @@ verdicts, plus the worked ring walkthrough pinned step by step."""
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -137,6 +138,31 @@ class TestControlled:
         )
         with pytest.raises(ValueError, match="weakly connected"):
             run(sysm, controlled)
+
+
+class TestFloodedPhases:
+    def test_census_messages_carry_one_aggregate_keyed_by_sender(self, ring4):
+        def ints(xs):
+            return isinstance(xs, list) and all(type(x) is int for x in xs)
+
+        res = run(ring4, controlled)
+        census = []
+        for rec in res.trace:
+            payload = json.loads(rec.payload)
+            if isinstance(payload, dict) and all(k.isdigit() for k in payload):
+                if all(len(v) == 2 and not ints(v) for v in payload.values()):
+                    census.append((rec.sender, payload))
+        assert census
+        for sender, payload in census:
+            assert list(payload) == [str(sender)]
+            labels, low = payload[str(sender)]
+            assert ints(labels) and ints(low) and len(low) <= 1
+
+    def test_ring_rounds_and_message_counts_are_pinned(self, ring4):
+        res = run(ring4, controlled)
+        assert (res.rounds, len(res.trace)) == (34, 248)
+        res = run(ring4, controlled_program(drop_incoming_boundary=True))
+        assert (res.rounds, len(res.trace)) == (33, 240)
 
 
 class TestRegion:

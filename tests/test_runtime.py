@@ -19,6 +19,7 @@ from structctl.runtime import (
     TraceRecord,
     _encode_payload,
     _normalize_payload,
+    flood,
     run,
 )
 
@@ -239,6 +240,57 @@ class TestDeterminism:
             assert again.trace.to_jsonl() == first.trace.to_jsonl()
             assert again.outputs == first.outputs
             assert again.rounds == first.rounds
+
+
+class TestFlood:
+    def test_sends_the_value_held_at_the_start_of_each_round(self, line3):
+        def program(ctx):
+            return (yield from flood(ctx, [ctx.id], lambda v, heard: v + [len(v)]))
+
+        res = run(line3, program)
+        assert res.outputs == {i: [i, 1, 2, 3] for i in range(3)}
+        sent = {}
+        for rec in res.trace:
+            sent.setdefault((rec.sender, rec.receiver), []).append(
+                (rec.round, json.loads(rec.payload))
+            )
+        # one message per neighbor per round, each carrying that round's value
+        assert set(sent) == {(0, 1), (1, 0), (1, 2), (2, 1)}
+        for (i, _), msgs in sent.items():
+            assert [v for _, v in msgs] == [[i], [i, 1], [i, 1, 2]]
+            assert [rnd for rnd, _ in msgs] == [1, 2, 3]
+
+    def test_merge_called_r_times_with_messages_in_neighbor_order(self, line3):
+        calls = []
+
+        def program(ctx):
+            def merge(value, heard):
+                calls.append((ctx.id, heard))
+                return value + 1
+
+            return (yield from flood(ctx, 10 * ctx.id, merge))
+
+        res = run(line3, program)
+        assert res.outputs == {0: 3, 1: 13, 2: 23}
+        assert [sum(1 for i, _ in calls if i == a) for a in range(3)] == [3, 3, 3]
+        assert [heard for i, heard in calls if i == 1] == [[0, 20], [1, 21], [2, 22]]
+
+    def test_union_reaches_every_agent_on_a_path_of_r_agents(self):
+        r = 5
+        path = build_system(
+            [(1, 0, set(), set()) for _ in range(r)],
+            [(i + 1, i, {(0, 0)}) for i in range(r - 1)],
+        )
+
+        def union(value, heard):
+            return sorted(set(value).union(*heard))
+
+        def program(ctx):
+            return (yield from flood(ctx, [ctx.id], union))
+
+        res = run(path, program)
+        assert res.outputs == {i: list(range(r)) for i in range(r)}
+        assert res.rounds == r + 1
 
 
 class TestPayloadCopies:

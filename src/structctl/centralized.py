@@ -5,14 +5,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .graphkit import (
-    Matching,
     input_reachable_with_parents,
+    left_order,
     max_matching,
-    non_top_linked_components,
     path_cycle_decomposition,
     right_deficiency_witness,
 )
-from .model import SparsityPattern, system_bipartite, system_digraph
+from .model import SparsityPattern, system_digraph
+
+# Not called: `verify` reads reachability and the matching off one graph.
+# Kept importable for the benchmark hook on `centralized.system_bipartite`.
+from .model import system_bipartite  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -25,8 +28,10 @@ class Verdict:
         return self.controllable
 
 
-def _enc(v) -> list:
-    return [v[0], v[1]]
+def _encoder(n: int):
+    """Certificate encoding of a ``system_digraph`` vertex: ["x", j] for
+    state j, ["u", j] for input column j."""
+    return lambda v: ["x", v] if v < n else ["u", v - n]
 
 
 def verify(A: SparsityPattern, B: SparsityPattern) -> Verdict:
@@ -41,18 +46,19 @@ def verify(A: SparsityPattern, B: SparsityPattern) -> Verdict:
     """
     if A.rows != B.rows:
         raise ValueError(f"A has {A.rows} states but B has {B.rows} rows")
-    dg = system_digraph(A, B)
-    reached, parents = input_reachable_with_parents(dg)
-    unreached = sorted(j for j in range(A.rows) if ("x", j) not in reached)
+    n = A.rows
+    g = system_digraph(A, B)
+    parent = input_reachable_with_parents(g, n)
+    unreached = [j for j in range(n) if parent[j] < 0]
     if unreached:
         return Verdict(
             False,
             "reachability-matching",
             {"type": "unreachable-closure", "states": unreached},
         )
-    b = system_bipartite(A, B)
-    m = max_matching(b)
-    witness = right_deficiency_witness(b, m)
+    mates = max_matching(g, n)
+    witness = right_deficiency_witness(g, mates)
+    enc = _encoder(n)
     if witness is not None:
         w_set, n_set = witness
         return Verdict(
@@ -60,19 +66,20 @@ def verify(A: SparsityPattern, B: SparsityPattern) -> Verdict:
             "reachability-matching",
             {
                 "type": "right-deficiency",
-                "rights": [_enc(v) for v in w_set],
-                "neighbors": [_enc(v) for v in n_set],
+                "rights": [enc(v) for v in w_set],
+                "neighbors": [enc(v) for v in n_set],
             },
         )
+    mate_l = mates[0]
     return Verdict(
         True,
         "reachability-matching",
         {
             "type": "reach-and-match",
-            "matching": [[_enc(l), _enc(r)] for l, r in m.sorted_edges()],
-            "reach_forest": [
-                [_enc(child), _enc(parent)] for child, parent in sorted(parents.items())
+            "matching": [
+                [enc(l), enc(mate_l[l])] for l in left_order(len(g), n) if mate_l[l] >= 0
             ],
+            "reach_forest": [[enc(j), enc(parent[j])] for j in range(n)],
         },
     )
 
@@ -87,11 +94,10 @@ def verify_via_cacti(A: SparsityPattern, B: SparsityPattern) -> Verdict:
     base = verify(A, B)
     if not base.controllable:
         return Verdict(base.controllable, "input-cacti", base.certificate)
-    b = system_bipartite(A, B)
-    m = max_matching(b)
-    paths, cycles = path_cycle_decomposition(m)
+    n = A.rows
+    g = system_digraph(A, B)
+    paths, cycles = path_cycle_decomposition(max_matching(g, n))
 
-    edge_set = set(system_digraph(A, B).edges)
     cacti = []
     vertex_home: dict = {}  # vertex -> cactus index
     for chain in paths:
@@ -102,19 +108,16 @@ def verify_via_cacti(A: SparsityPattern, B: SparsityPattern) -> Verdict:
         for v in chain:
             vertex_home[v] = idx
 
+    order = left_order(len(g), n)
     pending = list(range(len(cycles)))
     while pending:
         attached_one = False
         for k in list(pending):
             cyc = cycles[k]
-            hook = None
-            for tail in sorted(vertex_home):
-                for head in cyc:
-                    if (tail, head) in edge_set:
-                        hook = (tail, head)
-                        break
-                if hook:
-                    break
+            hook = next(
+                ((t, h) for t in order if t in vertex_home for h in cyc if h in g[t]),
+                None,
+            )
             if hook is None:
                 continue
             idx = vertex_home[hook[0]]
@@ -128,15 +131,16 @@ def verify_via_cacti(A: SparsityPattern, B: SparsityPattern) -> Verdict:
                 "could not attach all cycles despite a controllable verdict"
             )
 
+    enc = _encoder(n)
     cert = {
         "type": "input-cacti",
         "cacti": [
             {
-                "stem": [_enc(v) for v in c["stem"]],
+                "stem": [enc(v) for v in c["stem"]],
                 "cycles": [
                     {
-                        "cycle": [_enc(v) for v in cy["cycle"]],
-                        "attach": [_enc(cy["attach"][0]), _enc(cy["attach"][1])],
+                        "cycle": [enc(v) for v in cy["cycle"]],
+                        "attach": [enc(v) for v in cy["attach"]],
                     }
                     for cy in c["cycles"]
                 ],

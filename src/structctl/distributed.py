@@ -60,7 +60,7 @@ def _gossip_sizes(ctx: AgentContext):
     """Flood per-agent entries ``{id: [state-digraph SCC count, n, p]}``;
     returns every subsystem's ``[SCC count, n, p]``."""
     own = ctx.subsystem
-    own_sccs = len(scc(state_digraph(own.A)).components)
+    own_sccs = len(scc(state_digraph(own.A)))
     # Merging is setdefault (the first entry for a key wins).  The whole map
     # goes out every round, not only new entries: an agent with nothing new
     # would otherwise send an empty map.

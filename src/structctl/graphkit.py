@@ -1,276 +1,189 @@
-"""Deterministic graph algorithms: SCCs, matchings, decompositions, flows.
+"""Deterministic graph algorithms on integer-indexed graphs.
 
-All routines iterate vertices and edges in sorted order so that repeated runs
-produce identical results (including across processes), which the trace and
-certificate formats rely on.
+A graph is one sorted successor list per vertex 0..len(g)-1 (see
+``model.system_digraph``: state j is vertex j, input column j is vertex
+n + j).  A matching reads the same lists as a bipartite graph: every vertex
+is a left vertex, the vertices 0..n-1 are also the right vertices, and edge
+l -> k can pair left l with right k.  It is held as mate arrays
+``(mate_l, mate_r)``: ``mate_l[l]`` is the right matched to left l and
+``mate_r[k]`` the left matched to right k, -1 where unmatched.
+
+Wherever the visiting order picks one of several valid results, vertices
+n.. (the inputs) go before 0..n-1 (the states), each ascending: the order of
+the ``["u", j]`` < ``["x", j]`` certificate encoding.  Repeated runs, in any
+process, produce identical results, which the certificates rely on.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
-from .model import BipartiteGraph, Digraph
+from .model import Graph
 
 INF = float("inf")
+
+Mates = tuple[list[int], list[int]]
+
+
+def left_order(count: int, n: int) -> list[int]:
+    """Vertices n..count-1, then 0..n-1."""
+    return [*range(n, count), *range(n)]
 
 
 # ---------------------------------------------------------------------------
 # strongly connected components
 
 
-@dataclass(frozen=True)
-class SccDecomposition:
-    """Components in reverse topological order of the condensation."""
-
-    components: tuple[frozenset, ...]
-    comp_of: dict
-    dag_edges: frozenset[tuple[int, int]]  # (from component, to component)
-
-    @property
-    def non_top_linked(self) -> tuple[int, ...]:
-        """Indices of components no other component feeds into."""
-        fed = {h for _, h in self.dag_edges}
-        return tuple(i for i in range(len(self.components)) if i not in fed)
-
-
-def scc(g: Digraph) -> SccDecomposition:
-    """Tarjan's algorithm, iteratively, over sorted vertices."""
-    adj: dict = {v: [] for v in sorted(g.vertices)}
-    for t, h in sorted(g.edges):
-        adj[t].append(h)
-
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    comps: list[frozenset] = []
-    comp_of: dict = {}
+def scc(g: Graph) -> list[list[int]]:
+    """Components in reverse topological order of the condensation (each
+    before every component that feeds it); Tarjan's algorithm, iteratively."""
+    index = [-1] * len(g)
+    low = [0] * len(g)
+    on_stack = [False] * len(g)
+    stack: list[int] = []
+    comps: list[list[int]] = []
     counter = 0
-
-    for root in sorted(g.vertices):
-        if root in index:
+    for root in range(len(g)):
+        if index[root] >= 0:
             continue
-        work = [(root, iter(adj[root]))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = True
+        work = [(root, iter(g[root]))]
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
-                if w not in index:
+                if index[w] < 0:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(adj[w])))
-                    advanced = True
+                    on_stack[w] = True
+                    work.append((w, iter(g[w])))
                     break
-                if w in on_stack:
+                if on_stack[w]:
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                cid = len(comps)
-                comps.append(frozenset(comp))
-                for w in comp:
-                    comp_of[w] = cid
-
-    dag = frozenset(
-        (comp_of[t], comp_of[h]) for t, h in g.edges if comp_of[t] != comp_of[h]
-    )
-    return SccDecomposition(tuple(comps), comp_of, dag)
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(comp)
+    return comps
 
 
-def non_top_linked_components(g: Digraph) -> list[frozenset]:
-    dec = scc(g)
-    return [dec.components[i] for i in dec.non_top_linked]
+def non_top_linked_components(g: Graph) -> list[list[int]]:
+    """Components no edge enters from another component."""
+    comps = scc(g)
+    comp_of = [0] * len(g)
+    for c, comp in enumerate(comps):
+        for v in comp:
+            comp_of[v] = c
+    fed = {
+        comp_of[h] for t, heads in enumerate(g) for h in heads if comp_of[h] != comp_of[t]
+    }
+    return [comp for c, comp in enumerate(comps) if c not in fed]
 
 
 # ---------------------------------------------------------------------------
 # reachability
 
 
-def input_reachable(g: Digraph) -> set:
-    """State vertices with a directed path from some non-isolated input vertex."""
-    reached, _ = input_reachable_with_parents(g)
-    return reached
-
-
-def input_reachable_with_parents(g: Digraph) -> tuple[set, dict]:
-    """Reached state vertices plus a BFS parent map (parents of the seeds are
-    the inputs that feed them), usable to reconstruct witness paths."""
-    adj: dict = {v: [] for v in g.vertices}
-    for t, h in sorted(g.edges):
-        adj[t].append(h)
-    parent: dict = {}
-    q: deque = deque()
-    for v in sorted(g.vertices):
-        if v[0] == "u" and adj[v]:
-            for w in adj[v]:
-                if w not in parent:
-                    parent[w] = v
-                    q.append(w)
-    reached = set(parent)
+def input_reachable_with_parents(g: Graph, n: int) -> list[int]:
+    """Breadth-first search from the inputs n..len(g)-1 through the states
+    0..n-1: each state's parent (the vertex it was first reached from), -1
+    for states no input reaches."""
+    parent = [-1] * n
+    q = deque(range(n, len(g)))
     while q:
         v = q.popleft()
-        for w in adj[v]:
-            if w not in parent and w[0] == "x":
+        for w in g[v]:
+            if parent[w] < 0:
                 parent[w] = v
-                reached.add(w)
                 q.append(w)
-    return reached, parent
-
-
-def path_to_input(parent: dict, v) -> list:
-    """Walk the parent map back to the input that reached ``v``."""
-    path = [v]
-    while path[-1] in parent:
-        path.append(parent[path[-1]])
-    return list(reversed(path))
+    return parent
 
 
 # ---------------------------------------------------------------------------
 # matchings
 
 
-@dataclass(frozen=True)
-class Matching:
-    """A one-to-one edge set between the stated left and right vertex sets."""
+def max_matching(g: Graph, n: int) -> Mates:
+    """Hopcroft–Karp into the rights 0..n-1."""
+    lefts = left_order(len(g), n)
+    mate_l = [-1] * len(g)
+    mate_r = [-1] * n
 
-    edges: frozenset[tuple]
-    left: frozenset
-    right: frozenset
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        lefts_seen = set()
-        rights_seen = set()
-        for l, r in self.edges:
-            if l not in self.left or r not in self.right:
-                raise ValueError(f"matching edge ({l!r}, {r!r}) outside the graph")
-            if l in lefts_seen or r in rights_seen:
-                raise ValueError(f"matching reuses a vertex at edge ({l!r}, {r!r})")
-            lefts_seen.add(l)
-            rights_seen.add(r)
-
-    @property
-    def size(self) -> int:
-        return len(self.edges)
-
-    def left_map(self) -> dict:
-        return {l: r for l, r in self.edges}
-
-    def right_map(self) -> dict:
-        return {r: l for l, r in self.edges}
-
-    @property
-    def matched_lefts(self) -> frozenset:
-        return frozenset(l for l, _ in self.edges)
-
-    @property
-    def matched_rights(self) -> frozenset:
-        return frozenset(r for _, r in self.edges)
-
-    @property
-    def unmatched_lefts(self) -> frozenset:
-        return self.left - self.matched_lefts
-
-    @property
-    def unmatched_rights(self) -> frozenset:
-        return self.right - self.matched_rights
-
-    def sorted_edges(self) -> list[tuple]:
-        return sorted(self.edges)
-
-
-def max_matching(b: BipartiteGraph) -> Matching:
-    """Hopcroft–Karp with sorted adjacency (deterministic result)."""
-    lefts = sorted(b.left)
-    adj: dict = {l: [] for l in lefts}
-    for l, r in sorted(b.edges):
-        adj[l].append(r)
-    pair_l: dict = {l: None for l in b.left}
-    pair_r: dict = {r: None for r in b.right}
-
-    def bfs() -> tuple[dict, bool]:
-        dist: dict = {}
+    def bfs() -> tuple[list[int], bool]:
+        dist = [-1] * len(g)
         q: deque = deque()
         for l in lefts:
-            if pair_l[l] is None:
+            if mate_l[l] < 0:
                 dist[l] = 0
                 q.append(l)
         reachable_free = False
         while q:
             l = q.popleft()
-            for r in adj[l]:
-                nl = pair_r[r]
-                if nl is None:
+            for r in g[l]:
+                nl = mate_r[r]
+                if nl < 0:
                     reachable_free = True
-                elif nl not in dist:
+                elif dist[nl] < 0:
                     dist[nl] = dist[l] + 1
                     q.append(nl)
         return dist, reachable_free
 
-    def augment_from(root, dist) -> bool:
+    def augment_from(root: int, dist: list[int]) -> None:
         # iterative layered DFS; frames are (left vertex, arc iterator, right
-        # edge that led here from the previous frame)
-        work = [(root, iter(adj[root]), None)]
+        # vertex that led here from the previous frame)
+        work = [(root, iter(g[root]), -1)]
         while work:
             v, it, _ = work[-1]
-            moved = False
             for r in it:
-                nl = pair_r[r]
-                if nl is None:
-                    pair_l[v] = r
-                    pair_r[r] = v
+                nl = mate_r[r]
+                if nl < 0:
+                    mate_l[v] = r
+                    mate_r[r] = v
                     for k in range(len(work) - 1, 0, -1):
                         prev = work[k - 1][0]
                         inc = work[k][2]
-                        pair_l[prev] = inc
-                        pair_r[inc] = prev
-                    return True
-                if dist.get(nl) == dist.get(v, INF) + 1:
-                    work.append((nl, iter(adj[nl]), r))
-                    moved = True
+                        mate_l[prev] = inc
+                        mate_r[inc] = prev
+                    return
+                if dist[nl] == dist[v] + 1:
+                    work.append((nl, iter(g[nl]), r))
                     break
-            if not moved:
-                dist[v] = INF  # dead end for this phase
+            else:
+                dist[v] = -1  # dead end for this phase
                 work.pop()
-        return False
 
     while True:
         dist, more = bfs()
         if not more:
             break
         for l in lefts:
-            if pair_l[l] is None:
+            if mate_l[l] < 0:
                 augment_from(l, dist)
-
-    edges = frozenset((l, r) for l, r in pair_l.items() if r is not None)
-    return Matching(edges, b.left, b.right)
+    return mate_l, mate_r
 
 
 def min_weight_max_matching(
-    b: BipartiteGraph,
+    g: Graph,
+    n: int,
     weights: dict,
-    prefer_rights: Iterable | None = None,
-) -> Matching:
-    """Minimum total weight among maximum-cardinality matchings.
+    prefer_rights: Iterable[int] | None = None,
+) -> Mates:
+    """Minimum total weight among maximum-cardinality matchings into the
+    rights 0..n-1; ``weights`` maps every edge (l, k) to its weight.
 
     Solved as a square assignment problem (missing pairs get a sentinel cost
     large enough that cardinality always dominates).  With ``prefer_rights``,
@@ -278,47 +191,48 @@ def min_weight_max_matching(
     vertices (weights must then be integers); the result is still a
     minimum-weight maximum matching for the given weights.
     """
-    lefts = sorted(b.left)
-    rights = sorted(b.right)
-    if not lefts or not rights:
-        return Matching(frozenset(), b.left, b.right)
+    lefts = left_order(len(g), n)
+    mate_l = [-1] * len(g)
+    mate_r = [-1] * n
+    if not n:
+        return mate_l, mate_r
     bonus_set = frozenset(prefer_rights) if prefer_rights is not None else frozenset()
-    scale = len(rights) + 1
+    scale = n + 1
     cost_of: dict = {}
-    for l, r in b.edges:
-        w = weights[(l, r)]
-        if bonus_set:
-            if w != int(w):
-                raise ValueError("prefer_rights requires integer weights")
-            cost_of[(l, r)] = int(w) * scale - (1 if r in bonus_set else 0)
-        else:
-            cost_of[(l, r)] = w
+    for l, heads in enumerate(g):
+        for r in heads:
+            w = weights[(l, r)]
+            if bonus_set:
+                if w != int(w):
+                    raise ValueError("prefer_rights requires integer weights")
+                cost_of[(l, r)] = int(w) * scale - (1 if r in bonus_set else 0)
+            else:
+                cost_of[(l, r)] = w
     span = sum(abs(c) for c in cost_of.values()) + 1
     sentinel = 2 * span + 1
 
-    n = max(len(lefts), len(rights))
-    cost = [[sentinel] * n for _ in range(n)]
+    size = len(lefts)  # the rights are vertices too, so never more than the lefts
+    cost = [[sentinel] * size for _ in range(size)]
     lpos = {l: i for i, l in enumerate(lefts)}
-    rpos = {r: j for j, r in enumerate(rights)}
-    for (l, r), c in sorted(cost_of.items()):
-        cost[lpos[l]][rpos[r]] = c
+    for (l, r), c in cost_of.items():
+        cost[lpos[l]][r] = c
 
     # classic O(n^3) assignment with potentials, 1-based with column 0 a slack
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    p = [0] * (n + 1)  # p[j]: row assigned to column j
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
+    u = [0.0] * (size + 1)
+    v = [0.0] * (size + 1)
+    p = [0] * (size + 1)  # p[j]: row assigned to column j
+    way = [0] * (size + 1)
+    for i in range(1, size + 1):
         p[0] = i
         j0 = 0
-        minv = [INF] * (n + 1)
-        used = [False] * (n + 1)
+        minv = [INF] * (size + 1)
+        used = [False] * (size + 1)
         while True:
             used[j0] = True
             i0 = p[j0]
             delta = INF
             j1 = 0
-            for j in range(1, n + 1):
+            for j in range(1, size + 1):
                 if used[j]:
                     continue
                 cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
@@ -328,7 +242,7 @@ def min_weight_max_matching(
                 if minv[j] < delta:
                     delta = minv[j]
                     j1 = j
-            for j in range(n + 1):
+            for j in range(size + 1):
                 if used[j]:
                     u[p[j]] += delta
                     v[j] -= delta
@@ -342,274 +256,85 @@ def min_weight_max_matching(
             p[j0] = p[j1]
             j0 = j1
 
-    edges = set()
-    for j in range(1, n + 1):
-        i = p[j]
-        if i == 0:
-            continue
-        li, rj = i - 1, j - 1
-        if li < len(lefts) and rj < len(rights):
-            l, r = lefts[li], rights[rj]
-            if (l, r) in b.edges:
-                edges.add((l, r))
-    return Matching(frozenset(edges), b.left, b.right)
+    for j in range(1, size + 1):
+        li, r = p[j] - 1, j - 1
+        if 0 <= li < len(lefts) and r < n and (lefts[li], r) in cost_of:
+            mate_l[lefts[li]] = r
+            mate_r[r] = lefts[li]
+    return mate_l, mate_r
 
 
 # ---------------------------------------------------------------------------
 # matching structure
 
 
-def path_cycle_decomposition(m: Matching, digraph: Digraph | None = None) -> tuple[list, list]:
-    """Split a matching, read as a successor relation, into elementary paths
-    and cycles covering every vertex.
+def path_cycle_decomposition(mates: Mates) -> tuple[list, list]:
+    """Split a matching, read as a successor relation on the vertices
+    0..len(mate_l)-1, into elementary paths and cycles covering every vertex.
 
     Paths start at vertices never used as a matched right (isolated vertices
     are single-vertex paths) and end at vertices never used as a matched left.
-    Returned sorted: paths by start vertex, cycles rotated to and sorted by
-    their smallest vertex.
+    Returned in vertex order (inputs first): paths by start vertex, cycles
+    rotated to and sorted by their smallest vertex.
     """
-    if digraph is not None:
-        missing = [e for e in m.edges if e not in digraph.edges]
-        if missing:
-            raise ValueError(f"matching edge {sorted(missing)[0]!r} not in the digraph")
-    succ = m.left_map()
-    pred = m.right_map()
-    verts = sorted(m.left | m.right)
+    mate_l, mate_r = mates
+    n = len(mate_r)
+    on_path = [False] * len(mate_l)
     paths = []
-    on_path: set = set()
-    for v in verts:
-        if v in pred:
+    for v in left_order(len(mate_l), n):
+        if v < n and mate_r[v] >= 0:
             continue
         chain = [v]
-        while chain[-1] in succ:
-            chain.append(succ[chain[-1]])
+        while mate_l[chain[-1]] >= 0:
+            chain.append(mate_l[chain[-1]])
         paths.append(chain)
-        on_path.update(chain)
+        for w in chain:
+            on_path[w] = True
     cycles = []
-    seen: set = set(on_path)
-    for v in verts:
-        if v in seen:
+    for v in range(n):  # every vertex >= n starts a path
+        if on_path[v]:
             continue
         cyc = [v]
-        seen.add(v)
-        w = succ[v]
+        on_path[v] = True
+        w = mate_l[v]
         while w != v:
             cyc.append(w)
-            seen.add(w)
-            w = succ[w]
+            on_path[w] = True
+            w = mate_l[w]
         cycles.append(cyc)
-    paths.sort(key=lambda c: c[0])
-    cycles.sort(key=lambda c: c[0])
     return paths, cycles
 
 
-def matching_exchange(b: BipartiteGraph, m1: Matching, m2: Matching) -> Matching:
-    """A maximum matching whose unmatched rights are m1's and unmatched lefts
-    are m2's, built from the components of the symmetric difference.
-
-    Both inputs must be maximum matchings of ``b``.
-    """
-    target = max_matching(b).size
-    if m1.size != target or m2.size != target:
-        raise ValueError("matching_exchange requires two maximum matchings")
-
-    delta = (m1.edges | m2.edges) - (m1.edges & m2.edges)
-    # side-tagged nodes so a vertex appearing on both sides stays two nodes
-    node_edges: dict = {}
-    for e in delta:
-        l, r = e
-        node_edges.setdefault(("L", l), []).append(e)
-        node_edges.setdefault(("R", r), []).append(e)
-
-    chosen = set(m1.edges & m2.edges)
-    visited: set = set()
-    for start in sorted(node_edges):
-        if start in visited:
-            continue
-        # walk the whole component
-        comp_nodes = {start}
-        frontier = [start]
-        comp_edges = set()
-        while frontier:
-            node = frontier.pop()
-            visited.add(node)
-            for e in node_edges[node]:
-                comp_edges.add(e)
-                l, r = e
-                for other in (("L", l), ("R", r)):
-                    if other not in comp_nodes:
-                        comp_nodes.add(other)
-                        frontier.append(other)
-        endpoints = [nd for nd in comp_nodes if len(node_edges[nd]) == 1]
-        if not endpoints:  # alternating cycle: either side works
-            chosen.update(comp_edges & m1.edges)
-            continue
-        sides = {nd[0] for nd in endpoints}
-        if sides == {"L"}:
-            chosen.update(comp_edges & m2.edges)
-        elif sides == {"R"}:
-            chosen.update(comp_edges & m1.edges)
-        else:
-            # a left-to-right alternating path would let one input augment
-            raise ValueError("matching_exchange requires two maximum matchings")
-    return Matching(frozenset(chosen), b.left, b.right)
-
-
-def right_deficiency_witness(b: BipartiteGraph, m: Matching) -> tuple[list, list] | None:
-    """A set W of right vertices with fewer neighbors than members, when ``m``
-    (maximum) leaves rights unmatched; None when all rights are covered.
+def right_deficiency_witness(g: Graph, mates: Mates) -> tuple[list, list] | None:
+    """A set W of right vertices with fewer neighbors than members, when the
+    maximum matching ``mates`` leaves rights unmatched; None when all rights
+    are covered.
 
     W is the alternating reachability set from the unmatched rights; every
     neighbor of W is matched into W, which forces |N(W)| = |W| - #unmatched.
+    Returns W ascending and N(W) in vertex order (inputs first).
     """
-    free = sorted(m.unmatched_rights)
+    mate_l, mate_r = mates
+    n = len(mate_r)
+    free = [r for r in range(n) if mate_r[r] < 0]
     if not free:
         return None
-    by_right: dict = {}
-    for l, r in sorted(b.edges):
-        by_right.setdefault(r, []).append(l)
-    left_of = m.right_map()
-    right_of = m.left_map()
+    feeders: Graph = [[] for _ in range(n)]
+    for l, heads in enumerate(g):
+        for r in heads:
+            feeders[r].append(l)
     w_set = set(free)
     n_set: set = set()
     q = deque(free)
     while q:
-        r = q.popleft()
-        for l in by_right.get(r, []):
+        for l in feeders[q.popleft()]:
             if l in n_set:
                 continue
             n_set.add(l)
-            mate = right_of.get(l)
-            if mate is None:
+            mate = mate_l[l]
+            if mate < 0:
                 raise ValueError("matching is not maximum: augmenting path found")
             if mate not in w_set:
                 w_set.add(mate)
                 q.append(mate)
-    return sorted(w_set), sorted(n_set)
-
-
-# ---------------------------------------------------------------------------
-# flows
-
-
-class FlowNetwork:
-    """Unit-capacity-friendly directed network with explicit residuals."""
-
-    def __init__(self, edges: dict, source, sink) -> None:
-        self.cap = dict(edges)
-        self.source = source
-        self.sink = sink
-        verts = {source, sink}
-        for u, v in edges:
-            verts.add(u)
-            verts.add(v)
-        self.vertices = sorted(verts)
-        self.flow = {e: 0 for e in self.cap}
-        self.excess = {v: 0 for v in self.vertices}
-        self.label = {v: 0 for v in self.vertices}
-        self.adj: dict = {v: [] for v in self.vertices}
-        for u, v in sorted(self.cap):
-            self.adj[u].append(v)
-            self.adj[v].append(u)
-
-    def residual(self, u, v) -> int:
-        r = 0
-        if (u, v) in self.cap:
-            r += self.cap[(u, v)] - self.flow[(u, v)]
-        if (v, u) in self.cap:
-            r += self.flow[(v, u)]
-        return r
-
-    def push(self, u, v, amount: int) -> None:
-        if (u, v) in self.cap and self.cap[(u, v)] - self.flow[(u, v)] > 0:
-            d = min(amount, self.cap[(u, v)] - self.flow[(u, v)])
-            self.flow[(u, v)] += d
-            amount -= d
-        if amount and (v, u) in self.cap:
-            d = min(amount, self.flow[(v, u)])
-            self.flow[(v, u)] -= d
-            amount -= d
-        if amount:
-            raise ValueError("push exceeds residual capacity")
-
-    @property
-    def value(self) -> int:
-        return self.excess[self.sink]
-
-    def saturated_edges(self) -> list:
-        return sorted(e for e, f in self.flow.items() if f == self.cap[e])
-
-
-def build_unit_network(b: BipartiteGraph) -> FlowNetwork:
-    """Source -> lefts -> rights -> sink, all capacities 1."""
-    edges: dict = {}
-    for l in sorted(b.left):
-        edges[(("s",), ("L",) + (l,))] = 1
-    for l, r in sorted(b.edges):
-        edges[(("L",) + (l,), ("R",) + (r,))] = 1
-    for r in sorted(b.right):
-        edges[(("R",) + (r,), ("t",))] = 1
-    return FlowNetwork(edges, ("s",), ("t",))
-
-
-def max_preflow(net: FlowNetwork) -> FlowNetwork:
-    """Highest-label push-relabel with a gap heuristic, run until every vertex
-    holding excess is labeled >= |V| (such vertices provably cannot reach the
-    sink, so the sink's excess is already the maximum flow value; no second
-    phase returns surplus to the source)."""
-    n = len(net.vertices)
-    s, t = net.source, net.sink
-    net.label = {v: 0 for v in net.vertices}
-    net.label[s] = n
-    net.excess = {v: 0 for v in net.vertices}
-    for (u, v), c in sorted(net.cap.items()):
-        if u == s and c > 0:
-            net.push(s, v, c)
-            net.excess[v] += c
-            net.excess[s] -= c
-
-    label_count: dict = {}
-    for v in net.vertices:
-        label_count[net.label[v]] = label_count.get(net.label[v], 0) + 1
-
-    def retarget(v, new_label: int) -> None:
-        old = net.label[v]
-        label_count[old] -= 1
-        net.label[v] = new_label
-        label_count[new_label] = label_count.get(new_label, 0) + 1
-        # gap: nothing can step over an empty level below n
-        if label_count[old] == 0 and 0 < old < n:
-            for w in net.vertices:
-                if w not in (s, t) and old < net.label[w] < n:
-                    label_count[net.label[w]] -= 1
-                    net.label[w] = n + 1
-                    label_count[n + 1] = label_count.get(n + 1, 0) + 1
-
-    while True:
-        active = [
-            v
-            for v in sorted(net.vertices)
-            if v not in (s, t) and net.excess[v] > 0 and net.label[v] < n
-        ]
-        if not active:
-            break
-        v = max(active, key=lambda w: (net.label[w], w))
-        while net.excess[v] > 0 and net.label[v] < n:
-            pushed = False
-            for w in net.adj[v]:
-                if net.residual(v, w) > 0 and net.label[v] == net.label[w] + 1:
-                    d = min(net.excess[v], net.residual(v, w))
-                    net.push(v, w, d)
-                    net.excess[v] -= d
-                    net.excess[w] += d
-                    pushed = True
-                    if net.excess[v] == 0:
-                        break
-            if net.excess[v] == 0:
-                break
-            if not pushed:
-                candidates = [
-                    net.label[w] for w in net.adj[v] if net.residual(v, w) > 0
-                ]
-                retarget(v, 1 + min(candidates) if candidates else n + 1)
-    return net
+    return sorted(w_set), sorted(n_set, key=lambda v: (v < n, v))

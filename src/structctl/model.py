@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 Pair = tuple[int, int]
@@ -242,111 +243,66 @@ def assemble_global(sys: InterconnectedSystem) -> tuple[SparsityPattern, Sparsit
 
 # ---------------------------------------------------------------------------
 # graph views
+#
+# A graph is one sorted successor list per vertex 0..len(g)-1.  In the graph
+# of (A, B), state j is vertex j and input column j is vertex n + j.
+
+Graph = list[list[int]]
 
 
-@dataclass(frozen=True)
-class Digraph:
-    vertices: frozenset
-    edges: frozenset[tuple]  # (tail, head): edge tail -> head
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", frozenset(self.vertices))
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        for t, h in self.edges:
-            if t not in self.vertices or h not in self.vertices:
-                raise ModelError(f"edge ({t!r}, {h!r}) uses an unknown vertex")
+def digraph(count: int, edges: Iterable[Pair]) -> Graph:
+    """The graph on vertices 0..count-1 with the given (tail, head) edges."""
+    succ: Graph = [[] for _ in range(count)]
+    for t, h in edges:
+        succ[t].append(h)
+    for heads in succ:
+        heads.sort()
+    return succ
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
-    left: frozenset
-    right: frozenset
-    edges: frozenset[tuple]  # (l, r) with l in left, r in right
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "left", frozenset(self.left))
-        object.__setattr__(self, "right", frozenset(self.right))
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        for l, r in self.edges:
-            if l not in self.left:
-                raise ModelError(f"edge ({l!r}, {r!r}): unknown left vertex")
-            if r not in self.right:
-                raise ModelError(f"edge ({l!r}, {r!r}): unknown right vertex")
+def state_digraph(A: SparsityPattern) -> Graph:
+    """Edge l -> k iff A[k, l] is nonzero."""
+    return digraph(A.rows, ((l, k) for k, l in A.nonzeros))
 
 
-def state_digraph(A: SparsityPattern) -> Digraph:
-    """Digraph on state vertices: edge x_l -> x_k iff A[k, l] is nonzero."""
-    verts = frozenset(("x", j) for j in range(A.rows))
-    edges = frozenset((("x", l), ("x", k)) for k, l in A.nonzeros)
-    return Digraph(verts, edges)
+def system_digraph(A: SparsityPattern, B: SparsityPattern) -> Graph:
+    """The state digraph plus vertex n + j per input column j, with edge
+    n + j -> i iff B[i, j] is nonzero.  Unused input columns stay isolated."""
+    n = A.rows
+    state_edges = ((l, k) for k, l in A.nonzeros)
+    input_edges = ((n + j, i) for i, j in B.nonzeros)
+    return digraph(n + B.cols, chain(state_edges, input_edges))
 
 
-def system_digraph(A: SparsityPattern, B: SparsityPattern) -> Digraph:
-    """State digraph plus one vertex per input column; u_j -> x_i iff B[i, j] != 0.
-
-    Input columns with no nonzeros still contribute (isolated) vertices.
-    """
-    verts = set(("x", j) for j in range(A.rows))
-    verts.update(("u", j) for j in range(B.cols))
-    edges = set((("x", l), ("x", k)) for k, l in A.nonzeros)
-    edges.update((("u", j), ("x", i)) for i, j in B.nonzeros)
-    return Digraph(frozenset(verts), frozenset(edges))
+# Read with every vertex on the left and the states 0..n-1 on the right, the
+# system digraph is the bipartite graph of (A, B).
+system_bipartite = system_digraph
 
 
-def state_bipartite(A: SparsityPattern) -> BipartiteGraph:
-    """Left and right copies of the states; (x_l, x_k) iff A[k, l] is nonzero."""
-    xs = frozenset(("x", j) for j in range(A.rows))
-    edges = frozenset((("x", l), ("x", k)) for k, l in A.nonzeros)
-    return BipartiteGraph(xs, xs, edges)
+def condensed_graph(sys: InterconnectedSystem) -> Graph:
+    """One vertex per subsystem; edge i -> j iff some connection has from=i, to=j."""
+    return digraph(sys.r, ((c.from_, c.to) for c in sys.connections))
 
 
-def system_bipartite(A: SparsityPattern, B: SparsityPattern) -> BipartiteGraph:
-    """Left = inputs and states, right = states; edges follow B and A columns."""
-    lefts = set(("x", j) for j in range(A.rows))
-    lefts.update(("u", j) for j in range(B.cols))
-    rights = frozenset(("x", j) for j in range(A.rows))
-    edges = set((("x", l), ("x", k)) for k, l in A.nonzeros)
-    edges.update((("u", j), ("x", i)) for i, j in B.nonzeros)
-    return BipartiteGraph(frozenset(lefts), rights, frozenset(edges))
+def out_degrees(g: Graph) -> list[int]:
+    return [len(heads) for heads in g]
 
 
-def condensed_graph(sys: InterconnectedSystem) -> Digraph:
-    """One vertex per subsystem; edge (i, j) iff some connection has from=i, to=j."""
-    verts = frozenset(range(sys.r))
-    edges = frozenset((c.from_, c.to) for c in sys.connections)
-    return Digraph(verts, edges)
-
-
-def sources(g: Digraph) -> list:
-    """Vertices with no incoming edge, sorted."""
-    heads = {h for _, h in g.edges}
-    return sorted(v for v in g.vertices if v not in heads)
-
-
-def out_degrees(g: Digraph) -> dict:
-    deg = {v: 0 for v in g.vertices}
-    for t, _ in g.edges:
-        deg[t] += 1
-    return deg
-
-
-def is_weakly_connected(g: Digraph) -> bool:
-    if not g.vertices:
+def is_weakly_connected(g: Graph) -> bool:
+    if not g:
         return True
-    adj: dict = {v: set() for v in g.vertices}
-    for t, h in g.edges:
-        adj[t].add(h)
-        adj[h].add(t)
-    start = next(iter(sorted(g.vertices)))
-    seen = {start}
-    stack = [start]
+    adj = [set(heads) for heads in g]
+    for t, heads in enumerate(g):
+        for h in heads:
+            adj[h].add(t)
+    seen = {0}
+    stack = [0]
     while stack:
-        v = stack.pop()
-        for w in adj[v]:
+        for w in adj[stack.pop()]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return len(seen) == len(g.vertices)
+    return len(seen) == len(g)
 
 
 # ---------------------------------------------------------------------------

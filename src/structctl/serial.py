@@ -60,10 +60,11 @@ def is_serial(sys: InterconnectedSystem, variant: str = "primal") -> SerialCheck
     if variant == "primal":
         deg = out_degrees(g)
     else:
-        deg = {v: 0 for v in g.vertices}
-        for _, h in g.edges:
-            deg[h] += 1
-    offenders = tuple(sorted(v for v, d in deg.items() if d > 1))
+        deg = [0] * len(g)
+        for heads in g:
+            for h in heads:
+                deg[h] += 1
+    offenders = tuple(v for v, d in enumerate(deg) if d > 1)
     return SerialCheck(is_serial=not offenders, offenders=offenders)
 
 
@@ -111,23 +112,20 @@ def _local_verdict(
     minimum-weight maximum matchings are broken toward covering own rights.
     """
     n_i = own.n
-    b = system_bipartite(*_stack_blocks(own, blocks, variant))
-    weights = {}
-    for l, rt in b.edges:
-        if l[0] == "x" and (l[1] < n_i) == (rt[1] < n_i):
-            weights[(l, rt)] = 1
-        else:
-            weights[(l, rt)] = 2
-    own_rights = frozenset(("x", k) for k in range(n_i))
-    m = min_weight_max_matching(b, weights, prefer_rights=own_rights)
-    unmatched_own = sorted(k for (_, k) in own_rights - m.matched_rights)
+    A_stacked, B_stacked = _stack_blocks(own, blocks, variant)
+    total = A_stacked.rows
+    g = system_bipartite(A_stacked, B_stacked)
+    weights = {
+        (l, k): 1 if l < total and (l < n_i) == (k < n_i) else 2
+        for l, heads in enumerate(g)
+        for k in heads
+    }
+    _, mate_r = min_weight_max_matching(g, total, weights, prefer_rights=range(n_i))
+    unmatched_own = [k for k in range(n_i) if mate_r[k] < 0]
 
     local = system_digraph(own.A, own.B)
     stranded = sorted(
-        v[1]
-        for comp in non_top_linked_components(local)
-        for v in comp
-        if v[0] == "x"
+        v for comp in non_top_linked_components(local) for v in comp if v < n_i
     )
     mchd = not unmatched_own
     rchd = not stranded
@@ -137,7 +135,6 @@ def _local_verdict(
         "ctld": mchd and rchd,
         "unmatched_own": unmatched_own,
         "stranded_states": stranded,
-        "matching": m,
     }
 
 
@@ -160,14 +157,12 @@ def check_lemma4(sys: InterconnectedSystem, variant: str = "primal") -> bool:
 
 
 def check_lemma4_details(sys: InterconnectedSystem, variant: str = "primal") -> dict:
-    """Per-subsystem verdicts of the mirror (matching objects dropped)."""
+    """Per-subsystem verdicts of the mirror."""
     _check_variant(variant)
-    per = {}
-    for i in range(sys.r):
-        v = _local_verdict(sys.subsystem(i), _blocks_for(sys, i, variant), variant)
-        v.pop("matching")
-        per[i] = v
-    return per
+    return {
+        i: _local_verdict(sys.subsystem(i), _blocks_for(sys, i, variant), variant)
+        for i in range(sys.r)
+    }
 
 
 # ---------------------------------------------------------------------------

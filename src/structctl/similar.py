@@ -21,10 +21,9 @@ import random
 from dataclasses import dataclass
 
 from .centralized import verify
-from .graphkit import Matching, max_matching, path_cycle_decomposition
+from .graphkit import Mates, max_matching, path_cycle_decomposition
 from .model import (
-    BipartiteGraph,
-    Digraph,
+    Graph,
     InterconnectedSystem,
     Interconnection,
     ModelError,
@@ -33,6 +32,7 @@ from .model import (
     _check_keys,
     _parse_pairs,
     _require_int,
+    digraph,
     system_bipartite,
 )
 
@@ -66,11 +66,9 @@ class SimilarSystemSpec:
             raise ModelError("similar spec: E must have an empty diagonal")
 
 
-def copy_level_digraph(spec: SimilarSystemSpec) -> Digraph:
-    """One vertex per copy; edge (j, i) iff copy j feeds copy i (E[i, j] set)."""
-    verts = frozenset(range(spec.r))
-    edges = frozenset((j, i) for i, j in spec.E.nonzeros)
-    return Digraph(verts, edges)
+def copy_level_digraph(spec: SimilarSystemSpec) -> Graph:
+    """One vertex per copy; edge j -> i iff copy j feeds copy i (E[i, j] set)."""
+    return digraph(spec.r, ((j, i) for i, j in spec.E.nonzeros))
 
 
 def expand(spec: SimilarSystemSpec) -> InterconnectedSystem:
@@ -107,10 +105,10 @@ class CheckResult:
 
 def precondition_report(spec: SimilarSystemSpec) -> dict:
     template_controllable = verify(spec.Aprime, spec.Bprime).controllable
-    m = max_matching(system_bipartite(spec.Aprime, spec.Bprime))
+    _, mate_r = max_matching(system_bipartite(spec.Aprime, spec.Bprime), spec.n)
     return {
         "template_controllable": template_controllable,
-        "template_right_perfect": not m.unmatched_rights,
+        "template_right_perfect": -1 not in mate_r,
     }
 
 
@@ -142,8 +140,7 @@ def check_cycle_cover(spec: SimilarSystemSpec) -> CheckResult:
     if pre["template_controllable"]:
         return CheckResult("precondition-unmet", pre)
     collapsed = verify(spec.Aprime | spec.H, spec.Bprime).controllable
-    dg = copy_level_digraph(spec)
-    cover = _cycle_cover(dg)
+    cover = _cycle_cover(copy_level_digraph(spec))
     ok = collapsed and cover is not None
     return CheckResult(
         "true" if ok else "false",
@@ -155,23 +152,22 @@ def check_cycle_cover(spec: SimilarSystemSpec) -> CheckResult:
     )
 
 
-def _cycle_cover(g: Digraph) -> list[list] | None:
-    b = BipartiteGraph(g.vertices, g.vertices, g.edges)
-    m = max_matching(b)
-    if m.size != len(g.vertices):
+def _cycle_cover(g: Graph) -> list[list[int]] | None:
+    mates = max_matching(g, len(g))
+    if -1 in mates[1]:
         return None
-    _, cycles = path_cycle_decomposition(m)
-    return cycles
+    return path_cycle_decomposition(mates)[1]
 
 
-def build_composite_matching(spec: SimilarSystemSpec) -> Matching:
+def build_composite_matching(spec: SimilarSystemSpec) -> Mates:
     """Lift a right-perfect matching of the collapsed template onto the full
     system when the cycle-cover condition holds.
 
     Template edges supported by Aprime or an input stay inside each copy;
     edges supported only by H jump from a copy to its successor on the
     spanning cycle.  The result covers every right vertex of the expanded
-    system (global flat indexing).
+    system, as mate arrays on its ``system_digraph`` (states of copy i at
+    i*n.., inputs of copy i at r*n + i*p..).
     """
     check = check_cycle_cover(spec)
     if check.status != "true":
@@ -183,27 +179,24 @@ def build_composite_matching(spec: SimilarSystemSpec) -> Matching:
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             succ[a] = b
 
-    mprime = max_matching(system_bipartite(spec.Aprime | spec.H, spec.Bprime))
-    if mprime.unmatched_rights:
+    n, p, r = spec.n, spec.p, spec.r
+    _, feeder = max_matching(system_bipartite(spec.Aprime | spec.H, spec.Bprime), n)
+    if -1 in feeder:
         raise AssertionError("collapsed matching unexpectedly not right-perfect")
 
-    n, p, r = spec.n, spec.p, spec.r
-    edges = set()
-    for l, right in mprime.sorted_edges():
-        k = right[1]
+    mate_l = [-1] * (r * n + r * p)
+    mate_r = [-1] * (r * n)
+    for k, l in enumerate(feeder):
         for i in range(r):
-            if l[0] == "u":
-                edges.add((("u", i * p + l[1]), ("x", i * n + k)))
-            elif (k, l[1]) in spec.Aprime.nonzeros:
-                edges.add((("x", i * n + l[1]), ("x", i * n + k)))
+            if l >= n:
+                left, right = r * n + i * p + (l - n), i * n + k
+            elif (k, l) in spec.Aprime.nonzeros:
+                left, right = i * n + l, i * n + k
             else:  # supported by H only: land in the cycle successor's copy
-                j = succ[i]
-                edges.add((("x", i * n + l[1]), ("x", j * n + k)))
-    lefts = frozenset(("x", v) for v in range(r * n)) | frozenset(
-        ("u", v) for v in range(r * p)
-    )
-    rights = frozenset(("x", v) for v in range(r * n))
-    return Matching(frozenset(edges), lefts, rights)
+                left, right = i * n + l, succ[i] * n + k
+            mate_l[left] = right
+            mate_r[right] = left
+    return mate_l, mate_r
 
 
 # ---------------------------------------------------------------------------

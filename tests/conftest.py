@@ -5,11 +5,13 @@ from __future__ import annotations
 import pytest
 from hypothesis import HealthCheck, settings
 
+from structctl.graphkit import input_reachable_with_parents, max_matching
 from structctl.model import (
     InterconnectedSystem,
     Interconnection,
     SparsityPattern,
     Subsystem,
+    system_digraph,
 )
 from structctl.similar import SimilarSystemSpec
 
@@ -24,6 +26,18 @@ settings.load_profile("suite")
 
 def pat(rows: int, cols: int, pairs) -> SparsityPattern:
     return SparsityPattern(rows, cols, frozenset(pairs))
+
+
+def reached_states(A: SparsityPattern, B: SparsityPattern) -> set[int]:
+    """States some input reaches, by the package's reachability."""
+    parent = input_reachable_with_parents(system_digraph(A, B), A.rows)
+    return {j for j, p in enumerate(parent) if p >= 0}
+
+
+def matching_size(A: SparsityPattern, B: SparsityPattern) -> int:
+    """Size of the package's maximum matching of the graph of (A, B)."""
+    _, mate_r = max_matching(system_digraph(A, B), A.rows)
+    return sum(1 for l in mate_r if l >= 0)
 
 
 def build_system(subs, conns) -> InterconnectedSystem:

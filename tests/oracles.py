@@ -2,19 +2,49 @@
 
 Everything here favors obviousness over speed: bitmask DP over right
 vertices, per-source DFS, pairwise reachability closures, dense index
-arithmetic.  Nothing imports the algorithm implementations under test.
+arithmetic.  Nothing imports the algorithm implementations under test.  The
+last section holds two reference algorithms that only the tests use, a
+unit-capacity preflow and a matching exchange, checked against the package's
+matchings.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 
-from structctl.model import (
-    BipartiteGraph,
-    Digraph,
-    InterconnectedSystem,
-    SparsityPattern,
-)
+from structctl.model import InterconnectedSystem, SparsityPattern
+
+# The oracles' own graph forms, over any hashable vertices.
+Bipartite = namedtuple("Bipartite", "left right edges")  # edges: (left, right)
+Directed = namedtuple("Directed", "vertices edges")  # edges: (tail, head)
+
+
+def directed(g: list[list[int]]) -> Directed:
+    """An integer successor-list graph as vertex and edge sets."""
+    edges = frozenset((t, h) for t, heads in enumerate(g) for h in heads)
+    return Directed(frozenset(range(len(g))), edges)
+
+
+def bipartite(g: list[list[int]], n: int) -> Bipartite:
+    """The bipartite reading of a successor-list graph: every vertex on the
+    left, vertices 0..n-1 on the right."""
+    return Bipartite(frozenset(range(len(g))), frozenset(range(n)), directed(g).edges)
+
+
+def matching_edges(mates: tuple[list[int], list[int]]) -> frozenset:
+    """Mate arrays as a set of (left, right) edges."""
+    return frozenset((l, r) for l, r in enumerate(mates[0]) if r >= 0)
+
+
+def system_graph(A: SparsityPattern, B: SparsityPattern) -> Bipartite:
+    """The graph of (A, B) over ("x", j) state and ("u", j) input vertices:
+    edge ("x", l) -> ("x", k) iff A[k, l], ("u", j) -> ("x", i) iff B[i, j]."""
+    xs = frozenset(("x", j) for j in range(A.rows))
+    us = frozenset(("u", j) for j in range(B.cols))
+    edges = {(("x", l), ("x", k)) for k, l in A.nonzeros}
+    edges.update((("u", j), ("x", i)) for i, j in B.nonzeros)
+    return Bipartite(xs | us, xs, frozenset(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -22,7 +52,7 @@ from structctl.model import (
 
 
 def matching_opt_bruteforce(
-    b: BipartiteGraph, weights: dict | None = None
+    b: Bipartite, weights: dict | None = None
 ) -> tuple[int, int]:
     """(max cardinality, min total weight among max-cardinality matchings).
 
@@ -56,7 +86,7 @@ def matching_opt_bruteforce(
     return out
 
 
-def enumerate_max_matchings(b: BipartiteGraph) -> list[frozenset]:
+def enumerate_max_matchings(b: Bipartite) -> list[frozenset]:
     """All maximum matchings as frozensets of (left, right) edges.  Tiny graphs only."""
     lefts = sorted(b.left)
     adj = {l: sorted(r for (ll, r) in b.edges if ll == l) for l in lefts}
@@ -103,7 +133,7 @@ def input_reachable_states(A: SparsityPattern, B: SparsityPattern) -> set[int]:
     return seen
 
 
-def _reach_closure(g: Digraph) -> dict:
+def _reach_closure(g: Directed) -> dict:
     adj: dict = {v: [] for v in g.vertices}
     for t, h in g.edges:
         adj[t].append(h)
@@ -121,7 +151,7 @@ def _reach_closure(g: Digraph) -> dict:
     return reach
 
 
-def scc_partition_oracle(g: Digraph) -> set[frozenset]:
+def scc_partition_oracle(g: Directed) -> set[frozenset]:
     """SCCs via pairwise mutual reachability."""
     reach = _reach_closure(g)
     comps = set()
@@ -130,7 +160,7 @@ def scc_partition_oracle(g: Digraph) -> set[frozenset]:
     return comps
 
 
-def non_top_linked_oracle(g: Digraph) -> set[frozenset]:
+def non_top_linked_oracle(g: Directed) -> set[frozenset]:
     """SCCs with no edge entering from outside the component."""
     out = set()
     for comp in scc_partition_oracle(g):
@@ -195,25 +225,18 @@ def kron_expand_dense(
 # whole-system checks
 
 
-def spanned_by_cycles_bruteforce(g: Digraph) -> bool:
+def spanned_by_cycles_bruteforce(g: Directed) -> bool:
     """Disjoint cycles covering every vertex exist iff the vertex->successor
     bipartite graph has a perfect matching."""
-    verts = sorted(g.vertices)
-    b = BipartiteGraph(frozenset(verts), frozenset(verts), frozenset(g.edges))
-    return matching_opt_bruteforce(b)[0] == len(verts)
+    b = Bipartite(g.vertices, g.vertices, g.edges)
+    return matching_opt_bruteforce(b)[0] == len(g.vertices)
 
 
 def controllable_bruteforce(A: SparsityPattern, B: SparsityPattern) -> bool:
     """Reachability by DFS plus right-cover matching by bitmask DP."""
     if len(input_reachable_states(A, B)) != A.rows:
         return False
-    lefts = set(("x", j) for j in range(A.rows))
-    lefts.update(("u", j) for j in range(B.cols))
-    rights = frozenset(("x", j) for j in range(A.rows))
-    edges = set((("x", l), ("x", k)) for k, l in A.nonzeros)
-    edges.update((("u", j), ("x", i)) for i, j in B.nonzeros)
-    b = BipartiteGraph(frozenset(lefts), rights, frozenset(edges))
-    return matching_opt_bruteforce(b)[0] == A.rows
+    return matching_opt_bruteforce(system_graph(A, B))[0] == A.rows
 
 
 # ---------------------------------------------------------------------------
@@ -230,18 +253,13 @@ def lemma4_literal_search(sys: InterconnectedSystem) -> bool:
     """
     from itertools import product
 
-    from structctl.model import system_bipartite, system_digraph
-
     for s in sys.subsystems:
-        dg = system_digraph(s.A, s.B)
-        for comp in non_top_linked_oracle(dg):
+        b = system_graph(s.A, s.B)
+        for comp in non_top_linked_oracle(Directed(b.left, b.edges)):
             if any(v[0] != "u" for v in comp):
                 return False
 
-    per_sub = []
-    for s in sys.subsystems:
-        b = system_bipartite(s.A, s.B)
-        per_sub.append(enumerate_max_matchings(b))
+    per_sub = [enumerate_max_matchings(system_graph(s.A, s.B)) for s in sys.subsystems]
 
     for combo in product(*per_sub):
         spare_lefts: set[tuple] = set()   # (sub, local) of unmatched state lefts
@@ -262,9 +280,184 @@ def lemma4_literal_search(sys: InterconnectedSystem) -> bool:
                     edges.add(((c.from_, l), (c.to, t)))
         if not spare_rights:
             return True
-        cross = BipartiteGraph(
-            frozenset(spare_lefts), frozenset(spare_rights), frozenset(edges)
-        )
+        cross = Bipartite(frozenset(spare_lefts), frozenset(spare_rights), frozenset(edges))
         if matching_opt_bruteforce(cross)[0] == len(spare_rights):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# reference algorithms checked against the package's matchings
+
+
+def matching_exchange(b: Bipartite, m1: frozenset, m2: frozenset) -> frozenset:
+    """A maximum matching whose unmatched rights are m1's and unmatched lefts
+    are m2's, built from the components of the symmetric difference.
+
+    Both inputs must be maximum matchings of ``b``, given as (left, right)
+    edge sets.
+    """
+    target = matching_opt_bruteforce(b)[0]
+    if len(m1) != target or len(m2) != target:
+        raise ValueError("matching_exchange requires two maximum matchings")
+
+    delta = (m1 | m2) - (m1 & m2)
+    # side-tagged nodes so a vertex appearing on both sides stays two nodes
+    node_edges: dict = {}
+    for e in delta:
+        l, r = e
+        node_edges.setdefault(("L", l), []).append(e)
+        node_edges.setdefault(("R", r), []).append(e)
+
+    chosen = set(m1 & m2)
+    visited: set = set()
+    for start in sorted(node_edges):
+        if start in visited:
+            continue
+        # walk the whole component
+        comp_nodes = {start}
+        frontier = [start]
+        comp_edges = set()
+        while frontier:
+            node = frontier.pop()
+            visited.add(node)
+            for e in node_edges[node]:
+                comp_edges.add(e)
+                l, r = e
+                for other in (("L", l), ("R", r)):
+                    if other not in comp_nodes:
+                        comp_nodes.add(other)
+                        frontier.append(other)
+        endpoints = [nd for nd in comp_nodes if len(node_edges[nd]) == 1]
+        if not endpoints:  # alternating cycle: either side works
+            chosen.update(comp_edges & m1)
+            continue
+        sides = {nd[0] for nd in endpoints}
+        if sides == {"L"}:
+            chosen.update(comp_edges & m2)
+        elif sides == {"R"}:
+            chosen.update(comp_edges & m1)
+        else:
+            # a left-to-right alternating path would let one input augment
+            raise ValueError("matching_exchange requires two maximum matchings")
+    return frozenset(chosen)
+
+
+class FlowNetwork:
+    """Unit-capacity-friendly directed network with explicit residuals."""
+
+    def __init__(self, edges: dict, source, sink) -> None:
+        self.cap = dict(edges)
+        self.source = source
+        self.sink = sink
+        verts = {source, sink}
+        for u, v in edges:
+            verts.add(u)
+            verts.add(v)
+        self.vertices = sorted(verts)
+        self.flow = {e: 0 for e in self.cap}
+        self.excess = {v: 0 for v in self.vertices}
+        self.label = {v: 0 for v in self.vertices}
+        self.adj: dict = {v: [] for v in self.vertices}
+        for u, v in sorted(self.cap):
+            self.adj[u].append(v)
+            self.adj[v].append(u)
+
+    def residual(self, u, v) -> int:
+        r = 0
+        if (u, v) in self.cap:
+            r += self.cap[(u, v)] - self.flow[(u, v)]
+        if (v, u) in self.cap:
+            r += self.flow[(v, u)]
+        return r
+
+    def push(self, u, v, amount: int) -> None:
+        if (u, v) in self.cap and self.cap[(u, v)] - self.flow[(u, v)] > 0:
+            d = min(amount, self.cap[(u, v)] - self.flow[(u, v)])
+            self.flow[(u, v)] += d
+            amount -= d
+        if amount and (v, u) in self.cap:
+            d = min(amount, self.flow[(v, u)])
+            self.flow[(v, u)] -= d
+            amount -= d
+        if amount:
+            raise ValueError("push exceeds residual capacity")
+
+    @property
+    def value(self) -> int:
+        return self.excess[self.sink]
+
+
+def build_unit_network(b: Bipartite) -> FlowNetwork:
+    """Source -> lefts -> rights -> sink, all capacities 1."""
+    edges: dict = {}
+    for l in sorted(b.left):
+        edges[(("s",), ("L", l))] = 1
+    for l, r in sorted(b.edges):
+        edges[(("L", l), ("R", r))] = 1
+    for r in sorted(b.right):
+        edges[(("R", r), ("t",))] = 1
+    return FlowNetwork(edges, ("s",), ("t",))
+
+
+def max_preflow(net: FlowNetwork) -> FlowNetwork:
+    """Highest-label push-relabel with a gap heuristic, run until every vertex
+    holding excess is labeled >= |V| (such vertices provably cannot reach the
+    sink, so the sink's excess is already the maximum flow value; no second
+    phase returns surplus to the source)."""
+    n = len(net.vertices)
+    s, t = net.source, net.sink
+    net.label = {v: 0 for v in net.vertices}
+    net.label[s] = n
+    net.excess = {v: 0 for v in net.vertices}
+    for (u, v), c in sorted(net.cap.items()):
+        if u == s and c > 0:
+            net.push(s, v, c)
+            net.excess[v] += c
+            net.excess[s] -= c
+
+    label_count: dict = {}
+    for v in net.vertices:
+        label_count[net.label[v]] = label_count.get(net.label[v], 0) + 1
+
+    def retarget(v, new_label: int) -> None:
+        old = net.label[v]
+        label_count[old] -= 1
+        net.label[v] = new_label
+        label_count[new_label] = label_count.get(new_label, 0) + 1
+        # gap: nothing can step over an empty level below n
+        if label_count[old] == 0 and 0 < old < n:
+            for w in net.vertices:
+                if w not in (s, t) and old < net.label[w] < n:
+                    label_count[net.label[w]] -= 1
+                    net.label[w] = n + 1
+                    label_count[n + 1] = label_count.get(n + 1, 0) + 1
+
+    while True:
+        active = [
+            v
+            for v in sorted(net.vertices)
+            if v not in (s, t) and net.excess[v] > 0 and net.label[v] < n
+        ]
+        if not active:
+            break
+        v = max(active, key=lambda w: (net.label[w], w))
+        while net.excess[v] > 0 and net.label[v] < n:
+            pushed = False
+            for w in net.adj[v]:
+                if net.residual(v, w) > 0 and net.label[v] == net.label[w] + 1:
+                    d = min(net.excess[v], net.residual(v, w))
+                    net.push(v, w, d)
+                    net.excess[v] -= d
+                    net.excess[w] += d
+                    pushed = True
+                    if net.excess[v] == 0:
+                        break
+            if net.excess[v] == 0:
+                break
+            if not pushed:
+                candidates = [
+                    net.label[w] for w in net.adj[v] if net.residual(v, w) > 0
+                ]
+                retarget(v, 1 + min(candidates) if candidates else n + 1)
+    return net

@@ -13,7 +13,15 @@ import time
 
 import pytest
 
-from oracles import controllable_bruteforce, matching_opt_bruteforce
+from conftest import matching_size, reached_states
+from oracles import (
+    bipartite,
+    build_unit_network,
+    controllable_bruteforce,
+    matching_edges,
+    matching_opt_bruteforce,
+    max_preflow,
+)
 from structctl.centralized import numeric_probe, verify
 from structctl.distributed import (
     boundary_vertex_count,
@@ -21,19 +29,13 @@ from structctl.distributed import (
     controlled_program,
     reached_program,
 )
-from structctl.graphkit import (
-    build_unit_network,
-    max_matching,
-    max_preflow,
-    min_weight_max_matching,
-)
+from structctl.graphkit import max_matching, min_weight_max_matching
 from structctl.model import (
-    BipartiteGraph,
     SparsityPattern,
     assemble_global,
+    digraph,
     random_serial_system,
     random_system,
-    system_bipartite,
 )
 from structctl.runtime import run
 from structctl.serial import check_lemma4, run_seq_strt_ctl
@@ -109,20 +111,17 @@ def test_criterion_01_distributed_matches_centralized(corpus_runs, report):
 
 
 def test_criterion_02_reachability_restriction_and_fixpoint(corpus, report):
-    from structctl.graphkit import input_reachable
-    from structctl.model import system_digraph
-
     bad_restriction = []
     bad_fixpoint = []
     for seed, sysm in corpus:
-        global_reach = input_reachable(system_digraph(*assemble_global(sysm)))
+        global_reach = reached_states(*assemble_global(sysm))
         res = run(sysm, reached_program(extra_iterations=2))
         for i in range(sysm.r):
             out = res.outputs[i]
             expected = sorted(
                 k
                 for k in range(sysm.subsystem(i).n)
-                if ("x", sysm.state_offset(i) + k) in global_reach
+                if sysm.state_offset(i) + k in global_reach
             )
             if out["reached"] != expected:
                 bad_restriction.append(seed)
@@ -203,21 +202,18 @@ def test_criterion_04_similar_system_checks(thm2_witness, report):
     )
 
 
-def _random_bipartite(rng: random.Random, max_side: int) -> BipartiteGraph:
+def _random_bipartite(rng: random.Random, max_side: int) -> tuple[list[list[int]], int]:
+    """(g, n): left vertices n.. feeding the rights 0..n-1."""
     n_left = rng.randint(1, max_side)
     n_right = rng.randint(1, max_side)
     density = rng.uniform(0.05, 0.5)
-    edges = frozenset(
-        (l, f"r{k}")
+    edges = [
+        (n_right + l, k)
         for l in range(n_left)
         for k in range(n_right)
         if rng.random() < density
-    )
-    return BipartiteGraph(
-        frozenset(range(n_left)),
-        frozenset(f"r{k}" for k in range(n_right)),
-        edges,
-    )
+    ]
+    return digraph(n_right + n_left, edges), n_right
 
 
 def test_criterion_05_preflow_value_equals_matching_size(report):
@@ -226,11 +222,12 @@ def test_criterion_05_preflow_value_equals_matching_size(report):
     small = 0
     for seed in range(500):
         rng = random.Random(seed * 17 + 5)
-        b = _random_bipartite(rng, 8 if seed < 250 else 50)
-        size = max_matching(b).size
+        g, n = _random_bipartite(rng, 8 if seed < 250 else 50)
+        size = len(matching_edges(max_matching(g, n)))
+        b = bipartite(g, n)
         if max_preflow(build_unit_network(b)).value != size:
             flow_mismatches += 1
-        if len(b.left) <= 8 and len(b.right) <= 8:
+        if len(g) - n <= 8 and n <= 8:
             small += 1
             if size != matching_opt_bruteforce(b)[0]:
                 oracle_mismatches += 1
@@ -249,7 +246,7 @@ def test_criterion_06_sink_inflow_and_discharge_budget(corpus_runs, report):
     over_budget = []
     worst = 0.0
     for seed, sysm, res, _ in rows:
-        global_size = max_matching(system_bipartite(*assemble_global(sysm))).size
+        global_size = matching_size(*assemble_global(sysm))
         total_inflow = sum(out["sink_flow"] for out in res.outputs.values())
         if total_inflow != global_size:
             flow_mismatches.append(seed)
@@ -306,11 +303,11 @@ def test_criterion_08_min_weight_matching_matches_enumeration(report):
     mismatches = 0
     for seed in range(300):
         rng = random.Random(seed * 23 + 11)
-        b = _random_bipartite(rng, 7)
-        weights = {e: rng.randint(0, 9) for e in b.edges}
-        m = min_weight_max_matching(b, weights)
-        got = (m.size, sum(weights[e] for e in m.edges))
-        if got != matching_opt_bruteforce(b, weights):
+        g, n = _random_bipartite(rng, 7)
+        weights = {(l, r): rng.randint(0, 9) for l, heads in enumerate(g) for r in heads}
+        m = matching_edges(min_weight_max_matching(g, n, weights))
+        got = (len(m), sum(weights[e] for e in m))
+        if got != matching_opt_bruteforce(bipartite(g, n), weights):
             mismatches += 1
     report(8, mismatches == 0, f"300 weighted graphs (≤7+7): {mismatches} mismatches vs enumeration")
 

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from conftest import build_system
+from conftest import build_system, matching_size, reached_states
 from structctl.centralized import verify
 from structctl.distributed import (
     Region,
@@ -18,8 +18,7 @@ from structctl.distributed import (
     reached,
     reached_program,
 )
-from structctl.graphkit import max_matching
-from structctl.model import assemble_global, random_system, system_bipartite
+from structctl.model import assemble_global, random_system
 from structctl.runtime import AgentContext, run
 
 
@@ -28,6 +27,17 @@ def corpus(count, start=0, r_hi=5, n_hi=6):
         rng = random.Random(seed * 31 + 7)
         yield seed, random_system(
             rng.randint(2, r_hi), (1, n_hi), (0, 2), 0.35, seed=seed
+        )
+
+
+def wide_corpus(count):
+    """r in [1, 8], n in [1, 6], p in [0, 2] (so input-free subsystems occur),
+    density in [0.05, 0.9], extra-connection probability in [0, 0.5]."""
+    for seed in range(count):
+        rng = random.Random(seed * 53 + 11)
+        yield seed, random_system(
+            rng.randint(1, 8), (1, 6), (0, 2), rng.uniform(0.05, 0.9),
+            seed=7000 + seed, extra_conn_prob=rng.uniform(0, 0.5),
         )
 
 
@@ -59,18 +69,14 @@ class TestBoundaryCount:
 class TestReached:
     def test_matches_centralized_restriction(self):
         for seed, sysm in corpus(80):
-            gA, gB = assemble_global(sysm)
-            from structctl.graphkit import input_reachable
-            from structctl.model import system_digraph
-
-            global_reach = input_reachable(system_digraph(gA, gB))
+            global_reach = reached_states(*assemble_global(sysm))
             res = run(sysm, reached)
             for i in range(sysm.r):
                 off = sysm.state_offset(i)
                 expected = sorted(
                     k
                     for k in range(sysm.subsystem(i).n)
-                    if ("x", off + k) in global_reach
+                    if off + k in global_reach
                 )
                 assert res.outputs[i]["reached"] == expected, seed
 
@@ -101,10 +107,23 @@ class TestControlled:
 
     def test_sink_inflow_sums_to_matching_size(self):
         for seed, sysm in corpus(80, start=2000):
-            gA, gB = assemble_global(sysm)
-            want = max_matching(system_bipartite(gA, gB)).size
+            want = matching_size(*assemble_global(sysm))
             res = run(sysm, controlled)
             assert sum(out["sink_flow"] for out in res.outputs.values()) == want, seed
+
+    def test_wide_parameters_agree_with_centralized(self):
+        controllable = input_free = 0
+        for seed, sysm in wide_corpus(80):
+            gA, gB = assemble_global(sysm)
+            want = verify(gA, gB).controllable
+            res = run(sysm, controlled)
+            assert {out["ctld"] for out in res.outputs.values()} == {want}, seed
+            sink_flow = sum(out["sink_flow"] for out in res.outputs.values())
+            assert sink_flow == matching_size(gA, gB), seed
+            controllable += want
+            input_free += any(s.p == 0 for s in sysm.subsystems)
+        # both verdicts and input-free subsystems occur
+        assert 0 < controllable < 80 and input_free > 0
 
     def test_passes_within_quadratic_boundary_budget(self):
         for seed, sysm in corpus(80, start=3000):

@@ -10,18 +10,17 @@ import pytest
 
 from conftest import build_system
 from oracles import (
+    Bipartite,
+    Directed,
+    bipartite,
     enumerate_max_matchings,
     lemma4_literal_search,
     matching_opt_bruteforce,
     non_top_linked_oracle,
+    system_graph,
 )
 from structctl.centralized import verify
-from structctl.model import (
-    assemble_global,
-    random_serial_system,
-    state_bipartite,
-    system_digraph,
-)
+from structctl.model import assemble_global, random_serial_system, state_digraph
 from structctl.serial import (
     check_lemma4,
     check_lemma4_details,
@@ -36,25 +35,26 @@ def _state_only_reading(sysm) -> bool:
     state-only bipartite graphs whose uncovered rights are covered through
     connection edges, with every local non-top SCC an input.  Reference only."""
     for s in sysm.subsystems:
-        for comp in non_top_linked_oracle(system_digraph(s.A, s.B)):
+        b = system_graph(s.A, s.B)
+        for comp in non_top_linked_oracle(Directed(b.left, b.edges)):
             if any(v[0] != "u" for v in comp):
                 return False
-    per_sub = [enumerate_max_matchings(state_bipartite(s.A)) for s in sysm.subsystems]
+    per_sub = [
+        enumerate_max_matchings(bipartite(state_digraph(s.A), s.n)) for s in sysm.subsystems
+    ]
     for combo in product(*per_sub):
         spare_lefts, spare_rights = set(), set()
         for s, m in zip(sysm.subsystems, combo):
             matched_l = {l for l, _ in m}
             matched_r = {r for _, r in m}
-            spare_lefts.update((s.id, k) for k in range(s.n) if ("x", k) not in matched_l)
-            spare_rights.update((s.id, k) for k in range(s.n) if ("x", k) not in matched_r)
+            spare_lefts.update((s.id, k) for k in range(s.n) if k not in matched_l)
+            spare_rights.update((s.id, k) for k in range(s.n) if k not in matched_r)
         edges = set()
         for c in sysm.connections:
             for t, l in c.E.nonzeros:
                 if (c.from_, l) in spare_lefts and (c.to, t) in spare_rights:
                     edges.add(((c.from_, l), (c.to, t)))
-        from structctl.model import BipartiteGraph
-
-        cross = BipartiteGraph(frozenset(spare_lefts), frozenset(spare_rights), frozenset(edges))
+        cross = Bipartite(frozenset(spare_lefts), frozenset(spare_rights), frozenset(edges))
         if matching_opt_bruteforce(cross)[0] == len(spare_rights):
             return True
     return False

@@ -7,7 +7,7 @@ import pytest
 from conftest import pat
 from oracles import controllable_bruteforce, kron_expand_dense
 from structctl.centralized import verify
-from structctl.model import ModelError, assemble_global, sources, system_bipartite
+from structctl.model import ModelError, assemble_global, system_digraph
 from structctl.similar import (
     SimilarSystemSpec,
     build_composite_matching,
@@ -60,8 +60,7 @@ class TestExpand:
     def test_copy_level_digraph_direction(self, thm1_ring):
         g = copy_level_digraph(thm1_ring)
         # E[i, j] nonzero means copy j feeds copy i
-        assert g.edges == frozenset({(0, 1), (1, 2), (2, 0)})
-        assert sources(g) == []
+        assert g == [[1], [2], [0]]
 
 
 class TestChecks:
@@ -130,14 +129,20 @@ class TestChecks:
         assert verify(*assemble_global(expand(thm2_witness))).controllable
 
 
+def assert_right_perfect_on_expansion(mates, spec):
+    """The mate arrays are a matching of the expanded system's graph that
+    covers every state."""
+    gA, gB = assemble_global(expand(spec))
+    g = system_digraph(gA, gB)
+    mate_l, mate_r = mates
+    assert len(mate_l) == len(g) and len(mate_r) == gA.rows
+    assert all(l >= 0 and mate_l[l] == k and k in g[l] for k, l in enumerate(mate_r))
+    assert sum(1 for k in mate_l if k >= 0) == len(mate_r)
+
+
 class TestCompositeMatching:
     def test_covers_every_right_with_real_edges(self, thm1_ring):
-        m = build_composite_matching(thm1_ring)
-        expanded = expand(thm1_ring)
-        gA, gB = assemble_global(expanded)
-        b = system_bipartite(gA, gB)
-        assert not m.unmatched_rights
-        assert m.edges <= b.edges
+        assert_right_perfect_on_expansion(build_composite_matching(thm1_ring), thm1_ring)
 
     def test_refuses_without_the_condition(self, thm2_witness):
         with pytest.raises(ValueError, match="does not hold"):
@@ -150,10 +155,7 @@ class TestCompositeMatching:
             if check_cycle_cover(spec).status != "true":
                 continue
             lifted += 1
-            m = build_composite_matching(spec)
-            gA, gB = assemble_global(expand(spec))
-            assert not m.unmatched_rights
-            assert m.edges <= system_bipartite(gA, gB).edges
+            assert_right_perfect_on_expansion(build_composite_matching(spec), spec)
         assert lifted > 10
 
 

@@ -108,20 +108,24 @@ def verify_via_cacti(A: SparsityPattern, B: SparsityPattern) -> Verdict:
         for v in chain:
             vertex_home[v] = idx
 
-    order = left_order(len(g), n)
+    preds: list[list[int]] = [[] for _ in g]
+    for t, succ in enumerate(g):
+        for h in succ:
+            preds[h].append(t)
     pending = list(range(len(cycles)))
     while pending:
         attached_one = False
         for k in list(pending):
             cyc = cycles[k]
-            hook = next(
-                ((t, h) for t in order if t in vertex_home for h in cyc if h in g[t]),
-                None,
-            )
-            if hook is None:
+            feeders = [t for h in cyc for t in preds[h] if t in vertex_home]
+            if not feeders:
                 continue
-            idx = vertex_home[hook[0]]
-            cacti[idx]["cycles"].append({"cycle": cyc, "attach": list(hook)})
+            # The first feeder in `left_order` (inputs, then states), then
+            # the first cycle vertex it feeds.
+            t = min(feeders, key=lambda u: (u < n, u))
+            hook = [t, next(h for h in cyc if h in g[t])]
+            idx = vertex_home[t]
+            cacti[idx]["cycles"].append({"cycle": cyc, "attach": hook})
             for v in cyc:
                 vertex_home[v] = idx
             pending.remove(k)

@@ -22,7 +22,11 @@ cap and the lowest label holding excess) that applies the gap heuristic
 globally.  From the second pass on, the recomputation becomes a synchronous
 multi-round sweep that relaxes distances across regions to a global
 fixpoint, which rules out the count-to-infinity laddering two mutually
-cached boundaries could otherwise sustain.  Labels are capped at
+cached boundaries could otherwise sustain.  The sweep sends only distances
+that changed and ends r rounds after the last round in which any remote
+price improved: changes spread one hop per round, so by then every agent
+has heard of the last one and all stop together (see
+:func:`_exact_relabel`).  Labels are capped at
 2*sum(n)+sum(p)+2 (the number of flow vertices); excess stuck at the cap is
 permanently trapped, and the run stops once no region holds excess below
 the cap.
@@ -31,7 +35,6 @@ the cap.
 from __future__ import annotations
 
 import heapq
-from collections import ChainMap
 
 from .graphkit import scc
 from .model import InterconnectedSystem, state_digraph
@@ -60,15 +63,20 @@ def _gossip_sizes(ctx: AgentContext):
     """Flood per-agent entries ``{id: [state-digraph SCC count, n, p]}``;
     returns every subsystem's ``[SCC count, n, p]``."""
     own = ctx.subsystem
-    own_sccs = len(scc(state_digraph(own.A)))
-    # Merging is setdefault (the first entry for a key wins).  The whole map
-    # goes out every round, not only new entries: an agent with nothing new
-    # would otherwise send an empty map.
-    known = yield from flood(
-        ctx,
-        {str(ctx.id): [own_sccs, own.n, own.p]},
-        lambda known, heard: dict(ChainMap(known, *heard)),
-    )
+    mine = {str(ctx.id): [len(scc(state_digraph(own.A))), own.n, own.p]}
+    known = dict(mine)
+
+    def merge(_, heard: list) -> dict:
+        # Each round carries the own entry (so no message is empty) plus the
+        # entries first learned in the round before; the first copy wins.
+        fresh = {}
+        for msg in heard:
+            for key, entry in msg.items():
+                if key not in known:
+                    known[key] = fresh[key] = entry
+        return {**mine, **fresh}
+
+    yield from flood(ctx, mine, merge)
     if len(known) != ctx.r:
         raise RuntimeError(
             f"agent {ctx.id}: size gossip incomplete ({len(known)} of {ctx.r})"
@@ -378,10 +386,28 @@ def _exact_relabel(ctx: AgentContext, region: Region, cap: int):
     region hop per round, so every label (own and cached) becomes the exact
     global residual distance and trapped excess freezes at once.
 
-    Every round floods the latest round at which anything changed anywhere;
-    once a window of 2r rounds passes with no known change, at least r
-    consecutive rounds were globally quiet (news travels at most r-1 hops),
-    which pins the fixpoint and lets every agent stop at the same round.
+    Each round an agent sends every neighbor the capped distances of those
+    own vertices the neighbor caches that changed since the agent last sent
+    them (all of them in round 1, ``{}`` on a quiet round), plus ``chg``,
+    the latest round at which it knows some agent's remote prices improved.  Remote prices
+    only decrease, so a value already received never improves a price again.
+
+    Termination after ``ctx.r`` quiet rounds, where an agent changes at a
+    round when one of its remote prices improves (only then do its distances
+    move):
+
+    * an agent improves at round t > 1 only if a neighbor changed at round
+      t-1, since only then does it receive a distance it has not seen;
+    * so the rounds with a change anywhere are exactly 1..L for some L >= 0,
+      and each change after round 1 is one hop from a change a round earlier;
+    * a change at round s reaches every agent's ``chg`` by round s + D, with
+      D <= r-1 the diameter of the topology.  At a round t with
+      r <= t < L + r some agent changed at s = t-r+1, so every agent knows a
+      change within the last r-1 rounds and keeps going (before round r no
+      agent can stop), while from round L + D on every agent knows L;
+    * hence every agent stops at exactly round L + r.  Round L + 1 was
+      globally quiet, which alone pins the fixpoint, so the labels are the
+      same as those of any longer sweep.
 
     With the incoming boundary dropped, neighbors never report back, so the
     sweep keeps the standing optimistic prices for remote vertices."""
@@ -389,7 +415,20 @@ def _exact_relabel(ctx: AgentContext, region: Region, cap: int):
         w: cap if region.include_incoming else region.cache[w]
         for w in region.cache
     }
+    shared = sorted({v for bucket in region.shared_with.values() for v in bucket})
+    sent: dict = {}
+
+    def news(dist: dict) -> dict:
+        """The shared distances that differ from the last ones sent."""
+        out = {}
+        for v in shared:
+            val = min(dist[v], cap)
+            if sent.get(v) != val:
+                sent[v] = out[v] = val
+        return out
+
     dist = region._distances(cap, remote)
+    changed = news(dist)
     last_change = 0
     t = 0
     while True:
@@ -399,12 +438,14 @@ def _exact_relabel(ctx: AgentContext, region: Region, cap: int):
                 j,
                 {
                     "d": {
-                        _vkey(v): min(dist[v], cap)
+                        _vkey(v): changed[v]
                         for v in region.shared_with.get(j, [])
+                        if v in changed
                     },
                     "chg": last_change,
                 },
             )
+        changed = {}
         improved = False
         for j in ctx.neighbors:
             heard = yield Recv(j)
@@ -416,8 +457,9 @@ def _exact_relabel(ctx: AgentContext, region: Region, cap: int):
                     improved = True
         if improved:
             dist = region._distances(cap, remote)
+            changed = news(dist)
             last_change = t
-        if t - last_change >= 2 * ctx.r:
+        if t - last_change >= ctx.r:
             break
     for v in region.own:
         region.label[v] = max(region.label[v], min(dist[v], cap))

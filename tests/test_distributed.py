@@ -177,11 +177,81 @@ class TestFloodedPhases:
             labels, low = payload[str(sender)]
             assert ints(labels) and ints(low) and len(low) <= 1
 
+    def test_size_gossip_sends_each_entry_once(self, ring4):
+        def gossip(rec):
+            payload = json.loads(rec.payload)
+            if isinstance(payload, dict) and payload and all(k.isdigit() for k in payload):
+                if all(len(v) == 3 for v in payload.values()):
+                    return payload
+            return None
+
+        systems = [ring4] + [sysm for _, sysm in corpus(6, start=6000, r_hi=7)]
+        for sysm in systems:
+            res = run(sysm, controlled)
+            sent: dict = {}
+            for rec in res.trace:
+                payload = gossip(rec)
+                if payload is None:
+                    continue
+                assert str(rec.sender) in payload  # never an empty map
+                seen = sent.setdefault((rec.sender, rec.receiver), [])
+                seen += [k for k in payload if k != str(rec.sender)]
+            for (i, j), keys in sent.items():
+                assert len(keys) == len(set(keys)), (i, j)
+
+    def test_relabel_sweep_stops_r_rounds_after_the_last_change(self, ring4):
+        systems = [ring4] + [sysm for _, sysm in corpus(8, start=6100, r_hi=7)]
+        sweeps_seen = 0
+        for sysm in systems:
+            for drop in (False, True):
+                res = run(sysm, controlled_program(drop_incoming_boundary=drop))
+                # Per sender, a sweep is a maximal run of its relabel
+                # messages; it sends one to each neighbor per sweep round.
+                # Agents drift apart in runtime rounds (reachability only
+                # waits on incoming neighbors), so rounds count per sweep.
+                sweeps: dict = {}
+                in_sweep: dict = {}
+                for rec in res.trace:
+                    payload = json.loads(rec.payload)
+                    relabel = isinstance(payload, dict) and set(payload) == {"d", "chg"}
+                    if relabel:
+                        own = sweeps.setdefault(rec.sender, [])
+                        if not in_sweep.get(rec.sender):
+                            own.append([])
+                        own[-1].append((rec.receiver, payload["d"]))
+                    in_sweep[rec.sender] = relabel
+                lengths = set()
+                for i, own in sweeps.items():
+                    deg = len({j for j, _ in own[0]})
+                    lengths.add(tuple(len(sweep) // deg for sweep in own))
+                    for sweep in own:
+                        # A sweep lasts L + r rounds, L the last round in
+                        # which a price improved.  Round L + 1 carries the
+                        # last changed distances, which improve nothing, so
+                        # only receivers that ignore them (no incoming
+                        # boundary: L = 0) see a distance in the last r rounds.
+                        rounds = len(sweep) // deg
+                        assert (rounds == sysm.r) if drop else (rounds >= sysm.r)
+                        quiet = sysm.r if rounds > sysm.r else sysm.r - 1
+                        before: dict = {}
+                        for k, (j, d) in enumerate(sweep):
+                            rnd = k // deg + 1
+                            if rnd > rounds - quiet:
+                                assert d == {}, (i, j, rnd)
+                            if rnd > 1:
+                                for key, val in d.items():
+                                    assert before[j].get(key) != val, (i, j, rnd, key)
+                            before.setdefault(j, {}).update(d)
+                    sweeps_seen += len(own)
+                # every agent ends every sweep after the same number of rounds
+                assert len(lengths) <= 1
+        assert sweeps_seen > len(systems)
+
     def test_ring_rounds_and_message_counts_are_pinned(self, ring4):
         res = run(ring4, controlled)
-        assert (res.rounds, len(res.trace)) == (34, 248)
+        assert (res.rounds, len(res.trace)) == (30, 216)
         res = run(ring4, controlled_program(drop_incoming_boundary=True))
-        assert (res.rounds, len(res.trace)) == (33, 240)
+        assert (res.rounds, len(res.trace)) == (29, 208)
 
 
 class TestRegion:

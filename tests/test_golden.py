@@ -1,4 +1,5 @@
-"""Byte-for-byte pins of the centralized, serial and similar outputs.
+"""Byte-for-byte pins of the centralized, distributed, serial and similar
+outputs.
 
 Each test hashes ``json.dumps(..., sort_keys=True)`` over the outputs of one
 seeded corpus.  A refactor of the graph algorithms must leave every
@@ -13,7 +14,9 @@ import json
 import random
 
 from structctl.centralized import verify, verify_via_cacti
+from structctl.distributed import controlled_program
 from structctl.model import assemble_global, random_serial_system, random_system
+from structctl.runtime import run
 from structctl.serial import check_lemma4_details
 from structctl.similar import check_cycle_cover, check_via_collapse, random_similar_spec
 
@@ -32,6 +35,25 @@ def test_centralized_certificates():
         for v in (verify(A, B), verify_via_cacti(A, B)):
             out.append([v.controllable, v.mode, v.certificate])
     assert _digest(out) == "37fbaec12a4c9e67c6b33265217a3276bacaa951ece354dbc607c4e7b48b15cd"
+
+
+def test_distributed_outputs():
+    # Verdicts, sink flows, pass statistics and per-pass snapshots of every
+    # agent, with and without the incoming boundary; message schedules may
+    # change, the outputs may not.
+    programs = (
+        controlled_program(collect_states=True),
+        controlled_program(drop_incoming_boundary=True, collect_states=True),
+    )
+    out = []
+    for seed in range(200):
+        rng = random.Random(seed * 6007 + 29)
+        sysm = random_system(
+            rng.randint(2, 8), (1, 4), (0, 2), rng.uniform(0.1, 0.6), seed=9000 + seed
+        )
+        for program in programs:
+            out.append(run(sysm, program).outputs)
+    assert _digest(out) == "58bb5ea1ab03f496f7a59c9be39e8439662674abba6bb60d5ac6a0b6c16202ae"
 
 
 def test_serial_details():

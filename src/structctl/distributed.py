@@ -23,13 +23,15 @@ globally.  From the second pass on, the recomputation becomes a synchronous
 multi-round sweep that relaxes distances across regions to a global
 fixpoint, which rules out the count-to-infinity laddering two mutually
 cached boundaries could otherwise sustain.  The sweep sends only distances
-that changed and ends r rounds after the last round in which any remote
-price improved: changes spread one hop per round, so by then every agent
-has heard of the last one and all stop together (see
-:func:`_exact_relabel`).  Labels are capped at
-2*sum(n)+sum(p)+2 (the number of flow vertices); excess stuck at the cap is
-permanently trapped, and the run stops once no region holds excess below
-the cap.
+that changed and ends D + 1 rounds after the last round in which any remote
+price improved, D the topology's undirected diameter that every agent learns
+once after size gossip (:func:`_diameter`): changes spread one hop per round,
+so by then every agent has heard of the last one and all stop together (see
+:func:`_exact_relabel`).  The census and the final consensus flood for D
+rounds, too.  Without the incoming boundary no neighbor caches what a sweep
+would send, so none runs.  Labels are capped at 2*sum(n)+sum(p)+2 (the number
+of flow vertices); excess stuck at the cap is permanently trapped, and the
+run stops once no region holds excess below the cap.
 """
 
 from __future__ import annotations
@@ -37,22 +39,11 @@ from __future__ import annotations
 import heapq
 
 from .graphkit import scc
-from .model import InterconnectedSystem, state_digraph
+from .model import state_digraph
 from .runtime import AgentContext, Recv, Send, and_consensus, flood
 
 S = ("s",)
 T = ("t",)
-
-
-def boundary_vertex_count(sys: InterconnectedSystem) -> int:
-    """Number of distinct flow vertices shared between regions (both the
-    lefts feeding a connection and the rights fed by it)."""
-    verts = set()
-    for c in sys.connections:
-        for k, l in c.E.nonzeros:
-            verts.add(("L", c.from_, l))
-            verts.add(("R", c.to, k))
-    return len(verts)
 
 
 # ---------------------------------------------------------------------------
@@ -61,19 +52,26 @@ def boundary_vertex_count(sys: InterconnectedSystem) -> int:
 
 def _gossip_sizes(ctx: AgentContext):
     """Flood per-agent entries ``{id: [state-digraph SCC count, n, p]}``;
-    returns every subsystem's ``[SCC count, n, p]``."""
+    returns every subsystem's ``[SCC count, n, p]`` and the agent's
+    eccentricity in the undirected topology."""
     own = ctx.subsystem
     mine = {str(ctx.id): [len(scc(state_digraph(own.A))), own.n, own.p]}
     known = dict(mine)
+    rounds = ecc = 0
 
     def merge(_, heard: list) -> dict:
         # Each round carries the own entry (so no message is empty) plus the
-        # entries first learned in the round before; the first copy wins.
+        # entries first learned in the round before; the first copy wins.  So
+        # round t brings the entries t hops away, the last one the eccentricity.
+        nonlocal rounds, ecc
+        rounds += 1
         fresh = {}
         for msg in heard:
             for key, entry in msg.items():
                 if key not in known:
                     known[key] = fresh[key] = entry
+        if fresh:
+            ecc = rounds
         return {**mine, **fresh}
 
     yield from flood(ctx, mine, merge)
@@ -81,7 +79,21 @@ def _gossip_sizes(ctx: AgentContext):
         raise RuntimeError(
             f"agent {ctx.id}: size gossip incomplete ({len(known)} of {ctx.r})"
         )
-    return list(known.values())
+    return list(known.values()), ecc
+
+
+def _diameter(ctx: AgentContext, ecc: int):
+    """The topology's undirected diameter: the largest eccentricity, flooded
+    over ``ctx.r`` rounds, the only bound on it an agent has.  Messages keep
+    the census shape ``{"<id>": [[ecc], []]}``, which trace readers tell
+    apart from other phases by shape."""
+    me = str(ctx.id)
+
+    def merge(agg: dict, heard: list) -> dict:
+        eccs = agg[me][0] + [part[0][0] for msg in heard for part in msg.values()]
+        return {me: [[max(eccs)], []]}
+
+    return (yield from flood(ctx, {me: [[ecc], []]}, merge))[me][0][0]
 
 
 def _reached_steps(ctx: AgentContext, iterations: int):
@@ -121,7 +133,7 @@ def reached_program(extra_iterations: int = 0):
     ``extra_iterations`` appends outer iterations (fixpoint probing)."""
 
     def reached(ctx: AgentContext):
-        info = yield from _gossip_sizes(ctx)
+        info, _ = yield from _gossip_sizes(ctx)
         N = sum(v[0] for v in info)
         got, sizes, completed = yield from _reached_steps(ctx, N + extra_iterations)
         return {
@@ -380,41 +392,40 @@ class Region:
             self.excess[w] += 1
 
 
-def _exact_relabel(ctx: AgentContext, region: Region, cap: int):
+def _exact_relabel(ctx: AgentContext, region: Region, cap: int, diameter: int):
     """Synchronous distance sweep replacing the cached recomputation once a
     run drags on: fresh residual distances relax to a global fixpoint, one
     region hop per round, so every label (own and cached) becomes the exact
-    global residual distance and trapped excess freezes at once.
+    global residual distance and trapped excess freezes at once.  It needs
+    the incoming boundary, or no neighbor caches what an agent sends.
 
     Each round an agent sends every neighbor the capped distances of those
     own vertices the neighbor caches that changed since the agent last sent
     them (all of them in round 1, ``{}`` on a quiet round), plus ``chg``,
-    the latest round at which it knows some agent's remote prices improved.  Remote prices
-    only decrease, so a value already received never improves a price again.
+    the latest round at which it knows some agent's remote prices improved.
+    Remote prices only decrease, so a value already received never improves
+    a price again.
 
-    Termination after ``ctx.r`` quiet rounds, where an agent changes at a
-    round when one of its remote prices improves (only then do its distances
-    move):
+    Termination after W = D + 1 quiet rounds, D the topology's undirected
+    diameter (``diameter``; any W >= D + 1 that every agent shares would
+    do), where an agent changes at a round when one of its remote prices
+    improves (only then do its distances move):
 
     * an agent improves at round t > 1 only if a neighbor changed at round
       t-1, since only then does it receive a distance it has not seen;
     * so the rounds with a change anywhere are exactly 1..L for some L >= 0,
       and each change after round 1 is one hop from a change a round earlier;
-    * a change at round s reaches every agent's ``chg`` by round s + D, with
-      D <= r-1 the diameter of the topology.  At a round t with
-      r <= t < L + r some agent changed at s = t-r+1, so every agent knows a
-      change within the last r-1 rounds and keeps going (before round r no
-      agent can stop), while from round L + D on every agent knows L;
-    * hence every agent stops at exactly round L + r.  Round L + 1 was
-      globally quiet, which alone pins the fixpoint, so the labels are the
-      same as those of any longer sweep.
-
-    With the incoming boundary dropped, neighbors never report back, so the
-    sweep keeps the standing optimistic prices for remote vertices."""
-    remote = {
-        w: cap if region.include_incoming else region.cache[w]
-        for w in region.cache
-    }
+    * a change at round s reaches every agent's ``chg`` by round s + D, and
+      no ``chg`` ever exceeds L;
+    * at any round t < L + W either t < W, and no agent can stop yet, or
+      some agent changed at round s = t - W + 1 >= 1, and every agent hears
+      of it by round s + D <= t, so it knows a change within the last W - 1
+      rounds and keeps going;
+    * from round L + D <= L + W - 1 on every agent knows L, so every agent
+      stops at exactly round L + W.  Round L + 1 was globally quiet, which
+      alone pins the fixpoint, so the labels are the same as those of any
+      longer sweep."""
+    remote = dict.fromkeys(region.cache, cap)
     shared = sorted({v for bucket in region.shared_with.values() for v in bucket})
     sent: dict = {}
 
@@ -459,7 +470,7 @@ def _exact_relabel(ctx: AgentContext, region: Region, cap: int):
             dist = region._distances(cap, remote)
             changed = news(dist)
             last_change = t
-        if t - last_change >= ctx.r:
+        if t - last_change >= diameter + 1:
             break
     for v in region.own:
         region.label[v] = max(region.label[v], min(dist[v], cap))
@@ -568,13 +579,14 @@ def _barrier(ctx: AgentContext, region: Region):
     return accepted_away
 
 
-def _census(ctx: AgentContext, region: Region, cap: int):
+def _census(ctx: AgentContext, region: Region, cap: int, diameter: int):
     """Flood the global label census; apply the gap heuristic; report
     whether any excess anywhere is still mobile.
 
     The gap needs only the labels below the cap that are present, and
     mobility only the lowest label holding excess, so the flooded value is
-    the idempotent aggregate [sorted union of labels, [] or [lowest]]."""
+    the idempotent aggregate [sorted union of labels, [] or [lowest]],
+    complete after ``diameter`` rounds."""
     me = str(ctx.id)
 
     def merge(agg: dict, heard: list) -> dict:
@@ -591,7 +603,7 @@ def _census(ctx: AgentContext, region: Region, cap: int):
         sorted({region.label[v] for v in below}),
         sorted(region.label[v] for v in below if region.excess[v] > 0)[:1],
     ]}
-    labels, low = (yield from flood(ctx, agg, merge))[me]
+    labels, low = (yield from flood(ctx, agg, merge, diameter))[me]
 
     present = {0, *labels}
     gap = 1
@@ -603,7 +615,9 @@ def _census(ctx: AgentContext, region: Region, cap: int):
     return any(l < gap for l in low)
 
 
-def _prd(ctx: AgentContext, region: Region, cap: int, collect_states: bool):
+def _prd(
+    ctx: AgentContext, region: Region, cap: int, diameter: int, collect_states: bool
+):
     """Push-relabel passes separated by boundary exchanges until no excess in
     any region sits below the label cap.  Returns per-pass statistics."""
     transfers_by_pass = []
@@ -614,11 +628,11 @@ def _prd(ctx: AgentContext, region: Region, cap: int, collect_states: bool):
         pass_no += 1
         if pass_no > 4 * cap + 10:
             raise RuntimeError(f"agent {ctx.id}: discharge failed to settle")
-        if pass_no >= 2:
-            yield from _exact_relabel(ctx, region, cap)
+        if pass_no >= 2 and region.include_incoming:
+            yield from _exact_relabel(ctx, region, cap, diameter)
         else:
-            # No flow exists yet, so the cached prices are already exact and
-            # the first pass can skip the sweep's message rounds.
+            # On the first pass no flow exists yet, and without the incoming
+            # boundary no price can improve: the sweep would end here too.
             region.recompute_labels(cap)
         region.discharge(cap)
         sent = yield from _barrier(ctx, region)
@@ -627,7 +641,7 @@ def _prd(ctx: AgentContext, region: Region, cap: int, collect_states: bool):
             sink_saturated_pass = pass_no
         if collect_states:
             states.append(_snapshot(region, pass_no))
-        mobile = yield from _census(ctx, region, cap)
+        mobile = yield from _census(ctx, region, cap, diameter)
         if not mobile:
             break
     return {
@@ -667,17 +681,18 @@ def controlled_program(
     simplification, ``collect_states`` per-pass state snapshots."""
 
     def controlled(ctx: AgentContext):
-        info = yield from _gossip_sizes(ctx)
+        info, ecc = yield from _gossip_sizes(ctx)
+        diameter = yield from _diameter(ctx, ecc)
         N = sum(v[0] for v in info)
         got, sizes, completed = yield from _reached_steps(ctx, N)
         rchd = len(got) == ctx.subsystem.n
 
         cap = 2 * sum(v[1] for v in info) + sum(v[2] for v in info) + 2
         region = Region(ctx, include_incoming=not drop_incoming_boundary)
-        prd_stats = yield from _prd(ctx, region, cap, collect_states)
+        prd_stats = yield from _prd(ctx, region, cap, diameter, collect_states)
         mchd = region.sink_flow() == ctx.subsystem.n
 
-        ctld = yield from and_consensus(ctx, rchd and mchd)
+        ctld = yield from and_consensus(ctx, rchd and mchd, diameter)
         out = {
             "ctld": ctld,
             "rchd": rchd,

@@ -15,8 +15,8 @@ deterministic, so two runs of the same program on the same system produce
 byte-identical traces.
 
 Agents may only exchange messages with neighbors in the interconnection
-topology (either direction).  :func:`flood` is the one r-round exchange with
-every neighbor; size gossip, label census and AND-consensus all use it.
+topology (either direction).  :func:`flood` is the one exchange with every
+neighbor, r rounds by default; every gossip, census and consensus uses it.
 
 Payloads must be JSON-representable.  Each payload is encoded once at send
 time, and the encoded text is decoded right away into the copy that is queued
@@ -113,16 +113,6 @@ class Trace:
     def __iter__(self) -> Iterator[TraceRecord]:
         return iter(self.records)
 
-    def filter(self, round: int | None = None, agent: int | None = None) -> "Trace":
-        """Records from one round and/or touching one agent (as sender or receiver)."""
-        kept = [
-            rec
-            for rec in self.records
-            if (round is None or rec.round == round)
-            and (agent is None or agent in (rec.sender, rec.receiver))
-        ]
-        return Trace(kept)
-
     def to_jsonl(self) -> str:
         return "".join(rec.to_json_line() + "\n" for rec in self.records)
 
@@ -174,12 +164,14 @@ def _encode_payload(value, where: str) -> tuple[str, object]:
     return text, json.loads(text)
 
 
-def flood(ctx: AgentContext, value, merge: Callable):
-    """``ctx.r`` rounds of exchange with every neighbor: each round sends
-    the value held at the start of the round to every neighbor, receives one
-    message from each in the same order, and sets ``value = merge(value,
-    heard)`` with ``heard`` the list of those messages.  Returns the value."""
-    for _ in range(ctx.r):
+def flood(ctx: AgentContext, value, merge: Callable, rounds: int | None = None):
+    """``rounds`` (default ``ctx.r``) rounds of exchange with every neighbor:
+    each round sends the value held at the start of the round to every
+    neighbor, receives one message from each in the same order, and sets
+    ``value = merge(value, heard)`` with ``heard`` the list of those
+    messages.  Returns the value.  An idempotent aggregate (union, max, AND)
+    is complete after as many rounds as the topology's diameter."""
+    for _ in range(ctx.r if rounds is None else rounds):
         for j in ctx.neighbors:
             yield Send(j, value)
         heard = []
@@ -189,9 +181,9 @@ def flood(ctx: AgentContext, value, merge: Callable):
     return value
 
 
-def and_consensus(ctx: AgentContext, value: bool):
-    """The AND of every agent's ``value``, flooded over ``ctx.r`` rounds."""
-    return flood(ctx, bool(value), lambda v, heard: v and all(heard))
+def and_consensus(ctx: AgentContext, value: bool, rounds: int | None = None):
+    """The AND of every agent's ``value``, flooded as :func:`flood` does."""
+    return flood(ctx, bool(value), lambda v, heard: v and all(heard), rounds)
 
 
 class _AgentState:

@@ -3,17 +3,20 @@
 Everything here favors obviousness over speed: bitmask DP over right
 vertices, per-source DFS, pairwise reachability closures, dense index
 arithmetic.  Nothing imports the algorithm implementations under test.  The
-last section holds two reference algorithms that only the tests use, a
-unit-capacity preflow and a matching exchange, checked against the package's
-matchings.
+second-to-last section holds two reference algorithms that only the tests
+use, a unit-capacity preflow and a matching exchange, checked against the
+package's matchings; the last one holds facts about distributed runs that
+only the tests need: the boundary size, the topology's diameter and trace
+filtering.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import deque, namedtuple
 from functools import lru_cache
 
-from structctl.model import InterconnectedSystem, SparsityPattern
+from structctl.model import InterconnectedSystem, SparsityPattern, condensed_graph
+from structctl.runtime import Trace
 
 # The oracles' own graph forms, over any hashable vertices.
 Bipartite = namedtuple("Bipartite", "left right edges")  # edges: (left, right)
@@ -461,3 +464,51 @@ def max_preflow(net: FlowNetwork) -> FlowNetwork:
                 ]
                 retarget(v, 1 + min(candidates) if candidates else n + 1)
     return net
+
+
+# ---------------------------------------------------------------------------
+# distributed runs
+
+
+def boundary_vertex_count(sys: InterconnectedSystem) -> int:
+    """Number of distinct flow vertices shared between regions (both the
+    lefts feeding a connection and the rights fed by it)."""
+    verts = set()
+    for c in sys.connections:
+        for k, l in c.E.nonzeros:
+            verts.add(("L", c.from_, l))
+            verts.add(("R", c.to, k))
+    return len(verts)
+
+
+def undirected_diameter(sys: InterconnectedSystem) -> int:
+    """The largest hop distance between two subsystems, with every
+    connection usable in both directions: one BFS per subsystem."""
+    g = condensed_graph(sys)
+    adj = [set(heads) for heads in g]
+    for t, heads in enumerate(g):
+        for h in heads:
+            adj[h].add(t)
+    worst = 0
+    for src in range(len(adj)):
+        dist = {src: 0}
+        queue = deque([src])
+        while queue:
+            v = queue.popleft()
+            for w in adj[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        assert len(dist) == len(adj), "topology is not weakly connected"
+        worst = max(worst, *dist.values())
+    return worst
+
+
+def filter_trace(trace: Trace, round: int | None = None, agent: int | None = None) -> Trace:
+    """Records from one round and/or touching one agent (as sender or receiver)."""
+    return Trace([
+        rec
+        for rec in trace
+        if (round is None or rec.round == round)
+        and (agent is None or agent in (rec.sender, rec.receiver))
+    ])

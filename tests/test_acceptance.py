@@ -16,6 +16,7 @@ import pytest
 from conftest import matching_size, reached_states
 from oracles import (
     bipartite,
+    boundary_vertex_count,
     build_unit_network,
     controllable_bruteforce,
     matching_edges,
@@ -24,7 +25,6 @@ from oracles import (
 )
 from structctl.centralized import numeric_probe, verify
 from structctl.distributed import (
-    boundary_vertex_count,
     controlled,
     controlled_program,
     reached_program,

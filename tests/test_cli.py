@@ -262,7 +262,7 @@ class TestInternalErrors:
         assert "Traceback" in err
 
     def test_unsettled_discharge_exits_2(self, capsys, monkeypatch, ring_file):
-        def always_mobile(ctx, region, cap):
+        def always_mobile(ctx, region, cap, diameter):
             return True
             yield  # pragma: no cover
 

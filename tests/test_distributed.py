@@ -9,10 +9,12 @@ import random
 import pytest
 
 from conftest import build_system, matching_size, reached_states
+from oracles import boundary_vertex_count, undirected_diameter
 from structctl.centralized import verify
 from structctl.distributed import (
     Region,
-    boundary_vertex_count,
+    _diameter,
+    _gossip_sizes,
     controlled,
     controlled_program,
     reached,
@@ -39,6 +41,39 @@ def wide_corpus(count):
             rng.randint(1, 8), (1, 6), (0, 2), rng.uniform(0.05, 0.9),
             seed=7000 + seed, extra_conn_prob=rng.uniform(0, 0.5),
         )
+
+
+def star(leaves):
+    """A hub feeding odd leaves and fed by even ones: diameter 2."""
+    return build_system(
+        [(2, 1, {(1, 0)}, {(0, 0)}) for _ in range(leaves + 1)],
+        [(i, 0, {(0, 1)}) if i % 2 else (0, i, {(1, 0)}) for i in range(1, leaves + 1)],
+    )
+
+
+def path(r):
+    """r subsystems in a line, each feeding the next: diameter r - 1."""
+    return build_system(
+        [(2, 1 if i == 0 else 0, {(1, 0)}, {(0, 0)} if i == 0 else set()) for i in range(r)],
+        [(i + 1, i, {(0, 1)}) for i in range(r - 1)],
+    )
+
+
+def single():
+    return build_system([(2, 1, {(1, 0)}, {(0, 0)})], [])
+
+
+def is_census(payload) -> bool:
+    """The shape of census messages and of the diameter flood's."""
+    def ints(xs):
+        return isinstance(xs, list) and all(type(x) is int for x in xs)
+
+    return (
+        isinstance(payload, dict)
+        and bool(payload)
+        and all(k.isdigit() for k in payload)
+        and all(len(v) == 2 and ints(v[0]) and ints(v[1]) for v in payload.values())
+    )
 
 
 def ring_context(ring, i):
@@ -199,59 +234,117 @@ class TestFloodedPhases:
             for (i, j), keys in sent.items():
                 assert len(keys) == len(set(keys)), (i, j)
 
-    def test_relabel_sweep_stops_r_rounds_after_the_last_change(self, ring4):
+    def test_relabel_sweep_stops_d_plus_1_rounds_after_the_last_change(self, ring4):
+        def is_relabel(payload):
+            return isinstance(payload, dict) and set(payload) == {"d", "chg"}
+
         systems = [ring4] + [sysm for _, sysm in corpus(8, start=6100, r_hi=7)]
         sweeps_seen = 0
         for sysm in systems:
+            # Without the incoming boundary no neighbor caches what a sweep
+            # would send, so none runs.
+            res = run(sysm, controlled_program(drop_incoming_boundary=True))
+            assert not any(is_relabel(json.loads(rec.payload)) for rec in res.trace)
+
+            window = undirected_diameter(sysm) + 1
+            res = run(sysm, controlled)
+            # Per sender, a sweep is a maximal run of its relabel messages;
+            # it sends one to each neighbor per sweep round.  Agents drift
+            # apart in runtime rounds (reachability only waits on incoming
+            # neighbors), so rounds count per sweep.
+            sweeps: dict = {}
+            in_sweep: dict = {}
+            for rec in res.trace:
+                payload = json.loads(rec.payload)
+                relabel = is_relabel(payload)
+                if relabel:
+                    own = sweeps.setdefault(rec.sender, [])
+                    if not in_sweep.get(rec.sender):
+                        own.append([])
+                    own[-1].append((rec.receiver, payload))
+                in_sweep[rec.sender] = relabel
+            lengths = set()
+            for i, own in sweeps.items():
+                deg = len({j for j, _ in own[0]})
+                lengths.add(tuple(len(sweep) // deg for sweep in own))
+                for sweep in own:
+                    # A sweep lasts L + D + 1 rounds, L the last round in
+                    # which a price improved: no agent's chg exceeds L, and
+                    # every agent has heard of L by its last round.  Any
+                    # distance sent after round 1 improves its receiver's
+                    # price, so no distance goes out after round max(L, 1).
+                    rounds = len(sweep) // deg
+                    last = max(payload["chg"] for _, payload in sweep)
+                    assert rounds == last + window, (i, rounds, last, window)
+                    before: dict = {}
+                    for k, (j, payload) in enumerate(sweep):
+                        rnd, d = k // deg + 1, payload["d"]
+                        if rnd > max(last, 1):
+                            assert d == {}, (i, j, rnd)
+                        if rnd > 1:
+                            for key, val in d.items():
+                                assert before[j].get(key) != val, (i, j, rnd, key)
+                        before.setdefault(j, {}).update(d)
+                sweeps_seen += len(own)
+            # every agent ends every sweep after the same number of rounds
+            assert len(lengths) <= 1
+        assert sweeps_seen > len(systems)
+
+    def test_census_floods_for_the_diameter(self, ring4):
+        systems = [ring4, star(5), path(5), single()]
+        systems += [sysm for _, sysm in corpus(6, start=6300, r_hi=7)]
+        for sysm in systems:
+            diameter = undirected_diameter(sysm)
             for drop in (False, True):
                 res = run(sysm, controlled_program(drop_incoming_boundary=drop))
-                # Per sender, a sweep is a maximal run of its relabel
-                # messages; it sends one to each neighbor per sweep round.
-                # Agents drift apart in runtime rounds (reachability only
-                # waits on incoming neighbors), so rounds count per sweep.
-                sweeps: dict = {}
-                in_sweep: dict = {}
+                census: dict = {}
                 for rec in res.trace:
                     payload = json.loads(rec.payload)
-                    relabel = isinstance(payload, dict) and set(payload) == {"d", "chg"}
-                    if relabel:
-                        own = sweeps.setdefault(rec.sender, [])
-                        if not in_sweep.get(rec.sender):
-                            own.append([])
-                        own[-1].append((rec.receiver, payload["d"]))
-                    in_sweep[rec.sender] = relabel
-                lengths = set()
-                for i, own in sweeps.items():
-                    deg = len({j for j, _ in own[0]})
-                    lengths.add(tuple(len(sweep) // deg for sweep in own))
-                    for sweep in own:
-                        # A sweep lasts L + r rounds, L the last round in
-                        # which a price improved.  Round L + 1 carries the
-                        # last changed distances, which improve nothing, so
-                        # only receivers that ignore them (no incoming
-                        # boundary: L = 0) see a distance in the last r rounds.
-                        rounds = len(sweep) // deg
-                        assert (rounds == sysm.r) if drop else (rounds >= sysm.r)
-                        quiet = sysm.r if rounds > sysm.r else sysm.r - 1
-                        before: dict = {}
-                        for k, (j, d) in enumerate(sweep):
-                            rnd = k // deg + 1
-                            if rnd > rounds - quiet:
-                                assert d == {}, (i, j, rnd)
-                            if rnd > 1:
-                                for key, val in d.items():
-                                    assert before[j].get(key) != val, (i, j, rnd, key)
-                            before.setdefault(j, {}).update(d)
-                    sweeps_seen += len(own)
-                # every agent ends every sweep after the same number of rounds
-                assert len(lengths) <= 1
-        assert sweeps_seen > len(systems)
+                    if is_census(payload):
+                        census.setdefault(rec.sender, []).append(payload[str(rec.sender)])
+                for i, out in res.outputs.items():
+                    deg = len(
+                        {c.to for c in sysm.outgoing(i)} | {c.from_ for c in sysm.incoming(i)}
+                    )
+                    # r rounds of the diameter flood, whose last round sends
+                    # D, then D rounds of census per pass
+                    sent = census.get(i, [])
+                    assert len(sent) == deg * (sysm.r + out["passes"] * diameter), i
+                    if deg:
+                        assert sent[sysm.r * deg - 1] == [[diameter], []]
+        # reachability alone floods nothing after the size gossip
+        res = run(ring4, reached)
+        assert not any(is_census(json.loads(rec.payload)) for rec in res.trace)
 
     def test_ring_rounds_and_message_counts_are_pinned(self, ring4):
         res = run(ring4, controlled)
-        assert (res.rounds, len(res.trace)) == (30, 216)
+        assert (res.rounds, len(res.trace)) == (27, 192)
         res = run(ring4, controlled_program(drop_incoming_boundary=True))
-        assert (res.rounds, len(res.trace)) == (29, 208)
+        assert (res.rounds, len(res.trace)) == (23, 160)
+
+
+class TestDiameter:
+    @staticmethod
+    def learned(sysm) -> dict:
+        def program(ctx):
+            _, ecc = yield from _gossip_sizes(ctx)
+            return (yield from _diameter(ctx, ecc))
+
+        return run(sysm, program).outputs
+
+    def test_every_agent_learns_the_undirected_diameter(self, ring4):
+        systems = [ring4, star(6), single(), path(2), path(7)]
+        systems += [sysm for _, sysm in corpus(20, start=6400, r_hi=8)]
+        for sysm in systems:
+            want = undirected_diameter(sysm)
+            assert self.learned(sysm) == dict.fromkeys(range(sysm.r), want)
+
+    def test_known_diameters(self, ring4):
+        assert undirected_diameter(ring4) == 2
+        assert undirected_diameter(star(6)) == 2
+        assert undirected_diameter(single()) == 0
+        # a path keeps windows as long as r allows
+        assert undirected_diameter(path(7)) == 6
 
 
 class TestRegion:

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import build_system
+from oracles import filter_trace
 from structctl.runtime import (
     DeadlockError,
     ProtocolError,
@@ -19,6 +20,7 @@ from structctl.runtime import (
     TraceRecord,
     _encode_payload,
     _normalize_payload,
+    and_consensus,
     flood,
     run,
 )
@@ -117,14 +119,14 @@ class TestTrace:
             return None
 
         res = run(line3, program)
-        only_round1 = res.trace.filter(round=1)
+        only_round1 = filter_trace(res.trace, round=1)
         assert all(rec.round == 1 for rec in only_round1)
-        touching0 = res.trace.filter(agent=0)
+        touching0 = filter_trace(res.trace, agent=0)
         assert all(0 in (rec.sender, rec.receiver) for rec in touching0)
-        assert len(res.trace.filter(round=99)) == 0
+        assert len(filter_trace(res.trace, round=99)) == 0
 
     def test_empty_trace_filter(self):
-        assert len(Trace().filter(round=0)) == 0
+        assert len(filter_trace(Trace(), round=0)) == 0
         assert Trace().to_jsonl() == ""
 
     def test_record_line_is_stable(self):
@@ -274,6 +276,27 @@ class TestFlood:
         assert res.outputs == {0: 3, 1: 13, 2: 23}
         assert [sum(1 for i, _ in calls if i == a) for a in range(3)] == [3, 3, 3]
         assert [heard for i, heard in calls if i == 1] == [[0, 20], [1, 21], [2, 22]]
+
+    def test_rounds_sets_the_number_of_exchanges(self, line3):
+        for rounds in (0, 1, 5):
+            res = run(
+                line3,
+                lambda ctx: flood(ctx, [ctx.id], lambda v, heard: v + [len(v)], rounds),
+            )
+            # rounds=0 sends nothing and hands the value back; more rounds
+            # than r are not cut short
+            assert res.outputs == {i: [i, *range(1, rounds + 1)] for i in range(3)}
+            assert len(res.trace) == 4 * rounds
+            assert res.rounds == rounds + 1
+
+    def test_and_consensus_passes_its_rounds_on(self, line3):
+        res = run(line3, lambda ctx: and_consensus(ctx, ctx.id != 0, 1))
+        # one round reaches only agent 0's neighbor
+        assert res.outputs == {0: False, 1: False, 2: True}
+        assert len(res.trace) == 4
+        res = run(line3, lambda ctx: and_consensus(ctx, ctx.id != 0))
+        assert res.outputs == dict.fromkeys(range(3), False)
+        assert len(res.trace) == 4 * line3.r
 
     def test_union_reaches_every_agent_on_a_path_of_r_agents(self):
         r = 5

@@ -112,6 +112,15 @@ def _write_trace(path: str, result: RunResult, outputs: dict | None = None) -> N
         raise CliError(f"{path}: {exc.strerror or exc}") from None
 
 
+def _unanimous(verdicts: dict[str, bool]) -> bool:
+    """The one verdict every agent returned; agents that disagree are a fault
+    in the protocol, never a 0/1 answer."""
+    values = set(verdicts.values())
+    if len(values) != 1:
+        raise RuntimeError(f"agents disagree on the verdict: {verdicts}")
+    return values.pop()
+
+
 def _verify_centralized(args) -> tuple[dict, bool]:
     system = _load_system(args.input)
     gA, gB = assemble_global(system)
@@ -147,7 +156,8 @@ def _verify_distributed(args) -> tuple[dict, bool]:
     except ValueError as exc:
         raise CliError(str(exc)) from None
     outs = result.outputs
-    controllable = all(out["ctld"] for out in outs.values())
+    verdicts = {str(i): bool(out["ctld"]) for i, out in sorted(outs.items())}
+    controllable = _unanimous(verdicts)
     agents = {
         str(i): {k: v for k, v in out.items() if k != "states"}
         for i, out in sorted(outs.items())
@@ -158,7 +168,7 @@ def _verify_distributed(args) -> tuple[dict, bool]:
     report = {
         "controllable": controllable,
         "agents": agents,
-        "agent_verdicts": {str(i): bool(out["ctld"]) for i, out in sorted(outs.items())},
+        "agent_verdicts": verdicts,
         "rounds": result.rounds,
         "messages": _message_stats(result),
         "reachability_iterations": iterations,
@@ -192,11 +202,12 @@ def _verify_serial(args) -> tuple[dict, bool]:
         result = run(system, seq_strt_ctl_variant("primal"))
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    holds = all(bool(v) for v in result.outputs.values())
+    verdicts = {str(i): bool(v) for i, v in sorted(result.outputs.items())}
+    holds = _unanimous(verdicts)
     report = {
         "condition": "sequential stacked-neighborhood controllability",
         "holds": holds,
-        "agent_verdicts": {str(i): bool(v) for i, v in sorted(result.outputs.items())},
+        "agent_verdicts": verdicts,
         "rounds": result.rounds,
         "messages": _message_stats(result),
         "subsystems": system.r,

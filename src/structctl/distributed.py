@@ -1,46 +1,53 @@
 """Distributed verification programs: input-reachability flooding and a
 region-discharge preflow for the matching condition.
 
-Both programs run on the lockstep runtime.  ``reached`` floods per-subsystem
-SCC counts to size the iteration budget, then alternately exchanges
-boundary-visible reached states and propagates internally.  ``controlled``
-composes reachability with a push-relabel preflow computed region by region:
-each agent owns the flow vertices of its own subsystem (source- and
-sink-adjacent copies of its states plus its inputs) and keeps cached labels
-for the boundary vertices of neighboring regions.  Excess crosses region
-boundaries through an offer/accept exchange that only ever moves units from a
-strictly higher true label to a strictly lower one, so global label validity
-is preserved and, at quiescence, the flow into the sink equals the global
-maximum-matching size.
+Both programs run on the lockstep runtime.  ``reached`` gossips
+per-subsystem SCC counts to size the iteration budget, then alternately
+exchanges boundary-visible reached states and propagates internally.
+``controlled`` composes reachability with a push-relabel preflow computed
+region by region: each agent owns the flow vertices of its own subsystem
+(source- and sink-adjacent copies of its states plus its inputs) and keeps
+cached labels for the boundary vertices of neighboring regions.  Excess
+crosses region boundaries through an offer/accept exchange that only ever
+moves units from a strictly higher true label to a strictly lower one, so
+global label validity is preserved and, at quiescence, the flow into the
+sink equals the global maximum-matching size.
+
+Global aggregates travel on a BFS tree rooted at agent 0 that size gossip
+builds as a side effect (:func:`_gossip_sizes`, :func:`_bfs_tree`): each one
+is a convergecast plus broadcast of 2(r - 1) messages
+(:func:`_tree_aggregate`).  ``controlled`` runs three kinds: the topology's
+undirected diameter D (the largest eccentricity), the label census of every
+pass, and the final AND-consensus.
 
 Termination and the pass bound: each pass starts by recomputing every own
 label as the residual distance to the sink given the cached boundary labels
 (never below the previous label, so labels stay monotone and valid), pushes
 strictly downhill with boundary exits preferred, and ends with a boundary
-exchange plus a flooded label census (the union of the labels below the
-cap and the lowest label holding excess) that applies the gap heuristic
-globally.  From the second pass on, the recomputation becomes a synchronous
-multi-round sweep that relaxes distances across regions to a global
-fixpoint, which rules out the count-to-infinity laddering two mutually
-cached boundaries could otherwise sustain.  The sweep sends only distances
-that changed and ends D + 1 rounds after the last round in which any remote
-price improved, D the topology's undirected diameter that every agent learns
-once after size gossip (:func:`_diameter`): changes spread one hop per round,
-so by then every agent has heard of the last one and all stop together (see
-:func:`_exact_relabel`).  The census and the final consensus flood for D
-rounds, too.  Without the incoming boundary no neighbor caches what a sweep
-would send, so none runs.  Labels are capped at 2*sum(n)+sum(p)+2 (the number
-of flow vertices); excess stuck at the cap is permanently trapped, and the
-run stops once no region holds excess below the cap.
+exchange plus the label census (the union of the labels below the cap and
+the lowest label holding excess) that applies the gap heuristic globally.
+From the second pass on, the recomputation becomes a synchronous multi-round
+sweep that relaxes distances across regions to a global fixpoint, which
+rules out the count-to-infinity laddering two mutually cached boundaries
+could otherwise sustain.  The sweep sends only distances that changed and
+ends D + 1 rounds after the last round in which any remote price improved:
+changes spread one hop per round, so by then every agent has heard of the
+last one and all stop together (see :func:`_exact_relabel`).  Without the
+incoming boundary no neighbor caches what a sweep would send, so none runs.
+Labels are capped at 2*sum(n)+sum(p)+2 (the number of flow vertices); excess
+stuck at the cap is permanently trapped, and the run stops once no region
+holds excess below the cap.
 """
 
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
+from typing import Callable
 
 from .graphkit import scc
 from .model import state_digraph
-from .runtime import AgentContext, Recv, Send, and_consensus, flood
+from .runtime import AgentContext, Recv, Send
 
 S = ("s",)
 T = ("t",)
@@ -51,49 +58,117 @@ T = ("t",)
 
 
 def _gossip_sizes(ctx: AgentContext):
-    """Flood per-agent entries ``{id: [state-digraph SCC count, n, p]}``;
-    returns every subsystem's ``[SCC count, n, p]`` and the agent's
-    eccentricity in the undirected topology."""
+    """Gossip per-agent entries ``{id: [state-digraph SCC count, n, p]}``;
+    returns every subsystem's ``[SCC count, n, p]``, the agent's eccentricity
+    in the undirected topology and its parent in a BFS tree rooted at agent 0
+    (``None`` at the root).
+
+    Each round carries the own entry (so no message is empty) plus the
+    entries first learned in the round before; the first copy wins.  So
+    round t brings the entries t hops away, the last such round is the
+    eccentricity, and agent 0's entry first arrives from the neighbors one
+    hop closer to it: the lowest-id of them is the parent.
+
+    An agent has announced all r entries after its round ecc + 1, and a
+    neighbor that has heard r distinct entries from it knows that.  Once
+    either end of an edge has announced everything, both ends hold every
+    entry, so each edge carries exactly min(ecc_i, ecc_j) + 1 rounds; both
+    ends see the same counts, so they stop in the same round."""
     own = ctx.subsystem
     mine = {str(ctx.id): [len(scc(state_digraph(own.A))), own.n, own.p]}
     known = dict(mine)
-    rounds = ecc = 0
-
-    def merge(_, heard: list) -> dict:
-        # Each round carries the own entry (so no message is empty) plus the
-        # entries first learned in the round before; the first copy wins.  So
-        # round t brings the entries t hops away, the last one the eccentricity.
-        nonlocal rounds, ecc
+    heard = {j: set() for j in ctx.neighbors}  # entries each neighbor announced
+    told = ecc = rounds = 0
+    parent = None
+    fresh: dict = {}
+    while told < ctx.r:
+        edges = [j for j in ctx.neighbors if len(heard[j]) < ctx.r]
+        if not edges:
+            break
         rounds += 1
+        msg = {**mine, **fresh}
+        for j in edges:
+            yield Send(j, msg)
+        told = len(known)
         fresh = {}
-        for msg in heard:
-            for key, entry in msg.items():
+        for j in edges:
+            got = yield Recv(j)
+            heard[j].update(got)
+            for key, entry in got.items():
                 if key not in known:
                     known[key] = fresh[key] = entry
+                    if key == "0":
+                        parent = j
         if fresh:
             ecc = rounds
-        return {**mine, **fresh}
-
-    yield from flood(ctx, mine, merge)
     if len(known) != ctx.r:
         raise RuntimeError(
             f"agent {ctx.id}: size gossip incomplete ({len(known)} of {ctx.r})"
         )
-    return list(known.values()), ecc
+    return list(known.values()), ecc, parent
 
 
-def _diameter(ctx: AgentContext, ecc: int):
-    """The topology's undirected diameter: the largest eccentricity, flooded
-    over ``ctx.r`` rounds, the only bound on it an agent has.  Messages keep
-    the census shape ``{"<id>": [[ecc], []]}``, which trace readers tell
-    apart from other phases by shape."""
+@dataclass(frozen=True)
+class Tree:
+    """An agent's place in the BFS tree that size gossip builds."""
+
+    parent: int | None
+    children: tuple[int, ...]
+
+
+def _bfs_tree(ctx: AgentContext, parent: int | None):
+    """One notify round: each neighbor learns whether it is this agent's
+    parent, and the replies name the agent's children."""
+    for j in ctx.neighbors:
+        yield Send(j, j == parent)
+    children = []
+    for j in ctx.neighbors:
+        if (yield Recv(j)):
+            children.append(j)
+    return Tree(parent, tuple(children))
+
+
+def _tree_aggregate(
+    ctx: AgentContext, tree: Tree, value, merge: Callable, keyed: bool = True
+):
+    """A global aggregate as one convergecast plus broadcast on ``tree``
+    (Segall's PIF): receive each child's value in ascending order, fold them
+    in with ``value = merge(value, heard)`` and send the result to the
+    parent; then receive the root's value from the parent and send it on to
+    each child.  Every agent returns the root's value, after 2(r - 1)
+    messages in all.  Blocking receives on a tree cannot deadlock, so no
+    agent needs a shared round count.
+
+    With ``keyed`` every message is ``{"<sender id>": value}``, on the way
+    down too, the census shape trace readers tell apart from the other
+    phases; otherwise the bare value."""
     me = str(ctx.id)
+    heard = []
+    for j in tree.children:
+        msg = yield Recv(j)
+        heard.append(msg[str(j)] if keyed else msg)
+    value = merge(value, heard)
+    if tree.parent is not None:
+        yield Send(tree.parent, {me: value} if keyed else value)
+        msg = yield Recv(tree.parent)
+        value = msg[str(tree.parent)] if keyed else msg
+    for j in tree.children:
+        yield Send(j, {me: value} if keyed else value)
+    return value
 
-    def merge(agg: dict, heard: list) -> dict:
-        eccs = agg[me][0] + [part[0][0] for msg in heard for part in msg.values()]
-        return {me: [[max(eccs)], []]}
 
-    return (yield from flood(ctx, {me: [[ecc], []]}, merge))[me][0][0]
+def _learn_topology(ctx: AgentContext):
+    """Size gossip, the notify round and the topology's undirected diameter
+    D, the largest eccentricity, aggregated on the tree in the census shape
+    ``[[ecc], []]``.  Returns the size entries, the tree and D."""
+    info, ecc, parent = yield from _gossip_sizes(ctx)
+    tree = yield from _bfs_tree(ctx, parent)
+
+    def peak(part: list, heard: list) -> list:
+        return [[max(p[0][0] for p in [part, *heard])], []]
+
+    diameter = (yield from _tree_aggregate(ctx, tree, [[ecc], []], peak))[0][0]
+    return info, tree, diameter
 
 
 def _reached_steps(ctx: AgentContext, iterations: int):
@@ -133,7 +208,7 @@ def reached_program(extra_iterations: int = 0):
     ``extra_iterations`` appends outer iterations (fixpoint probing)."""
 
     def reached(ctx: AgentContext):
-        info, _ = yield from _gossip_sizes(ctx)
+        info, _, _ = yield from _gossip_sizes(ctx)
         N = sum(v[0] for v in info)
         got, sizes, completed = yield from _reached_steps(ctx, N + extra_iterations)
         return {
@@ -579,31 +654,28 @@ def _barrier(ctx: AgentContext, region: Region):
     return accepted_away
 
 
-def _census(ctx: AgentContext, region: Region, cap: int, diameter: int):
-    """Flood the global label census; apply the gap heuristic; report
-    whether any excess anywhere is still mobile.
+def _census(ctx: AgentContext, tree: Tree, region: Region, cap: int):
+    """Aggregate the global label census on the tree; apply the gap
+    heuristic; report whether any excess anywhere is still mobile.
 
     The gap needs only the labels below the cap that are present, and
-    mobility only the lowest label holding excess, so the flooded value is
-    the idempotent aggregate [sorted union of labels, [] or [lowest]],
-    complete after ``diameter`` rounds."""
-    me = str(ctx.id)
+    mobility only the lowest label holding excess, so the aggregate is
+    [sorted union of labels, [] or [lowest]].  Keyed by the sender's id, each
+    message keeps the census shape {"<id>": [[labels], [low]]}, which trace
+    readers tell apart from the size gossip's {"<id>": [scc, n, p]}."""
 
-    def merge(agg: dict, heard: list) -> dict:
-        parts = [agg[me]] + [part for msg in heard for part in msg.values()]
+    def merge(part: list, heard: list) -> list:
+        parts = [part, *heard]
         low = [l for _, lows in parts for l in lows]
         labels = sorted({l for ls, _ in parts for l in ls})
-        return {me: [labels, [min(low)] if low else []]}
+        return [labels, [min(low)] if low else []]
 
     below = [v for v in region.own if region.label[v] < cap]
-    # Keyed by the sender's id alone, each message keeps the census shape
-    # {"<id>": [[labels], [low]]}, which trace readers tell apart from the
-    # size gossip's {"<id>": [scc, n, p]}.
-    agg = {me: [
+    part = [
         sorted({region.label[v] for v in below}),
         sorted(region.label[v] for v in below if region.excess[v] > 0)[:1],
-    ]}
-    labels, low = (yield from flood(ctx, agg, merge, diameter))[me]
+    ]
+    labels, low = yield from _tree_aggregate(ctx, tree, part, merge)
 
     present = {0, *labels}
     gap = 1
@@ -616,7 +688,12 @@ def _census(ctx: AgentContext, region: Region, cap: int, diameter: int):
 
 
 def _prd(
-    ctx: AgentContext, region: Region, cap: int, diameter: int, collect_states: bool
+    ctx: AgentContext,
+    tree: Tree,
+    region: Region,
+    cap: int,
+    diameter: int,
+    collect_states: bool,
 ):
     """Push-relabel passes separated by boundary exchanges until no excess in
     any region sits below the label cap.  Returns per-pass statistics."""
@@ -641,7 +718,7 @@ def _prd(
             sink_saturated_pass = pass_no
         if collect_states:
             states.append(_snapshot(region, pass_no))
-        mobile = yield from _census(ctx, region, cap, diameter)
+        mobile = yield from _census(ctx, tree, region, cap)
         if not mobile:
             break
     return {
@@ -681,18 +758,19 @@ def controlled_program(
     simplification, ``collect_states`` per-pass state snapshots."""
 
     def controlled(ctx: AgentContext):
-        info, ecc = yield from _gossip_sizes(ctx)
-        diameter = yield from _diameter(ctx, ecc)
+        info, tree, diameter = yield from _learn_topology(ctx)
         N = sum(v[0] for v in info)
         got, sizes, completed = yield from _reached_steps(ctx, N)
         rchd = len(got) == ctx.subsystem.n
 
         cap = 2 * sum(v[1] for v in info) + sum(v[2] for v in info) + 2
         region = Region(ctx, include_incoming=not drop_incoming_boundary)
-        prd_stats = yield from _prd(ctx, region, cap, diameter, collect_states)
+        prd_stats = yield from _prd(ctx, tree, region, cap, diameter, collect_states)
         mchd = region.sink_flow() == ctx.subsystem.n
 
-        ctld = yield from and_consensus(ctx, rchd and mchd, diameter)
+        ctld = yield from _tree_aggregate(
+            ctx, tree, rchd and mchd, lambda v, heard: v and all(heard), keyed=False
+        )
         out = {
             "ctld": ctld,
             "rchd": rchd,

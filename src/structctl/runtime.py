@@ -15,8 +15,8 @@ deterministic, so two runs of the same program on the same system produce
 byte-identical traces.
 
 Agents may only exchange messages with neighbors in the interconnection
-topology (either direction).  :func:`flood` is the one exchange with every
-neighbor, r rounds by default; every gossip, census and consensus uses it.
+topology (either direction).  :func:`flood` is an r-round exchange with every
+neighbor; the serial check's AND-consensus (:func:`and_consensus`) uses it.
 
 Payloads must be JSON-representable.  Each payload is encoded once at send
 time, and the encoded text is decoded right away into the copy that is queued
@@ -164,14 +164,14 @@ def _encode_payload(value, where: str) -> tuple[str, object]:
     return text, json.loads(text)
 
 
-def flood(ctx: AgentContext, value, merge: Callable, rounds: int | None = None):
-    """``rounds`` (default ``ctx.r``) rounds of exchange with every neighbor:
-    each round sends the value held at the start of the round to every
-    neighbor, receives one message from each in the same order, and sets
-    ``value = merge(value, heard)`` with ``heard`` the list of those
-    messages.  Returns the value.  An idempotent aggregate (union, max, AND)
-    is complete after as many rounds as the topology's diameter."""
-    for _ in range(ctx.r if rounds is None else rounds):
+def flood(ctx: AgentContext, value, merge: Callable):
+    """``ctx.r`` rounds of exchange with every neighbor: each round sends the
+    value held at the start of the round to every neighbor, receives one
+    message from each in the same order, and sets ``value = merge(value,
+    heard)`` with ``heard`` the list of those messages.  Returns the value.
+    An idempotent aggregate (union, max, AND) is complete after as many
+    rounds as the topology's diameter, which is below r."""
+    for _ in range(ctx.r):
         for j in ctx.neighbors:
             yield Send(j, value)
         heard = []
@@ -181,9 +181,9 @@ def flood(ctx: AgentContext, value, merge: Callable, rounds: int | None = None):
     return value
 
 
-def and_consensus(ctx: AgentContext, value: bool, rounds: int | None = None):
+def and_consensus(ctx: AgentContext, value: bool):
     """The AND of every agent's ``value``, flooded as :func:`flood` does."""
-    return flood(ctx, bool(value), lambda v, heard: v and all(heard), rounds)
+    return flood(ctx, bool(value), lambda v, heard: v and all(heard))
 
 
 class _AgentState:

@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import deque, namedtuple
 from functools import lru_cache
 
-from structctl.model import InterconnectedSystem, SparsityPattern, condensed_graph
+from structctl.model import InterconnectedSystem, SparsityPattern
 from structctl.runtime import Trace
 
 # The oracles' own graph forms, over any hashable vertices.
@@ -481,27 +481,35 @@ def boundary_vertex_count(sys: InterconnectedSystem) -> int:
     return len(verts)
 
 
+def undirected_distances(sys: InterconnectedSystem, src: int) -> list[int]:
+    """Hop distance from ``src`` to every subsystem, with every connection
+    usable in both directions: one BFS."""
+    adj = [sys.neighbors(v) for v in range(sys.r)]
+    dist = {src: 0}
+    queue = deque([src])
+    while queue:
+        v = queue.popleft()
+        for w in adj[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    assert len(dist) == sys.r, "topology is not weakly connected"
+    return [dist[v] for v in range(sys.r)]
+
+
 def undirected_diameter(sys: InterconnectedSystem) -> int:
-    """The largest hop distance between two subsystems, with every
-    connection usable in both directions: one BFS per subsystem."""
-    g = condensed_graph(sys)
-    adj = [set(heads) for heads in g]
-    for t, heads in enumerate(g):
-        for h in heads:
-            adj[h].add(t)
-    worst = 0
-    for src in range(len(adj)):
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
-        assert len(dist) == len(adj), "topology is not weakly connected"
-        worst = max(worst, *dist.values())
-    return worst
+    """The largest hop distance between two subsystems: one BFS each."""
+    return max(max(undirected_distances(sys, src)) for src in range(sys.r))
+
+
+def bfs_tree_parents(sys: InterconnectedSystem) -> list[int | None]:
+    """Each subsystem's parent in the BFS tree rooted at subsystem 0: the
+    lowest-id neighbor one hop closer to 0 (None at the root)."""
+    dist = undirected_distances(sys, 0)
+    parents: list[int | None] = [None]
+    for v in range(1, sys.r):
+        parents.append(min(j for j in sys.neighbors(v) if dist[j] == dist[v] - 1))
+    return parents
 
 
 def filter_trace(trace: Trace, round: int | None = None, agent: int | None = None) -> Trace:

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from conftest import build_system
+from structctl import distributed, serial
 from structctl.cli import main
 from structctl.model import dumps, load, random_system, save
 from structctl.runtime import Recv, Send
@@ -262,15 +264,50 @@ class TestInternalErrors:
         assert "Traceback" in err
 
     def test_unsettled_discharge_exits_2(self, capsys, monkeypatch, ring_file):
-        def always_mobile(ctx, region, cap, diameter):
+        def always_mobile(ctx, tree, region, cap):
             return True
             yield  # pragma: no cover
 
         monkeypatch.setattr("structctl.distributed._census", always_mobile)
         code, out, _ = run_cli(capsys, "verify", "--mode", "distributed", "--input", ring_file)
         assert code == 2
+        # whichever agent reaches the pass bound first reports it
+        assert re.fullmatch(
+            r"internal error: RuntimeError: agent \d+: discharge failed to settle",
+            report_of(out)["error"],
+        )
+
+    def test_split_distributed_verdict_exits_2(self, capsys, monkeypatch, ring_file):
+        real = distributed._tree_aggregate
+
+        def split(ctx, tree, value, merge, keyed=True):
+            # the consensus is the one aggregate that is not keyed
+            got = yield from real(ctx, tree, value, merge, keyed)
+            return got if keyed or ctx.id else not got
+
+        monkeypatch.setattr("structctl.distributed._tree_aggregate", split)
+        code, out, _ = run_cli(capsys, "verify", "--mode", "distributed", "--input", ring_file)
+        assert code == 2
         assert report_of(out)["error"] == (
-            "internal error: RuntimeError: agent 0: discharge failed to settle"
+            "internal error: RuntimeError: agents disagree on the verdict: "
+            "{'0': False, '1': True, '2': True, '3': True}"
+        )
+
+    def test_split_serial_verdict_exits_2(self, capsys, monkeypatch, tmp_path, serial_pair):
+        real = serial.and_consensus
+
+        def split(ctx, value):
+            got = yield from real(ctx, value)
+            return got if ctx.id else not got
+
+        monkeypatch.setattr("structctl.serial.and_consensus", split)
+        path = tmp_path / "pair.json"
+        save(serial_pair, path)
+        code, out, _ = run_cli(capsys, "verify", "--mode", "serial", "--input", str(path))
+        assert code == 2
+        assert report_of(out)["error"] == (
+            "internal error: RuntimeError: agents disagree on the verdict: "
+            "{'0': False, '1': True}"
         )
 
 

@@ -9,12 +9,19 @@ import random
 import pytest
 
 from conftest import build_system, matching_size, reached_states
-from oracles import boundary_vertex_count, undirected_diameter
+from oracles import (
+    bfs_tree_parents,
+    boundary_vertex_count,
+    undirected_diameter,
+    undirected_distances,
+)
 from structctl.centralized import verify
 from structctl.distributed import (
     Region,
-    _diameter,
+    _bfs_tree,
     _gossip_sizes,
+    _learn_topology,
+    _tree_aggregate,
     controlled,
     controlled_program,
     reached,
@@ -59,12 +66,21 @@ def path(r):
     )
 
 
+def detour():
+    """0 - 3 - {1, 2}, 1 - 2: the lowest-id neighbor of 1 and of 2 is no
+    closer to agent 0; their BFS parent is 3."""
+    return build_system(
+        [(2, 1 if i == 0 else 0, {(1, 0)}, {(0, 0)} if i == 0 else set()) for i in range(4)],
+        [(3, 0, {(0, 1)}), (2, 3, {(0, 1)}), (1, 3, {(0, 1)}), (1, 2, {(0, 1)})],
+    )
+
+
 def single():
     return build_system([(2, 1, {(1, 0)}, {(0, 0)})], [])
 
 
 def is_census(payload) -> bool:
-    """The shape of census messages and of the diameter flood's."""
+    """The shape of census messages and of the diameter's."""
     def ints(xs):
         return isinstance(xs, list) and all(type(x) is int for x in xs)
 
@@ -73,6 +89,15 @@ def is_census(payload) -> bool:
         and bool(payload)
         and all(k.isdigit() for k in payload)
         and all(len(v) == 2 and ints(v[0]) and ints(v[1]) for v in payload.values())
+    )
+
+
+def is_gossip(payload) -> bool:
+    """The shape of size gossip messages: ``{"<id>": [scc, n, p], ...}``."""
+    return (
+        isinstance(payload, dict)
+        and bool(payload)
+        and all(k.isdigit() and len(v) == 3 for k, v in payload.items())
     )
 
 
@@ -213,20 +238,13 @@ class TestFloodedPhases:
             assert ints(labels) and ints(low) and len(low) <= 1
 
     def test_size_gossip_sends_each_entry_once(self, ring4):
-        def gossip(rec):
-            payload = json.loads(rec.payload)
-            if isinstance(payload, dict) and payload and all(k.isdigit() for k in payload):
-                if all(len(v) == 3 for v in payload.values()):
-                    return payload
-            return None
-
         systems = [ring4] + [sysm for _, sysm in corpus(6, start=6000, r_hi=7)]
         for sysm in systems:
             res = run(sysm, controlled)
             sent: dict = {}
             for rec in res.trace:
-                payload = gossip(rec)
-                if payload is None:
+                payload = json.loads(rec.payload)
+                if not is_gossip(payload):
                     continue
                 assert str(rec.sender) in payload  # never an empty map
                 seen = sent.setdefault((rec.sender, rec.receiver), [])
@@ -290,45 +308,51 @@ class TestFloodedPhases:
             assert len(lengths) <= 1
         assert sweeps_seen > len(systems)
 
-    def test_census_floods_for_the_diameter(self, ring4):
+    def test_census_runs_once_per_pass_on_the_tree(self, ring4):
         systems = [ring4, star(5), path(5), single()]
         systems += [sysm for _, sysm in corpus(6, start=6300, r_hi=7)]
         for sysm in systems:
             diameter = undirected_diameter(sysm)
+            parents = bfs_tree_parents(sysm)
             for drop in (False, True):
                 res = run(sysm, controlled_program(drop_incoming_boundary=drop))
                 census: dict = {}
                 for rec in res.trace:
                     payload = json.loads(rec.payload)
                     if is_census(payload):
-                        census.setdefault(rec.sender, []).append(payload[str(rec.sender)])
+                        census.setdefault(rec.sender, []).append(
+                            (rec.receiver, payload[str(rec.sender)])
+                        )
                 for i, out in res.outputs.items():
-                    deg = len(
-                        {c.to for c in sysm.outgoing(i)} | {c.from_ for c in sysm.incoming(i)}
-                    )
-                    # r rounds of the diameter flood, whose last round sends
-                    # D, then D rounds of census per pass
+                    children = [j for j, p in enumerate(parents) if p == i]
+                    # one message up and one to each child per aggregate: the
+                    # diameter's, then one census per pass
                     sent = census.get(i, [])
-                    assert len(sent) == deg * (sysm.r + out["passes"] * diameter), i
-                    if deg:
-                        assert sent[sysm.r * deg - 1] == [[diameter], []]
-        # reachability alone floods nothing after the size gossip
+                    tree_degree = len(children) + (parents[i] is not None)
+                    assert len(sent) == tree_degree * (1 + out["passes"]), i
+                    # the diameter goes down the tree first
+                    down = [part for j, part in sent[:tree_degree] if j in children]
+                    assert down == [[[diameter], []]] * len(children), i
+        # reachability alone aggregates nothing after the size gossip
         res = run(ring4, reached)
         assert not any(is_census(json.loads(rec.payload)) for rec in res.trace)
 
     def test_ring_rounds_and_message_counts_are_pinned(self, ring4):
+        # gossip 3 rounds on each of 4 edges (24), notify 8, reach 16, one
+        # sweep of 4 rounds (32), two barriers (32); 6 messages for each of
+        # the diameter, two censuses and the consensus
         res = run(ring4, controlled)
-        assert (res.rounds, len(res.trace)) == (27, 192)
+        assert (res.rounds, len(res.trace)) == (33, 136)
         res = run(ring4, controlled_program(drop_incoming_boundary=True))
-        assert (res.rounds, len(res.trace)) == (23, 160)
+        assert (res.rounds, len(res.trace)) == (29, 104)
 
 
 class TestDiameter:
     @staticmethod
     def learned(sysm) -> dict:
         def program(ctx):
-            _, ecc = yield from _gossip_sizes(ctx)
-            return (yield from _diameter(ctx, ecc))
+            _, _, diameter = yield from _learn_topology(ctx)
+            return diameter
 
         return run(sysm, program).outputs
 
@@ -345,6 +369,78 @@ class TestDiameter:
         assert undirected_diameter(single()) == 0
         # a path keeps windows as long as r allows
         assert undirected_diameter(path(7)) == 6
+
+
+class TestTree:
+    @staticmethod
+    def systems(ring4):
+        systems = [ring4, star(6), path(7), detour(), single()]
+        return systems + [sysm for _, sysm in corpus(20, start=6500, r_hi=8)]
+
+    @staticmethod
+    def setup(ctx):
+        _, ecc, parent = yield from _gossip_sizes(ctx)
+        tree = yield from _bfs_tree(ctx, parent)
+        return ecc, tree
+
+    def test_parents_form_the_lowest_id_bfs_tree(self, ring4):
+        for sysm in self.systems(ring4):
+            res = run(sysm, self.setup)
+            dist = undirected_distances(sysm, 0)
+            parents = [tree.parent for _, tree in res.outputs.values()]
+            assert parents[0] is None
+            for i in range(1, sysm.r):
+                closer = [j for j in sysm.neighbors(i) if dist[j] == dist[i] - 1]
+                assert parents[i] == min(closer), i
+            for i, (ecc, tree) in res.outputs.items():
+                assert ecc == max(undirected_distances(sysm, i)), i
+                assert tree.children == tuple(
+                    j for j, p in enumerate(parents) if p == i
+                ), i
+
+    def test_notify_round_sends_one_bool_per_edge_end(self, ring4):
+        for sysm in self.systems(ring4):
+            res = run(sysm, self.setup)
+            bools = [rec for rec in res.trace if rec.payload in ("true", "false")]
+            ends = sum(len(sysm.neighbors(i)) for i in range(sysm.r))
+            assert len(bools) == ends
+            assert sum(rec.payload == "true" for rec in bools) == sysm.r - 1
+
+    def test_aggregates_send_2_r_minus_1_messages_and_agree(self, ring4):
+        def union(part, heard):
+            return [sorted(set(part[0]).union(*(h[0] for h in heard))), []]
+
+        def program(ctx):
+            _, tree = yield from self.setup(ctx)
+            ids = yield from _tree_aggregate(ctx, tree, [[ctx.id], []], union)
+            last = ctx.id == ctx.r - 1
+            both = yield from _tree_aggregate(
+                ctx, tree, not last, lambda v, heard: v and all(heard), keyed=False
+            )
+            return ids, both
+
+        for sysm in self.systems(ring4):
+            res = run(sysm, program)
+            want = ([list(range(sysm.r)), []], False)
+            assert res.outputs == dict.fromkeys(range(sysm.r), want)
+            census = [rec for rec in res.trace if is_census(json.loads(rec.payload))]
+            bools = [rec for rec in res.trace if rec.payload in ("true", "false")]
+            ends = sum(len(sysm.neighbors(i)) for i in range(sysm.r))
+            assert len(census) == 2 * (sysm.r - 1)
+            assert len(bools) == ends + 2 * (sysm.r - 1)
+
+    def test_gossip_edges_last_min_eccentricity_plus_1_rounds(self, ring4):
+        for sysm in self.systems(ring4):
+            res = run(sysm, self.setup)
+            ecc = [max(undirected_distances(sysm, i)) for i in range(sysm.r)]
+            sent: dict = {}
+            for rec in res.trace:
+                if is_gossip(json.loads(rec.payload)):
+                    sent[rec.sender, rec.receiver] = sent.get((rec.sender, rec.receiver), 0) + 1
+            edges = {(i, j) for i in range(sysm.r) for j in sysm.neighbors(i)}
+            assert set(sent) == edges
+            for (i, j), rounds in sent.items():
+                assert rounds == min(ecc[i], ecc[j]) + 1, (i, j)
 
 
 class TestRegion:

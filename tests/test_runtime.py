@@ -277,26 +277,12 @@ class TestFlood:
         assert [sum(1 for i, _ in calls if i == a) for a in range(3)] == [3, 3, 3]
         assert [heard for i, heard in calls if i == 1] == [[0, 20], [1, 21], [2, 22]]
 
-    def test_rounds_sets_the_number_of_exchanges(self, line3):
-        for rounds in (0, 1, 5):
-            res = run(
-                line3,
-                lambda ctx: flood(ctx, [ctx.id], lambda v, heard: v + [len(v)], rounds),
-            )
-            # rounds=0 sends nothing and hands the value back; more rounds
-            # than r are not cut short
-            assert res.outputs == {i: [i, *range(1, rounds + 1)] for i in range(3)}
-            assert len(res.trace) == 4 * rounds
-            assert res.rounds == rounds + 1
-
-    def test_and_consensus_passes_its_rounds_on(self, line3):
-        res = run(line3, lambda ctx: and_consensus(ctx, ctx.id != 0, 1))
-        # one round reaches only agent 0's neighbor
-        assert res.outputs == {0: False, 1: False, 2: True}
-        assert len(res.trace) == 4
+    def test_and_consensus_ands_over_r_rounds(self, line3):
         res = run(line3, lambda ctx: and_consensus(ctx, ctx.id != 0))
         assert res.outputs == dict.fromkeys(range(3), False)
         assert len(res.trace) == 4 * line3.r
+        res = run(line3, lambda ctx: and_consensus(ctx, True))
+        assert res.outputs == dict.fromkeys(range(3), True)
 
     def test_union_reaches_every_agent_on_a_path_of_r_agents(self):
         r = 5

@@ -179,10 +179,14 @@ def check_certificate(A: SparsityPattern, B: SparsityPattern, verdict: Verdict) 
     kind = cert.get("type")
     n = A.rows
 
+    def is_state(k) -> bool:
+        return type(k) is int and 0 <= k < n
+
     if kind == "unreachable-closure":
-        states = set(cert["states"])
-        if verdict.controllable or not states:
+        states = cert["states"]
+        if verdict.controllable or not states or not all(map(is_state, states)):
             return False
+        states = set(states)
         if any(k in states for k, _ in B.nonzeros):
             return False
         return not any(
@@ -193,7 +197,7 @@ def check_certificate(A: SparsityPattern, B: SparsityPattern, verdict: Verdict) 
         if verdict.controllable:
             return False
         rights = [_dec(v) for v in cert["rights"]]
-        if not rights or any(v[0] != "x" for v in rights):
+        if not rights or any(v[0] != "x" or not is_state(v[1]) for v in rights):
             return False
         if len(set(rights)) != len(rights):
             return False

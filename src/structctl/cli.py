@@ -236,6 +236,8 @@ def _verify_similar(args) -> tuple[dict, bool]:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
+    if args.seed is not None and args.seed < 0:
+        raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.fig5_simplify and args.mode != "distributed":
         raise CliError("--fig5-simplify only applies to --mode distributed")
     if args.trace and args.mode not in ("distributed", "serial"):
@@ -295,6 +297,8 @@ def cmd_gen(args) -> tuple[dict, int]:
     if not 0.0 <= args.density <= 1.0:
         raise CliError(f"--density must be in [0, 1], got {args.density}")
     n_range = _parse_range(args.n, "--n")
+    if n_range[0] < 1:
+        raise CliError(f"--n: every subsystem needs at least 1 state, got {args.n!r}")
     p_range = _parse_range(args.p, "--p")
 
     if args.kind == "similar":

@@ -170,7 +170,7 @@ def flood(ctx: AgentContext, value, merge: Callable):
     message from each in the same order, and sets ``value = merge(value,
     heard)`` with ``heard`` the list of those messages.  Returns the value.
     An idempotent aggregate (union, max, AND) is complete after as many
-    rounds as the topology's diameter, which is below r."""
+    rounds as the longest hop distance between two agents, which is below r."""
     for _ in range(ctx.r):
         for j in ctx.neighbors:
             yield Send(j, value)

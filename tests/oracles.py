@@ -6,8 +6,8 @@ arithmetic.  Nothing imports the algorithm implementations under test.  The
 second-to-last section holds two reference algorithms that only the tests
 use, a unit-capacity preflow and a matching exchange, checked against the
 package's matchings; the last one holds facts about distributed runs that
-only the tests need: the boundary size, the topology's diameter and trace
-filtering.
+only the tests need: the boundary size, hop distances, the BFS tree and
+trace filtering.
 """
 
 from __future__ import annotations
@@ -495,11 +495,6 @@ def undirected_distances(sys: InterconnectedSystem, src: int) -> list[int]:
                 queue.append(w)
     assert len(dist) == sys.r, "topology is not weakly connected"
     return [dist[v] for v in range(sys.r)]
-
-
-def undirected_diameter(sys: InterconnectedSystem) -> int:
-    """The largest hop distance between two subsystems: one BFS each."""
-    return max(max(undirected_distances(sys, src)) for src in range(sys.r))
 
 
 def bfs_tree_parents(sys: InterconnectedSystem) -> list[int | None]:

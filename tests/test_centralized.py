@@ -99,6 +99,18 @@ class TestCertificateReplay:
         )
         assert not check_certificate(A, B, bad)
 
+        # negative certificates naming states outside 0..n-1
+        A = pat(2, 2, {(1, 0)})
+        B = pat(2, 1, {(0, 0)})
+        assert verify(A, B).controllable
+        for state in (7, 2, -1, "1"):
+            forged = [
+                {"type": "unreachable-closure", "states": [state]},
+                {"type": "right-deficiency", "rights": [["x", state]], "neighbors": []},
+            ]
+            for cert in forged:
+                assert not check_certificate(A, B, Verdict(False, good.mode, cert)), cert
+
     def test_replay_checks_edges_exist(self):
         A = pat(2, 2, {(1, 0)})
         B = pat(2, 1, {(0, 0)})

@@ -217,6 +217,15 @@ class TestVerifyInputHandling:
         assert rep["numeric_probe"]["seed"] == 9
         assert rep["numeric_probe"]["full_rank"] is True
 
+    def test_negative_seed_is_exit_2(self, capsys, ring_file):
+        for mode in ("centralized", "distributed"):
+            code, out, err = run_cli(
+                capsys, "verify", "--mode", mode, "--input", ring_file, "--seed", "-1",
+            )
+            assert code == 2
+            assert report_of(out)["error"] == "--seed must be a non-negative integer, got -1"
+            assert "Traceback" not in err
+
     def test_numeric_probe_skip_is_reported(self, capsys, tmp_path):
         chain = {(k + 1, k) for k in range(69)}
         path = tmp_path / "big.json"
@@ -281,9 +290,10 @@ class TestInternalErrors:
         real = distributed._tree_aggregate
 
         def split(ctx, tree, value, merge, keyed=True):
-            # the consensus is the one aggregate that is not keyed
+            # the consensus is the one aggregate whose merge is an AND
             got = yield from real(ctx, tree, value, merge, keyed)
-            return got if keyed or ctx.id else not got
+            final = not keyed and not merge(True, [False])
+            return not got if final and not ctx.id else got
 
         monkeypatch.setattr("structctl.distributed._tree_aggregate", split)
         code, out, _ = run_cli(capsys, "verify", "--mode", "distributed", "--input", ring_file)
@@ -352,13 +362,17 @@ class TestGen:
         assert all(s.n == 3 and s.p == 1 for s in load(path).subsystems)
 
     def test_bad_range_is_exit_2(self, capsys, tmp_path):
-        code, out, _ = run_cli(
-            capsys, "gen", "--r", "2", "--n", "5:2", "--p", "1",
-            "--density", "0.5", "--general", "--seed", "1",
-            "--out", str(tmp_path / "x.json"),
-        )
-        assert code == 2
-        assert "--n" in report_of(out)["error"]
+        # a reversed range, and state counts below 1 (which the generators
+        # would reject with a traceback)
+        for kind, n in (("--general", "5:2"), ("--general", "0"), ("--serial", "0:2")):
+            code, out, err = run_cli(
+                capsys, "gen", "--r", "2", "--n", n, "--p", "1",
+                "--density", "0.5", kind, "--seed", "1",
+                "--out", str(tmp_path / "x.json"),
+            )
+            assert code == 2, n
+            assert report_of(out)["error"].startswith("--n"), n
+            assert "Traceback" not in err
 
     def test_bad_density_is_exit_2(self, capsys, tmp_path):
         code, _, _ = run_cli(

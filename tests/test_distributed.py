@@ -12,15 +12,14 @@ from conftest import build_system, matching_size, reached_states
 from oracles import (
     bfs_tree_parents,
     boundary_vertex_count,
-    undirected_diameter,
     undirected_distances,
 )
+from structctl import distributed
 from structctl.centralized import verify
 from structctl.distributed import (
     Region,
     _bfs_tree,
     _gossip_sizes,
-    _learn_topology,
     _tree_aggregate,
     controlled,
     controlled_program,
@@ -80,7 +79,7 @@ def single():
 
 
 def is_census(payload) -> bool:
-    """The shape of census messages and of the diameter's."""
+    """The shape of census messages."""
     def ints(xs):
         return isinstance(xs, list) and all(type(x) is int for x in xs)
 
@@ -252,7 +251,7 @@ class TestFloodedPhases:
             for (i, j), keys in sent.items():
                 assert len(keys) == len(set(keys)), (i, j)
 
-    def test_relabel_sweep_stops_d_plus_1_rounds_after_the_last_change(self, ring4):
+    def test_relabel_sweep_stops_after_the_first_quiet_round(self, ring4):
         def is_relabel(payload):
             return isinstance(payload, dict) and set(payload) == {"d", "chg"}
 
@@ -264,55 +263,99 @@ class TestFloodedPhases:
             res = run(sysm, controlled_program(drop_incoming_boundary=True))
             assert not any(is_relabel(json.loads(rec.payload)) for rec in res.trace)
 
-            window = undirected_diameter(sysm) + 1
+            subs = sysm.subsystems
+            cap = 2 * sum(s.n for s in subs) + sum(s.p for s in subs) + 2
+            parents = bfs_tree_parents(sysm)
             res = run(sysm, controlled)
-            # Per sender, a sweep is a maximal run of its relabel messages;
-            # it sends one to each neighbor per sweep round.  Agents drift
-            # apart in runtime rounds (reachability only waits on incoming
-            # neighbors), so rounds count per sweep.
+            # Per sender, a sweep is a maximal run of its relabel messages
+            # and the tree OR's bools between them; it sends one relabel
+            # message to each neighbor per sweep round, then one bool up and
+            # one to each child.  Agents drift apart in runtime rounds
+            # (reachability only waits on incoming neighbors), so rounds
+            # count per sweep, and sweep k of one agent is sweep k of all.
             sweeps: dict = {}
             in_sweep: dict = {}
             for rec in res.trace:
                 payload = json.loads(rec.payload)
+                i = rec.sender
                 relabel = is_relabel(payload)
-                if relabel:
-                    own = sweeps.setdefault(rec.sender, [])
-                    if not in_sweep.get(rec.sender):
-                        own.append([])
-                    own[-1].append((rec.receiver, payload))
-                in_sweep[rec.sender] = relabel
-            lengths = set()
+                part = relabel or (in_sweep.get(i) and isinstance(payload, bool))
+                if relabel and not in_sweep.get(i):
+                    sweeps.setdefault(i, []).append(([], []))
+                if part:
+                    sweeps[i][-1][0 if relabel else 1].append((rec.receiver, payload))
+                in_sweep[i] = part
+            assert set(sweeps) == set(range(sysm.r))
+            lengths = {}
             for i, own in sweeps.items():
-                deg = len({j for j, _ in own[0]})
-                lengths.add(tuple(len(sweep) // deg for sweep in own))
-                for sweep in own:
-                    # A sweep lasts L + D + 1 rounds, L the last round in
-                    # which a price improved: no agent's chg exceeds L, and
-                    # every agent has heard of L by its last round.  Any
-                    # distance sent after round 1 improves its receiver's
-                    # price, so no distance goes out after round max(L, 1).
-                    rounds = len(sweep) // deg
-                    last = max(payload["chg"] for _, payload in sweep)
-                    assert rounds == last + window, (i, rounds, last, window)
+                deg = len(sysm.neighbors(i))
+                children = [j for j, p in enumerate(parents) if p == i]
+                tree_degree = len(children) + (parents[i] is not None)
+                lengths[i] = [len(relabels) // deg for relabels, _ in own]
+                for (relabels, bools), rounds in zip(own, lengths[i]):
+                    assert len(relabels) == rounds * deg
+                    assert len(bools) == rounds * tree_degree
+            # every agent's sweeps have the same lengths
+            assert len({tuple(v) for v in lengths.values()}) == 1, lengths
+            children = [j for j, p in enumerate(parents) if p == 0]
+            for k, rounds in enumerate(lengths[0]):
+                # The root's broadcasts, one bool to each child per round:
+                # true for L rounds, then false once, so a sweep lasts
+                # L + 1 rounds.
+                down = [v for _, v in sweeps[0][k][1]]
+                reads = down[:: len(children)]
+                assert down == [v for v in reads for _ in children]
+                L = rounds - 1
+                assert reads == [True] * L + [False], (k, reads)
+                # A round's OR is true exactly when some distance below the
+                # cap went out in it: in round 1 every price starts at the
+                # cap, and after it only changed (lower) distances go out.
+                # So no distance goes out after round max(L, 1).
+                moved = [False] * rounds
+                for i, own in sweeps.items():
+                    deg = len(sysm.neighbors(i))
                     before: dict = {}
-                    for k, (j, payload) in enumerate(sweep):
-                        rnd, d = k // deg + 1, payload["d"]
-                        if rnd > max(last, 1):
+                    for m, (j, payload) in enumerate(own[k][0]):
+                        rnd, d = m // deg + 1, payload["d"]
+                        assert payload["chg"] == rnd
+                        if rnd > max(L, 1):
                             assert d == {}, (i, j, rnd)
                         if rnd > 1:
                             for key, val in d.items():
                                 assert before[j].get(key) != val, (i, j, rnd, key)
                         before.setdefault(j, {}).update(d)
-                sweeps_seen += len(own)
-            # every agent ends every sweep after the same number of rounds
-            assert len(lengths) <= 1
+                        if any(val < cap for val in d.values()):
+                            moved[rnd - 1] = True
+                assert moved == reads, (k, moved, reads)
+            sweeps_seen += len(lengths[0])
         assert sweeps_seen > len(systems)
+
+    def test_relabel_sweep_ends_at_a_fixpoint(self, ring4, monkeypatch):
+        """One more quiet round per sweep leaves every label where it was."""
+        systems = [ring4] + [sysm for _, sysm in corpus(8, start=6100, r_hi=7)]
+        program = controlled_program(collect_states=True)
+        plain = [run(sysm, program) for sysm in systems]
+
+        real = distributed._tree_aggregate
+        extra: dict = {}
+
+        def one_more(ctx, tree, value, merge, keyed=True):
+            got = yield from real(ctx, tree, value, merge, keyed)
+            if keyed or not merge(False, [True]):
+                return got  # not the sweep's OR
+            extra[ctx.id] = not got and not extra.get(ctx.id)
+            return got or extra[ctx.id]
+
+        monkeypatch.setattr(distributed, "_tree_aggregate", one_more)
+        for sysm, want in zip(systems, plain):
+            res = run(sysm, program)
+            assert res.outputs == want.outputs
+            assert len(res.trace) > len(want.trace)
 
     def test_census_runs_once_per_pass_on_the_tree(self, ring4):
         systems = [ring4, star(5), path(5), single()]
         systems += [sysm for _, sysm in corpus(6, start=6300, r_hi=7)]
         for sysm in systems:
-            diameter = undirected_diameter(sysm)
             parents = bfs_tree_parents(sysm)
             for drop in (False, True):
                 res = run(sysm, controlled_program(drop_incoming_boundary=drop))
@@ -325,50 +368,23 @@ class TestFloodedPhases:
                         )
                 for i, out in res.outputs.items():
                     children = [j for j, p in enumerate(parents) if p == i]
-                    # one message up and one to each child per aggregate: the
-                    # diameter's, then one census per pass
+                    # one message up and one to each child per census, one
+                    # census per pass
                     sent = census.get(i, [])
                     tree_degree = len(children) + (parents[i] is not None)
-                    assert len(sent) == tree_degree * (1 + out["passes"]), i
-                    # the diameter goes down the tree first
-                    down = [part for j, part in sent[:tree_degree] if j in children]
-                    assert down == [[[diameter], []]] * len(children), i
+                    assert len(sent) == tree_degree * out["passes"], i
         # reachability alone aggregates nothing after the size gossip
         res = run(ring4, reached)
         assert not any(is_census(json.loads(rec.payload)) for rec in res.trace)
 
     def test_ring_rounds_and_message_counts_are_pinned(self, ring4):
         # gossip 3 rounds on each of 4 edges (24), notify 8, reach 16, one
-        # sweep of 4 rounds (32), two barriers (32); 6 messages for each of
-        # the diameter, two censuses and the consensus
+        # sweep of 2 rounds (16, plus 6 for each round's OR), two barriers
+        # (32); 6 messages for each of two censuses and the consensus
         res = run(ring4, controlled)
-        assert (res.rounds, len(res.trace)) == (33, 136)
+        assert (res.rounds, len(res.trace)) == (33, 126)
         res = run(ring4, controlled_program(drop_incoming_boundary=True))
-        assert (res.rounds, len(res.trace)) == (29, 104)
-
-
-class TestDiameter:
-    @staticmethod
-    def learned(sysm) -> dict:
-        def program(ctx):
-            _, _, diameter = yield from _learn_topology(ctx)
-            return diameter
-
-        return run(sysm, program).outputs
-
-    def test_every_agent_learns_the_undirected_diameter(self, ring4):
-        systems = [ring4, star(6), single(), path(2), path(7)]
-        systems += [sysm for _, sysm in corpus(20, start=6400, r_hi=8)]
-        for sysm in systems:
-            want = undirected_diameter(sysm)
-            assert self.learned(sysm) == dict.fromkeys(range(sysm.r), want)
-
-    def test_known_diameters(self, ring4):
-        assert undirected_diameter(ring4) == 2
-        assert undirected_diameter(star(6)) == 2
-        assert undirected_diameter(single()) == 0
-        # a path keeps windows as long as r allows
-        assert undirected_diameter(path(7)) == 6
+        assert (res.rounds, len(res.trace)) == (25, 98)
 
 
 class TestTree:
@@ -379,21 +395,19 @@ class TestTree:
 
     @staticmethod
     def setup(ctx):
-        _, ecc, parent = yield from _gossip_sizes(ctx)
-        tree = yield from _bfs_tree(ctx, parent)
-        return ecc, tree
+        _, parent = yield from _gossip_sizes(ctx)
+        return (yield from _bfs_tree(ctx, parent))
 
     def test_parents_form_the_lowest_id_bfs_tree(self, ring4):
         for sysm in self.systems(ring4):
             res = run(sysm, self.setup)
             dist = undirected_distances(sysm, 0)
-            parents = [tree.parent for _, tree in res.outputs.values()]
+            parents = [tree.parent for tree in res.outputs.values()]
             assert parents[0] is None
             for i in range(1, sysm.r):
                 closer = [j for j in sysm.neighbors(i) if dist[j] == dist[i] - 1]
                 assert parents[i] == min(closer), i
-            for i, (ecc, tree) in res.outputs.items():
-                assert ecc == max(undirected_distances(sysm, i)), i
+            for i, tree in res.outputs.items():
                 assert tree.children == tuple(
                     j for j, p in enumerate(parents) if p == i
                 ), i
@@ -411,7 +425,7 @@ class TestTree:
             return [sorted(set(part[0]).union(*(h[0] for h in heard))), []]
 
         def program(ctx):
-            _, tree = yield from self.setup(ctx)
+            tree = yield from self.setup(ctx)
             ids = yield from _tree_aggregate(ctx, tree, [[ctx.id], []], union)
             last = ctx.id == ctx.r - 1
             both = yield from _tree_aggregate(

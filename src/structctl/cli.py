@@ -292,6 +292,8 @@ def _parse_range(text: str, flag: str) -> tuple[int, int]:
 
 
 def cmd_gen(args) -> tuple[dict, int]:
+    if args.seed < 0:
+        raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
     if args.r < 1:
         raise CliError(f"--r must be at least 1, got {args.r}")
     if not 0.0 <= args.density <= 1.0:

@@ -16,9 +16,14 @@ sink equals the global maximum-matching size.
 Global aggregates travel on a BFS tree rooted at agent 0 that size gossip
 builds as a side effect (:func:`_gossip_sizes`, :func:`_bfs_tree`): each one
 is a convergecast plus broadcast of 2(r - 1) messages
-(:func:`_tree_aggregate`).  ``controlled`` runs three kinds: the label
-census of every pass, the relabel sweep's per-round "anything changed", and
-the final AND-consensus.
+(:func:`_tree_aggregate`).  ``controlled`` runs four kinds: reachability's
+per-iteration "any reached set grew", the label census of every pass, the
+relabel sweep's per-round list of agents with news, and the final
+AND-consensus.  They let ``controlled`` send only messages that carry news:
+reachability stops at its global fixpoint, only agents with news speak in
+the relabel sweep, and accepts answer only offers.  Each skipped message is
+one whose effect the receiver could predict, so the outputs are those of
+the full exchange.
 
 Termination and the pass bound: each pass starts by recomputing every own
 label as the residual distance to the sink given the cached boundary labels
@@ -30,10 +35,10 @@ From the second pass on, the recomputation becomes a synchronous multi-round
 sweep that relaxes distances across regions to a global fixpoint, which
 rules out the count-to-infinity laddering two mutually cached boundaries
 could otherwise sustain.  The sweep sends only distances that changed, and
-after each round an OR on the tree asks whether any remote price improved;
-all agents stop after the first round in which none did, which is a global
-fixpoint (see :func:`_exact_relabel`).  Without the incoming boundary no
-neighbor caches what a sweep would send, so none runs.
+after each round a union on the tree names the agents whose distances
+changed; only they send in the next round, and all agents stop once none
+did, which is a global fixpoint (see :func:`_exact_relabel`).  Without the
+incoming boundary no neighbor caches what a sweep would send, so none runs.
 Labels are capped at 2*sum(n)+sum(p)+2 (the number of flow vertices); excess
 stuck at the cap is permanently trapped, and the run stops once no region
 holds excess below the cap.
@@ -154,10 +159,16 @@ def _tree_aggregate(
     return value
 
 
-def _reached_steps(ctx: AgentContext, iterations: int):
-    """The given number of exchange-absorb-propagate iterations; returns the
-    reached set, its size after each iteration, and the iteration at which it
-    first covered every own state."""
+def _reached_steps(ctx: AgentContext, iterations: int, tree: Tree | None = None):
+    """Up to the given number of exchange-absorb-propagate iterations;
+    returns the reached set, its size after each iteration, and the
+    iteration at which it first covered every own state.
+
+    With a ``tree``, an OR on it after each iteration but the last asks
+    whether any agent's reached set grew.  If none did, the next iteration
+    would send and absorb exactly what this one did, so the sets are at
+    their fixpoint: every agent stops and pads the sizes with the last one,
+    which gives the same outputs as running every iteration."""
     own = ctx.subsystem
     reached = set(own.B.row_support())
     succs = own.A.by_col()
@@ -167,6 +178,7 @@ def _reached_steps(ctx: AgentContext, iterations: int):
     sizes = []
     completed = None
     for it in range(1, iterations + 1):
+        before = len(reached)
         for j in sorted(ctx.outgoing):
             yield Send(j, sorted(reached & visible_cols[j]))
         for j in sorted(ctx.incoming):
@@ -183,11 +195,20 @@ def _reached_steps(ctx: AgentContext, iterations: int):
         sizes.append(len(reached))
         if completed is None and len(reached) == own.n:
             completed = it
+        if tree is not None and it < iterations:
+            grew = yield from _tree_aggregate(
+                ctx, tree, len(reached) > before, lambda v, heard: v or any(heard),
+                keyed=False,
+            )
+            if not grew:
+                sizes += [len(reached)] * (iterations - it)
+                break
     return reached, sizes, completed
 
 
 def reached_program(extra_iterations: int = 0):
-    """Agent program: true iff every own state is input-reachable globally;
+    """Agent program: true iff every own state is input-reachable globally.
+    It runs every iteration, with no tree to stop it at the fixpoint;
     ``extra_iterations`` appends outer iterations (fixpoint probing)."""
 
     def reached(ctx: AgentContext):
@@ -457,15 +478,16 @@ def _exact_relabel(ctx: AgentContext, tree: Tree, region: Region, cap: int):
     global residual distance and trapped excess freezes at once.  It needs
     the incoming boundary, or no neighbor caches what an agent sends.
 
-    Each round an agent sends every neighbor the capped distances of those
-    own vertices the neighbor caches that changed since the agent last sent
-    them (all of them in round 1, ``{}`` when none did), then ORs on the
-    tree whether any remote price improved this round.  Remote prices only
-    decrease, so distances only decrease, and each remote price is the last
-    distance its owner sent.  After a round in which no price improved
-    anywhere no distance moved either: every distance has been sent and
-    every price equals it, which is the fixpoint, so every agent stops
-    after the same round."""
+    Each round the agents with news send every neighbor the capped
+    distances of those own vertices the neighbor caches that changed since
+    the agent last sent them (``{}`` when none of them did); in round 1
+    every agent has news.  Then a union on the tree names the agents whose
+    distances changed this round: they, and only they, send in the next
+    round, and each agent receives only from the neighbors named.  Remote
+    prices only decrease, so distances only decrease, and each remote price
+    is the last distance its owner sent.  Once no agent has news every
+    distance has been sent and every price equals it, which is the
+    fixpoint, so every agent stops after the same round."""
     remote = dict.fromkeys(region.cache, cap)
     shared = sorted({v for bucket in region.shared_with.values() for v in bucket})
     sent: dict = {}
@@ -481,39 +503,39 @@ def _exact_relabel(ctx: AgentContext, tree: Tree, region: Region, cap: int):
 
     dist = region._distances(cap, remote)
     changed = news(dist)
+    speakers = {ctx.id, *ctx.neighbors}  # round 1: everyone
     t = 0
-    improved = True
-    while improved:
+    while speakers:
         t += 1
-        for j in ctx.neighbors:
-            # "chg" (the round) stays only because bench/checks.phase_of
-            # recognises relabel messages by their key set.
-            yield Send(
-                j,
-                {
-                    "d": {
-                        _vkey(v): changed[v]
-                        for v in region.shared_with.get(j, [])
-                        if v in changed
-                    },
-                    "chg": t,
-                },
-            )
-        changed = {}
+        if ctx.id in speakers:
+            for j in ctx.neighbors:
+                d = {
+                    _vkey(v): changed[v]
+                    for v in region.shared_with.get(j, [])
+                    if v in changed
+                }
+                # "chg" (the round) stays only because bench/checks.phase_of
+                # recognises relabel messages by their key set.
+                yield Send(j, {"d": d, "chg": t})
         improved = False
         for j in ctx.neighbors:
+            if j not in speakers:
+                continue
             heard = yield Recv(j)
             for key, val in heard["d"].items():
                 v = (key[0], j, int(key[1:]))
                 if v in remote and val < remote[v]:
                     remote[v] = int(val)
                     improved = True
+        changed = {}
         if improved:
             dist = region._distances(cap, remote)
             changed = news(dist)
-        improved = yield from _tree_aggregate(
-            ctx, tree, improved, lambda v, heard: v or any(heard), keyed=False
+        ids = yield from _tree_aggregate(
+            ctx, tree, [ctx.id] if changed else [],
+            lambda v, heard: sorted(set(v).union(*heard)), keyed=False,
         )
+        speakers = set(ids)
     for v in region.own:
         region.label[v] = max(region.label[v], min(dist[v], cap))
     for w, val in remote.items():
@@ -532,7 +554,11 @@ def _edge_from_key(key) -> tuple:
 
 def _barrier(ctx: AgentContext, region: Region):
     """One boundary exchange: labels and offers out, accepts back, transfers
-    applied on both sides.  Returns the number of own units accepted away."""
+    applied on both sides.  Returns the number of own units accepted away.
+
+    Only a neighbor that made offers gets an accepts message, possibly an
+    empty one, so an agent waits for a reply only from the neighbors it
+    offered to: an empty reply to no offer would move nothing."""
     offers_to: dict[int, list] = {j: [] for j in ctx.neighbors}
     for v in sorted(region.holding):
         budget = region.holding[v]
@@ -590,10 +616,13 @@ def _barrier(ctx: AgentContext, region: Region):
                     incoming_units.append((edge, "back"))
 
     for j in ctx.neighbors:
-        yield Send(j, {"accepts": sorted(accepts_to[j])})
+        if inbound[j]["offers"]:
+            yield Send(j, {"accepts": sorted(accepts_to[j])})
     accepted_away = 0
     accepted_edges = []
     for j in ctx.neighbors:
+        if not offers_to[j]:
+            continue
         reply = yield Recv(j)
         for key in reply["accepts"]:
             accepted_edges.append(_edge_from_key(key))
@@ -725,7 +754,7 @@ def controlled_program(
         info, parent = yield from _gossip_sizes(ctx)
         tree = yield from _bfs_tree(ctx, parent)
         N = sum(v[0] for v in info)
-        got, sizes, completed = yield from _reached_steps(ctx, N)
+        got, sizes, completed = yield from _reached_steps(ctx, N, tree)
         rchd = len(got) == ctx.subsystem.n
 
         cap = 2 * sum(v[1] for v in info) + sum(v[2] for v in info) + 2

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 
 from .centralized import verify
-from .graphkit import Mates, max_matching, path_cycle_decomposition
+from .graphkit import max_matching, path_cycle_decomposition
 from .model import (
     Graph,
     InterconnectedSystem,
@@ -157,46 +157,6 @@ def _cycle_cover(g: Graph) -> list[list[int]] | None:
     if -1 in mates[1]:
         return None
     return path_cycle_decomposition(mates)[1]
-
-
-def build_composite_matching(spec: SimilarSystemSpec) -> Mates:
-    """Lift a right-perfect matching of the collapsed template onto the full
-    system when the cycle-cover condition holds.
-
-    Template edges supported by Aprime or an input stay inside each copy;
-    edges supported only by H jump from a copy to its successor on the
-    spanning cycle.  The result covers every right vertex of the expanded
-    system, as mate arrays on its ``system_digraph`` (states of copy i at
-    i*n.., inputs of copy i at r*n + i*p..).
-    """
-    check = check_cycle_cover(spec)
-    if check.status != "true":
-        raise ValueError(f"cycle-cover condition does not hold: {check.status}")
-    cover = _cycle_cover(copy_level_digraph(spec))
-    assert cover is not None
-    succ = {}
-    for cyc in cover:
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            succ[a] = b
-
-    n, p, r = spec.n, spec.p, spec.r
-    _, feeder = max_matching(system_bipartite(spec.Aprime | spec.H, spec.Bprime), n)
-    if -1 in feeder:
-        raise AssertionError("collapsed matching unexpectedly not right-perfect")
-
-    mate_l = [-1] * (r * n + r * p)
-    mate_r = [-1] * (r * n)
-    for k, l in enumerate(feeder):
-        for i in range(r):
-            if l >= n:
-                left, right = r * n + i * p + (l - n), i * n + k
-            elif (k, l) in spec.Aprime.nonzeros:
-                left, right = i * n + l, i * n + k
-            else:  # supported by H only: land in the cycle successor's copy
-                left, right = i * n + l, succ[i] * n + k
-            mate_l[left] = right
-            mate_r[right] = left
-    return mate_l, mate_r
 
 
 # ---------------------------------------------------------------------------

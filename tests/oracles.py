@@ -2,12 +2,14 @@
 
 Everything here favors obviousness over speed: bitmask DP over right
 vertices, per-source DFS, pairwise reachability closures, dense index
-arithmetic.  Nothing imports the algorithm implementations under test.  The
-second-to-last section holds two reference algorithms that only the tests
-use, a unit-capacity preflow and a matching exchange, checked against the
-package's matchings; the last one holds facts about distributed runs that
-only the tests need: the boundary size, hop distances, the BFS tree and
-trace filtering.
+arithmetic.  Apart from the similar-systems section, nothing imports the
+algorithm implementations under test; that section lifts the cycle-cover
+check's result into a matching of the expanded system, a construction only
+the tests use.  The section after it holds two reference algorithms that
+only the tests use, a unit-capacity preflow and a matching exchange, checked
+against the package's matchings; the last one holds facts about distributed
+runs that only the tests need: the boundary size, hop distances, the BFS
+tree and trace filtering.
 """
 
 from __future__ import annotations
@@ -15,8 +17,10 @@ from __future__ import annotations
 from collections import deque, namedtuple
 from functools import lru_cache
 
-from structctl.model import InterconnectedSystem, SparsityPattern
+from structctl.graphkit import max_matching, path_cycle_decomposition
+from structctl.model import InterconnectedSystem, SparsityPattern, system_bipartite
 from structctl.runtime import Trace
+from structctl.similar import SimilarSystemSpec, check_cycle_cover, copy_level_digraph
 
 # The oracles' own graph forms, over any hashable vertices.
 Bipartite = namedtuple("Bipartite", "left right edges")  # edges: (left, right)
@@ -287,6 +291,49 @@ def lemma4_literal_search(sys: InterconnectedSystem) -> bool:
         if matching_opt_bruteforce(cross)[0] == len(spare_rights):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# similar systems: the composite matching
+
+
+def build_composite_matching(spec: SimilarSystemSpec) -> tuple[list[int], list[int]]:
+    """Lift a right-perfect matching of the collapsed template onto the full
+    system when the cycle-cover condition holds.
+
+    Template edges supported by Aprime or an input stay inside each copy;
+    edges supported only by H jump from a copy to its successor on the
+    spanning cycle.  The result covers every right vertex of the expanded
+    system, as mate arrays on its ``system_digraph`` (states of copy i at
+    i*n.., inputs of copy i at r*n + i*p..).
+    """
+    check = check_cycle_cover(spec)
+    if check.status != "true":
+        raise ValueError(f"cycle-cover condition does not hold: {check.status}")
+    copies = copy_level_digraph(spec)
+    succ = {}
+    for cyc in path_cycle_decomposition(max_matching(copies, len(copies)))[1]:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            succ[a] = b
+
+    n, p, r = spec.n, spec.p, spec.r
+    _, feeder = max_matching(system_bipartite(spec.Aprime | spec.H, spec.Bprime), n)
+    if -1 in feeder:
+        raise AssertionError("collapsed matching unexpectedly not right-perfect")
+
+    mate_l = [-1] * (r * n + r * p)
+    mate_r = [-1] * (r * n)
+    for k, l in enumerate(feeder):
+        for i in range(r):
+            if l >= n:
+                left, right = r * n + i * p + (l - n), i * n + k
+            elif (k, l) in spec.Aprime.nonzeros:
+                left, right = i * n + l, i * n + k
+            else:  # supported by H only: land in the cycle successor's copy
+                left, right = i * n + l, succ[i] * n + k
+            mate_l[left] = right
+            mate_r[right] = left
+    return mate_l, mate_r
 
 
 # ---------------------------------------------------------------------------

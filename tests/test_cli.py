@@ -290,9 +290,9 @@ class TestInternalErrors:
         real = distributed._tree_aggregate
 
         def split(ctx, tree, value, merge, keyed=True):
-            # the consensus is the one aggregate whose merge is an AND
+            # the consensus is the one aggregate of bools whose merge is an AND
             got = yield from real(ctx, tree, value, merge, keyed)
-            final = not keyed and not merge(True, [False])
+            final = not keyed and isinstance(value, bool) and not merge(True, [False])
             return not got if final and not ctx.id else got
 
         monkeypatch.setattr("structctl.distributed._tree_aggregate", split)
@@ -373,6 +373,20 @@ class TestGen:
             assert code == 2, n
             assert report_of(out)["error"].startswith("--n"), n
             assert "Traceback" not in err
+
+    def test_negative_seed_is_exit_2(self, capsys, tmp_path):
+        # random.Random would seed from the absolute value, so -5 would
+        # quietly write the file of 5
+        for kind in ("--general", "--serial", "--similar"):
+            path = tmp_path / "x.json"
+            code, out, err = run_cli(
+                capsys, "gen", "--r", "2", "--n", "1:2", "--p", "1",
+                "--density", "0.4", kind, "--seed", "-5", "--out", str(path),
+            )
+            assert code == 2, kind
+            assert report_of(out)["error"] == "--seed must be a non-negative integer, got -5"
+            assert "Traceback" not in err
+            assert not path.exists()
 
     def test_bad_density_is_exit_2(self, capsys, tmp_path):
         code, _, _ = run_cli(

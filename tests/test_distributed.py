@@ -19,6 +19,7 @@ from structctl.centralized import verify
 from structctl.distributed import (
     Region,
     _bfs_tree,
+    _vkey,
     _gossip_sizes,
     _tree_aggregate,
     controlled,
@@ -27,7 +28,7 @@ from structctl.distributed import (
     reached_program,
 )
 from structctl.model import assemble_global, random_system
-from structctl.runtime import AgentContext, run
+from structctl.runtime import AgentContext, Recv, Send, run
 
 
 def corpus(count, start=0, r_hi=5, n_hi=6):
@@ -100,6 +101,15 @@ def is_gossip(payload) -> bool:
     )
 
 
+def is_ids(payload) -> bool:
+    """An int list: a reach message, or the relabel sweep's id list."""
+    return isinstance(payload, list) and all(type(x) is int for x in payload)
+
+
+def is_relabel(payload) -> bool:
+    return isinstance(payload, dict) and set(payload) == {"d", "chg"}
+
+
 def ring_context(ring, i):
     return AgentContext(
         id=i,
@@ -148,6 +158,41 @@ class TestReached:
                 sizes = extra.outputs[i]["sizes_by_iteration"]
                 n_base = base.outputs[i]["N"]
                 assert sizes[n_base:] == [sizes[n_base - 1]] * 3, seed
+
+    def test_controlled_stops_at_the_fixpoint_with_the_same_outputs(self, ring4):
+        systems = [ring4, path(7)] + [sysm for _, sysm in corpus(40, start=400)]
+        early = 0
+        for sysm in systems:
+            full = run(sysm, reached).outputs
+            N = full[0]["N"]
+            # sizes[i][k]: agent i's reached-set size after iteration k
+            sizes = [
+                [len(sysm.subsystem(i).B.row_support())] + full[i]["sizes_by_iteration"]
+                for i in range(sysm.r)
+            ]
+            quiet = next(
+                (k for k in range(1, N + 1) if all(s[k] == s[k - 1] for s in sizes)), N
+            )
+            early += quiet < N
+            res = run(sysm, controlled)
+            for i, out in res.outputs.items():
+                assert out["reached"] == full[i]["reached"]
+                assert out["reached_sizes"] == full[i]["sizes_by_iteration"]
+                assert out["reached_completed"] == full[i]["completed_iteration"]
+            # Reach messages are the int lists an agent sends the subsystems
+            # it feeds before its first barrier message.
+            sent: dict = {}
+            barrier = set()
+            for rec in res.trace:
+                payload = json.loads(rec.payload)
+                if isinstance(payload, dict) and "offers" in payload:
+                    barrier.add(rec.sender)
+                elif rec.sender not in barrier and is_ids(payload):
+                    sent[rec.sender, rec.receiver] = sent.get((rec.sender, rec.receiver), 0) + 1
+            edges = {(c.from_, c.to) for i in range(sysm.r) for c in sysm.outgoing(i)}
+            assert sent == dict.fromkeys(edges, min(quiet, N))
+        # ring4 completes only at iteration N; most corpus systems settle sooner
+        assert early > len(systems) // 2
 
     def test_ring_completes_in_four_iterations(self, ring4):
         res = run(ring4, reached)
@@ -251,84 +296,105 @@ class TestFloodedPhases:
             for (i, j), keys in sent.items():
                 assert len(keys) == len(set(keys)), (i, j)
 
-    def test_relabel_sweep_stops_after_the_first_quiet_round(self, ring4):
-        def is_relabel(payload):
-            return isinstance(payload, dict) and set(payload) == {"d", "chg"}
-
+    def test_relabel_sweep_stops_after_the_first_quiet_round(self, ring4, monkeypatch):
         systems = [ring4] + [sysm for _, sysm in corpus(8, start=6100, r_hi=7)]
-        sweeps_seen = 0
         for sysm in systems:
             # Without the incoming boundary no neighbor caches what a sweep
             # would send, so none runs.
             res = run(sysm, controlled_program(drop_incoming_boundary=True))
             assert not any(is_relabel(json.loads(rec.payload)) for rec in res.trace)
 
+        # Each sweep ends at the fixpoint: the distances an agent's last
+        # prices give its shared vertices are the last ones it sent, so no
+        # agent stops holding news.
+        real = distributed._exact_relabel
+        settled = []
+
+        def spy(ctx, tree, region, cap):
+            prices = dict.fromkeys(region.cache, cap)
+            last = {}
+            sweep = real(ctx, tree, region, cap)
+            reply = None
+            while True:
+                try:
+                    action = sweep.send(reply)
+                except StopIteration:
+                    break
+                reply = yield action
+                if isinstance(action, Send) and is_relabel(action.payload):
+                    last.update(action.payload["d"])
+                if isinstance(action, Recv) and is_relabel(reply):
+                    for key, val in reply["d"].items():
+                        v = (key[0], action.frm, int(key[1:]))
+                        if v in prices:
+                            prices[v] = min(prices[v], val)
+            dist = region._distances(cap, prices)
+            shared = {v for bucket in region.shared_with.values() for v in bucket}
+            settled.append(last == {_vkey(v): min(dist[v], cap) for v in shared})
+
+        monkeypatch.setattr(distributed, "_exact_relabel", spy)
+        sweeps_seen = quiet_speakers = 0
+        for sysm in systems:
             subs = sysm.subsystems
             cap = 2 * sum(s.n for s in subs) + sum(s.p for s in subs) + 2
             parents = bfs_tree_parents(sysm)
             res = run(sysm, controlled)
             # Per sender, a sweep is a maximal run of its relabel messages
-            # and the tree OR's bools between them; it sends one relabel
-            # message to each neighbor per sweep round, then one bool up and
-            # one to each child.  Agents drift apart in runtime rounds
-            # (reachability only waits on incoming neighbors), so rounds
-            # count per sweep, and sweep k of one agent is sweep k of all.
+            # and the tree union's id lists, opened by round 1's relabel
+            # messages.  Reach messages are int lists too, but every agent
+            # sends them before its first barrier, so before any sweep.
             sweeps: dict = {}
             in_sweep: dict = {}
             for rec in res.trace:
                 payload = json.loads(rec.payload)
                 i = rec.sender
                 relabel = is_relabel(payload)
-                part = relabel or (in_sweep.get(i) and isinstance(payload, bool))
+                part = relabel or (in_sweep.get(i) and is_ids(payload))
                 if relabel and not in_sweep.get(i):
                     sweeps.setdefault(i, []).append(([], []))
                 if part:
                     sweeps[i][-1][0 if relabel else 1].append((rec.receiver, payload))
                 in_sweep[i] = part
             assert set(sweeps) == set(range(sysm.r))
-            lengths = {}
-            for i, own in sweeps.items():
-                deg = len(sysm.neighbors(i))
-                children = [j for j, p in enumerate(parents) if p == i]
-                tree_degree = len(children) + (parents[i] is not None)
-                lengths[i] = [len(relabels) // deg for relabels, _ in own]
-                for (relabels, bools), rounds in zip(own, lengths[i]):
-                    assert len(relabels) == rounds * deg
-                    assert len(bools) == rounds * tree_degree
-            # every agent's sweeps have the same lengths
-            assert len({tuple(v) for v in lengths.values()}) == 1, lengths
-            children = [j for j, p in enumerate(parents) if p == 0]
-            for k, rounds in enumerate(lengths[0]):
-                # The root's broadcasts, one bool to each child per round:
-                # true for L rounds, then false once, so a sweep lasts
-                # L + 1 rounds.
-                down = [v for _, v in sweeps[0][k][1]]
-                reads = down[:: len(children)]
-                assert down == [v for v in reads for _ in children]
-                L = rounds - 1
-                assert reads == [True] * L + [False], (k, reads)
-                # A round's OR is true exactly when some distance below the
-                # cap went out in it: in round 1 every price starts at the
-                # cap, and after it only changed (lower) distances go out.
-                # So no distance goes out after round max(L, 1).
-                moved = [False] * rounds
+            assert len({len(own) for own in sweeps.values()}) == 1
+            root_children = [j for j, p in enumerate(parents) if p == 0]
+            for k in range(len(sweeps[0])):
+                # The root's broadcasts, one id list to each child per round:
+                # non-empty until the first empty one, which ends the sweep.
+                down = [ids for _, ids in sweeps[0][k][1]]
+                lists = down[:: len(root_children)]
+                assert down == [ids for ids in lists for _ in root_children]
+                assert lists[-1] == [] and all(lists[:-1]), (k, lists)
+                rounds = len(lists)
                 for i, own in sweeps.items():
-                    deg = len(sysm.neighbors(i))
+                    relabels, ids = own[k]
+                    children = [j for j, p in enumerate(parents) if p == i]
+                    tree_degree = len(children) + (parents[i] is not None)
+                    assert len(ids) == rounds * tree_degree
+                    # every agent speaks in round 1; after it, exactly the
+                    # agents the last round's list named speak, each to
+                    # every neighbor once, and each says something new
+                    speaks = [1] + [t + 2 for t in range(rounds - 1) if i in lists[t]]
+                    by_round: dict = {}
+                    for j, payload in relabels:
+                        by_round.setdefault(payload["chg"], []).append((j, payload["d"]))
+                    assert sorted(by_round) == speaks, (i, k)
                     before: dict = {}
-                    for m, (j, payload) in enumerate(own[k][0]):
-                        rnd, d = m // deg + 1, payload["d"]
-                        assert payload["chg"] == rnd
-                        if rnd > max(L, 1):
-                            assert d == {}, (i, j, rnd)
-                        if rnd > 1:
-                            for key, val in d.items():
-                                assert before[j].get(key) != val, (i, j, rnd, key)
-                        before.setdefault(j, {}).update(d)
-                        if any(val < cap for val in d.values()):
-                            moved[rnd - 1] = True
-                assert moved == reads, (k, moved, reads)
-            sweeps_seen += len(lengths[0])
+                    for t, sent in sorted(by_round.items()):
+                        assert [j for j, _ in sent] == list(sysm.neighbors(i))
+                        if t > 1:
+                            assert any(d for _, d in sent), (i, t)
+                            for j, d in sent:
+                                for key, val in d.items():
+                                    assert val < before[j].get(key, cap + 1), (i, j, t, key)
+                        for j, d in sent:
+                            before.setdefault(j, {}).update(d)
+                quiet_speakers += sum(len(ids) < sysm.r for ids in lists[:-1])
+            sweeps_seen += len(sweeps[0])
         assert sweeps_seen > len(systems)
+        assert settled and all(settled)
+        # some rounds after the first leave agents silent
+        assert quiet_speakers > 0
 
     def test_relabel_sweep_ends_at_a_fixpoint(self, ring4, monkeypatch):
         """One more quiet round per sweep leaves every label where it was."""
@@ -341,10 +407,10 @@ class TestFloodedPhases:
 
         def one_more(ctx, tree, value, merge, keyed=True):
             got = yield from real(ctx, tree, value, merge, keyed)
-            if keyed or not merge(False, [True]):
-                return got  # not the sweep's OR
+            if keyed or not isinstance(value, list):
+                return got  # not the sweep's id list
             extra[ctx.id] = not got and not extra.get(ctx.id)
-            return got or extra[ctx.id]
+            return got or (list(range(ctx.r)) if extra[ctx.id] else got)
 
         monkeypatch.setattr(distributed, "_tree_aggregate", one_more)
         for sysm, want in zip(systems, plain):
@@ -378,13 +444,54 @@ class TestFloodedPhases:
         assert not any(is_census(json.loads(rec.payload)) for rec in res.trace)
 
     def test_ring_rounds_and_message_counts_are_pinned(self, ring4):
-        # gossip 3 rounds on each of 4 edges (24), notify 8, reach 16, one
-        # sweep of 2 rounds (16, plus 6 for each round's OR), two barriers
-        # (32); 6 messages for each of two censuses and the consensus
+        # gossip 3 rounds on each of 4 edges (24), notify 8, reach 16 plus
+        # 6 for each of 3 ORs, a sweep of one round (8, plus its 6-message
+        # id list), two barriers of 8 labels/offers messages each plus one
+        # accepts per offer (4 in all); 6 messages for each of two censuses
+        # and the consensus.  The ring first completes reachability at
+        # iteration N = 4, so no OR finds a fixpoint before the last
+        # iteration, and the ORs cost messages and rounds here instead of
+        # saving them.
         res = run(ring4, controlled)
-        assert (res.rounds, len(res.trace)) == (33, 126)
+        assert (res.rounds, len(res.trace)) == (36, 118)
         res = run(ring4, controlled_program(drop_incoming_boundary=True))
-        assert (res.rounds, len(res.trace)) == (25, 98)
+        assert (res.rounds, len(res.trace)) == (32, 104)
+
+
+class TestBarrier:
+    def test_accepts_answer_exactly_the_offers(self, ring4):
+        systems = [ring4] + [sysm for _, sysm in corpus(20, start=6700, r_hi=7)]
+        answered = unanswered = 0
+        for sysm in systems:
+            for drop in (False, True):
+                res = run(sysm, controlled_program(drop_incoming_boundary=drop))
+                # barriers[i, j]: labels/offers messages i has sent j so far;
+                # offers[j, i, b]: the offers j made i in barrier b, if any;
+                # accepts[j, i, b]: i's reply to them
+                barriers: dict = {}
+                offers: dict = {}
+                accepts: dict = {}
+                for rec in res.trace:
+                    payload = json.loads(rec.payload)
+                    if not isinstance(payload, dict):
+                        continue
+                    i, j = rec.sender, rec.receiver
+                    if set(payload) == {"labels", "offers"}:
+                        b = barriers[i, j] = barriers.get((i, j), 0) + 1
+                        if payload["offers"]:
+                            offers[i, j, b] = [key for key, _ in payload["offers"]]
+                        else:
+                            unanswered += 1
+                    elif set(payload) == {"accepts"}:
+                        # i has already sent j this barrier's labels/offers
+                        key = (j, i, barriers[i, j])
+                        assert key not in accepts, key
+                        accepts[key] = payload["accepts"]
+                assert set(accepts) == set(offers)
+                for key, accepted in accepts.items():
+                    assert all(e in offers[key] for e in accepted), key
+                answered += len(offers)
+        assert answered > 0 and unanswered > 0
 
 
 class TestTree:

@@ -56,6 +56,21 @@ def test_distributed_outputs():
     assert _digest(out) == "58bb5ea1ab03f496f7a59c9be39e8439662674abba6bb60d5ac6a0b6c16202ae"
 
 
+def test_distributed_outputs_at_scale():
+    # The same outputs on the r = 10, 20 and 40 instances of the scale sweep,
+    # where the protocol's rounds are many and its trees deep.
+    programs = (
+        controlled_program(collect_states=True),
+        controlled_program(drop_incoming_boundary=True, collect_states=True),
+    )
+    out = []
+    for r in (10, 20, 40):
+        sysm = random_system(r, (1, 8), (1, 2), 0.3, seed=r)
+        for program in programs:
+            out.append(run(sysm, program).outputs)
+    assert _digest(out) == "f21d1b1ac9ea522db258cb3d322df0dda837492015242bb7ef828173d05c4199"
+
+
 def test_serial_details():
     out = [
         check_lemma4_details(random_serial_system(2 + k % 5, (1, 4), (0, 2), 0.35, seed=k))

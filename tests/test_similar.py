@@ -5,12 +5,11 @@ from __future__ import annotations
 import pytest
 
 from conftest import pat
-from oracles import controllable_bruteforce, kron_expand_dense
+from oracles import build_composite_matching, controllable_bruteforce, kron_expand_dense
 from structctl.centralized import verify
 from structctl.model import ModelError, assemble_global, system_digraph
 from structctl.similar import (
     SimilarSystemSpec,
-    build_composite_matching,
     check_cycle_cover,
     check_via_collapse,
     copy_level_digraph,

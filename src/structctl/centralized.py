@@ -282,29 +282,25 @@ def check_certificate(A: SparsityPattern, B: SparsityPattern, verdict: Verdict) 
 # The probe builds dense n x n(p+1) controllability matrices; past this many
 # states it is refused.
 PROBE_MAX_STATES = 64
+PROBE_TRIALS = 3
+PROBE_TOL = 1e-8  # singular values below this fraction of the largest count as 0
 
 
-def numeric_probe(
-    A: SparsityPattern,
-    B: SparsityPattern,
-    seed: int = 0,
-    trials: int = 3,
-    tol: float = 1e-8,
-    limit: int = PROBE_MAX_STATES,
-) -> bool:
+def numeric_probe(A: SparsityPattern, B: SparsityPattern, seed: int = 0) -> bool:
     """Random realizations of the pattern tested for full controllability-matrix
-    rank.  True as soon as one trial reaches full rank; a zero B is False
-    without sampling.  Refuses systems larger than ``limit`` states.
+    rank.  True as soon as one of ``PROBE_TRIALS`` trials reaches full rank; a
+    zero B is False without sampling.  Refuses systems larger than
+    ``PROBE_MAX_STATES`` states.
     """
     import numpy as np
 
     n = A.rows
-    if n > limit:
-        raise ValueError(f"numeric probe limited to {limit} states, got {n}")
+    if n > PROBE_MAX_STATES:
+        raise ValueError(f"numeric probe limited to {PROBE_MAX_STATES} states, got {n}")
     if B.is_zero:
         return False
     rng = np.random.default_rng(seed)
-    for _ in range(trials):
+    for _ in range(PROBE_TRIALS):
         Am = np.zeros((n, n))
         for i, j in sorted(A.nonzeros):
             Am[i, j] = rng.uniform(0.5, 1.5) * (1.0 if rng.integers(2) else -1.0)
@@ -322,7 +318,7 @@ def numeric_probe(
         ctrb = np.hstack(blocks)
         svals = np.linalg.svd(ctrb, compute_uv=False)
         if svals.size and svals[0] > 0:
-            rank = int(np.sum(svals > tol * svals[0]))
+            rank = int(np.sum(svals > PROBE_TOL * svals[0]))
             if rank == n:
                 return True
     return False

@@ -14,16 +14,15 @@ global label validity is preserved and, at quiescence, the flow into the
 sink equals the global maximum-matching size.
 
 Global aggregates travel on a BFS tree rooted at agent 0 that size gossip
-builds as a side effect (:func:`_gossip_sizes`, :func:`_bfs_tree`): each one
-is a convergecast plus broadcast of 2(r - 1) messages
-(:func:`_tree_aggregate`).  ``controlled`` runs four kinds: reachability's
-per-iteration "any reached set grew", the label census of every pass, the
-relabel sweep's per-round list of agents with news, and the final
-AND-consensus.  They let ``controlled`` send only messages that carry news:
-reachability stops at its global fixpoint, only agents with news speak in
-the relabel sweep, and accepts answer only offers.  Each skipped message is
-one whose effect the receiver could predict, so the outputs are those of
-the full exchange.
+builds as a side effect (the runtime's ``gossip`` and ``bfs_tree``): each one
+is a convergecast plus broadcast of 2(r - 1) messages (``tree_aggregate``).
+``controlled`` runs four kinds: reachability's per-iteration "any reached set
+grew", the label census of every pass, the relabel sweep's per-round list of
+agents with news, and the final AND-consensus.  They let ``controlled`` send
+only messages that carry news: reachability stops at its global fixpoint,
+only agents with news speak in the relabel sweep, and accepts answer only
+offers.  Each skipped message is one whose effect the receiver could
+predict, so the outputs are those of the full exchange.
 
 Termination and the pass bound: each pass starts by recomputing every own
 label as the residual distance to the sink given the cached boundary labels
@@ -47,12 +46,10 @@ holds excess below the cap.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Callable
 
 from .graphkit import scc
 from .model import state_digraph
-from .runtime import AgentContext, Recv, Send
+from .runtime import AgentContext, Recv, Send, Tree, bfs_tree, gossip, tree_aggregate
 
 T = ("t",)
 
@@ -61,102 +58,10 @@ T = ("t",)
 # size gossip and reachability
 
 
-def _gossip_sizes(ctx: AgentContext):
-    """Gossip per-agent entries ``{id: [state-digraph SCC count, n, p]}``;
-    returns every subsystem's ``[SCC count, n, p]`` and the agent's parent in
-    a BFS tree rooted at agent 0 (``None`` at the root).
-
-    Each round carries the own entry (so no message is empty) plus the
-    entries first learned in the round before; the first copy wins.  So
-    round t brings the entries t hops away, and agent 0's entry first
-    arrives from the neighbors one hop closer to it: the lowest-id of them
-    is the parent.
-
-    With ecc the agent's eccentricity in the undirected topology (the last
-    round that brings it a new entry), it has announced all r entries after
-    its round ecc + 1, and a neighbor that has heard r distinct entries from
-    it knows that.  Once either end of an edge has announced everything,
-    both ends hold every entry, so each edge carries exactly
-    min(ecc_i, ecc_j) + 1 rounds; both ends see the same counts, so they
-    stop in the same round."""
+def _size_entry(ctx: AgentContext) -> list:
+    """The agent's size gossip entry: ``[state-digraph SCC count, n, p]``."""
     own = ctx.subsystem
-    mine = {str(ctx.id): [len(scc(state_digraph(own.A))), own.n, own.p]}
-    known = dict(mine)
-    heard = {j: set() for j in ctx.neighbors}  # entries each neighbor announced
-    told = 0
-    parent = None
-    fresh: dict = {}
-    while told < ctx.r:
-        edges = [j for j in ctx.neighbors if len(heard[j]) < ctx.r]
-        if not edges:
-            break
-        msg = {**mine, **fresh}
-        for j in edges:
-            yield Send(j, msg)
-        told = len(known)
-        fresh = {}
-        for j in edges:
-            got = yield Recv(j)
-            heard[j].update(got)
-            for key, entry in got.items():
-                if key not in known:
-                    known[key] = fresh[key] = entry
-                    if key == "0":
-                        parent = j
-    if len(known) != ctx.r:
-        raise RuntimeError(
-            f"agent {ctx.id}: size gossip incomplete ({len(known)} of {ctx.r})"
-        )
-    return list(known.values()), parent
-
-
-@dataclass(frozen=True)
-class Tree:
-    """An agent's place in the BFS tree that size gossip builds."""
-
-    parent: int | None
-    children: tuple[int, ...]
-
-
-def _bfs_tree(ctx: AgentContext, parent: int | None):
-    """One notify round: each neighbor learns whether it is this agent's
-    parent, and the replies name the agent's children."""
-    for j in ctx.neighbors:
-        yield Send(j, j == parent)
-    children = []
-    for j in ctx.neighbors:
-        if (yield Recv(j)):
-            children.append(j)
-    return Tree(parent, tuple(children))
-
-
-def _tree_aggregate(
-    ctx: AgentContext, tree: Tree, value, merge: Callable, keyed: bool = True
-):
-    """A global aggregate as one convergecast plus broadcast on ``tree``
-    (Segall's PIF): receive each child's value in ascending order, fold them
-    in with ``value = merge(value, heard)`` and send the result to the
-    parent; then receive the root's value from the parent and send it on to
-    each child.  Every agent returns the root's value, after 2(r - 1)
-    messages in all.  Blocking receives on a tree cannot deadlock, so no
-    agent needs a shared round count.
-
-    With ``keyed`` every message is ``{"<sender id>": value}``, on the way
-    down too, the census shape trace readers tell apart from the other
-    phases; otherwise the bare value."""
-    me = str(ctx.id)
-    heard = []
-    for j in tree.children:
-        msg = yield Recv(j)
-        heard.append(msg[str(j)] if keyed else msg)
-    value = merge(value, heard)
-    if tree.parent is not None:
-        yield Send(tree.parent, {me: value} if keyed else value)
-        msg = yield Recv(tree.parent)
-        value = msg[str(tree.parent)] if keyed else msg
-    for j in tree.children:
-        yield Send(j, {me: value} if keyed else value)
-    return value
+    return [len(scc(state_digraph(own.A))), own.n, own.p]
 
 
 def _reached_steps(ctx: AgentContext, iterations: int, tree: Tree | None = None):
@@ -196,7 +101,7 @@ def _reached_steps(ctx: AgentContext, iterations: int, tree: Tree | None = None)
         if completed is None and len(reached) == own.n:
             completed = it
         if tree is not None and it < iterations:
-            grew = yield from _tree_aggregate(
+            grew = yield from tree_aggregate(
                 ctx, tree, len(reached) > before, lambda v, heard: v or any(heard),
                 keyed=False,
             )
@@ -212,8 +117,8 @@ def reached_program(extra_iterations: int = 0):
     ``extra_iterations`` appends outer iterations (fixpoint probing)."""
 
     def reached(ctx: AgentContext):
-        info, _ = yield from _gossip_sizes(ctx)
-        N = sum(v[0] for v in info)
+        info, _ = yield from gossip(ctx, _size_entry(ctx))
+        N = sum(v[0] for v in info.values())
         got, sizes, completed = yield from _reached_steps(ctx, N + extra_iterations)
         return {
             "rchd": len(got) == ctx.subsystem.n,
@@ -531,7 +436,7 @@ def _exact_relabel(ctx: AgentContext, tree: Tree, region: Region, cap: int):
         if improved:
             dist = region._distances(cap, remote)
             changed = news(dist)
-        ids = yield from _tree_aggregate(
+        ids = yield from tree_aggregate(
             ctx, tree, [ctx.id] if changed else [],
             lambda v, heard: sorted(set(v).union(*heard)), keyed=False,
         )
@@ -671,7 +576,7 @@ def _census(ctx: AgentContext, tree: Tree, region: Region, cap: int):
         sorted({region.label[v] for v in below}),
         sorted(region.label[v] for v in below if region.excess[v] > 0)[:1],
     ]
-    labels, low = yield from _tree_aggregate(ctx, tree, part, merge)
+    labels, low = yield from tree_aggregate(ctx, tree, part, merge)
 
     present = {0, *labels}
     gap = 1
@@ -751,18 +656,19 @@ def controlled_program(
     simplification, ``collect_states`` per-pass state snapshots."""
 
     def controlled(ctx: AgentContext):
-        info, parent = yield from _gossip_sizes(ctx)
-        tree = yield from _bfs_tree(ctx, parent)
-        N = sum(v[0] for v in info)
+        info, parent = yield from gossip(ctx, _size_entry(ctx))
+        tree = yield from bfs_tree(ctx, parent)
+        sccs, ns, ps = zip(*info.values())
+        N = sum(sccs)
         got, sizes, completed = yield from _reached_steps(ctx, N, tree)
         rchd = len(got) == ctx.subsystem.n
 
-        cap = 2 * sum(v[1] for v in info) + sum(v[2] for v in info) + 2
+        cap = 2 * sum(ns) + sum(ps) + 2
         region = Region(ctx, include_incoming=not drop_incoming_boundary)
         prd_stats = yield from _prd(ctx, tree, region, cap, collect_states)
         mchd = region.sink_flow() == ctx.subsystem.n
 
-        ctld = yield from _tree_aggregate(
+        ctld = yield from tree_aggregate(
             ctx, tree, rchd and mchd, lambda v, heard: v and all(heard), keyed=False
         )
         out = {

@@ -15,8 +15,11 @@ deterministic, so two runs of the same program on the same system produce
 byte-identical traces.
 
 Agents may only exchange messages with neighbors in the interconnection
-topology (either direction).  :func:`flood` is an r-round exchange with every
-neighbor; the serial check's AND-consensus (:func:`and_consensus`) uses it.
+topology (either direction), which must be weakly connected.  Agents agree
+through the primitives here: :func:`gossip` hands every agent every agent's
+entry and its parent in a BFS tree rooted at agent 0, :func:`bfs_tree` tells
+each agent its children, and :func:`tree_aggregate` folds one value per agent
+into a global one on that tree.
 
 Payloads must be JSON-representable.  Each payload is encoded once at send
 time, and the encoded text is decoded right away into the copy that is queued
@@ -164,26 +167,101 @@ def _encode_payload(value, where: str) -> tuple[str, object]:
     return text, json.loads(text)
 
 
-def flood(ctx: AgentContext, value, merge: Callable):
-    """``ctx.r`` rounds of exchange with every neighbor: each round sends the
-    value held at the start of the round to every neighbor, receives one
-    message from each in the same order, and sets ``value = merge(value,
-    heard)`` with ``heard`` the list of those messages.  Returns the value.
-    An idempotent aggregate (union, max, AND) is complete after as many
-    rounds as the longest hop distance between two agents, which is below r."""
-    for _ in range(ctx.r):
-        for j in ctx.neighbors:
-            yield Send(j, value)
-        heard = []
-        for j in ctx.neighbors:
-            heard.append((yield Recv(j)))
-        value = merge(value, heard)
+def gossip(ctx: AgentContext, entry):
+    """Gossip per-agent entries; returns ``{"<id>": entry}`` for every agent
+    and the agent's parent in a BFS tree rooted at agent 0 (``None`` at the
+    root).
+
+    Each round carries the own entry (so no message is empty) plus the
+    entries first learned in the round before; the first copy wins.  So
+    round t brings the entries t hops away, and agent 0's entry first
+    arrives from the neighbors one hop closer to it: the lowest-id of them
+    is the parent.
+
+    With ecc the agent's eccentricity in the undirected topology (the last
+    round that brings it a new entry), it has announced all r entries after
+    its round ecc + 1, and a neighbor that has heard r distinct entries from
+    it knows that.  Once either end of an edge has announced everything,
+    both ends hold every entry, so each edge carries exactly
+    min(ecc_i, ecc_j) + 1 rounds; both ends see the same counts, so they
+    stop in the same round."""
+    mine = {str(ctx.id): entry}
+    known = dict(mine)
+    heard = {j: set() for j in ctx.neighbors}  # entries each neighbor announced
+    told = 0
+    parent = None
+    fresh: dict = {}
+    while told < ctx.r:
+        edges = [j for j in ctx.neighbors if len(heard[j]) < ctx.r]
+        if not edges:
+            break
+        msg = {**mine, **fresh}
+        for j in edges:
+            yield Send(j, msg)
+        told = len(known)
+        fresh = {}
+        for j in edges:
+            got = yield Recv(j)
+            heard[j].update(got)
+            for key, value in got.items():
+                if key not in known:
+                    known[key] = fresh[key] = value
+                    if key == "0":
+                        parent = j
+    if len(known) != ctx.r:
+        raise RuntimeError(
+            f"agent {ctx.id}: gossip incomplete ({len(known)} of {ctx.r})"
+        )
+    return known, parent
+
+
+@dataclass(frozen=True)
+class Tree:
+    """An agent's place in the BFS tree that :func:`gossip` builds."""
+
+    parent: int | None
+    children: tuple[int, ...]
+
+
+def bfs_tree(ctx: AgentContext, parent: int | None):
+    """One notify round: each neighbor learns whether it is this agent's
+    parent, and the replies name the agent's children."""
+    for j in ctx.neighbors:
+        yield Send(j, j == parent)
+    children = []
+    for j in ctx.neighbors:
+        if (yield Recv(j)):
+            children.append(j)
+    return Tree(parent, tuple(children))
+
+
+def tree_aggregate(
+    ctx: AgentContext, tree: Tree, value, merge: Callable, keyed: bool = True
+):
+    """A global aggregate as one convergecast plus broadcast on ``tree``
+    (Segall's PIF): receive each child's value in ascending order, fold them
+    in with ``value = merge(value, heard)`` and send the result to the
+    parent; then receive the root's value from the parent and send it on to
+    each child.  Every agent returns the root's value, after 2(r - 1)
+    messages in all.  Blocking receives on a tree cannot deadlock, so no
+    agent needs a shared round count.
+
+    With ``keyed`` every message is ``{"<sender id>": value}``, on the way
+    down too, the census shape trace readers tell apart from the other
+    phases; otherwise the bare value."""
+    me = str(ctx.id)
+    heard = []
+    for j in tree.children:
+        msg = yield Recv(j)
+        heard.append(msg[str(j)] if keyed else msg)
+    value = merge(value, heard)
+    if tree.parent is not None:
+        yield Send(tree.parent, {me: value} if keyed else value)
+        msg = yield Recv(tree.parent)
+        value = msg[str(tree.parent)] if keyed else msg
+    for j in tree.children:
+        yield Send(j, {me: value} if keyed else value)
     return value
-
-
-def and_consensus(ctx: AgentContext, value: bool):
-    """The AND of every agent's ``value``, flooded as :func:`flood` does."""
-    return flood(ctx, bool(value), lambda v, heard: v and all(heard))
 
 
 class _AgentState:
@@ -196,20 +274,16 @@ class _AgentState:
         self.output: object = None
 
 
-def run(
-    sys: InterconnectedSystem,
-    program: AgentProgram,
-    *,
-    require_weakly_connected: bool = True,
-) -> RunResult:
+def run(sys: InterconnectedSystem, program: AgentProgram) -> RunResult:
     """Run one copy of ``program`` per subsystem to completion.
 
     Returns the per-agent return values, the full message trace, and the
-    number of rounds the run took.  Raises :class:`DeadlockError` if the
-    agents wait on each other forever and :class:`ProtocolError` on any
-    rule violation.
+    number of rounds the run took.  Raises :class:`ValueError` if the
+    topology is not weakly connected, :class:`DeadlockError` if the agents
+    wait on each other forever and :class:`ProtocolError` on any rule
+    violation.
     """
-    if require_weakly_connected and not is_weakly_connected(condensed_graph(sys)):
+    if not is_weakly_connected(condensed_graph(sys)):
         raise ValueError("interconnection topology is not weakly connected")
 
     contexts = {}
@@ -256,6 +330,10 @@ def run(
                 )
                 trace.records.append(TraceRecord(current_round, i, action.to, text))
             elif isinstance(action, Recv):
+                if action.frm not in neighbors[i]:
+                    raise ProtocolError(
+                        f"agent {i}: receive from {action.frm}, which is not a neighbor"
+                    )
                 agent.awaiting = action.frm
             else:
                 raise ProtocolError(

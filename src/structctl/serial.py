@@ -9,8 +9,8 @@ connections, and the dynamics of its incoming neighbors: it stacks those
 blocks, finds a minimum-weight maximum matching that favors staying inside
 diagonal blocks, and checks that its own right vertices are covered and its
 own states are locally input-reachable.  The per-agent booleans are then
-combined by the runtime's ``and_consensus``, an AND ``flood`` over r rounds,
-so every agent returns the same verdict.
+gossiped with the runtime's ``gossip``, so every agent holds all r of them and
+returns the same verdict, their AND.
 
 ``check_lemma4`` runs the identical per-subsystem computation without the
 message passing; it is the reference the distributed run is compared against
@@ -36,7 +36,7 @@ from .model import (
     system_bipartite,
     system_digraph,
 )
-from .runtime import AgentContext, Recv, RunResult, Send, and_consensus, run
+from .runtime import AgentContext, Recv, RunResult, Send, gossip, run
 
 _VARIANTS = ("primal", "dual")
 
@@ -170,8 +170,8 @@ def check_lemma4_details(sys: InterconnectedSystem, variant: str = "primal") -> 
 
 
 def seq_strt_ctl_variant(variant: str):
-    """Agent program: stacked-neighborhood verdict plus AND-consensus, with
-    the stacking side chosen up front."""
+    """Agent program: stacked-neighborhood verdict plus the AND of every
+    agent's, with the stacking side chosen up front."""
     _check_variant(variant)
 
     def seq_strt_ctl(ctx: AgentContext):
@@ -200,7 +200,8 @@ def seq_strt_ctl_variant(variant: str):
             blocks.append((n_j, A_j, E_j))
 
         ctld = _local_verdict(own, blocks, variant)["ctld"]
-        return (yield from and_consensus(ctx, ctld))
+        verdicts, _ = yield from gossip(ctx, ctld)
+        return all(verdicts.values())
 
     return seq_strt_ctl
 

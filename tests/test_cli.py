@@ -287,7 +287,7 @@ class TestInternalErrors:
         )
 
     def test_split_distributed_verdict_exits_2(self, capsys, monkeypatch, ring_file):
-        real = distributed._tree_aggregate
+        real = distributed.tree_aggregate
 
         def split(ctx, tree, value, merge, keyed=True):
             # the consensus is the one aggregate of bools whose merge is an AND
@@ -295,7 +295,7 @@ class TestInternalErrors:
             final = not keyed and isinstance(value, bool) and not merge(True, [False])
             return not got if final and not ctx.id else got
 
-        monkeypatch.setattr("structctl.distributed._tree_aggregate", split)
+        monkeypatch.setattr("structctl.distributed.tree_aggregate", split)
         code, out, _ = run_cli(capsys, "verify", "--mode", "distributed", "--input", ring_file)
         assert code == 2
         assert report_of(out)["error"] == (
@@ -304,13 +304,15 @@ class TestInternalErrors:
         )
 
     def test_split_serial_verdict_exits_2(self, capsys, monkeypatch, tmp_path, serial_pair):
-        real = serial.and_consensus
+        real = serial.gossip
 
-        def split(ctx, value):
-            got = yield from real(ctx, value)
-            return got if ctx.id else not got
+        def split(ctx, entry):
+            entries, parent = yield from real(ctx, entry)
+            if not ctx.id:  # agent 0 sees its own entry flipped
+                entries["0"] = not entries["0"]
+            return entries, parent
 
-        monkeypatch.setattr("structctl.serial.and_consensus", split)
+        monkeypatch.setattr("structctl.serial.gossip", split)
         path = tmp_path / "pair.json"
         save(serial_pair, path)
         code, out, _ = run_cli(capsys, "verify", "--mode", "serial", "--input", str(path))

@@ -18,17 +18,23 @@ from structctl import distributed
 from structctl.centralized import verify
 from structctl.distributed import (
     Region,
-    _bfs_tree,
+    _size_entry,
     _vkey,
-    _gossip_sizes,
-    _tree_aggregate,
     controlled,
     controlled_program,
     reached,
     reached_program,
 )
 from structctl.model import assemble_global, random_system
-from structctl.runtime import AgentContext, Recv, Send, run
+from structctl.runtime import (
+    AgentContext,
+    Recv,
+    Send,
+    bfs_tree,
+    gossip,
+    run,
+    tree_aggregate,
+)
 
 
 def corpus(count, start=0, r_hi=5, n_hi=6):
@@ -402,7 +408,7 @@ class TestFloodedPhases:
         program = controlled_program(collect_states=True)
         plain = [run(sysm, program) for sysm in systems]
 
-        real = distributed._tree_aggregate
+        real = distributed.tree_aggregate
         extra: dict = {}
 
         def one_more(ctx, tree, value, merge, keyed=True):
@@ -412,7 +418,7 @@ class TestFloodedPhases:
             extra[ctx.id] = not got and not extra.get(ctx.id)
             return got or (list(range(ctx.r)) if extra[ctx.id] else got)
 
-        monkeypatch.setattr(distributed, "_tree_aggregate", one_more)
+        monkeypatch.setattr(distributed, "tree_aggregate", one_more)
         for sysm, want in zip(systems, plain):
             res = run(sysm, program)
             assert res.outputs == want.outputs
@@ -502,8 +508,8 @@ class TestTree:
 
     @staticmethod
     def setup(ctx):
-        _, parent = yield from _gossip_sizes(ctx)
-        return (yield from _bfs_tree(ctx, parent))
+        _, parent = yield from gossip(ctx, _size_entry(ctx))
+        return (yield from bfs_tree(ctx, parent))
 
     def test_parents_form_the_lowest_id_bfs_tree(self, ring4):
         for sysm in self.systems(ring4):
@@ -533,9 +539,9 @@ class TestTree:
 
         def program(ctx):
             tree = yield from self.setup(ctx)
-            ids = yield from _tree_aggregate(ctx, tree, [[ctx.id], []], union)
+            ids = yield from tree_aggregate(ctx, tree, [[ctx.id], []], union)
             last = ctx.id == ctx.r - 1
-            both = yield from _tree_aggregate(
+            both = yield from tree_aggregate(
                 ctx, tree, not last, lambda v, heard: v and all(heard), keyed=False
             )
             return ids, both

@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import build_system
-from oracles import filter_trace
+from oracles import filter_trace, undirected_distances
 from structctl.runtime import (
     DeadlockError,
     ProtocolError,
@@ -20,8 +20,7 @@ from structctl.runtime import (
     TraceRecord,
     _encode_payload,
     _normalize_payload,
-    and_consensus,
-    flood,
+    gossip,
     run,
 )
 
@@ -144,6 +143,17 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="not a neighbor"):
             run(line3, program)
 
+    def test_receive_from_non_neighbor(self, line3):
+        def program(ctx):
+            if ctx.id == 0:
+                yield Recv(0)
+            return None
+
+        with pytest.raises(
+            ProtocolError, match="agent 0: receive from 0, which is not a neighbor"
+        ):
+            run(line3, program)
+
     def test_non_json_payload(self, line2):
         def program(ctx):
             yield Send(ctx.neighbors[0], object())
@@ -211,19 +221,6 @@ class TestTopologyGate:
         with pytest.raises(ValueError, match="weakly connected"):
             run(sysm, lambda ctx: iter(()))
 
-    def test_disconnected_allowed_when_waived(self):
-        sysm = build_system(
-            [(1, 0, set(), set()) for _ in range(4)],
-            [(1, 0, {(0, 0)}), (3, 2, {(0, 0)})],
-        )
-
-        def program(ctx):
-            return ctx.id
-            yield  # pragma: no cover
-
-        res = run(sysm, program, require_weakly_connected=False)
-        assert res.outputs == {0: 0, 1: 1, 2: 2, 3: 3}
-
 
 class TestDeterminism:
     def test_identical_traces_across_runs(self, line3):
@@ -244,62 +241,26 @@ class TestDeterminism:
             assert again.rounds == first.rounds
 
 
-class TestFlood:
-    def test_sends_the_value_held_at_the_start_of_each_round(self, line3):
-        def program(ctx):
-            return (yield from flood(ctx, [ctx.id], lambda v, heard: v + [len(v)]))
-
-        res = run(line3, program)
-        assert res.outputs == {i: [i, 1, 2, 3] for i in range(3)}
-        sent = {}
-        for rec in res.trace:
-            sent.setdefault((rec.sender, rec.receiver), []).append(
-                (rec.round, json.loads(rec.payload))
-            )
-        # one message per neighbor per round, each carrying that round's value
-        assert set(sent) == {(0, 1), (1, 0), (1, 2), (2, 1)}
-        for (i, _), msgs in sent.items():
-            assert [v for _, v in msgs] == [[i], [i, 1], [i, 1, 2]]
-            assert [rnd for rnd, _ in msgs] == [1, 2, 3]
-
-    def test_merge_called_r_times_with_messages_in_neighbor_order(self, line3):
-        calls = []
-
-        def program(ctx):
-            def merge(value, heard):
-                calls.append((ctx.id, heard))
-                return value + 1
-
-            return (yield from flood(ctx, 10 * ctx.id, merge))
-
-        res = run(line3, program)
-        assert res.outputs == {0: 3, 1: 13, 2: 23}
-        assert [sum(1 for i, _ in calls if i == a) for a in range(3)] == [3, 3, 3]
-        assert [heard for i, heard in calls if i == 1] == [[0, 20], [1, 21], [2, 22]]
-
-    def test_and_consensus_ands_over_r_rounds(self, line3):
-        res = run(line3, lambda ctx: and_consensus(ctx, ctx.id != 0))
-        assert res.outputs == dict.fromkeys(range(3), False)
-        assert len(res.trace) == 4 * line3.r
-        res = run(line3, lambda ctx: and_consensus(ctx, True))
-        assert res.outputs == dict.fromkeys(range(3), True)
-
-    def test_union_reaches_every_agent_on_a_path_of_r_agents(self):
-        r = 5
-        path = build_system(
-            [(1, 0, set(), set()) for _ in range(r)],
-            [(i + 1, i, {(0, 0)}) for i in range(r - 1)],
+class TestGossip:
+    def test_every_agent_gets_every_entry_in_min_eccentricity_plus_1_rounds(
+        self, line3
+    ):
+        path5 = build_system(
+            [(1, 0, set(), set()) for _ in range(5)],
+            [(i + 1, i, {(0, 0)}) for i in range(4)],
         )
-
-        def union(value, heard):
-            return sorted(set(value).union(*heard))
-
-        def program(ctx):
-            return (yield from flood(ctx, [ctx.id], union))
-
-        res = run(path, program)
-        assert res.outputs == {i: list(range(r)) for i in range(r)}
-        assert res.rounds == r + 1
+        for sysm in (line3, path5):
+            res = run(sysm, lambda ctx: gossip(ctx, ctx.id % 2 == 0))
+            want = {str(i): i % 2 == 0 for i in range(sysm.r)}
+            assert [entries for entries, _ in res.outputs.values()] == [want] * sysm.r
+            ecc = [max(undirected_distances(sysm, i)) for i in range(sysm.r)]
+            sent: dict = {}
+            for rec in res.trace:
+                sent[rec.sender, rec.receiver] = sent.get((rec.sender, rec.receiver), 0) + 1
+            edges = {(i, j) for i in range(sysm.r) for j in sysm.neighbors(i)}
+            assert set(sent) == edges
+            for (i, j), rounds in sent.items():
+                assert rounds == min(ecc[i], ecc[j]) + 1, (sysm.r, i, j)
 
 
 class TestPayloadCopies:

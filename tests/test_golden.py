@@ -71,6 +71,24 @@ def test_distributed_outputs_at_scale():
     assert _digest(out) == "f21d1b1ac9ea522db258cb3d322df0dda837492015242bb7ef828173d05c4199"
 
 
+def test_distributed_traces():
+    # Every message, in order, on the systems of the two tests above: a
+    # refactor of the agents' local work must leave the protocol unchanged.
+    programs = (
+        controlled_program(collect_states=True),
+        controlled_program(drop_incoming_boundary=True, collect_states=True),
+    )
+    systems = []
+    for seed in range(200):
+        rng = random.Random(seed * 6007 + 29)
+        systems.append(random_system(
+            rng.randint(2, 8), (1, 4), (0, 2), rng.uniform(0.1, 0.6), seed=9000 + seed
+        ))
+    systems += [random_system(r, (1, 8), (1, 2), 0.3, seed=r) for r in (10, 20, 40)]
+    out = [run(sysm, program).trace.to_jsonl() for sysm in systems for program in programs]
+    assert _digest(out) == "458263f6fe007bc99a9aa9a7273a5a583f96d69ac581ae2422ca139ecd3cfd52"
+
+
 def test_serial_details():
     out = [
         check_lemma4_details(random_serial_system(2 + k % 5, (1, 4), (0, 2), 0.35, seed=k))

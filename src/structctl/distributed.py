@@ -41,6 +41,12 @@ incoming boundary no neighbor caches what a sweep would send, so none runs.
 Labels are capped at 2*sum(n)+sum(p)+2 (the number of flow vertices); excess
 stuck at the cap is permanently trapped, and the run stops once no region
 holds excess below the cap.
+
+Each region keeps its preflow in integer arrays (see :class:`Region`): own
+vertex ids run L0..Ln-1, R0..Rn-1, U0..Up-1, and neighbors' cached boundary
+vertices follow.  The discharge is highest-label push-relabel with two
+tie-breaks: the active vertex is the least (-label, id), and a push goes to
+the sink first, otherwise to the least (label, id).
 """
 
 from __future__ import annotations
@@ -49,9 +55,9 @@ import heapq
 
 from .graphkit import scc
 from .model import state_digraph
-from .runtime import AgentContext, Recv, Send, Tree, bfs_tree, gossip, tree_aggregate
-
-T = ("t",)
+from .runtime import (
+    AgentContext, ProtocolError, Recv, Send, Tree, bfs_tree, gossip, tree_aggregate,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -151,154 +157,126 @@ class Region:
     the edges between sides follow the subsystem's own patterns plus the
     coupling patterns on incident connections.  Vertices owned by neighbors
     appear only as cached labels.
+
+    Vertices are integers.  Own ids run L0..Ln-1, R0..Rn-1, U0..Up-1 (the
+    sorted order of the ``(side, agent, index)`` tuples they stand for), and
+    the cached boundary vertices of neighbors follow in the same sorted
+    order; ``names`` spells each id as it travels on the wire (``"L3"``, or
+    ``"2.R0"`` for agent 2's vertex) and ends with the sink ``"t"``.
+    ``label`` covers own and cached ids, ``excess`` and ``holding`` own ids,
+    ``flow`` edge ids: edge k is right n + k's sink edge, then the own edges,
+    then the cross edges.  ``internal[v]`` lists the (own vertex, edge) pairs
+    at own vertex v and ``cross[x]`` the pairs across the boundary at any id
+    x, both sorted.  Two tie-breaks fix the discharge order: the active
+    vertex is the least (-label, id), and a push goes to the sink first (its
+    label is 0), otherwise to the least (label, id).
     """
 
     def __init__(self, ctx: AgentContext, include_incoming: bool = True):
         i = ctx.id
         sub = ctx.subsystem
+        n, p = sub.n, sub.p
         self.owner = i
-        self.n = sub.n
+        self.n = n
         self.include_incoming = include_incoming
+        V = 2 * n + p
 
-        self.lefts = [("L", i, k) for k in range(sub.n)]
-        self.lefts += [("U", i, k) for k in range(sub.p)]
-        self.rights = [("R", i, k) for k in range(sub.n)]
-        self.own = sorted(self.lefts + self.rights)
-
-        # forward targets per own left / reverse sources per own right
-        self.fwd: dict = {v: [] for v in self.lefts}
-        self.back: dict = {w: [] for w in self.rights}
-        self.flow: dict = {}
-        self.cache: dict = {}
-        self.edge_neighbor: dict = {}
-
-        def add(v, w):
-            self.flow[(v, w)] = 0
-            if v in self.fwd:
-                self.fwd[v].append(w)
-            if w in self.back:
-                self.back[w].append(v)
-
-        for k, l in sorted(sub.A.nonzeros):
-            add(("L", i, l), ("R", i, k))
-        for k, l in sorted(sub.B.nonzeros):
-            add(("U", i, l), ("R", i, k))
-        for w in self.rights:
-            self.flow[(w, T)] = 0
-        for j in sorted(ctx.outgoing):
-            for k, l in sorted(ctx.outgoing[j].nonzeros):
-                v, w = ("L", i, l), ("R", j, k)
-                add(v, w)
-                self.cache.setdefault(w, 1)
-                self.edge_neighbor[(v, w)] = j
+        # (own end, remote vertex, neighbor, wire key) per cross edge
+        links = [
+            (l, ("R", j, k), j, [i, l, j, k])
+            for j in sorted(ctx.outgoing)
+            for k, l in sorted(ctx.outgoing[j].nonzeros)
+        ]
         if include_incoming:
-            for j in sorted(ctx.incoming):
-                for k, l in sorted(ctx.incoming[j].nonzeros):
-                    v, w = ("L", j, l), ("R", i, k)
-                    add(v, w)
-                    self.cache.setdefault(v, 2)
-                    self.edge_neighbor[(v, w)] = j
-        for targets in self.fwd.values():
-            targets.sort()
-        for sources in self.back.values():
-            sources.sort()
+            links += [
+                (n + k, ("L", j, l), j, [j, l, i, k])
+                for j in sorted(ctx.incoming)
+                for k, l in sorted(ctx.incoming[j].nonzeros)
+            ]
+        remote = sorted({v for _, v, _, _ in links})
+        rid = {v: V + x for x, v in enumerate(remote)}
+        own = [(s, i, k) for s, m in (("L", n), ("R", n), ("U", p)) for k in range(m)]
+        self.names = [_vkey(v) for v in own]
+        self.names += [f"{v[1]}.{_vkey(v)}" for v in remote] + ["t"]
+        self.label = [2] * n + [1] * n + [2] * p
+        self.label += [1 if v[0] == "R" else 2 for v in remote]
+        self.excess = [1] * n + [0] * n + [1] * p
+        self.holding = [0] * V  # units reserved for cross offers
+        # the flow value that leaves room to push away from an own vertex
+        self.open_at = [0] * n + [1] * n + [0] * p
 
-        self.label = {v: 2 for v in self.lefts}
-        self.label.update({w: 1 for w in self.rights})
-        self.excess = {v: 1 for v in self.lefts}
-        self.excess.update({w: 0 for w in self.rights})
-        self.holding: dict = {}  # vertex -> units reserved for cross offers
-
-        # own vertices whose labels each neighbor caches
-        self.shared_with: dict[int, list] = {}
-        for (v, w), j in sorted(self.edge_neighbor.items()):
-            mine = v if v[1] == i else w
-            bucket = self.shared_with.setdefault(j, [])
-            if mine not in bucket:
-                bucket.append(mine)
-        for bucket in self.shared_with.values():
-            bucket.sort()
-
-    # -- residual structure ------------------------------------------------
-
-    def _label_of(self, w) -> int:
-        if w == T:
-            return 0
-        return self.label[w] if w in self.label else self.cache[w]
-
-    def internal_residuals(self, v) -> list:
-        """Pushable-within-region residual targets, in preference order."""
-        out = []
-        if v[0] in ("L", "U"):
-            for w in self.fwd[v]:
-                if w[1] == self.owner and self.flow[(v, w)] == 0:
-                    out.append(w)
-        else:
-            if self.flow[(v, T)] == 0:
-                out.append(T)
-            for u in self.back[v]:
-                if u[1] == self.owner and self.flow[(u, v)] == 1:
-                    out.append(u)
-        return out
-
-    def cross_residuals(self, v) -> list:
-        """(remote vertex, edge) pairs a unit at v could cross, any labels."""
-        out = []
-        if v[0] in ("L", "U"):
-            for w in self.fwd[v]:
-                if w[1] != self.owner and self.flow[(v, w)] == 0:
-                    out.append((w, (v, w)))
-        else:
-            for u in self.back[v]:
-                if u[1] != self.owner and self.flow[(u, v)] == 1:
-                    out.append((u, (u, v)))
-        return out
+        sink = len(self.names) - 1
+        self.ends = [(n + k, sink) for k in range(n)]  # (left, right) per edge
+        self.ends += [(l, n + k) for k, l in sorted(sub.A.nonzeros)]
+        self.ends += [(2 * n + l, n + k) for k, l in sorted(sub.B.nonzeros)]
+        self.internal: list[list] = [[] for _ in range(V)]  # (own target, edge)
+        for e in range(n, len(self.ends)):
+            v, w = self.ends[e]
+            self.internal[v].append((w, e))
+            self.internal[w].append((v, e))
+        # (vertex across the boundary, edge) for own and cached ids alike
+        self.cross: list[list] = [[] for _ in range(V + len(remote))]
+        self.offer: dict[int, tuple] = {}  # cross edge -> (neighbor, [wire key, 1])
+        self.edge_of: dict[tuple, int] = {}  # wire key -> cross edge
+        self.shared_with = {j: [] for j in ctx.neighbors}  # own ids j caches
+        self.remote_of = {j: {} for j in ctx.neighbors}  # j's keys -> cached ids
+        for x, v, j, key in links:
+            e = len(self.ends)
+            self.ends.append((x, rid[v]) if x < n else (rid[v], x))
+            self.cross[x].append((rid[v], e))
+            self.cross[rid[v]].append((x, e))
+            self.offer[e] = (j, [key, 1])
+            self.edge_of[tuple(key)] = e
+            if x not in self.shared_with[j]:
+                self.shared_with[j].append(x)
+        for v in remote:
+            self.remote_of[v[1]][_vkey(v)] = rid[v]
+        for adjacency in (*self.internal, *self.cross, *self.shared_with.values()):
+            adjacency.sort()
+        self.flow = [0] * len(self.ends)
 
     def sink_flow(self) -> int:
-        return sum(self.flow[(w, T)] for w in self.rights)
+        return sum(self.flow[: self.n])
 
     # -- lazy global relabel -------------------------------------------------
 
-    def _distances(self, cap: int, remote: dict) -> dict:
-        """Residual distance to the sink for every own vertex, with ``remote``
-        pricing the first step of any route that leaves the region."""
-        dist = {v: cap for v in self.own}
-        heap = []
-        for w in self.rights:
-            base = 1 if self.flow[(w, T)] == 0 else cap
-            for u, _ in self.cross_residuals(w):
-                base = min(base, remote[u] + 1)
-            if base < cap:
-                dist[w] = base
-                heapq.heappush(heap, (base, w))
-        for v in self.lefts:
-            base = cap
-            for w, _ in self.cross_residuals(v):
-                base = min(base, remote[w] + 1)
-            if base < cap:
-                dist[v] = base
-                heapq.heappush(heap, (base, v))
+    def _distances(self, cap: int, price: list) -> list:
+        """Residual distance to the sink for every own vertex, capped at
+        ``cap``, with ``price`` (read at cached ids only) pricing the first
+        step of any route that leaves the region."""
+        return self._relax(cap, self._exits(cap, price))
+
+    def _exits(self, cap: int, price: list) -> list:
+        """Each own vertex's cheapest step out of the region: 1 over an open
+        sink edge, else 1 + the least ``price`` over its residual cross edges
+        (``cap`` or more when it has neither)."""
+        n, flow, open_at, cross = self.n, self.flow, self.open_at, self.cross
+        base = []
+        for v, room in enumerate(open_at):
+            b = cap
+            for w, e in cross[v]:
+                if flow[e] == room and price[w] < b:
+                    b = price[w]
+            base.append(1 if room and flow[v - n] == 0 else b + 1)
+        return base
+
+    def _relax(self, cap: int, base: list) -> list:
+        """Residual distance to the sink for every own vertex, capped at
+        ``cap``, given its cheapest step out (see :meth:`_exits`)."""
+        flow, open_at, internal = self.flow, self.open_at, self.internal
+        dist = [b if b < cap else cap for b in base]
+        heap = sorted((b, v) for v, b in enumerate(base) if b < cap)
         while heap:
             d, v = heapq.heappop(heap)
             if d > dist[v]:
                 continue
             # relax residual edges *into* v from own vertices
-            if v[0] == "R":
-                preds = [
-                    u
-                    for u in self.back[v]
-                    if u[1] == self.owner and self.flow[(u, v)] == 0
-                ]
-            else:
-                preds = [
-                    w
-                    for w in self.fwd[v]
-                    if w[1] == self.owner and self.flow[(v, w)] == 1
-                ]
-            for u in preds:
-                if d + 1 < dist[u]:
-                    dist[u] = d + 1
-                    heapq.heappush(heap, (d + 1, u))
+            d += 1
+            room = open_at[v]
+            for u, e in internal[v]:
+                if flow[e] != room and d < dist[u]:
+                    dist[u] = d
+                    heapq.heappush(heap, (d, u))
         return dist
 
     def recompute_labels(self, cap: int) -> None:
@@ -310,9 +288,9 @@ class Region:
         preserved while dead ends surface immediately instead of one relabel
         per exchange.
         """
-        dist = self._distances(cap, self.cache)
-        for v in self.own:
-            self.label[v] = max(self.label[v], min(dist[v], cap))
+        for v, d in enumerate(self._distances(cap, self.label)):
+            if d > self.label[v]:
+                self.label[v] = d
 
     # -- local discharge -----------------------------------------------------
 
@@ -324,56 +302,48 @@ class Region:
         reservation pushes internally, relabeling when stuck, until it either
         drains, pumps to the cap (trapped), or waits out the pass behind a
         pending reservation."""
-        parked: set = set()
+        n, label, excess, flow = self.n, self.label, self.excess, self.flow
+        holding, internal, cross = self.holding, self.internal, self.cross
+        parked = [False] * len(excess)
         while True:
-            active = [
-                v
-                for v in self.own
-                if self.excess[v] - self.holding.get(v, 0) > 0
-                and self.label[v] < cap
-                and v not in parked
-            ]
-            if not active:
+            v, top = -1, -1
+            for u, x in enumerate(excess):
+                if x > holding[u] and top < label[u] < cap and not parked[u]:
+                    v, top = u, label[u]
+            if v < 0:
                 return
-            v = min(active, key=lambda u: (-self.label[u], u))
-            if v not in self.holding:
-                exits = sum(
-                    1
-                    for w, _ in self.cross_residuals(v)
-                    if self.label[v] > self.cache[w]
-                )
+            room = self.open_at[v]
+            if not holding[v]:
+                exits = 0
+                for w, e in cross[v]:
+                    if flow[e] == room and label[w] < top:
+                        exits += 1
                 if exits:
-                    self.holding[v] = min(self.excess[v], exits)
+                    holding[v] = min(excess[v], exits)
                     continue
-            targets = sorted(
-                (self._label_of(w), w)
-                for w in self.internal_residuals(v)
-                if self.label[v] > self._label_of(w)
-            )
-            if targets:
-                self._push(v, targets[0][1])
+            if room and flow[v - n] == 0:  # a right's sink edge, label 0
+                flow[v - n] = 1
+                excess[v] -= 1
                 continue
-            if v in self.holding:
+            low, target = top, None
+            for w, e in internal[v]:
+                if flow[e] == room and label[w] < low:
+                    low, target = label[w], (w, e)
+            if target is not None:
+                w, e = target
+                flow[e] = 1 - room
+                excess[v] -= 1
+                excess[w] += 1
+                continue
+            if holding[v]:
                 # Surplus behind a reservation: relabeling here would not be
                 # strictly increasing (the reserved exits price below the
                 # label), so the extra units sit out the pass instead.
-                parked.add(v)
+                parked[v] = True
                 continue
-            prices = [self._label_of(w) for w in self.internal_residuals(v)]
-            prices += [self.cache[w] for w, _ in self.cross_residuals(v)]
-            self.label[v] = min(cap, 1 + min(prices, default=cap))
-
-    def _push(self, v, w) -> None:
-        self.excess[v] -= 1
-        assert self.excess[v] >= 0
-        if w == T:
-            self.flow[(v, T)] = 1
-        elif v[0] in ("L", "U"):
-            self.flow[(v, w)] = 1
-            self.excess[w] += 1
-        else:  # right returning a unit along an own in-edge
-            self.flow[(w, v)] = 0
-            self.excess[w] += 1
+            edges = (*internal[v], *cross[v])
+            prices = [label[w] for w, e in edges if flow[e] == room]
+            label[v] = min(cap, 1 + min(prices, default=cap))
 
 
 def _exact_relabel(ctx: AgentContext, tree: Tree, region: Region, cap: int):
@@ -393,20 +363,22 @@ def _exact_relabel(ctx: AgentContext, tree: Tree, region: Region, cap: int):
     is the last distance its owner sent.  Once no agent has news every
     distance has been sent and every price equals it, which is the
     fixpoint, so every agent stops after the same round."""
-    remote = dict.fromkeys(region.cache, cap)
-    shared = sorted({v for bucket in region.shared_with.values() for v in bucket})
-    sent: dict = {}
+    names, cross, flow = region.names, region.cross, region.flow
+    open_at = region.open_at
+    remote = [cap] * len(region.label)  # prices, read at cached ids only
+    shared = sorted(set().union(*region.shared_with.values()))
+    sent: list = [None] * len(region.excess)
 
-    def news(dist: dict) -> dict:
+    def news(dist: list) -> dict:
         """The shared distances that differ from the last ones sent."""
         out = {}
         for v in shared:
-            val = min(dist[v], cap)
-            if sent.get(v) != val:
-                sent[v] = out[v] = val
+            if sent[v] != dist[v]:
+                sent[v] = out[v] = dist[v]
         return out
 
-    dist = region._distances(cap, remote)
+    base = region._exits(cap, remote)
+    dist = region._relax(cap, base)
     changed = news(dist)
     speakers = {ctx.id, *ctx.neighbors}  # round 1: everyone
     t = 0
@@ -414,11 +386,10 @@ def _exact_relabel(ctx: AgentContext, tree: Tree, region: Region, cap: int):
         t += 1
         if ctx.id in speakers:
             for j in ctx.neighbors:
-                d = {
-                    _vkey(v): changed[v]
-                    for v in region.shared_with.get(j, [])
-                    if v in changed
-                }
+                d = {}
+                for v in region.shared_with[j]:
+                    if v in changed:
+                        d[names[v]] = changed[v]
                 # "chg" (the round) stays only because bench/checks.phase_of
                 # recognises relabel messages by their key set.
                 yield Send(j, {"d": d, "chg": t})
@@ -427,34 +398,33 @@ def _exact_relabel(ctx: AgentContext, tree: Tree, region: Region, cap: int):
             if j not in speakers:
                 continue
             heard = yield Recv(j)
+            cached = region.remote_of[j]  # every key j sends, with both boundaries
             for key, val in heard["d"].items():
-                v = (key[0], j, int(key[1:]))
-                if v in remote and val < remote[v]:
-                    remote[v] = int(val)
-                    improved = True
+                w = cached[key]
+                if val < remote[w]:
+                    remote[w] = val
+                    # a lower price matters only where it lowers a step out
+                    for v, e in cross[w]:
+                        if flow[e] == open_at[v] and val + 1 < base[v]:
+                            base[v] = val + 1
+                            improved = True
         changed = {}
         if improved:
-            dist = region._distances(cap, remote)
+            dist = region._relax(cap, base)
             changed = news(dist)
         ids = yield from tree_aggregate(
             ctx, tree, [ctx.id] if changed else [],
             lambda v, heard: sorted(set(v).union(*heard)), keyed=False,
         )
         speakers = set(ids)
-    for v in region.own:
-        region.label[v] = max(region.label[v], min(dist[v], cap))
-    for w, val in remote.items():
-        region.cache[w] = max(region.cache[w], min(val, cap))
-
-
-def _edge_key(edge) -> list:
-    (v, w) = edge
-    return [v[1], v[2], w[1], w[2]]
-
-
-def _edge_from_key(key) -> tuple:
-    fs, fl, ts, tl = key
-    return (("L", fs, fl), ("R", ts, tl))
+    # distances and prices never exceed the cap
+    label = region.label
+    for v, d in enumerate(dist):
+        if d > label[v]:
+            label[v] = d
+    for w in range(len(dist), len(label)):
+        if remote[w] > label[w]:
+            label[w] = remote[w]
 
 
 def _barrier(ctx: AgentContext, region: Region):
@@ -463,96 +433,83 @@ def _barrier(ctx: AgentContext, region: Region):
 
     Only a neighbor that made offers gets an accepts message, possibly an
     empty one, so an agent waits for a reply only from the neighbors it
-    offered to: an empty reply to no offer would move nothing."""
+    offered to: an empty reply to no offer would move nothing.  An offer
+    moves one unit: another amount is a :class:`ProtocolError`."""
+    label, excess, flow, n = region.label, region.excess, region.flow, region.n
     offers_to: dict[int, list] = {j: [] for j in ctx.neighbors}
-    for v in sorted(region.holding):
-        budget = region.holding[v]
-        ranked = sorted(
-            (region.cache[w], _edge_key(edge), edge)
-            for w, edge in region.cross_residuals(v)
-            if region.label[v] > region.cache[w]
-        )
-        for _, _, edge in ranked:
-            if budget == 0:
-                break
-            offers_to[region.edge_neighbor[edge]].append(edge)
-            budget -= 1
+    for v, budget in enumerate(region.holding):
+        if budget:
+            room = region.open_at[v]
+            ranked = sorted(
+                (label[w], w, e)
+                for w, e in region.cross[v]
+                if flow[e] == room and label[v] > label[w]
+            )
+            for _, _, e in ranked[:budget]:
+                j, offer = region.offer[e]
+                offers_to[j].append(offer)
 
+    names = region.names
     for j in ctx.neighbors:
-        yield Send(
-            j,
-            {
-                "labels": {
-                    _vkey(v): region.label[v] for v in region.shared_with.get(j, [])
-                },
-                "offers": [[_edge_key(e), 1] for e in sorted(offers_to[j])],
-            },
-        )
+        mine = {}
+        for v in region.shared_with[j]:
+            mine[names[v]] = label[v]
+        yield Send(j, {"labels": mine, "offers": sorted(offers_to[j])})
     inbound = {}
     for j in ctx.neighbors:
         inbound[j] = yield Recv(j)
 
     accepts_to: dict[int, list] = {j: [] for j in ctx.neighbors}
-    incoming_units = []  # (edge, kind) transfers other agents make to us
+    incoming_units = []  # (own vertex, edge or None, new flow) moved to us
     for j in ctx.neighbors:
         labels = inbound[j]["labels"]
+        cached = region.remote_of[j]
         for key, lab in labels.items():
-            side, idx = key[0], int(key[1:])
-            v = (side, j, idx)
-            if v in region.cache and lab > region.cache[v]:
-                region.cache[v] = lab
+            if key in cached and lab > label[cached[key]]:
+                label[cached[key]] = lab
         for key, amount in inbound[j]["offers"]:
-            assert amount == 1
-            edge = _edge_from_key(key)
-            v, w = edge
-            if w[1] == region.owner:  # forward offer onto our right
-                sender_label = labels[_vkey(v)]
-                ok = (
-                    not region.include_incoming
-                    or sender_label > region.label[w]
+            if amount != 1:
+                raise ProtocolError(
+                    f"agent {ctx.id}: offer of {amount} units from {j}; offers move 1"
                 )
-                if ok:
+            fs, fl, ts, tl = key
+            if ts == region.owner:  # forward offer onto our right
+                w = n + tl
+                if not region.include_incoming:
                     accepts_to[j].append(key)
-                    incoming_units.append((edge, "fwd"))
-            else:  # neighbor returns a unit along our own cross edge
-                sender_label = labels[_vkey(w)]
-                if sender_label > region.label[v]:
+                    incoming_units.append((w, None, 1))
+                elif labels[f"L{fl}"] > label[w]:
                     accepts_to[j].append(key)
-                    incoming_units.append((edge, "back"))
+                    incoming_units.append((w, region.edge_of[tuple(key)], 1))
+            elif labels[f"R{tl}"] > label[fl]:  # a unit back along our cross edge
+                accepts_to[j].append(key)
+                incoming_units.append((fl, region.edge_of[tuple(key)], 0))
 
     for j in ctx.neighbors:
         if inbound[j]["offers"]:
             yield Send(j, {"accepts": sorted(accepts_to[j])})
-    accepted_away = 0
-    accepted_edges = []
+    accepted = []
     for j in ctx.neighbors:
-        if not offers_to[j]:
-            continue
-        reply = yield Recv(j)
-        for key in reply["accepts"]:
-            accepted_edges.append(_edge_from_key(key))
+        if offers_to[j]:
+            reply = yield Recv(j)
+            accepted += [region.edge_of[tuple(key)] for key in reply["accepts"]]
 
-    for edge, kind in incoming_units:
-        v, w = edge
-        if kind == "fwd":
-            region.excess[w] += 1
-            if region.include_incoming:
-                region.flow[edge] = 1
-        else:
-            region.excess[v] += 1
-            region.flow[edge] = 0
-    for edge in accepted_edges:
-        v, w = edge
-        if v[1] == region.owner:  # our forward offer went through
-            region.flow[edge] = 1
-            region.excess[v] -= 1
+    for v, e, f in incoming_units:
+        excess[v] += 1
+        if e is not None:
+            flow[e] = f
+    for e in accepted:
+        v, w = region.ends[e]
+        if v < len(excess):  # our forward offer went through
+            flow[e] = 1
+            excess[v] -= 1
         else:  # our back offer went through
-            region.flow[edge] = 0
-            region.excess[w] -= 1
-        accepted_away += 1
-    assert all(e >= 0 for e in region.excess.values())
-    region.holding.clear()
-    return accepted_away
+            flow[e] = 0
+            excess[w] -= 1
+    if min(excess) < 0:
+        raise RuntimeError(f"agent {ctx.id}: negative excess after the exchange")
+    region.holding = [0] * len(excess)
+    return len(accepted)
 
 
 def _census(ctx: AgentContext, tree: Tree, region: Region, cap: int):
@@ -571,19 +528,17 @@ def _census(ctx: AgentContext, tree: Tree, region: Region, cap: int):
         labels = sorted({l for ls, _ in parts for l in ls})
         return [labels, [min(low)] if low else []]
 
-    below = [v for v in region.own if region.label[v] < cap]
-    part = [
-        sorted({region.label[v] for v in below}),
-        sorted(region.label[v] for v in below if region.excess[v] > 0)[:1],
-    ]
+    own = region.label[: len(region.excess)]
+    low = [l for l, x in zip(own, region.excess) if l < cap and x > 0]
+    part = [sorted({l for l in own if l < cap}), [min(low)] if low else []]
     labels, low = yield from tree_aggregate(ctx, tree, part, merge)
 
     present = {0, *labels}
     gap = 1
     while gap in present:
         gap += 1
-    for v in region.own:
-        if gap < region.label[v] < cap:
+    for v, l in enumerate(own):
+        if gap < l < cap:
             region.label[v] = cap
     return any(l < gap for l in low)
 
@@ -630,19 +585,13 @@ def _prd(
 
 
 def _snapshot(region: Region, pass_no: int) -> dict:
-    def name(v) -> str:
-        if v == T:
-            return "t"
-        if v[1] == region.owner:
-            return _vkey(v)
-        return f"{v[1]}.{_vkey(v)}"
-
+    names = region.names
     return {
         "pass": pass_no,
-        "labels": {name(v): region.label[v] for v in region.own},
-        "excess": {name(v): region.excess[v] for v in region.own},
+        "labels": dict(zip(names, region.label[: len(region.excess)])),
+        "excess": dict(zip(names, region.excess)),
         "saturated": sorted(
-            [name(v), name(w)] for (v, w), f in region.flow.items() if f == 1
+            [names[v], names[w]] for (v, w), f in zip(region.ends, region.flow) if f == 1
         ),
     }
 

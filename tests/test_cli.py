@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -285,6 +289,20 @@ class TestInternalErrors:
             r"internal error: RuntimeError: agent \d+: discharge failed to settle",
             report_of(out)["error"],
         )
+
+    def test_distributed_report_is_the_same_under_python_O(self, capsys, ring_file):
+        # -O strips asserts; the preflow's invariant checks are raises, so an
+        # optimized interpreter runs the same checks and prints the same report.
+        code, out, _ = run_cli(capsys, "verify", "--mode", "distributed", "--input", ring_file)
+        src = str(Path(distributed.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "structctl.cli", "verify", "--mode", "distributed",
+             "--input", ring_file],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == code == 0
+        assert report_of(proc.stdout) == report_of(out)
 
     def test_split_distributed_verdict_exits_2(self, capsys, monkeypatch, ring_file):
         real = distributed.tree_aggregate

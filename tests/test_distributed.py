@@ -18,6 +18,7 @@ from structctl import distributed
 from structctl.centralized import verify
 from structctl.distributed import (
     Region,
+    _barrier,
     _size_entry,
     _vkey,
     controlled,
@@ -28,6 +29,7 @@ from structctl.distributed import (
 from structctl.model import assemble_global, random_system
 from structctl.runtime import (
     AgentContext,
+    ProtocolError,
     Recv,
     Send,
     bfs_tree,
@@ -317,7 +319,7 @@ class TestFloodedPhases:
         settled = []
 
         def spy(ctx, tree, region, cap):
-            prices = dict.fromkeys(region.cache, cap)
+            prices = [cap] * len(region.label)
             last = {}
             sweep = real(ctx, tree, region, cap)
             reply = None
@@ -331,12 +333,12 @@ class TestFloodedPhases:
                     last.update(action.payload["d"])
                 if isinstance(action, Recv) and is_relabel(reply):
                     for key, val in reply["d"].items():
-                        v = (key[0], action.frm, int(key[1:]))
-                        if v in prices:
-                            prices[v] = min(prices[v], val)
+                        w = region.remote_of[action.frm].get(key)
+                        if w is not None:
+                            prices[w] = min(prices[w], val)
             dist = region._distances(cap, prices)
             shared = {v for bucket in region.shared_with.values() for v in bucket}
-            settled.append(last == {_vkey(v): min(dist[v], cap) for v in shared})
+            settled.append(last == {region.names[v]: min(dist[v], cap) for v in shared})
 
         monkeypatch.setattr(distributed, "_exact_relabel", spy)
         sweeps_seen = quiet_speakers = 0
@@ -499,6 +501,20 @@ class TestBarrier:
                 answered += len(offers)
         assert answered > 0 and unanswered > 0
 
+    def test_offer_of_two_units_is_a_protocol_error(self, ring4):
+        ctx = ring_context(ring4, 0)
+        region = Region(ctx)
+        # a real edge from a neighbor's left onto one of our rights
+        key = next(key for _, (key, _) in region.offer.values() if key[2] == 0)
+        barrier = _barrier(ctx, region)
+        action = next(barrier)
+        while isinstance(action, Send):
+            action = barrier.send(None)
+        with pytest.raises(ProtocolError, match="offer of 2 units"):
+            while isinstance(action, Recv):
+                offers = [[key, 2]] if action.frm == key[0] else []
+                action = barrier.send({"labels": {}, "offers": offers})
+
 
 class TestTree:
     @staticmethod
@@ -570,23 +586,46 @@ class TestTree:
                 assert rounds == min(ecc[i], ecc[j]) + 1, (i, j)
 
 
+def cached_owners(region):
+    """The owning agent of each cached id, read off its name ``"<j>.<key>"``."""
+    return [int(name.split(".")[0]) for name in region.names[len(region.excess) : -1]]
+
+
 class TestRegion:
     def test_initial_labels_and_excess(self, ring4):
         region = Region(ring_context(ring4, 0))
-        for v in region.lefts:
+        n, own = region.n, len(region.excess)
+        for v in [*range(n), *range(2 * n, own)]:  # lefts: L, then U
             assert region.label[v] == 2
             assert region.excess[v] == 1  # the source edge starts saturated
-        for w in region.rights:
+        for w in range(n, 2 * n):  # rights
             assert region.label[w] == 1
             assert region.excess[w] == 0
         assert region.sink_flow() == 0
 
+    def test_ids_follow_the_sorted_vertex_tuples(self, ring4):
+        # The discharge tie-breaks compare ids, so ids must sort as the
+        # ("L"/"R"/"U", agent, index) tuples do: own L, R, U, then cached.
+        ctx = ring_context(ring4, 0)
+        region = Region(ctx)
+        sub = ctx.subsystem
+        own = [(s, 0, k) for s in "LR" for k in range(sub.n)]
+        own += [("U", 0, k) for k in range(sub.p)]
+        assert own == sorted(own) and [v[0] for v in own][-1] == "U"
+        cached = {("R", j, k) for j, E in ctx.outgoing.items() for k, _ in E.nonzeros}
+        cached |= {("L", j, l) for j, E in ctx.incoming.items() for _, l in E.nonzeros}
+        assert len(region.excess) == len(own)
+        assert region.names[: len(own)] == [_vkey(v) for v in own]
+        assert region.names[len(own) :] == [
+            f"{v[1]}.{_vkey(v)}" for v in sorted(cached)
+        ] + ["t"]
+
     def test_simplified_region_has_no_incoming_boundary(self, ring4):
         full = Region(ring_context(ring4, 0), include_incoming=True)
         trimmed = Region(ring_context(ring4, 0), include_incoming=False)
-        assert any(v[1] != 0 for v in full.cache)  # caches neighbor lefts too
-        assert all(w[1] != 0 for w in trimmed.cache)
-        assert len(trimmed.cache) < len(full.cache)
+        assert any(j != 0 for j in cached_owners(full))  # caches neighbor lefts too
+        assert all(j != 0 for j in cached_owners(trimmed))
+        assert len(cached_owners(trimmed)) < len(cached_owners(full))
 
 
 class TestRingWalkthrough:

@@ -183,13 +183,13 @@ class Region:
 
         # (own end, remote vertex, neighbor, wire key) per cross edge
         links = [
-            (l, ("R", j, k), j, [i, l, j, k])
+            (l, ("R", j, k), j, (i, l, j, k))
             for j in sorted(ctx.outgoing)
             for k, l in sorted(ctx.outgoing[j].nonzeros)
         ]
         if include_incoming:
             links += [
-                (n + k, ("L", j, l), j, [j, l, i, k])
+                (n + k, ("L", j, l), j, (j, l, i, k))
                 for j in sorted(ctx.incoming)
                 for k, l in sorted(ctx.incoming[j].nonzeros)
             ]
@@ -216,7 +216,7 @@ class Region:
             self.internal[w].append((v, e))
         # (vertex across the boundary, edge) for own and cached ids alike
         self.cross: list[list] = [[] for _ in range(V + len(remote))]
-        self.offer: dict[int, tuple] = {}  # cross edge -> (neighbor, [wire key, 1])
+        self.keys: list = [None] * len(self.ends)  # wire key per cross edge
         self.edge_of: dict[tuple, int] = {}  # wire key -> cross edge
         self.shared_with = {j: [] for j in ctx.neighbors}  # own ids j caches
         self.remote_of = {j: {} for j in ctx.neighbors}  # j's keys -> cached ids
@@ -225,8 +225,8 @@ class Region:
             self.ends.append((x, rid[v]) if x < n else (rid[v], x))
             self.cross[x].append((rid[v], e))
             self.cross[rid[v]].append((x, e))
-            self.offer[e] = (j, [key, 1])
-            self.edge_of[tuple(key)] = e
+            self.keys.append(key)
+            self.edge_of[key] = e
             if x not in self.shared_with[j]:
                 self.shared_with[j].append(x)
         for v in remote:
@@ -446,8 +446,9 @@ def _barrier(ctx: AgentContext, region: Region):
                 if flow[e] == room and label[v] > label[w]
             )
             for _, _, e in ranked[:budget]:
-                j, offer = region.offer[e]
-                offers_to[j].append(offer)
+                key = region.keys[e]
+                j = key[2] if key[0] == region.owner else key[0]
+                offers_to[j].append([list(key), 1])
 
     names = region.names
     for j in ctx.neighbors:

@@ -505,7 +505,7 @@ class TestBarrier:
         ctx = ring_context(ring4, 0)
         region = Region(ctx)
         # a real edge from a neighbor's left onto one of our rights
-        key = next(key for _, (key, _) in region.offer.values() if key[2] == 0)
+        key = next(list(key) for key in region.keys if key and key[2] == 0)
         barrier = _barrier(ctx, region)
         action = next(barrier)
         while isinstance(action, Send):
@@ -611,7 +611,7 @@ class TestRegion:
         sub = ctx.subsystem
         own = [(s, 0, k) for s in "LR" for k in range(sub.n)]
         own += [("U", 0, k) for k in range(sub.p)]
-        assert own == sorted(own) and [v[0] for v in own][-1] == "U"
+        assert own == sorted(own)
         cached = {("R", j, k) for j, E in ctx.outgoing.items() for k, _ in E.nonzeros}
         cached |= {("L", j, l) for j, E in ctx.incoming.items() for _, l in E.nonzeros}
         assert len(region.excess) == len(own)

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import random
+from collections import deque
 from dataclasses import dataclass
 
 from .graphkit import (
     input_reachable_with_parents,
     left_order,
     max_matching,
-    path_cycle_decomposition,
     right_deficiency_witness,
 )
 from .model import SparsityPattern, system_digraph
@@ -84,77 +85,6 @@ def verify(A: SparsityPattern, B: SparsityPattern) -> Verdict:
     )
 
 
-def verify_via_cacti(A: SparsityPattern, B: SparsityPattern) -> Verdict:
-    """Same verdict as :func:`verify`, but a positive certificate is an explicit
-    family of vertex-disjoint input-rooted cacti covering every state.
-
-    Each cactus is a stem (path from an input) plus cycles hooked on by single
-    edges; inputs whose column is unused appear in no cactus.
-    """
-    base = verify(A, B)
-    if not base.controllable:
-        return Verdict(base.controllable, "input-cacti", base.certificate)
-    n = A.rows
-    g = system_digraph(A, B)
-    paths, cycles = path_cycle_decomposition(max_matching(g, n))
-
-    cacti = []
-    vertex_home: dict = {}  # vertex -> cactus index
-    for chain in paths:
-        if len(chain) == 1:
-            continue  # unused input
-        idx = len(cacti)
-        cacti.append({"stem": chain, "cycles": []})
-        for v in chain:
-            vertex_home[v] = idx
-
-    preds: list[list[int]] = [[] for _ in g]
-    for t, succ in enumerate(g):
-        for h in succ:
-            preds[h].append(t)
-    pending = list(range(len(cycles)))
-    while pending:
-        attached_one = False
-        for k in list(pending):
-            cyc = cycles[k]
-            feeders = [t for h in cyc for t in preds[h] if t in vertex_home]
-            if not feeders:
-                continue
-            # The first feeder in `left_order` (inputs, then states), then
-            # the first cycle vertex it feeds.
-            t = min(feeders, key=lambda u: (u < n, u))
-            hook = [t, next(h for h in cyc if h in g[t])]
-            idx = vertex_home[t]
-            cacti[idx]["cycles"].append({"cycle": cyc, "attach": hook})
-            for v in cyc:
-                vertex_home[v] = idx
-            pending.remove(k)
-            attached_one = True
-        if not attached_one:
-            raise RuntimeError(
-                "could not attach all cycles despite a controllable verdict"
-            )
-
-    enc = _encoder(n)
-    cert = {
-        "type": "input-cacti",
-        "cacti": [
-            {
-                "stem": [enc(v) for v in c["stem"]],
-                "cycles": [
-                    {
-                        "cycle": [enc(v) for v in cy["cycle"]],
-                        "attach": [enc(v) for v in cy["attach"]],
-                    }
-                    for cy in c["cycles"]
-                ],
-            }
-            for c in cacti
-        ],
-    }
-    return Verdict(True, "input-cacti", cert)
-
-
 # ---------------------------------------------------------------------------
 # certificate replay
 
@@ -222,56 +152,21 @@ def check_certificate(A: SparsityPattern, B: SparsityPattern, verdict: Verdict) 
         parent = {_dec(c): _dec(p) for c, p in cert["reach_forest"]}
         if not all(_is_edge(A, B, p, c) for c, p in parent.items()):
             return False
+        # Each state is walked once: a walk stops at a cleared state or an
+        # input, and meeting a state of its own chain again is a cycle.
         cleared: set = set()
         for j in range(n):
-            chain = []
+            chain: set = set()
             v = ("x", j)
             while v not in cleared:
                 if v[0] == "u":
                     break
                 if v not in parent or v in chain:
                     return False
-                chain.append(v)
+                chain.add(v)
                 v = parent[v]
-            cleared.update(chain)
+            cleared |= chain
         return True
-
-    if kind == "input-cacti":
-        if not verdict.controllable:
-            return False
-        covered: set = set()
-        used_inputs: set = set()
-        for c in cert["cacti"]:
-            stem = [_dec(v) for v in c["stem"]]
-            if len(stem) < 2 or stem[0][0] != "u" or stem[0] in used_inputs:
-                return False
-            used_inputs.add(stem[0])
-            if any(v[0] != "x" for v in stem[1:]):
-                return False
-            in_cactus = set()
-            for tail, head in zip(stem, stem[1:]):
-                if not _is_edge(A, B, tail, head):
-                    return False
-            for v in stem[1:]:
-                if v in covered or v in in_cactus:
-                    return False
-                in_cactus.add(v)
-            for cy in c["cycles"]:
-                cyc = [_dec(v) for v in cy["cycle"]]
-                tail, head = _dec(cy["attach"][0]), _dec(cy["attach"][1])
-                if tail not in in_cactus or head not in cyc:
-                    return False
-                if not _is_edge(A, B, tail, head):
-                    return False
-                for a, b_ in zip(cyc, cyc[1:] + cyc[:1]):
-                    if not _is_edge(A, B, a, b_):
-                        return False
-                for v in cyc:
-                    if v in covered or v in in_cactus or v[0] != "x":
-                        return False
-                    in_cactus.add(v)
-            covered.update(v for v in in_cactus)
-        return covered == {("x", j) for j in range(n)}
 
     return False
 
@@ -279,46 +174,51 @@ def check_certificate(A: SparsityPattern, B: SparsityPattern, verdict: Verdict) 
 # ---------------------------------------------------------------------------
 # numeric cross-check
 
-# The probe builds dense n x n(p+1) controllability matrices; past this many
-# states it is refused.
+# The probe eliminates dense length-n vectors; past this many states it is
+# refused.
 PROBE_MAX_STATES = 64
-PROBE_TRIALS = 3
-PROBE_TOL = 1e-8  # singular values below this fraction of the largest count as 0
+_PRIME = (1 << 61) - 1  # the probe computes in GF(2^61 - 1)
 
 
 def numeric_probe(A: SparsityPattern, B: SparsityPattern, seed: int = 0) -> bool:
-    """Random realizations of the pattern tested for full controllability-matrix
-    rank.  True as soon as one of ``PROBE_TRIALS`` trials reaches full rank; a
-    zero B is False without sampling.  Refuses systems larger than
-    ``PROBE_MAX_STATES`` states.
-    """
-    import numpy as np
+    """Whether one random integer realization of the pattern has full Kalman
+    rank over GF(p), p = 2^61 - 1.  A zero B is False without sampling.
+    Refuses systems larger than ``PROBE_MAX_STATES`` states.
 
+    The nonzeros are drawn from 1..p-1 by ``random.Random(seed)``.  B's
+    columns are queued; each queued vector independent of the basis so far
+    joins it (Gaussian elimination mod p) and queues its image under A, until
+    the basis spans all n states.  True proves structural controllability:
+    the realization is then controllable over the rationals.  False is wrong
+    with probability at most n^2/(p-1) (Schwartz, J. ACM 27, 1980; Zippel,
+    EUROSAM 1979): a Kalman minor has degree at most n^2 in the entries.
+    """
     n = A.rows
     if n > PROBE_MAX_STATES:
         raise ValueError(f"numeric probe limited to {PROBE_MAX_STATES} states, got {n}")
     if B.is_zero:
         return False
-    rng = np.random.default_rng(seed)
-    for _ in range(PROBE_TRIALS):
-        Am = np.zeros((n, n))
-        for i, j in sorted(A.nonzeros):
-            Am[i, j] = rng.uniform(0.5, 1.5) * (1.0 if rng.integers(2) else -1.0)
-        Bm = np.zeros((n, max(B.cols, 1)))
-        for i, j in sorted(B.nonzeros):
-            Bm[i, j] = rng.uniform(0.5, 1.5) * (1.0 if rng.integers(2) else -1.0)
-        blocks = [Bm]
-        cur = Bm
-        for _ in range(n - 1):
-            cur = Am @ cur
-            peak = np.max(np.abs(cur))
-            if peak > 0:  # per-block positive rescale keeps the column span
-                cur = cur / peak
-            blocks.append(cur)
-        ctrb = np.hstack(blocks)
-        svals = np.linalg.svd(ctrb, compute_uv=False)
-        if svals.size and svals[0] > 0:
-            rank = int(np.sum(svals > PROBE_TOL * svals[0]))
-            if rank == n:
-                return True
-    return False
+    rng = random.Random(seed)
+    a_entries = [(i, j, rng.randrange(1, _PRIME)) for i, j in sorted(A.nonzeros)]
+    queue = deque([0] * n for _ in range(B.cols))
+    for i, j in sorted(B.nonzeros):
+        queue[j][i] = rng.randrange(1, _PRIME)
+    basis: list[tuple[int, list[int]]] = []  # (pivot, row with 1 at the pivot)
+    while queue and len(basis) < n:
+        v = queue.popleft()
+        w = v
+        for piv, row in basis:
+            c = w[piv] % _PRIME
+            if c:
+                w = [x - c * y for x, y in zip(w, row)]
+        w = [x % _PRIME for x in w]
+        piv = next((k for k, x in enumerate(w) if x), None)
+        if piv is None:
+            continue
+        inv = pow(w[piv], _PRIME - 2, _PRIME)
+        basis.append((piv, [x * inv % _PRIME for x in w]))
+        image = [0] * n
+        for i, j, a in a_entries:
+            image[i] += a * v[j]
+        queue.append([x % _PRIME for x in image])
+    return len(basis) == n

@@ -1,11 +1,11 @@
-"""Distributed verification programs: input-reachability flooding and a
+"""The distributed verification program: input-reachability flooding and a
 region-discharge preflow for the matching condition.
 
-Both programs run on the lockstep runtime.  ``reached`` gossips
+``controlled`` runs on the lockstep runtime.  Its reachability gossips
 per-subsystem SCC counts to size the iteration budget, then alternately
-exchanges boundary-visible reached states and propagates internally.
-``controlled`` composes reachability with a push-relabel preflow computed
-region by region: each agent owns the flow vertices of its own subsystem
+exchanges boundary-visible reached states and propagates internally.  The
+preflow for the matching condition is push-relabel, computed region by
+region: each agent owns the flow vertices of its own subsystem
 (source- and sink-adjacent copies of its states plus its inputs) and keeps
 cached labels for the boundary vertices of neighboring regions.  Excess
 crosses region boundaries through an offer/accept exchange that only ever
@@ -115,29 +115,6 @@ def _reached_steps(ctx: AgentContext, iterations: int, tree: Tree | None = None)
                 sizes += [len(reached)] * (iterations - it)
                 break
     return reached, sizes, completed
-
-
-def reached_program(extra_iterations: int = 0):
-    """Agent program: true iff every own state is input-reachable globally.
-    It runs every iteration, with no tree to stop it at the fixpoint;
-    ``extra_iterations`` appends outer iterations (fixpoint probing)."""
-
-    def reached(ctx: AgentContext):
-        info, _ = yield from gossip(ctx, _size_entry(ctx))
-        N = sum(v[0] for v in info.values())
-        got, sizes, completed = yield from _reached_steps(ctx, N + extra_iterations)
-        return {
-            "rchd": len(got) == ctx.subsystem.n,
-            "reached": sorted(got),
-            "N": N,
-            "sizes_by_iteration": sizes,
-            "completed_iteration": completed,
-        }
-
-    return reached
-
-
-reached = reached_program()
 
 
 # ---------------------------------------------------------------------------

@@ -268,43 +268,6 @@ def min_weight_max_matching(
 # matching structure
 
 
-def path_cycle_decomposition(mates: Mates) -> tuple[list, list]:
-    """Split a matching, read as a successor relation on the vertices
-    0..len(mate_l)-1, into elementary paths and cycles covering every vertex.
-
-    Paths start at vertices never used as a matched right (isolated vertices
-    are single-vertex paths) and end at vertices never used as a matched left.
-    Returned in vertex order (inputs first): paths by start vertex, cycles
-    rotated to and sorted by their smallest vertex.
-    """
-    mate_l, mate_r = mates
-    n = len(mate_r)
-    on_path = [False] * len(mate_l)
-    paths = []
-    for v in left_order(len(mate_l), n):
-        if v < n and mate_r[v] >= 0:
-            continue
-        chain = [v]
-        while mate_l[chain[-1]] >= 0:
-            chain.append(mate_l[chain[-1]])
-        paths.append(chain)
-        for w in chain:
-            on_path[w] = True
-    cycles = []
-    for v in range(n):  # every vertex >= n starts a path
-        if on_path[v]:
-            continue
-        cyc = [v]
-        on_path[v] = True
-        w = mate_l[v]
-        while w != v:
-            cyc.append(w)
-            on_path[w] = True
-            w = mate_l[w]
-        cycles.append(cyc)
-    return paths, cycles
-
-
 def right_deficiency_witness(g: Graph, mates: Mates) -> tuple[list, list] | None:
     """A set W of right vertices with fewer neighbors than members, when the
     maximum matching ``mates`` leaves rights unmatched; None when all rights

@@ -2,14 +2,17 @@
 
 Everything here favors obviousness over speed: bitmask DP over right
 vertices, per-source DFS, pairwise reachability closures, dense index
-arithmetic.  Apart from the similar-systems section, nothing imports the
-algorithm implementations under test; that section lifts the cycle-cover
-check's result into a matching of the expanded system, a construction only
-the tests use.  The section after it holds two reference algorithms that
-only the tests use, a unit-capacity preflow and a matching exchange, checked
-against the package's matchings; the last one holds facts about distributed
-runs that only the tests need: the boundary size, hop distances, the BFS
-tree and trace filtering.
+arithmetic.  Three sections build on the package, each with a construction
+only the tests use: the cactus section turns ``verify``'s matching into
+input-rooted cacti (a second positive certificate) and replays them; the
+similar-systems section lifts the cycle-cover check's result into a
+matching of the expanded system; the last section holds facts about
+distributed runs (the boundary size, hop distances, the BFS tree, trace
+filtering) and ``reached``, a reachability-only agent program that runs the
+package's reachability steps for every iteration, with no tree to stop
+them.  The reference-algorithm section, a unit-capacity preflow and a
+matching exchange, imports nothing; the tests check the package's
+matchings against it.
 """
 
 from __future__ import annotations
@@ -17,9 +20,13 @@ from __future__ import annotations
 from collections import deque, namedtuple
 from functools import lru_cache
 
-from structctl.graphkit import max_matching, path_cycle_decomposition
-from structctl.model import InterconnectedSystem, SparsityPattern, system_bipartite
-from structctl.runtime import Trace
+from structctl.centralized import Verdict, verify
+from structctl.distributed import _reached_steps, _size_entry
+from structctl.graphkit import left_order, max_matching
+from structctl.model import (
+    InterconnectedSystem, SparsityPattern, system_bipartite, system_digraph,
+)
+from structctl.runtime import AgentContext, Trace, gossip
 from structctl.similar import SimilarSystemSpec, check_cycle_cover, copy_level_digraph
 
 # The oracles' own graph forms, over any hashable vertices.
@@ -294,6 +301,161 @@ def lemma4_literal_search(sys: InterconnectedSystem) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# cactus certificates: a second positive certificate, built and replayed
+
+
+def path_cycle_decomposition(mates: tuple[list[int], list[int]]) -> tuple[list, list]:
+    """Split a matching, read as a successor relation on the vertices
+    0..len(mate_l)-1, into elementary paths and cycles covering every vertex.
+
+    Paths start at vertices never used as a matched right (isolated vertices
+    are single-vertex paths) and end at vertices never used as a matched left.
+    Returned in vertex order (inputs first): paths by start vertex, cycles
+    rotated to and sorted by their smallest vertex.
+    """
+    mate_l, mate_r = mates
+    n = len(mate_r)
+    on_path = [False] * len(mate_l)
+    paths = []
+    for v in left_order(len(mate_l), n):
+        if v < n and mate_r[v] >= 0:
+            continue
+        chain = [v]
+        while mate_l[chain[-1]] >= 0:
+            chain.append(mate_l[chain[-1]])
+        paths.append(chain)
+        for w in chain:
+            on_path[w] = True
+    cycles = []
+    for v in range(n):  # every vertex >= n starts a path
+        if on_path[v]:
+            continue
+        cyc = [v]
+        on_path[v] = True
+        w = mate_l[v]
+        while w != v:
+            cyc.append(w)
+            on_path[w] = True
+            w = mate_l[w]
+        cycles.append(cyc)
+    return paths, cycles
+
+
+def verify_via_cacti(A: SparsityPattern, B: SparsityPattern) -> Verdict:
+    """Same verdict as ``verify``, but a positive certificate is an explicit
+    family of vertex-disjoint input-rooted cacti covering every state.
+
+    Each cactus is a stem (path from an input) plus cycles hooked on by single
+    edges; inputs whose column is unused appear in no cactus.
+    """
+    base = verify(A, B)
+    if not base.controllable:
+        return Verdict(base.controllable, "input-cacti", base.certificate)
+    n = A.rows
+    g = system_digraph(A, B)
+    paths, cycles = path_cycle_decomposition(max_matching(g, n))
+
+    cacti = []
+    vertex_home: dict = {}  # vertex -> cactus index
+    for chain in paths:
+        if len(chain) == 1:
+            continue  # unused input
+        idx = len(cacti)
+        cacti.append({"stem": chain, "cycles": []})
+        for v in chain:
+            vertex_home[v] = idx
+
+    preds: list[list[int]] = [[] for _ in g]
+    for t, succ in enumerate(g):
+        for h in succ:
+            preds[h].append(t)
+    pending = list(range(len(cycles)))
+    while pending:
+        attached_one = False
+        for k in list(pending):
+            cyc = cycles[k]
+            feeders = [t for h in cyc for t in preds[h] if t in vertex_home]
+            if not feeders:
+                continue
+            # The first feeder in `left_order` (inputs, then states), then
+            # the first cycle vertex it feeds.
+            t = min(feeders, key=lambda u: (u < n, u))
+            hook = [t, next(h for h in cyc if h in g[t])]
+            idx = vertex_home[t]
+            cacti[idx]["cycles"].append({"cycle": cyc, "attach": hook})
+            for v in cyc:
+                vertex_home[v] = idx
+            pending.remove(k)
+            attached_one = True
+        if not attached_one:
+            raise RuntimeError(
+                "could not attach all cycles despite a controllable verdict"
+            )
+
+    def enc(v: int) -> list:
+        return ["x", v] if v < n else ["u", v - n]
+
+    cert = {
+        "type": "input-cacti",
+        "cacti": [
+            {
+                "stem": [enc(v) for v in c["stem"]],
+                "cycles": [
+                    {
+                        "cycle": [enc(v) for v in cy["cycle"]],
+                        "attach": [enc(v) for v in cy["attach"]],
+                    }
+                    for cy in c["cycles"]
+                ],
+            }
+            for c in cacti
+        ],
+    }
+    return Verdict(True, "input-cacti", cert)
+
+
+def check_cacti_certificate(A: SparsityPattern, B: SparsityPattern, verdict: Verdict) -> bool:
+    """Replay a positive ``input-cacti`` certificate against the patterns:
+    disjoint cacti on distinct inputs whose stems, hooks and cycles follow
+    edges and cover every state exactly once.  A cycle hooks on from any
+    vertex already in its cactus, the stem's input included."""
+    cert = verdict.certificate
+    if not verdict.controllable or cert.get("type") != "input-cacti":
+        return False
+    edges = system_graph(A, B).edges
+    covered: set = set()
+    used_inputs: set = set()
+    for c in cert["cacti"]:
+        stem = [tuple(v) for v in c["stem"]]
+        if len(stem) < 2 or stem[0][0] != "u" or stem[0] in used_inputs:
+            return False
+        used_inputs.add(stem[0])
+        if any(v[0] != "x" for v in stem[1:]):
+            return False
+        if not all(e in edges for e in zip(stem, stem[1:])):
+            return False
+        in_cactus = set()
+        for v in stem[1:]:
+            if v in covered or v in in_cactus:
+                return False
+            in_cactus.add(v)
+        for cy in c["cycles"]:
+            cyc = [tuple(v) for v in cy["cycle"]]
+            tail, head = (tuple(v) for v in cy["attach"])
+            hooked = tail == stem[0] or tail in in_cactus
+            if not hooked or head not in cyc or (tail, head) not in edges:
+                return False
+            if not all(e in edges for e in zip(cyc, cyc[1:] + cyc[:1])):
+                return False
+            for v in cyc:
+                if v in covered or v in in_cactus or v[0] != "x":
+                    return False
+                in_cactus.add(v)
+        covered |= in_cactus
+    return covered == {("x", j) for j in range(A.rows)}
+
+
+# ---------------------------------------------------------------------------
 # similar systems: the composite matching
 
 
@@ -562,3 +724,26 @@ def filter_trace(trace: Trace, round: int | None = None, agent: int | None = Non
         if (round is None or rec.round == round)
         and (agent is None or agent in (rec.sender, rec.receiver))
     ])
+
+
+def reached_program(extra_iterations: int = 0):
+    """Agent program: true iff every own state is input-reachable globally.
+    It runs every iteration, with no tree to stop it at the fixpoint;
+    ``extra_iterations`` appends outer iterations (fixpoint probing)."""
+
+    def reached(ctx: AgentContext):
+        info, _ = yield from gossip(ctx, _size_entry(ctx))
+        N = sum(v[0] for v in info.values())
+        got, sizes, completed = yield from _reached_steps(ctx, N + extra_iterations)
+        return {
+            "rchd": len(got) == ctx.subsystem.n,
+            "reached": sorted(got),
+            "N": N,
+            "sizes_by_iteration": sizes,
+            "completed_iteration": completed,
+        }
+
+    return reached
+
+
+reached = reached_program()

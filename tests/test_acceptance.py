@@ -22,13 +22,10 @@ from oracles import (
     matching_edges,
     matching_opt_bruteforce,
     max_preflow,
-)
-from structctl.centralized import numeric_probe, verify
-from structctl.distributed import (
-    controlled,
-    controlled_program,
     reached_program,
 )
+from structctl.centralized import numeric_probe, verify
+from structctl.distributed import controlled, controlled_program
 from structctl.graphkit import max_matching, min_weight_max_matching
 from structctl.model import (
     SparsityPattern,

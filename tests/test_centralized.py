@@ -7,13 +7,13 @@ import random
 import pytest
 
 from conftest import pat
-from oracles import controllable_bruteforce
+from oracles import check_cacti_certificate, controllable_bruteforce, verify_via_cacti
 from structctl.centralized import (
+    PROBE_MAX_STATES,
     Verdict,
     check_certificate,
     numeric_probe,
     verify,
-    verify_via_cacti,
 )
 from structctl.model import SparsityPattern
 
@@ -25,6 +25,12 @@ def random_pair(seed, max_n=7, max_p=2, density=0.35):
     A = {(i, j) for i in range(n) for j in range(n) if rng.random() < density}
     B = {(i, j) for i in range(n) for j in range(p) if rng.random() < 0.5}
     return pat(n, n, A), pat(n, p, B)
+
+
+def looped_chain(n, entries):
+    """The n x n pattern of A with the given (row, col) entries plus a
+    self-loop at every state."""
+    return pat(n, n, set(entries) | {(k, k) for k in range(n)})
 
 
 class TestVerify:
@@ -119,6 +125,28 @@ class TestCertificateReplay:
         cert["matching"] = [[["u", 0], ["x", 1]], [["x", 0], ["x", 0]]]  # no such edges
         assert not check_certificate(A, B, Verdict(True, v.mode, cert))
 
+    def test_reversed_chain_replays(self):
+        # the input feeds x[n-1] and x[k+1] feeds x[k]: the walk from x0
+        # climbs the whole chain, and every later walk stops at once
+        n = 20000
+        A = looped_chain(n, {(k, k + 1) for k in range(n - 1)})
+        B = pat(n, 1, {(n - 1, 0)})
+        v = verify(A, B)
+        assert v.controllable and check_certificate(A, B, v)
+
+    def test_cycle_at_the_end_of_a_long_chain_rejected(self):
+        # x[n-2] -> x[n-1] closes a cycle with the chain's last edge; a forest
+        # that walks from x0 up the chain into that cycle never reaches u0
+        n = 5000
+        A = looped_chain(n, {(k, k + 1) for k in range(n - 1)} | {(n - 1, n - 2)})
+        B = pat(n, 1, {(n - 1, 0)})
+        v = verify(A, B)
+        assert v.controllable and check_certificate(A, B, v)
+        forest = [[["x", k], ["x", k + 1]] for k in range(n - 1)]
+        forest.append([["x", n - 1], ["x", n - 2]])
+        cert = {**v.certificate, "reach_forest": forest}
+        assert not check_certificate(A, B, Verdict(True, v.mode, cert))
+
 
 class TestCacti:
     def test_same_verdict_as_verify(self):
@@ -149,6 +177,22 @@ class TestCacti:
         for cactus in v.certificate["cacti"]:
             assert cactus["stem"][0][0] == "u"
 
+    def test_cacti_certificates_replay(self):
+        for seed in range(150):
+            A, B = random_pair(seed + 3000)
+            v = verify_via_cacti(A, B)
+            assert check_cacti_certificate(A, B, v) == v.controllable, seed
+
+    def test_cacti_replay_rejects_a_dropped_cycle(self):
+        A = pat(3, 3, {(1, 0), (0, 1), (2, 2)})
+        B = pat(3, 1, {(0, 0), (2, 0)})
+        v = verify_via_cacti(A, B)
+        assert check_cacti_certificate(A, B, v)
+        cactus = v.certificate["cacti"][0]
+        assert cactus["cycles"]
+        forged = {"type": "input-cacti", "cacti": [{**cactus, "cycles": []}]}
+        assert not check_cacti_certificate(A, B, Verdict(True, v.mode, forged))
+
 
 class TestNumericProbe:
     def test_agrees_with_structural_verdict(self):
@@ -162,6 +206,15 @@ class TestNumericProbe:
 
     def test_zero_b_is_false_without_sampling(self):
         assert numeric_probe(pat(2, 2, {(1, 0)}), pat(2, 1, set())) is False
+
+    def test_looped_chain_at_the_size_limit_is_full_rank(self):
+        # its Krylov vectors are nearly parallel, which misled a float SVD
+        n = PROBE_MAX_STATES
+        A = looped_chain(n, {(k + 1, k) for k in range(n - 1)})
+        B = pat(n, 1, {(0, 0)})
+        assert verify(A, B).controllable
+        for seed in range(5):
+            assert numeric_probe(A, B, seed=seed) is True, seed
 
     def test_size_limit(self):
         big = SparsityPattern(65, 65, frozenset())

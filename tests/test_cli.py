@@ -221,6 +221,34 @@ class TestVerifyInputHandling:
         assert rep["numeric_probe"]["seed"] == 9
         assert rep["numeric_probe"]["full_rank"] is True
 
+    def test_numeric_probe_on_a_looped_chain_is_full_rank(self, capsys, tmp_path):
+        chain = {(k + 1, k) for k in range(63)} | {(k, k) for k in range(64)}
+        path = tmp_path / "chain.json"
+        save(build_system([(64, 1, chain, {(0, 0)})], []), path)
+        code, out, _ = run_cli(
+            capsys, "verify", "--mode", "centralized", "--input", str(path),
+            "--seed", "9",
+        )
+        assert code == 0
+        assert report_of(out)["numeric_probe"] == {"seed": 9, "full_rank": True}
+
+    def test_runs_without_numpy(self, ring_file):
+        # a None entry in sys.modules makes every import of numpy fail
+        script = (
+            "import sys; sys.modules['numpy'] = None\n"
+            "from structctl.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(distributed.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "verify", "--mode", "centralized",
+             "--input", ring_file, "--seed", "9"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert report_of(proc.stdout)["numeric_probe"]["full_rank"] is True
+
     def test_negative_seed_is_exit_2(self, capsys, ring_file):
         for mode in ("centralized", "distributed"):
             code, out, err = run_cli(

@@ -12,6 +12,8 @@ from conftest import build_system, matching_size, reached_states
 from oracles import (
     bfs_tree_parents,
     boundary_vertex_count,
+    reached,
+    reached_program,
     undirected_distances,
 )
 from structctl import distributed
@@ -23,8 +25,6 @@ from structctl.distributed import (
     _vkey,
     controlled,
     controlled_program,
-    reached,
-    reached_program,
 )
 from structctl.model import assemble_global, random_system
 from structctl.runtime import (

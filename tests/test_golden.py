@@ -13,7 +13,8 @@ import hashlib
 import json
 import random
 
-from structctl.centralized import verify, verify_via_cacti
+from oracles import verify_via_cacti
+from structctl.centralized import verify
 from structctl.distributed import controlled_program
 from structctl.model import assemble_global, random_serial_system, random_system
 from structctl.runtime import run

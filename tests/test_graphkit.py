@@ -18,6 +18,7 @@ from oracles import (
     matching_opt_bruteforce,
     max_preflow,
     non_top_linked_oracle,
+    path_cycle_decomposition,
     scc_partition_oracle,
 )
 from structctl.graphkit import (
@@ -25,7 +26,6 @@ from structctl.graphkit import (
     max_matching,
     min_weight_max_matching,
     non_top_linked_components,
-    path_cycle_decomposition,
     right_deficiency_witness,
     scc,
 )

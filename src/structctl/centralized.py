@@ -89,58 +89,75 @@ def verify(A: SparsityPattern, B: SparsityPattern) -> Verdict:
 # certificate replay
 
 
-def _dec(v) -> tuple:
-    return (v[0], v[1])
+def _vertex(v, n: int, p: int) -> tuple | None:
+    """The (tag, index) of a vertex ``["x", state]`` or ``["u", input]`` whose
+    index is an int in range; None for anything else."""
+    if isinstance(v, (list, tuple)) and len(v) == 2 and type(v[1]) is int:
+        tag, k = v
+        if 0 <= k < (n if tag == "x" else p if tag == "u" else 0):
+            return (tag, k)
+    return None
+
+
+def _vertices(items, n: int, p: int) -> list | None:
+    """Certificate vertices as (tag, index) pairs; None if any is not one."""
+    if not isinstance(items, (list, tuple)):
+        return None
+    out = [_vertex(v, n, p) for v in items]
+    return None if None in out else out
+
+
+def _vertex_pairs(entries, n: int, p: int) -> list | None:
+    """``[vertex, vertex]`` entries as decoded pairs; None if any is not one."""
+    if not isinstance(entries, list):
+        return None
+    pairs = [_vertices(e, n, p) for e in entries]
+    return None if any(pair is None or len(pair) != 2 for pair in pairs) else pairs
 
 
 def _is_edge(A: SparsityPattern, B: SparsityPattern, tail: tuple, head: tuple) -> bool:
     if head[0] != "x":
         return False
-    if tail[0] == "x":
-        return (head[1], tail[1]) in A.nonzeros
-    if tail[0] == "u":
-        return (head[1], tail[1]) in B.nonzeros
-    return False
+    pattern = A if tail[0] == "x" else B
+    return (head[1], tail[1]) in pattern.nonzeros
 
 
 def check_certificate(A: SparsityPattern, B: SparsityPattern, verdict: Verdict) -> bool:
-    """Re-validate a verdict's certificate against the patterns alone."""
+    """Re-validate a verdict's certificate against the patterns alone.  A
+    missing key or a malformed vertex makes it invalid."""
     cert = verdict.certificate
     kind = cert.get("type")
-    n = A.rows
-
-    def is_state(k) -> bool:
-        return type(k) is int and 0 <= k < n
+    n, p = A.rows, B.cols
 
     if kind == "unreachable-closure":
-        states = cert["states"]
-        if verdict.controllable or not states or not all(map(is_state, states)):
+        states = cert.get("states")
+        if verdict.controllable or not isinstance(states, list) or not states:
+            return False
+        if not all(type(k) is int and 0 <= k < n for k in states):
             return False
         states = set(states)
         if any(k in states for k, _ in B.nonzeros):
             return False
-        return not any(
-            k in states and l not in states for k, l in A.nonzeros
-        )
+        return not any(k in states and l not in states for k, l in A.nonzeros)
 
     if kind == "right-deficiency":
-        if verdict.controllable:
+        rights = _vertices(cert.get("rights"), n, p)
+        neighbors = _vertices(cert.get("neighbors"), n, p)
+        if verdict.controllable or not rights or neighbors is None:
             return False
-        rights = [_dec(v) for v in cert["rights"]]
-        if not rights or any(v[0] != "x" or not is_state(v[1]) for v in rights):
-            return False
-        if len(set(rights)) != len(rights):
+        if any(v[0] != "x" for v in rights) or len(set(rights)) != len(rights):
             return False
         # One pass over each pattern keeps the replay linear in its size.
         members = {k for _, k in rights}
         feeders = {("x", l) for k, l in A.nonzeros if k in members}
         feeders.update(("u", j) for k, j in B.nonzeros if k in members)
-        return len(feeders) < len(rights)
+        return len(feeders) < len(rights) and set(neighbors) == feeders
 
     if kind == "reach-and-match":
-        if not verdict.controllable:
+        edges = _vertex_pairs(cert.get("matching"), n, p)
+        forest = _vertex_pairs(cert.get("reach_forest"), n, p)
+        if not verdict.controllable or edges is None or forest is None:
             return False
-        edges = [(_dec(l), _dec(r)) for l, r in cert["matching"]]
         lefts = [l for l, _ in edges]
         rights = [r for _, r in edges]
         if len(set(lefts)) != len(edges) or len(set(rights)) != len(edges):
@@ -149,9 +166,9 @@ def check_certificate(A: SparsityPattern, B: SparsityPattern, verdict: Verdict) 
             return False
         if set(rights) != {("x", j) for j in range(n)}:
             return False
-        parent = {_dec(c): _dec(p) for c, p in cert["reach_forest"]}
-        if not all(_is_edge(A, B, p, c) for c, p in parent.items()):
+        if not all(_is_edge(A, B, tail, head) for head, tail in forest):
             return False
+        parent = dict(forest)
         # Each state is walked once: a walk stops at a cleared state or an
         # input, and meeting a state of its own chain again is a cycle.
         cleared: set = set()

@@ -54,7 +54,7 @@ from __future__ import annotations
 import heapq
 
 from .graphkit import scc
-from .model import state_digraph
+from .model import digraph, state_digraph
 from .runtime import (
     AgentContext, ProtocolError, Recv, Send, Tree, bfs_tree, gossip, tree_aggregate,
 )
@@ -81,28 +81,34 @@ def _reached_steps(ctx: AgentContext, iterations: int, tree: Tree | None = None)
     their fixpoint: every agent stops and pads the sizes with the last one,
     which gives the same outputs as running every iteration."""
     own = ctx.subsystem
-    reached = set(own.B.row_support())
-    succs = own.A.by_col()
-    visible_cols = {j: ctx.outgoing[j].col_support() for j in ctx.outgoing}
-    absorb = {j: ctx.incoming[j].by_col() for j in ctx.incoming}
+    succ = state_digraph(own.A)
+    visible = {j: {l for _, l in E.nonzeros} for j, E in ctx.outgoing.items()}
+    # absorb[j][l]: own states that j's state l feeds
+    absorb = {
+        j: digraph(E.cols, ((l, k) for k, l in E.nonzeros))
+        for j, E in ctx.incoming.items()
+    }
+    reached = {k for k, _ in own.B.nonzeros}
+    fresh = list(reached)  # reached states whose successors are not yet added
+
+    def add(states):
+        for k in states:
+            if k not in reached:
+                reached.add(k)
+                fresh.append(k)
 
     sizes = []
     completed = None
     for it in range(1, iterations + 1):
         before = len(reached)
         for j in sorted(ctx.outgoing):
-            yield Send(j, sorted(reached & visible_cols[j]))
+            yield Send(j, sorted(reached & visible[j]))
         for j in sorted(ctx.incoming):
             avail = yield Recv(j)
             for l in avail:
-                reached.update(absorb[j].get(l, ()))
-        for _ in range(own.n):
-            frontier = set()
-            for s_ in reached:
-                frontier.update(succs.get(s_, ()))
-            if frontier <= reached:
-                break
-            reached |= frontier
+                add(absorb[j][l])
+        while fresh:
+            add(succ[fresh.pop()])
         sizes.append(len(reached))
         if completed is None and len(reached) == own.n:
             completed = it

@@ -33,42 +33,21 @@ class SparsityPattern:
     nonzeros: frozenset[Pair] = frozenset()
 
     def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ModelError(f"pattern shape ({self.rows}, {self.cols}) is negative")
-        entries = frozenset((int(r), int(c)) for r, c in self.nonzeros)
-        object.__setattr__(self, "nonzeros", entries)
-        for r, c in entries:
-            if not (0 <= r < self.rows and 0 <= c < self.cols):
+        rows, cols = self.rows, self.cols
+        if rows < 0 or cols < 0:
+            raise ModelError(f"pattern shape ({rows}, {cols}) is negative")
+        # frozenset() hands a frozenset back as is, so this copies only other inputs
+        object.__setattr__(self, "nonzeros", frozenset(self.nonzeros))
+        for r, c in self.nonzeros:
+            if not (type(r) is int and type(c) is int and 0 <= r < rows and 0 <= c < cols):
                 raise ModelError(
-                    f"nonzero ({r}, {c}) outside a {self.rows}x{self.cols} pattern"
+                    f"nonzero ({r!r}, {c!r}) is not an integer position in a "
+                    f"{rows}x{cols} pattern"
                 )
-
-    def __contains__(self, pair: Pair) -> bool:
-        return pair in self.nonzeros
 
     @property
     def is_zero(self) -> bool:
         return not self.nonzeros
-
-    def row_support(self) -> set[int]:
-        """Rows that contain at least one nonzero."""
-        return {r for r, _ in self.nonzeros}
-
-    def col_support(self) -> set[int]:
-        return {c for _, c in self.nonzeros}
-
-    def by_col(self) -> dict[int, list[int]]:
-        """Map column -> sorted rows with a nonzero in that column."""
-        out: dict[int, list[int]] = {}
-        for r, c in sorted(self.nonzeros):
-            out.setdefault(c, []).append(r)
-        return out
-
-    def by_row(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for r, c in sorted(self.nonzeros, key=lambda rc: (rc[1], rc[0])):
-            out.setdefault(r, []).append(c)
-        return out
 
     def __or__(self, other: "SparsityPattern") -> "SparsityPattern":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -76,28 +55,6 @@ class SparsityPattern:
                 f"cannot union {self.rows}x{self.cols} with {other.rows}x{other.cols}"
             )
         return SparsityPattern(self.rows, self.cols, self.nonzeros | other.nonzeros)
-
-    def transpose(self) -> "SparsityPattern":
-        return SparsityPattern(self.cols, self.rows, frozenset((c, r) for r, c in self.nonzeros))
-
-    @classmethod
-    def from_dense(cls, mat: Iterable[Iterable[float]]) -> "SparsityPattern":
-        rows = [list(row) for row in mat]
-        cols = len(rows[0]) if rows else 0
-        nz = frozenset(
-            (i, j) for i, row in enumerate(rows) for j, v in enumerate(row) if v
-        )
-        return cls(len(rows), cols, nz)
-
-    def to_dense(self) -> list[list[int]]:
-        out = [[0] * self.cols for _ in range(self.rows)]
-        for r, c in self.nonzeros:
-            out[r][c] = 1
-        return out
-
-
-def zeros(rows: int, cols: int) -> SparsityPattern:
-    return SparsityPattern(rows, cols, frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +241,6 @@ def condensed_graph(sys: InterconnectedSystem) -> Graph:
     return digraph(sys.r, ((c.from_, c.to) for c in sys.connections))
 
 
-def out_degrees(g: Graph) -> list[int]:
-    return [len(heads) for heads in g]
-
-
 def is_weakly_connected(g: Graph) -> bool:
     if not g:
         return True
@@ -450,12 +403,16 @@ def save(sys: InterconnectedSystem, path) -> None:
 # random instances
 
 
-def _random_pattern(rng: random.Random, rows: int, cols: int, density: float) -> SparsityPattern:
+def _random_pattern(
+    rng: random.Random, rows: int, cols: int, density: float, diagonal: bool = True
+) -> SparsityPattern:
+    """Each position is a nonzero with probability ``density``, one draw per
+    position in row-major order; ``diagonal=False`` skips (i, i) undrawn."""
     nz = [
         (i, j)
         for i in range(rows)
         for j in range(cols)
-        if rng.random() < density
+        if (diagonal or i != j) and rng.random() < density
     ]
     return SparsityPattern(rows, cols, frozenset(nz))
 
@@ -469,6 +426,22 @@ def _nonempty_pattern(rng: random.Random, rows: int, cols: int, density: float) 
     return pat
 
 
+def _random_subsystems(
+    rng: random.Random,
+    r: int,
+    n_range: tuple[int, int],
+    p_range: tuple[int, int],
+    density: float,
+) -> list[Subsystem]:
+    subs = []
+    for i in range(r):
+        n = rng.randint(*n_range)
+        p = rng.randint(*p_range)
+        A = _random_pattern(rng, n, n, density)
+        subs.append(Subsystem(i, n, p, A, _random_pattern(rng, n, p, density)))
+    return subs
+
+
 def random_system(
     r: int,
     n_range: tuple[int, int],
@@ -476,7 +449,6 @@ def random_system(
     density: float,
     seed: int,
     *,
-    b_density: float | None = None,
     extra_conn_prob: float = 0.15,
 ) -> InterconnectedSystem:
     """A seeded random system whose condensed graph is weakly connected.
@@ -486,20 +458,7 @@ def random_system(
     pattern gets at least one nonzero.
     """
     rng = random.Random(seed)
-    b_density = density if b_density is None else b_density
-    subs = []
-    for i in range(r):
-        n = rng.randint(*n_range)
-        p = rng.randint(*p_range)
-        subs.append(
-            Subsystem(
-                id=i,
-                n=n,
-                p=p,
-                A=_random_pattern(rng, n, n, density),
-                B=_random_pattern(rng, n, p, b_density),
-            )
-        )
+    subs = _random_subsystems(rng, r, n_range, p_range, density)
     pairs: set[Pair] = set()  # (to, from)
     for v in range(1, r):
         parent = rng.randrange(v)
@@ -528,19 +487,7 @@ def random_serial_system(
     """Random system whose condensed graph is a tree with every edge oriented
     toward the parent, so each subsystem feeds at most one other."""
     rng = random.Random(seed)
-    subs = []
-    for i in range(r):
-        n = rng.randint(*n_range)
-        p = rng.randint(*p_range)
-        subs.append(
-            Subsystem(
-                id=i,
-                n=n,
-                p=p,
-                A=_random_pattern(rng, n, n, density),
-                B=_random_pattern(rng, n, p, density),
-            )
-        )
+    subs = _random_subsystems(rng, r, n_range, p_range, density)
     conns = []
     for v in range(1, r):
         parent = rng.randrange(v)

@@ -32,7 +32,7 @@ from .model import (
     SparsityPattern,
     Subsystem,
     condensed_graph,
-    out_degrees,
+    digraph,
     system_bipartite,
     system_digraph,
 )
@@ -57,14 +57,9 @@ def is_serial(sys: InterconnectedSystem, variant: str = "primal") -> SerialCheck
     at most one other), with the violating subsystem ids."""
     _check_variant(variant)
     g = condensed_graph(sys)
-    if variant == "primal":
-        deg = out_degrees(g)
-    else:
-        deg = [0] * len(g)
-        for heads in g:
-            for h in heads:
-                deg[h] += 1
-    offenders = tuple(v for v, d in enumerate(deg) if d > 1)
+    if variant == "dual":  # in-degrees are the out-degrees of the reverse
+        g = digraph(len(g), ((h, t) for t, heads in enumerate(g) for h in heads))
+    offenders = tuple(v for v, heads in enumerate(g) if len(heads) > 1)
     return SerialCheck(is_serial=not offenders, offenders=offenders)
 
 
@@ -190,7 +185,7 @@ def seq_strt_ctl_variant(variant: str):
         send_to = ctx.outgoing if variant == "primal" else ctx.incoming
         stack_from = ctx.incoming if variant == "primal" else ctx.outgoing
         for j in sorted(send_to):
-            yield Send(j, sorted(own.A.nonzeros))
+            yield Send(j, [[k, l] for k, l in sorted(own.A.nonzeros)])
         blocks = []
         for j in sorted(stack_from):
             pairs = yield Recv(j)

@@ -31,6 +31,7 @@ from .model import (
     Subsystem,
     _check_keys,
     _parse_pairs,
+    _random_pattern,
     _require_int,
     digraph,
     system_bipartite,
@@ -221,27 +222,18 @@ def random_similar_spec(
     n = rng.randint(*n_range)
     p = rng.randint(*p_range)
 
-    def pat(rows: int, cols: int, dens: float, forbid_diag: bool = False) -> SparsityPattern:
-        nz = [
-            (i, j)
-            for i in range(rows)
-            for j in range(cols)
-            if (not forbid_diag or i != j) and rng.random() < dens
-        ]
-        return SparsityPattern(rows, cols, frozenset(nz))
-
-    Aprime = pat(n, n, density)
-    Bprime = pat(n, p, density)
-    H = pat(n, n, density)
+    Aprime = _random_pattern(rng, n, n, density)
+    Bprime = _random_pattern(rng, n, p, density)
+    H = _random_pattern(rng, n, n, density)
     style = rng.choice(["ring", "sourceless", "any"])
     if style == "ring" and r > 1:
         entries = {((i + 1) % r, i) for i in range(r)}
     elif style == "sourceless" and r > 1:
         # every row nonzero: each copy is fed by someone
         entries = {(i, rng.choice([j for j in range(r) if j != i])) for i in range(r)}
-        entries |= {rc for rc in pat(r, r, density, forbid_diag=True).nonzeros}
+        entries |= _random_pattern(rng, r, r, density, diagonal=False).nonzeros
     else:
-        entries = set(pat(r, r, density, forbid_diag=True).nonzeros)
+        entries = set(_random_pattern(rng, r, r, density, diagonal=False).nonzeros)
         if not entries and r > 1:
             entries = {(1, 0)}
     E = SparsityPattern(r, r, frozenset(entries))

@@ -211,6 +211,14 @@ def assemble_naive(sys: InterconnectedSystem) -> tuple[list[list[int]], list[lis
     return A, B
 
 
+def dense(p: SparsityPattern) -> list[list[int]]:
+    """The 0/1 matrix of a pattern, as row lists."""
+    out = [[0] * p.cols for _ in range(p.rows)]
+    for r, c in p.nonzeros:
+        out[r][c] = 1
+    return out
+
+
 def kron_expand_dense(
     r: int,
     Aprime: SparsityPattern,
@@ -222,9 +230,9 @@ def kron_expand_dense(
     the global A is Aprime if i == j, H if (to=i, from=j) is connected, else 0."""
     import numpy as np
 
-    Ad = np.array(Aprime.to_dense(), dtype=int).reshape(Aprime.rows, Aprime.cols)
-    Bd = np.array(Bprime.to_dense(), dtype=int).reshape(Bprime.rows, Bprime.cols)
-    Hd = np.array(H.to_dense(), dtype=int).reshape(H.rows, H.cols)
+    Ad = np.array(dense(Aprime), dtype=int).reshape(Aprime.rows, Aprime.cols)
+    Bd = np.array(dense(Bprime), dtype=int).reshape(Bprime.rows, Bprime.cols)
+    Hd = np.array(dense(H), dtype=int).reshape(H.rows, H.cols)
     sel = np.zeros((r, r), dtype=int)
     for to, frm in conn_pairs:
         sel[to, frm] = 1

@@ -147,6 +147,58 @@ class TestCertificateReplay:
         cert = {**v.certificate, "reach_forest": forest}
         assert not check_certificate(A, B, Verdict(True, v.mode, cert))
 
+    # Replayed against A = {(1, 0)}, B = {(0, 0)}, which is controllable.
+    _MATCH = [[["u", 0], ["x", 0]], [["x", 0], ["x", 1]]]
+    _FOREST = [[["x", 0], ["u", 0]], [["x", 1], ["x", 0]]]
+    _GOOD = {"type": "reach-and-match", "matching": _MATCH, "reach_forest": _FOREST}
+
+    @pytest.mark.parametrize(
+        "controllable, cert",
+        [
+            # a matching entry that is not a pair of vertices
+            (True, {**_GOOD, "matching": [["x"], *_MATCH]}),
+            (True, {**_GOOD, "matching": [["u", 0], *_MATCH]}),
+            (True, {**_GOOD, "matching": [[["x"], ["x", 0]], _MATCH[1]]}),
+            (True, {**_GOOD, "matching": [[["u", 0], ["x", 0], ["x", 1]], _MATCH[1]]}),
+            # vertices whose index is not an int, or whose tag is unknown
+            (True, {**_GOOD, "matching": [_MATCH[0], [["x", 0], ["x", 1.0]]]}),
+            (True, {**_GOOD, "matching": [_MATCH[0], [["x", 0], ["x", True]]]}),
+            (True, {**_GOOD, "reach_forest": [_FOREST[0], [["x", True], ["x", 0]]]}),
+            (True, {**_GOOD, "reach_forest": [_FOREST[0], [["x", 1], ["y", 0]]]}),
+            (True, {**_GOOD, "reach_forest": [[["x", 0], ["u", 1]], _FOREST[1]]}),
+            (True, {**_GOOD, "matching": "u0 x0"}),
+            # missing keys
+            (True, {"type": "reach-and-match", "matching": _MATCH}),
+            (True, {"type": "reach-and-match", "reach_forest": _FOREST}),
+            (False, {"type": "right-deficiency", "neighbors": []}),
+            (False, {"type": "unreachable-closure"}),
+            # rights and states that are not vertices
+            (False, {"type": "right-deficiency", "rights": [5], "neighbors": []}),
+            (False, {"type": "right-deficiency", "rights": [["x"]], "neighbors": []}),
+            (False, {"type": "right-deficiency", "rights": [["x", 1.0]], "neighbors": []}),
+            (False, {"type": "right-deficiency", "rights": "x1", "neighbors": []}),
+            (False, {"type": "unreachable-closure", "states": 1}),
+            (False, {"type": "unreachable-closure", "states": [True]}),
+        ],
+    )
+    def test_malformed_certificates_rejected(self, controllable, cert):
+        A = pat(2, 2, {(1, 0)})
+        B = pat(2, 1, {(0, 0)})
+        mode = "reachability-matching"
+        assert check_certificate(A, B, Verdict(True, mode, self._GOOD))
+        assert check_certificate(A, B, Verdict(controllable, mode, cert)) is False
+
+    def test_deficiency_neighbors_must_be_the_feeders(self):
+        # x0 and x1 are fed by u0 alone: W = {x0, x1}, N(W) = {u0}
+        A = pat(2, 2, set())
+        B = pat(2, 1, {(0, 0), (1, 0)})
+        v = verify(A, B)
+        assert v.certificate["type"] == "right-deficiency"
+        assert check_certificate(A, B, v)
+        for neighbors in ([], [["u", 0], ["x", 1]], [["u", 0], "junk"], None):
+            cert = {**v.certificate, "neighbors": neighbors}
+            assert not check_certificate(A, B, Verdict(False, v.mode, cert)), neighbors
+
 
 class TestCacti:
     def test_same_verdict_as_verify(self):

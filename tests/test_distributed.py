@@ -175,7 +175,7 @@ class TestReached:
             N = full[0]["N"]
             # sizes[i][k]: agent i's reached-set size after iteration k
             sizes = [
-                [len(sysm.subsystem(i).B.row_support())] + full[i]["sizes_by_iteration"]
+                [len({k for k, _ in sysm.subsystem(i).B.nonzeros})] + full[i]["sizes_by_iteration"]
                 for i in range(sysm.r)
             ]
             quiet = next(

@@ -5,11 +5,9 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from conftest import build_system, pat
-from oracles import assemble_naive
+from oracles import assemble_naive, dense
 from structctl.model import (
     InterconnectedSystem,
     Interconnection,
@@ -21,7 +19,6 @@ from structctl.model import (
     dumps,
     is_weakly_connected,
     loads,
-    out_degrees,
     random_serial_system,
     random_system,
     save,
@@ -30,18 +27,7 @@ from structctl.model import (
     system_bipartite,
     system_digraph,
     system_from_obj,
-    zeros,
 )
-
-
-def patterns(max_rows=6, max_cols=6):
-    return st.integers(1, max_rows).flatmap(
-        lambda r: st.integers(1, max_cols).flatmap(
-            lambda c: st.frozensets(
-                st.tuples(st.integers(0, r - 1), st.integers(0, c - 1))
-            ).map(lambda nz: SparsityPattern(r, c, nz))
-        )
-    )
 
 
 class TestSparsityPattern:
@@ -50,34 +36,23 @@ class TestSparsityPattern:
             SparsityPattern(2, 2, frozenset({(2, 0)}))
         with pytest.raises(ModelError):
             SparsityPattern(2, 2, frozenset({(0, -1)}))
+        # rows and columns are ints, not values that truncate to one
+        for bad in [(0.5, 1), (1.9, 0), (True, 0)]:
+            with pytest.raises(ModelError):
+                SparsityPattern(2, 2, frozenset({bad}))
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ModelError):
             SparsityPattern(-1, 2, frozenset())
 
-    def test_supports_and_grouping(self):
-        p = pat(3, 4, {(0, 1), (2, 1), (2, 3)})
-        assert p.row_support() == {0, 2}
-        assert p.col_support() == {1, 3}
-        assert p.by_col() == {1: [0, 2], 3: [2]}
-        assert p.by_row() == {0: [1], 2: [1, 3]}
-        assert not p.is_zero
-        assert zeros(3, 4).is_zero
+    def test_is_zero(self):
+        assert not pat(3, 4, {(0, 1), (2, 1), (2, 3)}).is_zero
+        assert pat(3, 4, set()).is_zero
 
     def test_union_requires_same_shape(self):
         assert (pat(2, 2, {(0, 0)}) | pat(2, 2, {(1, 1)})).nonzeros == {(0, 0), (1, 1)}
         with pytest.raises(ModelError):
             pat(2, 2, set()) | pat(2, 3, set())
-
-    @given(patterns())
-    def test_dense_roundtrip(self, p):
-        assert SparsityPattern.from_dense(p.to_dense()) == p
-
-    @given(patterns())
-    def test_transpose_involution(self, p):
-        t = p.transpose()
-        assert t.rows == p.cols and t.cols == p.rows
-        assert t.transpose() == p
 
 
 class TestSystemValidation:
@@ -136,8 +111,8 @@ class TestAssembly:
             sysm = random_system(rng.randint(2, 5), (1, 4), (0, 2), 0.4, seed=seed)
             gA, gB = assemble_global(sysm)
             A, B = assemble_naive(sysm)
-            assert gA.to_dense() == A
-            assert gB.to_dense() == B
+            assert dense(gA) == A
+            assert dense(gB) == B
 
     def test_offsets(self, serial_pair):
         assert serial_pair.state_offset(0) == 0
@@ -168,7 +143,6 @@ class TestGraphViews:
         g = condensed_graph(ring4)
         assert g == [[1], [2], [3], [0]]
         assert {h for heads in g for h in heads} == set(range(4))  # no sources
-        assert out_degrees(g) == [1, 1, 1, 1]
         assert is_weakly_connected(g)
 
     def test_weak_connectivity_detects_split(self):

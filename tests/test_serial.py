@@ -19,6 +19,7 @@ from oracles import (
     non_top_linked_oracle,
     system_graph,
 )
+import structctl.runtime as runtime
 from structctl.centralized import verify
 from structctl.model import assemble_global, random_serial_system, state_digraph
 from structctl.serial import (
@@ -99,6 +100,22 @@ class TestAgentsVsMirror:
         res = run_seq_strt_ctl(serial_pair, "primal")
         assert res.outputs == {0: True, 1: True}
         assert verify(*assemble_global(serial_pair)).controllable
+
+    @pytest.mark.parametrize("variant", ["primal", "dual"])
+    def test_payloads_need_no_normalizing(self, serial_pair, monkeypatch, variant):
+        # A payload that equals its JSON round trip is sent as is; anything
+        # else falls back to the runtime's slower normalizing walk.
+        calls = []
+        normalize = runtime._normalize_payload
+
+        def spy(value, where):
+            calls.append(where)
+            return normalize(value, where)
+
+        monkeypatch.setattr(runtime, "_normalize_payload", spy)
+        res = run_seq_strt_ctl(serial_pair, variant)
+        assert set(res.outputs.values()) == {check_lemma4(serial_pair, variant)}
+        assert calls == []
 
     def test_agents_equal_mirror_on_random_serial_systems(self):
         for seed in range(120):

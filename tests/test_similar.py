@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import pat
-from oracles import build_composite_matching, controllable_bruteforce, kron_expand_dense
+from oracles import build_composite_matching, controllable_bruteforce, dense, kron_expand_dense
 from structctl.centralized import verify
 from structctl.model import ModelError, assemble_global, system_digraph
 from structctl.similar import (
@@ -43,8 +43,8 @@ class TestExpand:
                 spec.r, spec.Aprime, spec.Bprime, spec.H,
                 set(spec.E.nonzeros),
             )
-            assert gA.to_dense() == A
-            assert gB.to_dense() == B
+            assert dense(gA) == A
+            assert dense(gB) == B
 
     def test_zero_h_drops_connections(self, similar_template):
         spec = SimilarSystemSpec(

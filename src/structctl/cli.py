@@ -11,6 +11,7 @@ stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -379,7 +380,10 @@ def cmd_trace(args) -> tuple[dict, int]:
 # wiring
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first :func:`main` call of the
+    process (not at import) and reused by every later one."""
     parser = argparse.ArgumentParser(
         prog="structctl",
         description="Structural controllability of interconnected linear systems.",

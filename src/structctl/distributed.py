@@ -64,16 +64,20 @@ from .runtime import (
 # size gossip and reachability
 
 
-def _size_entry(ctx: AgentContext) -> list:
-    """The agent's size gossip entry: ``[state-digraph SCC count, n, p]``."""
+def _size_entry(ctx: AgentContext, succ: list) -> list:
+    """The agent's size gossip entry: ``[state-digraph SCC count, n, p]``,
+    with ``succ`` the agent's ``state_digraph(A)``."""
     own = ctx.subsystem
-    return [len(scc(state_digraph(own.A))), own.n, own.p]
+    return [len(scc(succ)), own.n, own.p]
 
 
-def _reached_steps(ctx: AgentContext, iterations: int, tree: Tree | None = None):
-    """Up to the given number of exchange-absorb-propagate iterations;
-    returns the reached set, its size after each iteration, and the
-    iteration at which it first covered every own state.
+def _reached_steps(
+    ctx: AgentContext, succ: list, iterations: int, tree: Tree | None = None
+):
+    """Up to the given number of exchange-absorb-propagate iterations on the
+    agent's state digraph ``succ``; returns the reached set, its size after
+    each iteration, and the iteration at which it first covered every own
+    state.
 
     With a ``tree``, an OR on it after each iteration but the last asks
     whether any agent's reached set grew.  If none did, the next iteration
@@ -81,7 +85,6 @@ def _reached_steps(ctx: AgentContext, iterations: int, tree: Tree | None = None)
     their fixpoint: every agent stops and pads the sizes with the last one,
     which gives the same outputs as running every iteration."""
     own = ctx.subsystem
-    succ = state_digraph(own.A)
     visible = {j: {l for _, l in E.nonzeros} for j, E in ctx.outgoing.items()}
     # absorb[j][l]: own states that j's state l feeds
     absorb = {
@@ -589,11 +592,12 @@ def controlled_program(
     simplification, ``collect_states`` per-pass state snapshots."""
 
     def controlled(ctx: AgentContext):
-        info, parent = yield from gossip(ctx, _size_entry(ctx))
+        succ = state_digraph(ctx.subsystem.A)
+        info, parent = yield from gossip(ctx, _size_entry(ctx, succ))
         tree = yield from bfs_tree(ctx, parent)
         sccs, ns, ps = zip(*info.values())
         N = sum(sccs)
-        got, sizes, completed = yield from _reached_steps(ctx, N, tree)
+        got, sizes, completed = yield from _reached_steps(ctx, succ, N, tree)
         rchd = len(got) == ctx.subsystem.n
 
         cap = 2 * sum(ns) + sum(ps) + 2

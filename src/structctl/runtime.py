@@ -145,14 +145,26 @@ def _normalize_payload(value, where: str):
     raise ProtocolError(f"{where}: payload value {value!r} is not JSON-representable")
 
 
-_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True, allow_nan=False)
+# One compact, sorted-keys, ASCII encoder and one scanner, built at import
+# (json.dumps and json.loads build or dispatch to them on every call).  The
+# encoder keeps no circular-reference markers: a marker dict shared across
+# calls would keep stale ids after an encode that raises partway, and a
+# payload that contains itself ends in RecursionError either way.
+_encode = json.encoder.c_make_encoder(
+    None,  # markers
+    json.JSONEncoder().default,  # raises TypeError on any non-JSON value
+    json.encoder.encode_basestring_ascii,
+    None, ":", ",",  # indent, key separator, item separator
+    True, False, False,  # sort_keys, skipkeys, allow_nan
+)
+_scan = json.scanner.make_scanner(json.JSONDecoder())
 
 
 def _encode_payload(value, where: str) -> tuple[str, object]:
     """The compact JSON text of a payload and a fresh copy decoded from it."""
     try:
-        text = _ENCODER.encode(value)
-        copy = json.loads(text)
+        text = "".join(_encode(value, 0))
+        copy = _scan(text, 0)[0]
         if copy == value:
             return text, copy
     except (TypeError, ValueError):
@@ -161,10 +173,10 @@ def _encode_payload(value, where: str) -> tuple[str, object]:
     # saying which part of the payload is at fault; the strict walk does.
     normalized = _normalize_payload(value, where)
     try:
-        text = _ENCODER.encode(normalized)
+        text = "".join(_encode(normalized, 0))
     except ValueError as exc:
         raise ProtocolError(f"{where}: {exc}") from None
-    return text, json.loads(text)
+    return text, _scan(text, 0)[0]
 
 
 def gossip(ctx: AgentContext, entry):
@@ -295,10 +307,11 @@ def run(sys: InterconnectedSystem, program: AgentProgram) -> RunResult:
             outgoing={c.to: c.E for c in sys.outgoing(i)},
             r=sys.r,
         )
-    agents = {i: _AgentState(program(contexts[i])) for i in range(sys.r)}
+    agents = [_AgentState(program(contexts[i])) for i in range(sys.r)]
     neighbors = {i: frozenset(ctx.neighbors) for i, ctx in contexts.items()}
-    # Unconsumed messages per (sender, receiver): FIFO of (send_round, payload).
-    queues: dict[tuple[int, int], deque] = {}
+    # Unconsumed messages per (sender, receiver) neighbor pair, in both
+    # directions: FIFO of (send_round, payload).
+    queues = {(i, j): deque() for i in range(sys.r) for j in neighbors[i]}
     trace = Trace()
 
     def drive(i: int, agent: _AgentState, current_round: int) -> None:
@@ -306,7 +319,7 @@ def run(sys: InterconnectedSystem, program: AgentProgram) -> RunResult:
         while True:
             resume = None
             if agent.awaiting is not None:
-                q = queues.get((agent.awaiting, i))
+                q = queues[agent.awaiting, i]
                 if not (q and q[0][0] < current_round):
                     return  # nothing deliverable yet; stays blocked
                 _, resume = q.popleft()
@@ -325,9 +338,7 @@ def run(sys: InterconnectedSystem, program: AgentProgram) -> RunResult:
                 text, copy = _encode_payload(
                     action.payload, f"agent {i} -> {action.to}"
                 )
-                queues.setdefault((i, action.to), deque()).append(
-                    (current_round, copy)
-                )
+                queues[i, action.to].append((current_round, copy))
                 trace.records.append(TraceRecord(current_round, i, action.to, text))
             elif isinstance(action, Recv):
                 if action.frm not in neighbors[i]:
@@ -343,20 +354,20 @@ def run(sys: InterconnectedSystem, program: AgentProgram) -> RunResult:
     round_no = 0
     while True:
         round_no += 1
-        for i in sorted(agents):
-            if not agents[i].done:
-                drive(i, agents[i], round_no)
-        live = {i: a for i, a in agents.items() if not a.done}
+        for i, agent in enumerate(agents):
+            if not agent.done:
+                drive(i, agent, round_no)
+        live = {i: a for i, a in enumerate(agents) if not a.done}
         if not live:
             break
         # Every live agent is now blocked.  Anything still queued on an
         # awaited channel was sent this round and becomes deliverable next
         # round; if no such message exists, no future round changes anything.
-        if not any(queues.get((a.awaiting, i)) for i, a in live.items()):
+        if not any(queues[a.awaiting, i] for i, a in live.items()):
             waits = ", ".join(
-                f"agent {i} awaits {a.awaiting}" for i, a in sorted(live.items())
+                f"agent {i} awaits {a.awaiting}" for i, a in live.items()
             )
             raise DeadlockError(f"no message in flight can unblock: {waits}")
 
-    outputs = {i: a.output for i, a in sorted(agents.items())}
+    outputs = {i: a.output for i, a in enumerate(agents)}
     return RunResult(outputs=outputs, trace=trace, rounds=round_no)

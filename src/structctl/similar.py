@@ -216,7 +216,8 @@ def random_similar_spec(
     seed: int,
 ) -> SimilarSystemSpec:
     """Seeded random template spec; E gets an empty diagonal, at least one
-    entry, and a mix of topology styles (ring / sourceless / arbitrary)."""
+    entry when r > 1 (none at r = 1, where only the diagonal exists), and a
+    mix of topology styles (ring / sourceless / arbitrary)."""
     rng = random.Random(seed)
     r = rng.randint(*r_range)
     n = rng.randint(*n_range)

@@ -24,7 +24,8 @@ from structctl.centralized import Verdict, verify
 from structctl.distributed import _reached_steps, _size_entry
 from structctl.graphkit import left_order, max_matching
 from structctl.model import (
-    InterconnectedSystem, SparsityPattern, system_bipartite, system_digraph,
+    InterconnectedSystem, SparsityPattern, state_digraph, system_bipartite,
+    system_digraph,
 )
 from structctl.runtime import AgentContext, Trace, gossip
 from structctl.similar import SimilarSystemSpec, check_cycle_cover, copy_level_digraph
@@ -740,9 +741,12 @@ def reached_program(extra_iterations: int = 0):
     ``extra_iterations`` appends outer iterations (fixpoint probing)."""
 
     def reached(ctx: AgentContext):
-        info, _ = yield from gossip(ctx, _size_entry(ctx))
+        succ = state_digraph(ctx.subsystem.A)
+        info, _ = yield from gossip(ctx, _size_entry(ctx, succ))
         N = sum(v[0] for v in info.values())
-        got, sizes, completed = yield from _reached_steps(ctx, N + extra_iterations)
+        got, sizes, completed = yield from _reached_steps(
+            ctx, succ, N + extra_iterations
+        )
         return {
             "rchd": len(got) == ctx.subsystem.n,
             "reached": sorted(got),

@@ -20,6 +20,16 @@ from structctl.serial import is_serial
 from structctl.similar import similar_dumps
 
 
+def run_python(*args):
+    """Run ``python args`` in a fresh process that imports the package under
+    test."""
+    src = str(Path(distributed.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -239,12 +249,9 @@ class TestVerifyInputHandling:
             "from structctl.cli import main\n"
             "sys.exit(main(sys.argv[1:]))\n"
         )
-        src = str(Path(distributed.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", script, "verify", "--mode", "centralized",
-             "--input", ring_file, "--seed", "9"],
-            capture_output=True, text=True, env=env, timeout=120,
+        proc = run_python(
+            "-c", script, "verify", "--mode", "centralized", "--input", ring_file,
+            "--seed", "9",
         )
         assert proc.returncode == 0, proc.stderr
         assert report_of(proc.stdout)["numeric_probe"]["full_rank"] is True
@@ -286,6 +293,48 @@ def _unencodable(ctx):
     yield Send(ctx.neighbors[0], {1, 2})
 
 
+def _circular(ctx):
+    payload = []
+    payload.append(payload)
+    yield Send(ctx.neighbors[0], payload)
+
+
+class TestParserReuse:
+    """``main`` builds its parser once per process and reuses it."""
+
+    def test_import_builds_no_parser(self):
+        script = (
+            "import structctl.cli as cli\n"
+            "print(cli._build_parser.cache_info().misses)\n"
+        )
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "0\n"
+
+    def test_calls_in_one_process_match_separate_processes(self, capsys, ring_file):
+        calls = [
+            ["verify", "--mode", "centralized", "--input", ring_file, "--seed", "3"],
+            ["verify", "--mode", "centralized", "--input", ring_file],
+            ["verify", "--mode", "distributed", "--input", ring_file, "--fig5-simplify"],
+            ["verify", "--mode", "psychic", "--input", ring_file],
+            ["verify", "--mode", "distributed", "--input", ring_file],
+        ]
+        in_process = []
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+        procs = [run_python("-m", "structctl.cli", *argv) for argv in calls]
+        separate = [(proc.returncode, proc.stdout, proc.stderr) for proc in procs]
+        assert in_process == separate
+        assert [code for code, _, _ in in_process] == [0, 0, 0, 2, 0]
+        assert "numeric_probe" not in report_of(in_process[1][1])
+        assert report_of(in_process[4][1])["fig5_simplify"] is False
+
+
 class TestInternalErrors:
     """A fault inside a run is exit 2 with the error report, never a verdict."""
 
@@ -294,8 +343,9 @@ class TestInternalErrors:
         [
             (_deadlocking, "DeadlockError: no message in flight can unblock"),
             (_unencodable, "ProtocolError: agent 0 -> 1: payload value"),
+            (_circular, "RecursionError"),
         ],
-        ids=["deadlock", "protocol"],
+        ids=["deadlock", "protocol", "circular"],
     )
     def test_runtime_faults_exit_2(self, capsys, monkeypatch, ring_file, program, error):
         monkeypatch.setattr("structctl.cli.controlled_program", lambda **_: program)
@@ -322,12 +372,9 @@ class TestInternalErrors:
         # -O strips asserts; the preflow's invariant checks are raises, so an
         # optimized interpreter runs the same checks and prints the same report.
         code, out, _ = run_cli(capsys, "verify", "--mode", "distributed", "--input", ring_file)
-        src = str(Path(distributed.__file__).parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "structctl.cli", "verify", "--mode", "distributed",
-             "--input", ring_file],
-            capture_output=True, text=True, env=env, timeout=120,
+        proc = run_python(
+            "-O", "-m", "structctl.cli", "verify", "--mode", "distributed",
+            "--input", ring_file,
         )
         assert proc.returncode == code == 0
         assert report_of(proc.stdout) == report_of(out)

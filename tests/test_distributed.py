@@ -26,7 +26,7 @@ from structctl.distributed import (
     controlled,
     controlled_program,
 )
-from structctl.model import assemble_global, random_system
+from structctl.model import assemble_global, random_system, state_digraph
 from structctl.runtime import (
     AgentContext,
     ProtocolError,
@@ -524,7 +524,8 @@ class TestTree:
 
     @staticmethod
     def setup(ctx):
-        _, parent = yield from gossip(ctx, _size_entry(ctx))
+        entry = _size_entry(ctx, state_digraph(ctx.subsystem.A))
+        _, parent = yield from gossip(ctx, entry)
         return (yield from bfs_tree(ctx, parent))
 
     def test_parents_form_the_lowest_id_bfs_tree(self, ring4):

@@ -187,6 +187,23 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match=re.escape(f"agent 0 -> 1: {message}")):
             run(line2, program)
 
+    def test_circular_payload_raises(self, line2):
+        def program(ctx):
+            payload = []
+            payload.append(payload)
+            yield Send(ctx.neighbors[0], payload)
+
+        with pytest.raises(RecursionError):
+            run(line2, program)
+
+    def test_failed_encode_leaves_no_stale_markers(self):
+        # after an encode that raises partway, a list the payload holds twice
+        # is not taken for a circular reference
+        with pytest.raises(ProtocolError):
+            _encode_payload({"a": [1, {2, 3}]}, "w")
+        shared = [1]
+        assert _encode_payload([shared, {"k": shared}], "w")[0] == '[[1],{"k":[1]}]'
+
     def test_yielding_garbage(self, line2):
         def program(ctx):
             yield "not an action"

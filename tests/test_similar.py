@@ -183,3 +183,8 @@ class TestJson:
         a = random_similar_spec((2, 5), (1, 4), (0, 2), 0.4, seed=7)
         b = random_similar_spec((2, 5), (1, 4), (0, 2), 0.4, seed=7)
         assert a == b
+
+    def test_generator_gives_a_single_copy_an_empty_e(self):
+        spec = random_similar_spec((1, 1), (1, 3), (0, 1), 0.4, seed=3)
+        assert spec.r == 1
+        assert spec.E.nonzeros == frozenset()

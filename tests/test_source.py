@@ -8,17 +8,32 @@ from pathlib import Path
 import structctl
 
 
+def _module_level_names(tree: ast.Module):
+    """The names a module's top-level assignments bind, with their nodes."""
+    for stmt in tree.body:
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else (
+            [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+        )
+        for target in targets:
+            for node in ast.walk(target):
+                if isinstance(node, ast.Name):
+                    yield node.id, node
+
+
 def test_no_dead_helpers():
-    """Every function, class and non-dunder method in the package is either
-    exported or referenced by name somewhere in the package."""
+    """Every function, class, non-dunder method and module-level assigned
+    name in the package is either exported or read by name somewhere in the
+    package."""
     defined: dict[str, str] = {}
     used: set[str] = set()
     for path in sorted(Path(structctl.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for name, node in _module_level_names(tree):
+            defined.setdefault(name, f"{path.name}:{node.lineno}")
+        for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not (node.name.startswith("__") and node.name.endswith("__")):
-                    defined.setdefault(node.name, f"{path.name}:{node.lineno}")
-            elif isinstance(node, ast.Name):
+                defined.setdefault(node.name, f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
@@ -26,5 +41,6 @@ def test_no_dead_helpers():
         f"{where} {name}"
         for name, where in defined.items()
         if name not in used and name not in structctl.__all__
+        and not (name.startswith("__") and name.endswith("__"))
     )
     assert dead == []

@@ -124,8 +124,11 @@ def _is_edge(A: SparsityPattern, B: SparsityPattern, tail: tuple, head: tuple) -
 
 def check_certificate(A: SparsityPattern, B: SparsityPattern, verdict: Verdict) -> bool:
     """Re-validate a verdict's certificate against the patterns alone.  A
-    missing key or a malformed vertex makes it invalid."""
+    certificate that is not a dict, a missing key or a malformed vertex
+    makes it invalid."""
     cert = verdict.certificate
+    if not isinstance(cert, dict):
+        return False
     kind = cert.get("type")
     n, p = A.rows, B.cols
 

@@ -56,7 +56,7 @@ import heapq
 from .graphkit import scc
 from .model import digraph, state_digraph
 from .runtime import (
-    AgentContext, ProtocolError, Recv, Send, Tree, bfs_tree, gossip, tree_aggregate,
+    AgentContext, ProtocolError, Recv, Tree, bfs_tree, gossip, tree_aggregate,
 )
 
 
@@ -105,7 +105,7 @@ def _reached_steps(
     for it in range(1, iterations + 1):
         before = len(reached)
         for j in sorted(ctx.outgoing):
-            yield Send(j, sorted(reached & visible[j]))
+            ctx.send(j, sorted(reached & visible[j]))
         for j in sorted(ctx.incoming):
             avail = yield Recv(j)
             for l in avail:
@@ -378,7 +378,7 @@ def _exact_relabel(ctx: AgentContext, tree: Tree, region: Region, cap: int):
                         d[names[v]] = changed[v]
                 # "chg" (the round) stays only because bench/checks.phase_of
                 # recognises relabel messages by their key set.
-                yield Send(j, {"d": d, "chg": t})
+                ctx.send(j, {"d": d, "chg": t})
         improved = False
         for j in ctx.neighbors:
             if j not in speakers:
@@ -441,7 +441,7 @@ def _barrier(ctx: AgentContext, region: Region):
         mine = {}
         for v in region.shared_with[j]:
             mine[names[v]] = label[v]
-        yield Send(j, {"labels": mine, "offers": sorted(offers_to[j])})
+        ctx.send(j, {"labels": mine, "offers": sorted(offers_to[j])})
     inbound = {}
     for j in ctx.neighbors:
         inbound[j] = yield Recv(j)
@@ -474,7 +474,7 @@ def _barrier(ctx: AgentContext, region: Region):
 
     for j in ctx.neighbors:
         if inbound[j]["offers"]:
-            yield Send(j, {"accepts": sorted(accepts_to[j])})
+            ctx.send(j, {"accepts": sorted(accepts_to[j])})
     accepted = []
     for j in ctx.neighbors:
         if offers_to[j]:

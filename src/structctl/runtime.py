@@ -1,9 +1,9 @@
 """Deterministic lockstep message-passing harness for per-subsystem agents.
 
-An agent program is a callable taking an :class:`AgentContext` and returning a
-generator.  The generator talks to the scheduler by yielding actions:
+An agent program is a generator function taking an :class:`AgentContext`.
+It sends with a call and receives by yielding the one action there is:
 
-* ``yield Send(to, payload)`` — enqueue a message (never blocks).
+* ``ctx.send(to, payload)`` — enqueue a message; a send never blocks.
 * ``payload = yield Recv(frm)`` — block until a message from ``frm`` is
   deliverable, then resume with its payload.
 
@@ -35,8 +35,8 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Generator, Iterator
+from functools import cached_property, partial
+from typing import Callable, Generator, Iterator, NamedTuple
 
 from .model import (
     InterconnectedSystem,
@@ -56,12 +56,6 @@ class DeadlockError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Send:
-    to: int
-    payload: object
-
-
-@dataclass(frozen=True)
 class Recv:
     frm: int
 
@@ -73,7 +67,7 @@ class AgentContext:
     ``incoming`` maps each neighbor that feeds this subsystem to the coupling
     pattern on that connection; ``outgoing`` maps each neighbor this subsystem
     feeds to the corresponding pattern.  Nothing else about the rest of the
-    system is exposed.
+    system is exposed.  ``send(to, payload)`` posts a message to a neighbor.
     """
 
     id: int
@@ -81,6 +75,7 @@ class AgentContext:
     incoming: dict[int, SparsityPattern]
     outgoing: dict[int, SparsityPattern]
     r: int
+    send: Callable[[int, object], None] = field(compare=False, repr=False)
 
     @cached_property
     def neighbors(self) -> tuple[int, ...]:
@@ -91,8 +86,7 @@ class AgentContext:
 AgentProgram = Callable[[AgentContext], Generator]
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     round: int
     sender: int
     receiver: int
@@ -209,7 +203,7 @@ def gossip(ctx: AgentContext, entry):
             break
         msg = {**mine, **fresh}
         for j in edges:
-            yield Send(j, msg)
+            ctx.send(j, msg)
         told = len(known)
         fresh = {}
         for j in edges:
@@ -239,7 +233,7 @@ def bfs_tree(ctx: AgentContext, parent: int | None):
     """One notify round: each neighbor learns whether it is this agent's
     parent, and the replies name the agent's children."""
     for j in ctx.neighbors:
-        yield Send(j, j == parent)
+        ctx.send(j, j == parent)
     children = []
     for j in ctx.neighbors:
         if (yield Recv(j)):
@@ -268,11 +262,11 @@ def tree_aggregate(
         heard.append(msg[str(j)] if keyed else msg)
     value = merge(value, heard)
     if tree.parent is not None:
-        yield Send(tree.parent, {me: value} if keyed else value)
+        ctx.send(tree.parent, {me: value} if keyed else value)
         msg = yield Recv(tree.parent)
         value = msg[str(tree.parent)] if keyed else msg
     for j in tree.children:
-        yield Send(j, {me: value} if keyed else value)
+        ctx.send(j, {me: value} if keyed else value)
     return value
 
 
@@ -298,6 +292,14 @@ def run(sys: InterconnectedSystem, program: AgentProgram) -> RunResult:
     if not is_weakly_connected(condensed_graph(sys)):
         raise ValueError("interconnection topology is not weakly connected")
 
+    def send(i: int, to: int, payload) -> None:
+        """Agent i's ``ctx.send``: queue and trace a message sent this round."""
+        if to not in neighbors[i]:
+            raise ProtocolError(f"agent {i}: send to {to}, which is not a neighbor")
+        text, copy = _encode_payload(payload, f"agent {i} -> {to}")
+        queues[i, to].append((round_no, copy))
+        trace.records.append(TraceRecord(round_no, i, to, text))
+
     contexts = {}
     for i in range(sys.r):
         contexts[i] = AgentContext(
@@ -306,21 +308,30 @@ def run(sys: InterconnectedSystem, program: AgentProgram) -> RunResult:
             incoming={c.from_: c.E for c in sys.incoming(i)},
             outgoing={c.to: c.E for c in sys.outgoing(i)},
             r=sys.r,
+            send=partial(send, i),
         )
-    agents = [_AgentState(program(contexts[i])) for i in range(sys.r)]
     neighbors = {i: frozenset(ctx.neighbors) for i, ctx in contexts.items()}
     # Unconsumed messages per (sender, receiver) neighbor pair, in both
     # directions: FIFO of (send_round, payload).
     queues = {(i, j): deque() for i in range(sys.r) for j in neighbors[i]}
     trace = Trace()
+    round_no = 0  # a program that is not a generator may send as it is called
+    agents = []
+    for i in range(sys.r):
+        gen = program(contexts[i])
+        if not isinstance(gen, Generator):
+            raise ProtocolError(
+                f"agent {i}: program returned {gen!r}, not a generator"
+            )
+        agents.append(_AgentState(gen))
 
-    def drive(i: int, agent: _AgentState, current_round: int) -> None:
+    def drive(i: int, agent: _AgentState) -> None:
         """Advance agent i until it returns or blocks on an unavailable Recv."""
         while True:
             resume = None
             if agent.awaiting is not None:
                 q = queues[agent.awaiting, i]
-                if not (q and q[0][0] < current_round):
+                if not (q and q[0][0] < round_no):
                     return  # nothing deliverable yet; stays blocked
                 _, resume = q.popleft()
                 agent.awaiting = None
@@ -330,33 +341,19 @@ def run(sys: InterconnectedSystem, program: AgentProgram) -> RunResult:
                 agent.done = True
                 agent.output = stop.value
                 return
-            if isinstance(action, Send):
-                if action.to not in neighbors[i]:
-                    raise ProtocolError(
-                        f"agent {i}: send to {action.to}, which is not a neighbor"
-                    )
-                text, copy = _encode_payload(
-                    action.payload, f"agent {i} -> {action.to}"
-                )
-                queues[i, action.to].append((current_round, copy))
-                trace.records.append(TraceRecord(current_round, i, action.to, text))
-            elif isinstance(action, Recv):
-                if action.frm not in neighbors[i]:
-                    raise ProtocolError(
-                        f"agent {i}: receive from {action.frm}, which is not a neighbor"
-                    )
-                agent.awaiting = action.frm
-            else:
+            if not isinstance(action, Recv):
+                raise ProtocolError(f"agent {i}: yielded {action!r}; expected Recv")
+            if action.frm not in neighbors[i]:
                 raise ProtocolError(
-                    f"agent {i}: yielded {action!r}; expected Send or Recv"
+                    f"agent {i}: receive from {action.frm}, which is not a neighbor"
                 )
+            agent.awaiting = action.frm
 
-    round_no = 0
     while True:
         round_no += 1
         for i, agent in enumerate(agents):
             if not agent.done:
-                drive(i, agent, round_no)
+                drive(i, agent)
         live = {i: a for i, a in enumerate(agents) if not a.done}
         if not live:
             break

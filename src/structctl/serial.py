@@ -36,7 +36,7 @@ from .model import (
     system_bipartite,
     system_digraph,
 )
-from .runtime import AgentContext, Recv, RunResult, Send, gossip, run
+from .runtime import AgentContext, Recv, RunResult, gossip, run
 
 _VARIANTS = ("primal", "dual")
 
@@ -185,7 +185,7 @@ def seq_strt_ctl_variant(variant: str):
         send_to = ctx.outgoing if variant == "primal" else ctx.incoming
         stack_from = ctx.incoming if variant == "primal" else ctx.outgoing
         for j in sorted(send_to):
-            yield Send(j, [[k, l] for k, l in sorted(own.A.nonzeros)])
+            ctx.send(j, [[k, l] for k, l in sorted(own.A.nonzeros)])
         blocks = []
         for j in sorted(stack_from):
             pairs = yield Recv(j)

@@ -179,6 +179,10 @@ class TestCertificateReplay:
             (False, {"type": "right-deficiency", "rights": "x1", "neighbors": []}),
             (False, {"type": "unreachable-closure", "states": 1}),
             (False, {"type": "unreachable-closure", "states": [True]}),
+            # certificates that are not dicts
+            (True, []),
+            (False, None),
+            (True, "x"),
         ],
     )
     def test_malformed_certificates_rejected(self, controllable, cert):

@@ -15,7 +15,7 @@ from conftest import build_system
 from structctl import distributed, serial
 from structctl.cli import main
 from structctl.model import dumps, load, random_system, save
-from structctl.runtime import Recv, Send
+from structctl.runtime import Recv
 from structctl.serial import is_serial
 from structctl.similar import similar_dumps
 
@@ -290,13 +290,15 @@ def _deadlocking(ctx):
 
 
 def _unencodable(ctx):
-    yield Send(ctx.neighbors[0], {1, 2})
+    ctx.send(ctx.neighbors[0], {1, 2})
+    yield Recv(ctx.neighbors[0])
 
 
 def _circular(ctx):
     payload = []
     payload.append(payload)
-    yield Send(ctx.neighbors[0], payload)
+    ctx.send(ctx.neighbors[0], payload)
+    yield Recv(ctx.neighbors[0])
 
 
 class TestParserReuse:

@@ -3,6 +3,7 @@ verdicts, plus the worked ring walkthrough pinned step by step."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -31,7 +32,6 @@ from structctl.runtime import (
     AgentContext,
     ProtocolError,
     Recv,
-    Send,
     bfs_tree,
     gossip,
     run,
@@ -118,13 +118,16 @@ def is_relabel(payload) -> bool:
     return isinstance(payload, dict) and set(payload) == {"d", "chg"}
 
 
-def ring_context(ring, i):
+def ring_context(ring, i, sent=None):
+    """Agent i's context on ``ring``; its sends go to ``sent`` as (to, payload)."""
+    sent = [] if sent is None else sent
     return AgentContext(
         id=i,
         subsystem=ring.subsystem(i),
         incoming={c.from_: c.E for c in ring.incoming(i)},
         outgoing={c.to: c.E for c in ring.outgoing(i)},
         r=ring.r,
+        send=lambda to, payload: sent.append((to, payload)),
     )
 
 
@@ -321,7 +324,13 @@ class TestFloodedPhases:
         def spy(ctx, tree, region, cap):
             prices = [cap] * len(region.label)
             last = {}
-            sweep = real(ctx, tree, region, cap)
+
+            def send(to, payload):
+                ctx.send(to, payload)
+                if is_relabel(payload):
+                    last.update(payload["d"])
+
+            sweep = real(dataclasses.replace(ctx, send=send), tree, region, cap)
             reply = None
             while True:
                 try:
@@ -329,9 +338,7 @@ class TestFloodedPhases:
                 except StopIteration:
                     break
                 reply = yield action
-                if isinstance(action, Send) and is_relabel(action.payload):
-                    last.update(action.payload["d"])
-                if isinstance(action, Recv) and is_relabel(reply):
+                if is_relabel(reply):
                     for key, val in reply["d"].items():
                         w = region.remote_of[action.frm].get(key)
                         if w is not None:
@@ -502,14 +509,14 @@ class TestBarrier:
         assert answered > 0 and unanswered > 0
 
     def test_offer_of_two_units_is_a_protocol_error(self, ring4):
-        ctx = ring_context(ring4, 0)
+        sent = []
+        ctx = ring_context(ring4, 0, sent)
         region = Region(ctx)
         # a real edge from a neighbor's left onto one of our rights
         key = next(list(key) for key in region.keys if key and key[2] == 0)
         barrier = _barrier(ctx, region)
         action = next(barrier)
-        while isinstance(action, Send):
-            action = barrier.send(None)
+        assert [to for to, _ in sent] == list(ctx.neighbors)  # labels and offers
         with pytest.raises(ProtocolError, match="offer of 2 units"):
             while isinstance(action, Recv):
                 offers = [[key, 2]] if action.frm == key[0] else []

@@ -15,7 +15,6 @@ from structctl.runtime import (
     DeadlockError,
     ProtocolError,
     Recv,
-    Send,
     Trace,
     TraceRecord,
     _encode_payload,
@@ -45,7 +44,7 @@ class TestDelivery:
     def test_pingpong_and_round_count(self, line2):
         def program(ctx):
             other = ctx.neighbors[0]
-            yield Send(other, {"from": ctx.id})
+            ctx.send(other, {"from": ctx.id})
             got = yield Recv(other)
             return got["from"]
 
@@ -57,7 +56,7 @@ class TestDelivery:
         def program(ctx):
             other = ctx.neighbors[0]
             for k in range(3):
-                yield Send(other, k)
+                ctx.send(other, k)
                 got = yield Recv(other)
                 assert got == k
             return True
@@ -71,8 +70,8 @@ class TestDelivery:
     def test_fifo_per_channel(self, line2):
         def program(ctx):
             other = ctx.neighbors[0]
-            yield Send(other, "first")
-            yield Send(other, "second")
+            ctx.send(other, "first")
+            ctx.send(other, "second")
             a = yield Recv(other)
             b = yield Recv(other)
             return [a, b]
@@ -83,11 +82,11 @@ class TestDelivery:
     def test_relay_takes_one_round_per_hop(self, line3):
         def program(ctx):
             if ctx.id == 0:
-                yield Send(1, "token")
+                ctx.send(1, "token")
                 return None
             got = yield Recv(ctx.id - 1)
             if ctx.id == 1:
-                yield Send(2, got)
+                ctx.send(2, got)
             return got
 
         res = run(line3, program)
@@ -98,7 +97,7 @@ class TestDelivery:
 class TestTrace:
     def test_records_and_jsonl_format(self, line2):
         def program(ctx):
-            yield Send(ctx.neighbors[0], {"n": (1, 2)})
+            ctx.send(ctx.neighbors[0], {"n": (1, 2)})
             got = yield Recv(ctx.neighbors[0])
             return got
 
@@ -112,7 +111,7 @@ class TestTrace:
     def test_filter_by_round_and_agent(self, line3):
         def program(ctx):
             for j in ctx.neighbors:
-                yield Send(j, ctx.id)
+                ctx.send(j, ctx.id)
             for j in ctx.neighbors:
                 yield Recv(j)
             return None
@@ -137,8 +136,8 @@ class TestProtocol:
     def test_send_to_non_neighbor(self, line3):
         def program(ctx):
             if ctx.id == 0:
-                yield Send(2, "skip a hop")
-            return None
+                ctx.send(2, "skip a hop")
+                yield Recv(1)
 
         with pytest.raises(ProtocolError, match="not a neighbor"):
             run(line3, program)
@@ -156,14 +155,16 @@ class TestProtocol:
 
     def test_non_json_payload(self, line2):
         def program(ctx):
-            yield Send(ctx.neighbors[0], object())
+            ctx.send(ctx.neighbors[0], object())
+            yield Recv(ctx.neighbors[0])
 
         with pytest.raises(ProtocolError, match="not JSON-representable"):
             run(line2, program)
 
     def test_non_string_dict_keys(self, line2):
         def program(ctx):
-            yield Send(ctx.neighbors[0], {1: "x"})
+            ctx.send(ctx.neighbors[0], {1: "x"})
+            yield Recv(ctx.neighbors[0])
 
         with pytest.raises(ProtocolError, match="keys must be strings"):
             run(line2, program)
@@ -182,7 +183,8 @@ class TestProtocol:
     )
     def test_malformed_payload_names_the_fault(self, line2, payload, message):
         def program(ctx):
-            yield Send(ctx.neighbors[0], payload)
+            ctx.send(ctx.neighbors[0], payload)
+            yield Recv(ctx.neighbors[0])
 
         with pytest.raises(ProtocolError, match=re.escape(f"agent 0 -> 1: {message}")):
             run(line2, program)
@@ -191,7 +193,8 @@ class TestProtocol:
         def program(ctx):
             payload = []
             payload.append(payload)
-            yield Send(ctx.neighbors[0], payload)
+            ctx.send(ctx.neighbors[0], payload)
+            yield Recv(ctx.neighbors[0])
 
         with pytest.raises(RecursionError):
             run(line2, program)
@@ -208,8 +211,20 @@ class TestProtocol:
         def program(ctx):
             yield "not an action"
 
-        with pytest.raises(ProtocolError, match="expected Send or Recv"):
+        with pytest.raises(ProtocolError, match="expected Recv"):
             run(line2, program)
+
+    def test_program_that_is_not_a_generator(self, line2):
+        with pytest.raises(
+            ProtocolError, match="agent 0: program returned 5, not a generator"
+        ):
+            run(line2, lambda ctx: 5)
+
+        def eager(ctx):  # no yield: the body runs, send included, when called
+            ctx.send(ctx.neighbors[0], "early")
+
+        with pytest.raises(ProtocolError, match="agent 0: program returned None"):
+            run(line2, eager)
 
     def test_deadlock_detected(self, line2):
         def program(ctx):
@@ -245,7 +260,7 @@ class TestDeterminism:
             acc = ctx.id
             for _ in range(ctx.r):
                 for j in ctx.neighbors:
-                    yield Send(j, acc)
+                    ctx.send(j, acc)
                 for j in ctx.neighbors:
                     acc += yield Recv(j)
             return acc
@@ -285,8 +300,8 @@ class TestPayloadCopies:
         def program(ctx):
             if ctx.id == 1:
                 sent = {"xs": [1, 2]}
-                yield Send(0, sent)
-                yield Send(2, sent)
+                ctx.send(0, sent)
+                ctx.send(2, sent)
                 sent["xs"].append(3)
                 sent["late"] = True
                 return sent

@@ -44,3 +44,19 @@ def test_no_dead_helpers():
         and not (name.startswith("__") and name.endswith("__"))
     )
     assert dead == []
+
+
+def test_agents_yield_only_recv():
+    """A send is the call ``ctx.send``; the one action an agent yields is
+    ``Recv(...)``, and ``yield from`` hands the turn to a helper."""
+    stray = []
+    for path in sorted(Path(structctl.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Yield) and not (
+                isinstance(node.value, ast.Call)
+                and isinstance(node.value.func, ast.Name)
+                and node.value.func.id == "Recv"
+            ):
+                stray.append(f"{path.name}:{node.lineno}")
+    assert stray == []

@@ -27,7 +27,7 @@ from .model import (
     random_system,
     system_from_obj,
 )
-from .runtime import RunResult, run
+from .runtime import DisconnectedError, RunResult, run
 from .serial import is_serial, seq_strt_ctl_variant
 from .similar import (
     SimilarSystemSpec,
@@ -154,7 +154,7 @@ def _verify_distributed(args) -> tuple[dict, bool]:
     )
     try:
         result = run(system, program)
-    except ValueError as exc:
+    except DisconnectedError as exc:
         raise CliError(str(exc)) from None
     outs = result.outputs
     verdicts = {str(i): bool(out["ctld"]) for i, out in sorted(outs.items())}
@@ -201,7 +201,7 @@ def _verify_serial(args) -> tuple[dict, bool]:
         )
     try:
         result = run(system, seq_strt_ctl_variant("primal"))
-    except ValueError as exc:
+    except DisconnectedError as exc:
         raise CliError(str(exc)) from None
     verdicts = {str(i): bool(v) for i, v in sorted(result.outputs.items())}
     holds = _unanimous(verdicts)

@@ -1,28 +1,30 @@
 """The distributed verification program: input-reachability flooding and a
 region-discharge preflow for the matching condition.
 
-``controlled`` runs on the lockstep runtime.  Its reachability gossips
-per-subsystem SCC counts to size the iteration budget, then alternately
-exchanges boundary-visible reached states and propagates internally.  The
-preflow for the matching condition is push-relabel, computed region by
-region: each agent owns the flow vertices of its own subsystem
-(source- and sink-adjacent copies of its states plus its inputs) and keeps
-cached labels for the boundary vertices of neighboring regions.  Excess
-crosses region boundaries through an offer/accept exchange that only ever
-moves units from a strictly higher true label to a strictly lower one, so
-global label validity is preserved and, at quiescence, the flow into the
-sink equals the global maximum-matching size.
+``controlled`` runs on the lockstep runtime.  Its agents first build the BFS
+tree rooted at agent 0 (the runtime's ``bfs``) and sum three sizes on it:
+the SCC counts of the subsystems' state digraphs, which bound reachability's
+iterations, and the numbers of states and inputs, which give the label cap.
+Reachability then alternately exchanges boundary-visible reached states and
+propagates internally.  The preflow for the matching condition is
+push-relabel, computed region by region: each agent owns the flow vertices
+of its own subsystem (source- and sink-adjacent copies of its states plus
+its inputs) and keeps cached labels for the boundary vertices of
+neighboring regions.  Excess crosses region boundaries through an
+offer/accept exchange that only ever moves units from a strictly higher
+true label to a strictly lower one, so global label validity is preserved
+and, at quiescence, the flow into the sink equals the global
+maximum-matching size.
 
-Global aggregates travel on a BFS tree rooted at agent 0 that size gossip
-builds as a side effect (the runtime's ``gossip`` and ``bfs_tree``): each one
-is a convergecast plus broadcast of 2(r - 1) messages (``tree_aggregate``).
-``controlled`` runs four kinds: reachability's per-iteration "any reached set
-grew", the label census of every pass, the relabel sweep's per-round list of
-agents with news, and the final AND-consensus.  They let ``controlled`` send
-only messages that carry news: reachability stops at its global fixpoint,
-only agents with news speak in the relabel sweep, and accepts answer only
-offers.  Each skipped message is one whose effect the receiver could
-predict, so the outputs are those of the full exchange.
+Global aggregates travel on that tree: each one is a convergecast plus
+broadcast of 2(r - 1) messages (the runtime's ``tree_aggregate``).
+``controlled`` runs five kinds: the sizes, reachability's per-iteration "any
+reached set grew", the label census of every pass, the relabel sweep's
+per-round list of agents with news, and the final AND-consensus.  They let
+``controlled`` send only messages that carry news: reachability stops at its
+global fixpoint, only agents with news speak in the relabel sweep, and
+accepts answer only offers.  Each skipped message is one whose effect the
+receiver could predict, so the outputs are those of the full exchange.
 
 Termination and the pass bound: each pass starts by recomputing every own
 label as the residual distance to the sink given the cached boundary labels
@@ -55,18 +57,16 @@ import heapq
 
 from .graphkit import scc
 from .model import digraph, state_digraph
-from .runtime import (
-    AgentContext, ProtocolError, Recv, Tree, bfs_tree, gossip, tree_aggregate,
-)
+from .runtime import AgentContext, ProtocolError, Recv, Tree, bfs, tree_aggregate
 
 
 # ---------------------------------------------------------------------------
-# size gossip and reachability
+# sizes and reachability
 
 
 def _size_entry(ctx: AgentContext, succ: list) -> list:
-    """The agent's size gossip entry: ``[state-digraph SCC count, n, p]``,
-    with ``succ`` the agent's ``state_digraph(A)``."""
+    """The agent's share of the global sizes: ``[state-digraph SCC count, n,
+    p]``, with ``succ`` the agent's ``state_digraph(A)``."""
     own = ctx.subsystem
     return [len(scc(succ)), own.n, own.p]
 
@@ -507,7 +507,7 @@ def _census(ctx: AgentContext, tree: Tree, region: Region, cap: int):
     mobility only the lowest label holding excess, so the aggregate is
     [sorted union of labels, [] or [lowest]].  Keyed by the sender's id, each
     message keeps the census shape {"<id>": [[labels], [low]]}, which trace
-    readers tell apart from the size gossip's {"<id>": [scc, n, p]}."""
+    readers tell apart from every other phase's messages."""
 
     def merge(part: list, heard: list) -> list:
         parts = [part, *heard]
@@ -593,14 +593,15 @@ def controlled_program(
 
     def controlled(ctx: AgentContext):
         succ = state_digraph(ctx.subsystem.A)
-        info, parent = yield from gossip(ctx, _size_entry(ctx, succ))
-        tree = yield from bfs_tree(ctx, parent)
-        sccs, ns, ps = zip(*info.values())
-        N = sum(sccs)
+        tree = yield from bfs(ctx)
+        N, total_n, total_p = yield from tree_aggregate(
+            ctx, tree, _size_entry(ctx, succ),
+            lambda v, heard: [sum(col) for col in zip(v, *heard)], keyed=False,
+        )
         got, sizes, completed = yield from _reached_steps(ctx, succ, N, tree)
         rchd = len(got) == ctx.subsystem.n
 
-        cap = 2 * sum(ns) + sum(ps) + 2
+        cap = 2 * total_n + total_p + 2
         region = Region(ctx, include_incoming=not drop_incoming_boundary)
         prd_stats = yield from _prd(ctx, tree, region, cap, collect_states)
         mchd = region.sink_flow() == ctx.subsystem.n

@@ -15,11 +15,12 @@ deterministic, so two runs of the same program on the same system produce
 byte-identical traces.
 
 Agents may only exchange messages with neighbors in the interconnection
-topology (either direction), which must be weakly connected.  Agents agree
-through the primitives here: :func:`gossip` hands every agent every agent's
-entry and its parent in a BFS tree rooted at agent 0, :func:`bfs_tree` tells
-each agent its children, and :func:`tree_aggregate` folds one value per agent
-into a global one on that tree.
+topology (either direction), which must be weakly connected.  An agent knows
+its own subsystem and its incident couplings, not even how many agents there
+are.  Agents agree through two primitives: :func:`bfs` floods hop distances
+from agent 0 until each agent knows its parent and children in the BFS tree,
+and :func:`tree_aggregate` folds one value per agent into a global one on
+that tree.
 
 Payloads must be JSON-representable.  Each payload is encoded once at send
 time, and the encoded text is decoded right away into the copy that is queued
@@ -55,6 +56,10 @@ class DeadlockError(RuntimeError):
     """Every live agent is waiting for a message that can never arrive."""
 
 
+class DisconnectedError(ValueError):
+    """The interconnection topology is not weakly connected."""
+
+
 @dataclass(frozen=True)
 class Recv:
     frm: int
@@ -67,14 +72,14 @@ class AgentContext:
     ``incoming`` maps each neighbor that feeds this subsystem to the coupling
     pattern on that connection; ``outgoing`` maps each neighbor this subsystem
     feeds to the corresponding pattern.  Nothing else about the rest of the
-    system is exposed.  ``send(to, payload)`` posts a message to a neighbor.
+    system is exposed, not even the number of agents.  ``send(to, payload)``
+    posts a message to a neighbor.
     """
 
     id: int
     subsystem: Subsystem
     incoming: dict[int, SparsityPattern]
     outgoing: dict[int, SparsityPattern]
-    r: int
     send: Callable[[int, object], None] = field(compare=False, repr=False)
 
     @cached_property
@@ -173,72 +178,45 @@ def _encode_payload(value, where: str) -> tuple[str, object]:
     return text, _scan(text, 0)[0]
 
 
-def gossip(ctx: AgentContext, entry):
-    """Gossip per-agent entries; returns ``{"<id>": entry}`` for every agent
-    and the agent's parent in a BFS tree rooted at agent 0 (``None`` at the
-    root).
-
-    Each round carries the own entry (so no message is empty) plus the
-    entries first learned in the round before; the first copy wins.  So
-    round t brings the entries t hops away, and agent 0's entry first
-    arrives from the neighbors one hop closer to it: the lowest-id of them
-    is the parent.
-
-    With ecc the agent's eccentricity in the undirected topology (the last
-    round that brings it a new entry), it has announced all r entries after
-    its round ecc + 1, and a neighbor that has heard r distinct entries from
-    it knows that.  Once either end of an edge has announced everything,
-    both ends hold every entry, so each edge carries exactly
-    min(ecc_i, ecc_j) + 1 rounds; both ends see the same counts, so they
-    stop in the same round."""
-    mine = {str(ctx.id): entry}
-    known = dict(mine)
-    heard = {j: set() for j in ctx.neighbors}  # entries each neighbor announced
-    told = 0
-    parent = None
-    fresh: dict = {}
-    while told < ctx.r:
-        edges = [j for j in ctx.neighbors if len(heard[j]) < ctx.r]
-        if not edges:
-            break
-        msg = {**mine, **fresh}
-        for j in edges:
-            ctx.send(j, msg)
-        told = len(known)
-        fresh = {}
-        for j in edges:
-            got = yield Recv(j)
-            heard[j].update(got)
-            for key, value in got.items():
-                if key not in known:
-                    known[key] = fresh[key] = value
-                    if key == "0":
-                        parent = j
-    if len(known) != ctx.r:
-        raise RuntimeError(
-            f"agent {ctx.id}: gossip incomplete ({len(known)} of {ctx.r})"
-        )
-    return known, parent
-
-
 @dataclass(frozen=True)
 class Tree:
-    """An agent's place in the BFS tree that :func:`gossip` builds."""
+    """An agent's place in the BFS tree that :func:`bfs` builds."""
 
     parent: int | None
     children: tuple[int, ...]
 
 
-def bfs_tree(ctx: AgentContext, parent: int | None):
-    """One notify round: each neighbor learns whether it is this agent's
-    parent, and the replies name the agent's children."""
-    for j in ctx.neighbors:
-        ctx.send(j, j == parent)
+def bfs(ctx: AgentContext):
+    """Build the BFS tree rooted at agent 0 by flooding hop distances.
+
+    In each exchange the agent sends every open edge ``[]`` until it has a
+    distance, then ``[distance, parent]`` (parent -1 at agent 0).  Its
+    distance comes from the first exchange that brings any, and its parent
+    is the lowest-id neighbor that sent one: only neighbors one hop closer
+    to agent 0 can have sent by then.  A neighbor that names the agent as
+    its parent is a child.  An edge closes once both ends have sent a
+    distance, which both ends see in the same exchange, so the edge between
+    agents at distances d_i and d_j carries max(d_i, d_j) + 1 messages each
+    way."""
+    dist, parent = (0, -1) if ctx.id == 0 else (None, None)
     children = []
-    for j in ctx.neighbors:
-        if (yield Recv(j)):
-            children.append(j)
-    return Tree(parent, tuple(children))
+    open_edges = list(ctx.neighbors)
+    while open_edges:
+        msg = [] if dist is None else [dist, parent]
+        for j in open_edges:
+            ctx.send(j, msg)
+        still_open = []
+        for j in open_edges:
+            got = yield Recv(j)
+            if got:
+                if dist is None:  # neighbors are heard in ascending order
+                    dist, parent = got[0] + 1, j
+                if got[1] == ctx.id:
+                    children.append(j)
+            if not (msg and got):
+                still_open.append(j)
+        open_edges = still_open
+    return Tree(None if parent == -1 else parent, tuple(children))
 
 
 def tree_aggregate(
@@ -284,13 +262,14 @@ def run(sys: InterconnectedSystem, program: AgentProgram) -> RunResult:
     """Run one copy of ``program`` per subsystem to completion.
 
     Returns the per-agent return values, the full message trace, and the
-    number of rounds the run took.  Raises :class:`ValueError` if the
-    topology is not weakly connected, :class:`DeadlockError` if the agents
-    wait on each other forever and :class:`ProtocolError` on any rule
-    violation.
+    number of rounds the run took.  Raises :class:`DisconnectedError` (a
+    :class:`ValueError`) if the topology is not weakly connected,
+    :class:`DeadlockError` if the agents wait on each other forever and
+    :class:`ProtocolError` on any rule violation.  Any other exception an
+    agent raises propagates unchanged.
     """
     if not is_weakly_connected(condensed_graph(sys)):
-        raise ValueError("interconnection topology is not weakly connected")
+        raise DisconnectedError("interconnection topology is not weakly connected")
 
     def send(i: int, to: int, payload) -> None:
         """Agent i's ``ctx.send``: queue and trace a message sent this round."""
@@ -307,7 +286,6 @@ def run(sys: InterconnectedSystem, program: AgentProgram) -> RunResult:
             subsystem=sys.subsystem(i),
             incoming={c.from_: c.E for c in sys.incoming(i)},
             outgoing={c.to: c.E for c in sys.outgoing(i)},
-            r=sys.r,
             send=partial(send, i),
         )
     neighbors = {i: frozenset(ctx.neighbors) for i, ctx in contexts.items()}

@@ -8,9 +8,9 @@ controllability using only its own block, the coupling patterns on incident
 connections, and the dynamics of its incoming neighbors: it stacks those
 blocks, finds a minimum-weight maximum matching that favors staying inside
 diagonal blocks, and checks that its own right vertices are covered and its
-own states are locally input-reachable.  The per-agent booleans are then
-gossiped with the runtime's ``gossip``, so every agent holds all r of them and
-returns the same verdict, their AND.
+own states are locally input-reachable.  The agents then build the BFS tree
+with the runtime's ``bfs`` and AND their booleans with one
+``tree_aggregate``, so every agent returns the same verdict.
 
 ``check_lemma4`` runs the identical per-subsystem computation without the
 message passing; it is the reference the distributed run is compared against
@@ -36,7 +36,7 @@ from .model import (
     system_bipartite,
     system_digraph,
 )
-from .runtime import AgentContext, Recv, RunResult, gossip, run
+from .runtime import AgentContext, Recv, RunResult, bfs, run, tree_aggregate
 
 _VARIANTS = ("primal", "dual")
 
@@ -195,8 +195,10 @@ def seq_strt_ctl_variant(variant: str):
             blocks.append((n_j, A_j, E_j))
 
         ctld = _local_verdict(own, blocks, variant)["ctld"]
-        verdicts, _ = yield from gossip(ctx, ctld)
-        return all(verdicts.values())
+        tree = yield from bfs(ctx)
+        return (yield from tree_aggregate(
+            ctx, tree, ctld, lambda v, heard: v and all(heard), keyed=False
+        ))
 
     return seq_strt_ctl
 

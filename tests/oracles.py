@@ -27,7 +27,7 @@ from structctl.model import (
     InterconnectedSystem, SparsityPattern, state_digraph, system_bipartite,
     system_digraph,
 )
-from structctl.runtime import AgentContext, Trace, gossip
+from structctl.runtime import AgentContext, Trace, bfs, tree_aggregate
 from structctl.similar import SimilarSystemSpec, check_cycle_cover, copy_level_digraph
 
 # The oracles' own graph forms, over any hashable vertices.
@@ -742,8 +742,11 @@ def reached_program(extra_iterations: int = 0):
 
     def reached(ctx: AgentContext):
         succ = state_digraph(ctx.subsystem.A)
-        info, _ = yield from gossip(ctx, _size_entry(ctx, succ))
-        N = sum(v[0] for v in info.values())
+        tree = yield from bfs(ctx)
+        N, _, _ = yield from tree_aggregate(
+            ctx, tree, _size_entry(ctx, succ),
+            lambda v, heard: [sum(col) for col in zip(v, *heard)], keyed=False,
+        )
         got, sizes, completed = yield from _reached_steps(
             ctx, succ, N + extra_iterations
         )

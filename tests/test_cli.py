@@ -301,6 +301,12 @@ def _circular(ctx):
     yield Recv(ctx.neighbors[0])
 
 
+def _value_error(ctx):
+    # a fault in an agent's own step, not the topology gate's refusal
+    min([])
+    yield Recv(ctx.neighbors[0])
+
+
 class TestParserReuse:
     """``main`` builds its parser once per process and reuses it."""
 
@@ -346,8 +352,9 @@ class TestInternalErrors:
             (_deadlocking, "DeadlockError: no message in flight can unblock"),
             (_unencodable, "ProtocolError: agent 0 -> 1: payload value"),
             (_circular, "RecursionError"),
+            (_value_error, "ValueError: min() arg is an empty sequence"),
         ],
-        ids=["deadlock", "protocol", "circular"],
+        ids=["deadlock", "protocol", "circular", "value-error"],
     )
     def test_runtime_faults_exit_2(self, capsys, monkeypatch, ring_file, program, error):
         monkeypatch.setattr("structctl.cli.controlled_program", lambda **_: program)
@@ -399,15 +406,13 @@ class TestInternalErrors:
         )
 
     def test_split_serial_verdict_exits_2(self, capsys, monkeypatch, tmp_path, serial_pair):
-        real = serial.gossip
+        real = serial.tree_aggregate
 
-        def split(ctx, entry):
-            entries, parent = yield from real(ctx, entry)
-            if not ctx.id:  # agent 0 sees its own entry flipped
-                entries["0"] = not entries["0"]
-            return entries, parent
+        def split(ctx, tree, value, merge, keyed=True):
+            got = yield from real(ctx, tree, value, merge, keyed)
+            return not got if not ctx.id else got  # agent 0 sees the AND flipped
 
-        monkeypatch.setattr("structctl.serial.gossip", split)
+        monkeypatch.setattr("structctl.serial.tree_aggregate", split)
         path = tmp_path / "pair.json"
         save(serial_pair, path)
         code, out, _ = run_cli(capsys, "verify", "--mode", "serial", "--input", str(path))

@@ -13,8 +13,10 @@ from conftest import build_system, matching_size, reached_states
 from oracles import (
     bfs_tree_parents,
     boundary_vertex_count,
+    directed,
     reached,
     reached_program,
+    scc_partition_oracle,
     undirected_distances,
 )
 from structctl import distributed
@@ -28,15 +30,7 @@ from structctl.distributed import (
     controlled_program,
 )
 from structctl.model import assemble_global, random_system, state_digraph
-from structctl.runtime import (
-    AgentContext,
-    ProtocolError,
-    Recv,
-    bfs_tree,
-    gossip,
-    run,
-    tree_aggregate,
-)
+from structctl.runtime import AgentContext, ProtocolError, Recv, bfs, run, tree_aggregate
 
 
 def corpus(count, start=0, r_hi=5, n_hi=6):
@@ -100,22 +94,27 @@ def is_census(payload) -> bool:
     )
 
 
-def is_gossip(payload) -> bool:
-    """The shape of size gossip messages: ``{"<id>": [scc, n, p], ...}``."""
-    return (
-        isinstance(payload, dict)
-        and bool(payload)
-        and all(k.isdigit() and len(v) == 3 for k, v in payload.items())
-    )
-
-
 def is_ids(payload) -> bool:
-    """An int list: a reach message, or the relabel sweep's id list."""
+    """An int list: a reach message, a ``bfs`` message, the sizes, or the
+    relabel sweep's id list."""
     return isinstance(payload, list) and all(type(x) is int for x in payload)
 
 
 def is_relabel(payload) -> bool:
     return isinstance(payload, dict) and set(payload) == {"d", "chg"}
+
+
+def setup_messages(sysm) -> list[int]:
+    """Per agent, the messages it sends before reachability: its ``bfs``
+    messages, max(d_i, d_j) + 1 to each neighbor j, and the sizes, one to
+    its parent and one to each child."""
+    dist = undirected_distances(sysm, 0)
+    parents = bfs_tree_parents(sysm)
+    return [
+        sum(max(dist[i], dist[j]) + 1 for j in sysm.neighbors(i))
+        + (parents[i] is not None) + parents.count(i)
+        for i in range(sysm.r)
+    ]
 
 
 def ring_context(ring, i, sent=None):
@@ -126,7 +125,6 @@ def ring_context(ring, i, sent=None):
         subsystem=ring.subsystem(i),
         incoming={c.from_: c.E for c in ring.incoming(i)},
         outgoing={c.to: c.E for c in ring.outgoing(i)},
-        r=ring.r,
         send=lambda to, payload: sent.append((to, payload)),
     )
 
@@ -191,15 +189,20 @@ class TestReached:
                 assert out["reached_sizes"] == full[i]["sizes_by_iteration"]
                 assert out["reached_completed"] == full[i]["completed_iteration"]
             # Reach messages are the int lists an agent sends the subsystems
-            # it feeds before its first barrier message.
+            # it feeds after its bfs and size messages, which are int lists
+            # too, and before its first barrier message.
             sent: dict = {}
             barrier = set()
+            setup = setup_messages(sysm)
             for rec in res.trace:
                 payload = json.loads(rec.payload)
                 if isinstance(payload, dict) and "offers" in payload:
                     barrier.add(rec.sender)
                 elif rec.sender not in barrier and is_ids(payload):
-                    sent[rec.sender, rec.receiver] = sent.get((rec.sender, rec.receiver), 0) + 1
+                    if setup[rec.sender]:
+                        setup[rec.sender] -= 1
+                    else:
+                        sent[rec.sender, rec.receiver] = sent.get((rec.sender, rec.receiver), 0) + 1
             edges = {(c.from_, c.to) for i in range(sysm.r) for c in sysm.outgoing(i)}
             assert sent == dict.fromkeys(edges, min(quiet, N))
         # ring4 completes only at iteration N; most corpus systems settle sooner
@@ -291,21 +294,6 @@ class TestFloodedPhases:
             assert list(payload) == [str(sender)]
             labels, low = payload[str(sender)]
             assert ints(labels) and ints(low) and len(low) <= 1
-
-    def test_size_gossip_sends_each_entry_once(self, ring4):
-        systems = [ring4] + [sysm for _, sysm in corpus(6, start=6000, r_hi=7)]
-        for sysm in systems:
-            res = run(sysm, controlled)
-            sent: dict = {}
-            for rec in res.trace:
-                payload = json.loads(rec.payload)
-                if not is_gossip(payload):
-                    continue
-                assert str(rec.sender) in payload  # never an empty map
-                seen = sent.setdefault((rec.sender, rec.receiver), [])
-                seen += [k for k in payload if k != str(rec.sender)]
-            for (i, j), keys in sent.items():
-                assert len(keys) == len(set(keys)), (i, j)
 
     def test_relabel_sweep_stops_after_the_first_quiet_round(self, ring4, monkeypatch):
         systems = [ring4] + [sysm for _, sysm in corpus(8, start=6100, r_hi=7)]
@@ -419,16 +407,18 @@ class TestFloodedPhases:
 
         real = distributed.tree_aggregate
         extra: dict = {}
+        everyone: list = []  # the ids of the system running
 
         def one_more(ctx, tree, value, merge, keyed=True):
             got = yield from real(ctx, tree, value, merge, keyed)
-            if keyed or not isinstance(value, list):
+            if keyed or not isinstance(value, list) or len(value) > 1:
                 return got  # not the sweep's id list
             extra[ctx.id] = not got and not extra.get(ctx.id)
-            return got or (list(range(ctx.r)) if extra[ctx.id] else got)
+            return got or (everyone if extra[ctx.id] else got)
 
         monkeypatch.setattr(distributed, "tree_aggregate", one_more)
         for sysm, want in zip(systems, plain):
+            everyone[:] = range(sysm.r)
             res = run(sysm, program)
             assert res.outputs == want.outputs
             assert len(res.trace) > len(want.trace)
@@ -454,23 +444,24 @@ class TestFloodedPhases:
                     sent = census.get(i, [])
                     tree_degree = len(children) + (parents[i] is not None)
                     assert len(sent) == tree_degree * out["passes"], i
-        # reachability alone aggregates nothing after the size gossip
+        # reachability alone runs no census
         res = run(ring4, reached)
         assert not any(is_census(json.loads(rec.payload)) for rec in res.trace)
 
     def test_ring_rounds_and_message_counts_are_pinned(self, ring4):
-        # gossip 3 rounds on each of 4 edges (24), notify 8, reach 16 plus
-        # 6 for each of 3 ORs, a sweep of one round (8, plus its 6-message
-        # id list), two barriers of 8 labels/offers messages each plus one
-        # accepts per offer (4 in all); 6 messages for each of two censuses
-        # and the consensus.  The ring first completes reachability at
-        # iteration N = 4, so no OR finds a fixpoint before the last
-        # iteration, and the ORs cost messages and rounds here instead of
-        # saving them.
+        # bfs 2 + 3 + 3 + 2 exchanges on the 4 edges, both ways (20), the
+        # sizes 6, reach 16 plus 6 for each of 3 ORs, a sweep of one round
+        # (8, plus its 6-message id list), two barriers of 8 labels/offers
+        # messages each plus one accepts per offer (4 in all); 6 messages for
+        # each of two censuses and the consensus.  The ring first completes
+        # reachability at iteration N = 4, so no OR finds a fixpoint before
+        # the last iteration, and the ORs cost messages and rounds here
+        # instead of saving them.  Without the incoming boundary the sweep's
+        # 14 messages go, and the run takes 4 rounds less.
         res = run(ring4, controlled)
-        assert (res.rounds, len(res.trace)) == (36, 118)
+        assert (res.rounds, len(res.trace)) == (38, 112)
         res = run(ring4, controlled_program(drop_incoming_boundary=True))
-        assert (res.rounds, len(res.trace)) == (32, 104)
+        assert (res.rounds, len(res.trace)) == (34, 98)
 
 
 class TestBarrier:
@@ -529,69 +520,80 @@ class TestTree:
         systems = [ring4, star(6), path(7), detour(), single()]
         return systems + [sysm for _, sysm in corpus(20, start=6500, r_hi=8)]
 
-    @staticmethod
-    def setup(ctx):
-        entry = _size_entry(ctx, state_digraph(ctx.subsystem.A))
-        _, parent = yield from gossip(ctx, entry)
-        return (yield from bfs_tree(ctx, parent))
-
     def test_parents_form_the_lowest_id_bfs_tree(self, ring4):
         for sysm in self.systems(ring4):
-            res = run(sysm, self.setup)
-            dist = undirected_distances(sysm, 0)
+            res = run(sysm, bfs)
             parents = [tree.parent for tree in res.outputs.values()]
-            assert parents[0] is None
-            for i in range(1, sysm.r):
-                closer = [j for j in sysm.neighbors(i) if dist[j] == dist[i] - 1]
-                assert parents[i] == min(closer), i
+            assert parents == bfs_tree_parents(sysm)
             for i, tree in res.outputs.items():
                 assert tree.children == tuple(
                     j for j, p in enumerate(parents) if p == i
                 ), i
 
-    def test_notify_round_sends_one_bool_per_edge_end(self, ring4):
+    def test_bfs_sends_nothing_or_distance_and_parent(self, ring4):
         for sysm in self.systems(ring4):
-            res = run(sysm, self.setup)
-            bools = [rec for rec in res.trace if rec.payload in ("true", "false")]
-            ends = sum(len(sysm.neighbors(i)) for i in range(sysm.r))
-            assert len(bools) == ends
-            assert sum(rec.payload == "true" for rec in bools) == sysm.r - 1
+            res = run(sysm, bfs)
+            dist = undirected_distances(sysm, 0)
+            parents = [-1 if p is None else p for p in bfs_tree_parents(sysm)]
+            for rec in res.trace:
+                payload = json.loads(rec.payload)
+                assert payload in ([], [dist[rec.sender], parents[rec.sender]]), rec
+
+    def test_bfs_edges_carry_max_distance_plus_1_messages(self, ring4):
+        for sysm in self.systems(ring4):
+            res = run(sysm, bfs)
+            dist = undirected_distances(sysm, 0)
+            sent: dict = {}
+            for rec in res.trace:
+                sent[rec.sender, rec.receiver] = sent.get((rec.sender, rec.receiver), 0) + 1
+            edges = {(i, j) for i in range(sysm.r) for j in sysm.neighbors(i)}
+            assert set(sent) == edges
+            for (i, j), count in sent.items():
+                assert count == max(dist[i], dist[j]) + 1, (i, j)
+
+    def test_sizes_sum_scc_counts_states_and_inputs(self, ring4):
+        def program(ctx):
+            tree = yield from bfs(ctx)
+            entry = _size_entry(ctx, state_digraph(ctx.subsystem.A))
+            return (yield from tree_aggregate(
+                ctx, tree, entry, lambda v, heard: [sum(c) for c in zip(v, *heard)],
+                keyed=False,
+            ))
+
+        for sysm in self.systems(ring4):
+            res = run(sysm, program)
+            subs = sysm.subsystems
+            want = [
+                sum(len(scc_partition_oracle(directed(state_digraph(s.A)))) for s in subs),
+                sum(s.n for s in subs),
+                sum(s.p for s in subs),
+            ]
+            assert res.outputs == dict.fromkeys(range(sysm.r), want)
+            # the controlled run's reachability budget is the same sum
+            N = run(sysm, controlled).outputs[0]["N"]
+            assert N == want[0]
 
     def test_aggregates_send_2_r_minus_1_messages_and_agree(self, ring4):
         def union(part, heard):
             return [sorted(set(part[0]).union(*(h[0] for h in heard))), []]
 
-        def program(ctx):
-            tree = yield from self.setup(ctx)
-            ids = yield from tree_aggregate(ctx, tree, [[ctx.id], []], union)
-            last = ctx.id == ctx.r - 1
-            both = yield from tree_aggregate(
-                ctx, tree, not last, lambda v, heard: v and all(heard), keyed=False
-            )
-            return ids, both
-
         for sysm in self.systems(ring4):
+            def program(ctx):
+                tree = yield from bfs(ctx)
+                ids = yield from tree_aggregate(ctx, tree, [[ctx.id], []], union)
+                last = ctx.id == sysm.r - 1
+                both = yield from tree_aggregate(
+                    ctx, tree, not last, lambda v, heard: v and all(heard), keyed=False
+                )
+                return ids, both
+
             res = run(sysm, program)
             want = ([list(range(sysm.r)), []], False)
             assert res.outputs == dict.fromkeys(range(sysm.r), want)
             census = [rec for rec in res.trace if is_census(json.loads(rec.payload))]
             bools = [rec for rec in res.trace if rec.payload in ("true", "false")]
-            ends = sum(len(sysm.neighbors(i)) for i in range(sysm.r))
             assert len(census) == 2 * (sysm.r - 1)
-            assert len(bools) == ends + 2 * (sysm.r - 1)
-
-    def test_gossip_edges_last_min_eccentricity_plus_1_rounds(self, ring4):
-        for sysm in self.systems(ring4):
-            res = run(sysm, self.setup)
-            ecc = [max(undirected_distances(sysm, i)) for i in range(sysm.r)]
-            sent: dict = {}
-            for rec in res.trace:
-                if is_gossip(json.loads(rec.payload)):
-                    sent[rec.sender, rec.receiver] = sent.get((rec.sender, rec.receiver), 0) + 1
-            edges = {(i, j) for i in range(sysm.r) for j in sysm.neighbors(i)}
-            assert set(sent) == edges
-            for (i, j), rounds in sent.items():
-                assert rounds == min(ecc[i], ecc[j]) + 1, (i, j)
+            assert len(bools) == 2 * (sysm.r - 1)
 
 
 def cached_owners(region):

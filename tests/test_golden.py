@@ -87,7 +87,7 @@ def test_distributed_traces():
         ))
     systems += [random_system(r, (1, 8), (1, 2), 0.3, seed=r) for r in (10, 20, 40)]
     out = [run(sysm, program).trace.to_jsonl() for sysm in systems for program in programs]
-    assert _digest(out) == "458263f6fe007bc99a9aa9a7273a5a583f96d69ac581ae2422ca139ecd3cfd52"
+    assert _digest(out) == "763ec11b4b8d22c0bb605e6bd41f5b5e83734fcdd4437175f6e929e40f8366f2"
 
 
 def test_serial_details():

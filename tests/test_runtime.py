@@ -10,16 +10,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import build_system
-from oracles import filter_trace, undirected_distances
+from oracles import bfs_tree_parents, filter_trace, undirected_distances
 from structctl.runtime import (
     DeadlockError,
+    DisconnectedError,
     ProtocolError,
     Recv,
     Trace,
     TraceRecord,
     _encode_payload,
     _normalize_payload,
-    gossip,
+    bfs,
     run,
 )
 
@@ -250,15 +251,16 @@ class TestTopologyGate:
             [(1, 0, set(), set()) for _ in range(4)],
             [(1, 0, {(0, 0)}), (3, 2, {(0, 0)})],
         )
-        with pytest.raises(ValueError, match="weakly connected"):
+        with pytest.raises(ValueError, match="weakly connected") as caught:
             run(sysm, lambda ctx: iter(()))
+        assert caught.type is DisconnectedError
 
 
 class TestDeterminism:
     def test_identical_traces_across_runs(self, line3):
         def program(ctx):
             acc = ctx.id
-            for _ in range(ctx.r):
+            for _ in range(line3.r):
                 for j in ctx.neighbors:
                     ctx.send(j, acc)
                 for j in ctx.neighbors:
@@ -273,8 +275,8 @@ class TestDeterminism:
             assert again.rounds == first.rounds
 
 
-class TestGossip:
-    def test_every_agent_gets_every_entry_in_min_eccentricity_plus_1_rounds(
+class TestBfs:
+    def test_every_agent_gets_its_tree_in_max_distance_plus_1_exchanges(
         self, line3
     ):
         path5 = build_system(
@@ -282,17 +284,17 @@ class TestGossip:
             [(i + 1, i, {(0, 0)}) for i in range(4)],
         )
         for sysm in (line3, path5):
-            res = run(sysm, lambda ctx: gossip(ctx, ctx.id % 2 == 0))
-            want = {str(i): i % 2 == 0 for i in range(sysm.r)}
-            assert [entries for entries, _ in res.outputs.values()] == [want] * sysm.r
-            ecc = [max(undirected_distances(sysm, i)) for i in range(sysm.r)]
+            res = run(sysm, bfs)
+            parents = bfs_tree_parents(sysm)
+            assert [tree.parent for tree in res.outputs.values()] == parents
+            dist = undirected_distances(sysm, 0)
             sent: dict = {}
             for rec in res.trace:
                 sent[rec.sender, rec.receiver] = sent.get((rec.sender, rec.receiver), 0) + 1
             edges = {(i, j) for i in range(sysm.r) for j in sysm.neighbors(i)}
             assert set(sent) == edges
-            for (i, j), rounds in sent.items():
-                assert rounds == min(ecc[i], ecc[j]) + 1, (sysm.r, i, j)
+            for (i, j), count in sent.items():
+                assert count == max(dist[i], dist[j]) + 1, (sysm.r, i, j)
 
 
 class TestPayloadCopies:

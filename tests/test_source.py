@@ -60,3 +60,20 @@ def test_agents_yield_only_recv():
             ):
                 stray.append(f"{path.name}:{node.lineno}")
     assert stray == []
+
+
+def test_runtime_has_one_agreement_layer():
+    """Agents agree through ``bfs`` and ``tree_aggregate`` alone: they are
+    the only generator functions in the runtime."""
+    path = Path(structctl.__file__).parent / "runtime.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    generators = sorted(
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and any(
+            isinstance(inner, (ast.Yield, ast.YieldFrom))
+            for inner in ast.walk(node)
+        )
+    )
+    assert generators == ["bfs", "tree_aggregate"]

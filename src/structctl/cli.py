@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import os
 import sys
@@ -23,6 +24,7 @@ from .model import (
     ModelError,
     assemble_global,
     dumps,
+    indented_json,
     random_serial_system,
     random_system,
     system_from_obj,
@@ -308,12 +310,9 @@ def cmd_gen(args) -> tuple[dict, int]:
         spec = random_similar_spec((args.r, args.r), n_range, p_range, args.density, args.seed)
         text = similar_dumps(spec)
         shape = {"copies": spec.r, "template_states": spec.n, "template_inputs": spec.p}
-    elif args.kind == "serial":
-        system = random_serial_system(args.r, n_range, p_range, args.density, args.seed)
-        text = dumps(system)
-        shape = {"subsystems": system.r, "states": sum(s.n for s in system.subsystems)}
     else:
-        system = random_system(args.r, n_range, p_range, args.density, args.seed)
+        make = random_serial_system if args.kind == "serial" else random_system
+        system = make(args.r, n_range, p_range, args.density, args.seed)
         text = dumps(system)
         shape = {"subsystems": system.r, "states": sum(s.n for s in system.subsystems)}
 
@@ -422,6 +421,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Collector passes would only rescan what the command keeps until it returns.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return _run_command(argv)
     except BrokenPipeError:
@@ -430,6 +432,9 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 0
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 def _run_command(argv) -> int:
@@ -440,7 +445,7 @@ def _run_command(argv) -> int:
         err = {"command": args.command, "error": str(exc)}
         if exc.details is not None:
             err["details"] = exc.details
-        print(json.dumps(err, indent=2, sort_keys=True))
+        print(indented_json(err))
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
@@ -454,13 +459,13 @@ def _run_command(argv) -> int:
         traceback.print_exc()
         message = f"internal error: {type(exc).__name__}: {exc}"
         err = {"command": args.command, "error": message}
-        print(json.dumps(err, indent=2, sort_keys=True))
+        print(indented_json(err))
         print(f"error: {message}", file=sys.stderr)
         return 2
 
     summary = report.pop("_summary", None)
     if summary is None:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(indented_json(report))
         if args.command == "verify":
             summary = _summary_verify(report)
         else:

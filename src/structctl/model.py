@@ -11,6 +11,7 @@ import json
 import random
 from dataclasses import dataclass
 from itertools import chain
+from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable
 
 Pair = tuple[int, int]
@@ -278,19 +279,15 @@ def _check_keys(obj: dict, expected: set[str], where: str) -> None:
 def _parse_pairs(value, rows: int, cols: int, where: str) -> SparsityPattern:
     if not isinstance(value, list):
         raise ModelError(f"{where}: expected a list of [row, col] pairs")
-    pairs = []
+    try:  # SparsityPattern checks each pair; the loop below runs only to name a bad one
+        return SparsityPattern(rows, cols, frozenset([(r, c) for r, c in value]))
+    except (TypeError, ValueError) as exc:
+        error = str(exc)
     for k, item in enumerate(value):
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(v, int) and not isinstance(v, bool) for v in item)
-        ):
+        if not (isinstance(item, list) and len(item) == 2 and all(
+                isinstance(v, int) and not isinstance(v, bool) for v in item)):
             raise ModelError(f"{where}[{k}]: expected an integer pair [row, col]")
-        pairs.append((item[0], item[1]))
-    try:
-        return SparsityPattern(rows, cols, frozenset(pairs))
-    except ModelError as exc:
-        raise ModelError(f"{where}: {exc}") from None
+    raise ModelError(f"{where}: {error}")
 
 
 def _require_int(obj: dict, key: str, where: str) -> int:
@@ -385,8 +382,29 @@ def loads(text: str) -> InterconnectedSystem:
     return system_from_obj(obj)
 
 
+def indented_json(obj, newline: str = "\n") -> str:
+    """The text ``json.dumps`` writes for ``obj`` with sorted keys and an indent
+    of 2, without the pure-Python encoder that json's indenting runs on.
+    ``newline`` carries the indentation of nested containers."""
+    kind, inner = type(obj), newline + "  "
+    if (kind is list or kind is tuple) and obj:
+        items = [_json_str(v) if type(v) is str else int.__repr__(v) if type(v) is int
+                 else indented_json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict and obj:
+        # json sorts the keys as given, then writes non-string keys as text.
+        items = [_json_str(k if isinstance(k, str) else json.dumps(k)) + ": "
+                 + indented_json(v, inner) for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is str:
+        return _json_str(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    return json.dumps(obj)  # empty containers, true/false/null and floats
+
+
 def dumps(sys: InterconnectedSystem) -> str:
-    return json.dumps(system_to_obj(sys), indent=2, sort_keys=True) + "\n"
+    return indented_json(system_to_obj(sys)) + "\n"
 
 
 def load(path) -> InterconnectedSystem:

@@ -34,6 +34,7 @@ from .model import (
     _random_pattern,
     _require_int,
     digraph,
+    indented_json,
     system_bipartite,
 )
 
@@ -201,7 +202,7 @@ def similar_loads(text: str) -> SimilarSystemSpec:
 
 
 def similar_dumps(spec: SimilarSystemSpec) -> str:
-    return json.dumps(similar_to_obj(spec), indent=2, sort_keys=True) + "\n"
+    return indented_json(similar_to_obj(spec)) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import re
@@ -13,11 +14,21 @@ import pytest
 
 from conftest import build_system
 from structctl import distributed, serial
-from structctl.cli import main
-from structctl.model import dumps, load, random_system, save
+from structctl.centralized import verify
+from structctl.cli import MODES, main
+from structctl.distributed import controlled_program
+from structctl.model import (
+    SparsityPattern,
+    dumps,
+    indented_json,
+    load,
+    random_system,
+    save,
+    system_to_obj,
+)
 from structctl.runtime import Recv
 from structctl.serial import is_serial
-from structctl.similar import similar_dumps
+from structctl.similar import similar_dumps, similar_to_obj
 
 
 def run_python(*args):
@@ -588,3 +599,133 @@ class TestTrace:
             assert main(["trace", "--input", str(path)]) == 0
         finally:
             writer.close()
+
+
+def _json_reference(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+class TestReportWriter:
+    """``indented_json`` writes exactly what ``json.dumps(obj, indent=2,
+    sort_keys=True)`` writes, on every report the CLI prints."""
+
+    @staticmethod
+    def printed(capsys, monkeypatch, calls):
+        """Run ``calls`` in process; return each printed object, the exit
+        codes and the whole stdout."""
+        seen = []
+
+        def recording(obj):
+            seen.append(obj)
+            return indented_json(obj)
+
+        monkeypatch.setattr("structctl.cli.indented_json", recording)
+        codes = [main(argv) for argv in calls]
+        return seen, codes, capsys.readouterr().out
+
+    def test_reports_of_every_mode(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+        import workloads
+
+        calls = workloads.corpus(3, str(tmp_path), scale=0.02)
+        assert {call.mode for call in calls} == set(MODES)
+        seen, codes, out = self.printed(capsys, monkeypatch, [c.argv for c in calls])
+        assert len(seen) == len(calls) and set(codes) <= {0, 1, 2}
+        assert out == "".join(_json_reference(obj) + "\n" for obj in seen)
+
+    def test_error_reports(self, capsys, monkeypatch, tmp_path, ring_file):
+        path = tmp_path / "fan.json"  # subsystem 0 feeds two others: not serial
+        fan = build_system([(1, 1, set(), {(0, 0)})] * 3, [(1, 0, {(0, 0)}), (2, 0, {(0, 0)})])
+        save(fan, path)
+        odd = tmp_path / 'dir/ü"x\n.json'
+        calls = [
+            ["verify", "--mode", "serial", "--input", str(path)],  # with details
+            ["verify", "--mode", "centralized", "--input", str(odd)],  # without
+            ["verify", "--mode", "distributed", "--input", ring_file],  # internal error
+        ]
+        monkeypatch.setattr("structctl.cli.controlled_program", lambda **_: _value_error)
+        seen, codes, out = self.printed(capsys, monkeypatch, calls)
+        assert codes == [2, 2, 2]
+        assert [sorted(obj) for obj in seen] == [
+            ["command", "details", "error"], ["command", "error"], ["command", "error"],
+        ]
+        assert out == "".join(_json_reference(obj) + "\n" for obj in seen)
+
+    def test_large_certificate(self):
+        n = 45_000  # a chain fed at its head: 90,000 certificate entries
+        A = SparsityPattern(n, n, frozenset((k + 1, k) for k in range(n - 1)))
+        cert = verify(A, SparsityPattern(n, 1, frozenset({(0, 0)}))).certificate
+        assert cert["type"] == "reach-and-match"
+        assert len(cert["matching"]) + len(cert["reach_forest"]) == 90_000
+        assert indented_json(cert) == _json_reference(cert)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [], {}, [[]], {"a": {}}, [{}, [[], {}]], {"a": [], "b": [{}]},
+            [True, False, None, 1, 0], {"t": True, "f": False, "n": None, "one": 1},
+            [-7, 0, 2**70, -(2**70)], [1.5, -0.0, 1e300, float("inf"), float("nan")],
+            {2: "b", 10: "a", 1: [1]}, {True: 1}, {None: 0}, {1.5: "x"},
+            ["dir/ü\"x\n.json", "back\\slash", "tab\tbell\x07", " \U0001f600", ""],
+            {"dir/ü\"x\n.json": "\x00", "\\": ["\"", "é"]},
+            (1, ("a", [2])), {"k": (True, None)},
+            {"b": [[["x", 1], ["u", 0]]], "a": {"c": [["x", -1]], "d": "e"}},
+        ],
+    )
+    def test_hand_cases(self, obj):
+        assert indented_json(obj) == _json_reference(obj)
+
+    def test_generated_files(self, thm1_ring):
+        sysm = random_system(5, (1, 6), (0, 2), 0.35, seed=8)
+        assert dumps(sysm) == _json_reference(system_to_obj(sysm)) + "\n"
+        assert similar_dumps(thm1_ring) == _json_reference(similar_to_obj(thm1_ring)) + "\n"
+
+
+class TestCollector:
+    """``main`` runs a command with the cyclic collector off and afterwards
+    leaves it as the caller had it."""
+
+    @pytest.fixture(params=[True, False], ids=["gc-on", "gc-off"])
+    def caller_gc(self, request):
+        if not request.param:
+            gc.disable()
+        try:
+            yield request.param
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("case", ["exit-0", "exit-1", "cli-error", "internal-error"])
+    def test_every_exit_restores_the_collector(
+        self, capsys, monkeypatch, ring_file, dead_file, caller_gc, case
+    ):
+        during = []
+
+        def watching(**kwargs):
+            during.append(gc.isenabled())
+            return _value_error if case == "internal-error" else controlled_program(**kwargs)
+
+        monkeypatch.setattr("structctl.cli.controlled_program", watching)
+        path = {"exit-0": ring_file, "exit-1": dead_file,
+                "cli-error": "/no/such.json", "internal-error": ring_file}[case]
+        code, _, _ = run_cli(capsys, "verify", "--mode", "distributed", "--input", path)
+        assert code == {"exit-0": 0, "exit-1": 1, "cli-error": 2, "internal-error": 2}[case]
+        assert during == ([] if case == "cli-error" else [False])
+        assert gc.isenabled() is caller_gc
+
+    def test_parser_exit_restores_the_collector(self, capsys, caller_gc):
+        with pytest.raises(SystemExit):
+            main(["verify", "--mode", "psychic", "--input", "x.json"])
+        capsys.readouterr()
+        assert gc.isenabled() is caller_gc
+
+    def test_closed_stdout_restores_the_collector(self, monkeypatch, dead_file, caller_gc):
+        read_fd, write_fd = os.pipe()
+        os.close(read_fd)
+        writer = os.fdopen(write_fd, "w", buffering=1)
+        monkeypatch.setattr(sys, "stdout", writer)
+        try:
+            # exit 0, not the verdict's 1: the closed pipe path returned
+            assert main(["verify", "--mode", "centralized", "--input", dead_file]) == 0
+        finally:
+            writer.close()
+        assert gc.isenabled() is caller_gc

@@ -77,3 +77,45 @@ def test_runtime_has_one_agreement_layer():
         )
     )
     assert generators == ["bfs", "tree_aggregate"]
+
+
+def _package_trees():
+    for path in sorted(Path(structctl.__file__).parent.glob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _is_attribute(node, module: str, attr: str) -> bool:
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == attr
+        and isinstance(node.value, ast.Name)
+        and node.value.id == module
+    )
+
+
+def test_json_dumps_never_indents():
+    """``indent`` sends ``json.dumps`` down its pure-Python encoder; indented
+    text comes from ``model.indented_json``, which writes the same bytes."""
+    stray = [
+        f"{path.name}:{node.lineno}"
+        for path, tree in _package_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and _is_attribute(node.func, "json", "dumps")
+        and any(kw.arg == "indent" for kw in node.keywords)
+    ]
+    assert stray == []
+
+
+def test_only_cli_main_pauses_the_collector():
+    """``cli.main`` turns the cyclic collector off for one command; no other
+    code toggles it, so no second pause can leave it off."""
+    found = []
+    for path, tree in _package_trees():
+        for stmt in tree.body:
+            for node in ast.walk(stmt):
+                if _is_attribute(node, "gc", "disable") or (
+                    isinstance(node, ast.ImportFrom) and node.module == "gc"
+                ):
+                    found.append(f"{path.name}:{getattr(stmt, 'name', stmt.lineno)}")
+    assert found == ["cli.py:main"]

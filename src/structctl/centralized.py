@@ -12,7 +12,7 @@ from .graphkit import (
     max_matching,
     right_deficiency_witness,
 )
-from .model import SparsityPattern, system_digraph
+from .model import Graph, SparsityPattern, system_digraph
 
 # Not called: `verify` reads reachability and the matching off one graph.
 # Kept importable for the benchmark hook on `centralized.system_bipartite`.
@@ -36,8 +36,17 @@ def _encoder(n: int):
 
 
 def verify(A: SparsityPattern, B: SparsityPattern) -> Verdict:
+    """Structural controllability of the pattern pair (A, B); see
+    :func:`verify_digraph`, which this runs on ``system_digraph(A, B)``."""
+    if A.rows != B.rows:
+        raise ValueError(f"A has {A.rows} states but B has {B.rows} rows")
+    return verify_digraph(system_digraph(A, B), A.rows)
+
+
+def verify_digraph(g: Graph, n: int) -> Verdict:
     """Structural controllability via input reachability plus a matching that
-    covers every state's right copy.
+    covers every state's right copy, on the graph of (A, B) with n states
+    (``model.system_digraph`` or ``model.block_digraph``).
 
     The certificate replays without re-deriving anything: a positive verdict
     carries the matching and a reachability forest; a negative one carries
@@ -45,10 +54,6 @@ def verify(A: SparsityPattern, B: SparsityPattern) -> Verdict:
     witness (a set of states with fewer distinct feeders than members).
     An unreachable state is preferred over a deficiency when both exist.
     """
-    if A.rows != B.rows:
-        raise ValueError(f"A has {A.rows} states but B has {B.rows} rows")
-    n = A.rows
-    g = system_digraph(A, B)
     parent = input_reachable_with_parents(g, n)
     unreached = [j for j in range(n) if parent[j] < 0]
     if unreached:

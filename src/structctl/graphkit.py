@@ -17,6 +17,7 @@ process, produce identical results, which the certificates rely on.
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress
 from typing import Iterable
 
 from .model import Graph
@@ -118,31 +119,34 @@ def input_reachable_with_parents(g: Graph, n: int) -> list[int]:
 
 
 def max_matching(g: Graph, n: int) -> Mates:
-    """Hopcroft–Karp into the rights 0..n-1."""
+    """Hopcroft–Karp into the rights 0..n-1.
+
+    Two layering searches are skipped, as their answer is known: before the
+    first phase every left is free, so every layer is 0 and a free right is
+    reachable iff the graph has an edge; and once every right is matched, no
+    augmenting path is left."""
     lefts = left_order(len(g), n)
     mate_l = [-1] * len(g)
     mate_r = [-1] * n
 
     def bfs() -> tuple[list[int], bool]:
         dist = [-1] * len(g)
-        q: deque = deque()
-        for l in lefts:
-            if mate_l[l] < 0:
-                dist[l] = 0
-                q.append(l)
+        queue = [l for l in lefts if mate_l[l] < 0]
+        for l in queue:
+            dist[l] = 0
         reachable_free = False
-        while q:
-            l = q.popleft()
+        for l in queue:  # visits the lefts appended below too
+            layer = dist[l] + 1
             for r in g[l]:
                 nl = mate_r[r]
                 if nl < 0:
                     reachable_free = True
                 elif dist[nl] < 0:
-                    dist[nl] = dist[l] + 1
-                    q.append(nl)
+                    dist[nl] = layer
+                    queue.append(nl)
         return dist, reachable_free
 
-    def augment_from(root: int, dist: list[int]) -> None:
+    def augment_from(root: int, dist: list[int]) -> bool:
         # iterative layered DFS; frames are (left vertex, arc iterator, right
         # vertex that led here from the previous frame)
         work = [(root, iter(g[root]), -1)]
@@ -158,21 +162,24 @@ def max_matching(g: Graph, n: int) -> Mates:
                         inc = work[k][2]
                         mate_l[prev] = inc
                         mate_r[inc] = prev
-                    return
+                    return True
                 if dist[nl] == dist[v] + 1:
                     work.append((nl, iter(g[nl]), r))
                     break
             else:
                 dist[v] = -1  # dead end for this phase
                 work.pop()
+        return False
 
-    while True:
-        dist, more = bfs()
-        if not more:
-            break
+    matched = 0
+    dist, more = [0] * len(g), any(g)
+    while more:
         for l in lefts:
-            if mate_l[l] < 0:
-                augment_from(l, dist)
+            if mate_l[l] < 0 and augment_from(l, dist):
+                matched += 1
+                if matched == n:
+                    return mate_l, mate_r
+        dist, more = bfs()
     return mate_l, mate_r
 
 
@@ -279,25 +286,28 @@ def right_deficiency_witness(g: Graph, mates: Mates) -> tuple[list, list] | None
     """
     mate_l, mate_r = mates
     n = len(mate_r)
-    free = [r for r in range(n) if mate_r[r] < 0]
-    if not free:
+    in_w = bytearray(l < 0 for l in mate_r)
+    queue = list(compress(range(n), in_w))  # the unmatched rights, then W's growth
+    if not queue:
         return None
     feeders: Graph = [[] for _ in range(n)]
     for l, heads in enumerate(g):
         for r in heads:
             feeders[r].append(l)
-    w_set = set(free)
-    n_set: set = set()
-    q = deque(free)
-    while q:
-        for l in feeders[q.popleft()]:
-            if l in n_set:
+    count = len(mate_l)
+    in_n = bytearray(count)
+    for r in queue:  # visits the rights appended below too
+        for l in feeders[r]:
+            if in_n[l]:
                 continue
-            n_set.add(l)
+            in_n[l] = 1
             mate = mate_l[l]
             if mate < 0:
                 raise ValueError("matching is not maximum: augmenting path found")
-            if mate not in w_set:
-                w_set.add(mate)
-                q.append(mate)
-    return sorted(w_set), sorted(n_set, key=lambda v: (v < n, v))
+            if not in_w[mate]:
+                in_w[mate] = 1
+                queue.append(mate)
+    return (
+        list(compress(range(n), in_w)),
+        [*compress(range(n, count), in_n[n:]), *compress(range(n), in_n)],
+    )

@@ -237,6 +237,32 @@ def system_digraph(A: SparsityPattern, B: SparsityPattern) -> Graph:
 system_bipartite = system_digraph
 
 
+def block_digraph(sys: InterconnectedSystem) -> Graph:
+    """``system_digraph(*assemble_global(sys))``, read straight off the
+    blocks: each A, B and E is walked once with its state and input offsets.
+    Connections never repeat a (to, from) pair or loop on one subsystem, so
+    no two blocks share an edge."""
+    n = sys.n_total
+    succ: Graph = [[] for _ in range(n + sys.p_total)]
+    offset = []
+    dr, dc = 0, n
+    for sub in sys.subsystems:
+        offset.append(dr)
+        for k, l in sub.A.nonzeros:
+            succ[dr + l].append(dr + k)
+        for k, j in sub.B.nonzeros:
+            succ[dc + j].append(dr + k)
+        dr += sub.n
+        dc += sub.p
+    for conn in sys.connections:
+        dt, df = offset[conn.to], offset[conn.from_]
+        for t, f in conn.E.nonzeros:
+            succ[df + f].append(dt + t)
+    for heads in succ:
+        heads.sort()
+    return succ
+
+
 def condensed_graph(sys: InterconnectedSystem) -> Graph:
     """One vertex per subsystem; edge i -> j iff some connection has from=i, to=j."""
     return digraph(sys.r, ((c.from_, c.to) for c in sys.connections))

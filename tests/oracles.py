@@ -10,7 +10,8 @@ matching of the expanded system; the last section holds facts about
 distributed runs (the boundary size, hop distances, the BFS tree, trace
 filtering) and ``reached``, a reachability-only agent program that runs the
 package's reachability steps for every iteration, with no tree to stop
-them.  The reference-algorithm section, a unit-capacity preflow and a
+them.  ``max_matching_every_search`` is Hopcroft–Karp with no search
+skipped.  The reference-algorithm section, a unit-capacity preflow and a
 matching exchange, imports nothing; the tests check the package's
 matchings against it.
 """
@@ -504,6 +505,71 @@ def build_composite_matching(spec: SimilarSystemSpec) -> tuple[list[int], list[i
                 left, right = i * n + l, succ[i] * n + k
             mate_l[left] = right
             mate_r[right] = left
+    return mate_l, mate_r
+
+
+# ---------------------------------------------------------------------------
+# Hopcroft–Karp with every search
+
+
+def max_matching_every_search(g: list[list[int]], n: int) -> tuple[list[int], list[int]]:
+    """Hopcroft–Karp into the rights 0..n-1 with a layering search before
+    every phase, the first and the last included; ``graphkit.max_matching``
+    skips those two, and its mates must equal these."""
+    lefts = left_order(len(g), n)
+    mate_l = [-1] * len(g)
+    mate_r = [-1] * n
+
+    def bfs() -> tuple[list[int], bool]:
+        dist = [-1] * len(g)
+        q: deque = deque()
+        for l in lefts:
+            if mate_l[l] < 0:
+                dist[l] = 0
+                q.append(l)
+        reachable_free = False
+        while q:
+            l = q.popleft()
+            for r in g[l]:
+                nl = mate_r[r]
+                if nl < 0:
+                    reachable_free = True
+                elif dist[nl] < 0:
+                    dist[nl] = dist[l] + 1
+                    q.append(nl)
+        return dist, reachable_free
+
+    def augment_from(root: int, dist: list[int]) -> None:
+        # iterative layered DFS; frames are (left vertex, arc iterator, right
+        # vertex that led here from the previous frame)
+        work = [(root, iter(g[root]), -1)]
+        while work:
+            v, it, _ = work[-1]
+            for r in it:
+                nl = mate_r[r]
+                if nl < 0:
+                    mate_l[v] = r
+                    mate_r[r] = v
+                    for k in range(len(work) - 1, 0, -1):
+                        prev = work[k - 1][0]
+                        inc = work[k][2]
+                        mate_l[prev] = inc
+                        mate_r[inc] = prev
+                    return
+                if dist[nl] == dist[v] + 1:
+                    work.append((nl, iter(g[nl]), r))
+                    break
+            else:
+                dist[v] = -1  # dead end for this phase
+                work.pop()
+
+    while True:
+        dist, more = bfs()
+        if not more:
+            break
+        for l in lefts:
+            if mate_l[l] < 0:
+                augment_from(l, dist)
     return mate_l, mate_r
 
 

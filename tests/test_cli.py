@@ -14,11 +14,12 @@ import pytest
 
 from conftest import build_system
 from structctl import distributed, serial
-from structctl.centralized import verify
+from structctl.centralized import numeric_probe, verify
 from structctl.cli import MODES, main
 from structctl.distributed import controlled_program
 from structctl.model import (
     SparsityPattern,
+    assemble_global,
     dumps,
     indented_json,
     load,
@@ -294,6 +295,82 @@ class TestVerifyInputHandling:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--mode", "psychic", "--input", "x.json"])
         assert exc.value.code == 2
+
+
+class TestCentralizedGraph:
+    """Centralized mode builds its graph from the blocks; only the numeric
+    probe assembles global patterns."""
+
+    @staticmethod
+    def expected_report(path, sysm, seed=None) -> str:
+        """The report text, computed from the assembled patterns."""
+        A, B = assemble_global(sysm)
+        verdict = verify(A, B)
+        report = {"command": "verify", "mode": "centralized", "input": path}
+        if seed is not None:
+            report["seed"] = seed
+        report.update({
+            "controllable": verdict.controllable,
+            "certificate": verdict.certificate,
+            "subsystems": sysm.r,
+            "states": A.rows,
+            "inputs": B.cols,
+        })
+        if seed is not None:
+            report["numeric_probe"] = {"seed": seed, "full_rank": numeric_probe(A, B, seed)}
+        report["verdict"] = verdict.controllable
+        return indented_json(report) + "\n"
+
+    @pytest.mark.parametrize("probe", [False, True])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_only_the_probe_assembles(self, capsys, monkeypatch, tmp_path, seed, probe):
+        built = []
+
+        def counted(sysm):
+            if not probe:
+                pytest.fail("assemble_global called without --seed")
+            built.append(sysm)
+            return assemble_global(sysm)
+
+        monkeypatch.setattr("structctl.cli.assemble_global", counted)
+        sysm = random_system(1 + seed % 6, (1, 8), (0, 2), 0.3, seed=seed)
+        assert sysm.n_total <= 64
+        path = str(tmp_path / "g.json")
+        save(sysm, path)
+        argv = ["verify", "--mode", "centralized", "--input", path]
+        code, out, _ = run_cli(capsys, *argv, *(["--seed", str(seed)] if probe else []))
+        assert code in (0, 1)
+        assert len(built) == probe
+        assert out == self.expected_report(path, sysm, seed if probe else None)
+
+    def test_no_global_patterns_past_the_probe_limit(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(
+            "structctl.cli.assemble_global",
+            lambda sysm: pytest.fail("assemble_global called past the probe limit"),
+        )
+        path = tmp_path / "big.json"
+        save(build_system([(70, 1, {(k + 1, k) for k in range(69)}, {(0, 0)})], []), path)
+        code, out, _ = run_cli(
+            capsys, "verify", "--mode", "centralized", "--input", str(path), "--seed", "9",
+        )
+        assert code == 0
+        assert "skipped" in report_of(out)["numeric_probe"]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_repeated_pairs_give_the_same_report(self, capsys, tmp_path, seed):
+        sysm = random_system(2 + seed % 4, (1, 8), (0, 2), 0.3, seed=seed)
+        obj = system_to_obj(sysm)
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(obj))
+        once = run_cli(capsys, "verify", "--mode", "centralized", "--input", str(path))
+        for sub in obj["subsystems"]:
+            sub["A"] = sub["A"] + sub["A"]
+            sub["B"] = sub["B"][::-1] + sub["B"]
+        for conn in obj["connections"]:
+            conn["E"] = conn["E"] * 2
+        path.write_text(json.dumps(obj))
+        twice = run_cli(capsys, "verify", "--mode", "centralized", "--input", str(path))
+        assert once == twice
 
 
 def _deadlocking(ctx):

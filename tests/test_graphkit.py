@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import pat
@@ -16,6 +16,7 @@ from oracles import (
     matching_edges,
     matching_exchange,
     matching_opt_bruteforce,
+    max_matching_every_search,
     max_preflow,
     non_top_linked_oracle,
     path_cycle_decomposition,
@@ -123,6 +124,27 @@ class TestMaxMatching:
         assert all(mate_r[r] == l for l, r in enumerate(mate_l) if r >= 0)
         assert all(mate_l[l] == r for r, l in enumerate(mate_r) if l >= 0)
         assert matching_edges((mate_l, mate_r)) in enumerate_max_matchings(bipartite(g, n))
+
+    # edgeless; a perfect matching (every right matched mid-phase, no last
+    # search); deficient (rights 0 and 1 share their one feeder)
+    @example((digraph(4, []), 2))
+    @example((digraph(6, {(4, 0), (4, 1), (5, 1), (2, 2), (3, 0)}), 3))
+    @example((digraph(5, {(3, 0), (3, 1), (4, 2)}), 3))
+    @given(matching_graphs(12))
+    def test_mates_equal_the_every_search_version(self, gn):
+        g, n = gn
+        assert max_matching(g, n) == max_matching_every_search(g, n)
+
+    @given(st.integers(1, 60), st.integers(1, 4), st.integers(0, 2**31))
+    @settings(max_examples=60)
+    def test_mates_equal_the_every_search_version_on_system_graphs(self, n, p, seed):
+        # about two feeders per state, so long augmenting paths and several
+        # phases occur
+        rng = random.Random(seed)
+        A = pat(n, n, {(k, rng.randrange(n)) for k in range(n) for _ in range(2)})
+        B = pat(n, p, {(rng.randrange(n), j) for j in range(p)})
+        g = system_digraph(A, B)
+        assert max_matching(g, n) == max_matching_every_search(g, n)
 
     def test_deterministic_across_edge_orderings(self):
         edges = [(5 + i, (i * 3 + j) % 5) for i in range(5) for j in range(2)]

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import build_system, pat
 from oracles import assemble_naive, dense
@@ -15,6 +18,7 @@ from structctl.model import (
     SparsityPattern,
     Subsystem,
     assemble_global,
+    block_digraph,
     condensed_graph,
     dumps,
     is_weakly_connected,
@@ -28,6 +32,7 @@ from structctl.model import (
     system_digraph,
     system_from_obj,
 )
+from structctl.similar import expand, random_similar_spec
 
 
 class TestSparsityPattern:
@@ -152,6 +157,49 @@ class TestGraphViews:
             [(1, 0, {(0, 0)}), (3, 2, {(0, 0)})],
         )
         assert not is_weakly_connected(condensed_graph(sysm))
+
+
+def assembled_digraph(sysm):
+    return system_digraph(*assemble_global(sysm))
+
+
+class TestBlockDigraph:
+    """``block_digraph`` is the graph of the assembled (A, B), vertex for
+    vertex and successor list for successor list."""
+
+    # inputs per subsystem: none anywhere, some input-free, at least one each
+    @given(
+        st.integers(1, 8),
+        st.sampled_from([(0, 0), (0, 2), (1, 2)]),
+        st.integers(0, 2**31),
+    )
+    def test_random_systems(self, r, p_range, seed):
+        sysm = random_system(r, (1, 6), p_range, 0.35, seed=seed)
+        assert block_digraph(sysm) == assembled_digraph(sysm)
+
+    @given(st.integers(1, 8), st.integers(0, 2**31))
+    def test_random_serial_systems(self, r, seed):
+        sysm = random_serial_system(r, (1, 5), (0, 2), 0.35, seed=seed)
+        assert block_digraph(sysm) == assembled_digraph(sysm)
+
+    @given(st.integers(0, 2**31))
+    def test_expanded_similar_systems(self, seed):
+        sysm = expand(random_similar_spec((1, 5), (1, 5), (0, 2), 0.35, seed=seed))
+        assert block_digraph(sysm) == assembled_digraph(sysm)
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_benchmark_networks(self, monkeypatch, tmp_path, seed):
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+        import workloads
+
+        for call in workloads.central_large(seed, str(tmp_path), scale=0.02):
+            sysm = load(call.path)
+            assert sysm.r > 1 and sysm.connections
+            assert block_digraph(sysm) == assembled_digraph(sysm)
+
+    def test_state_and_input_offsets(self, serial_pair):
+        # states 0-1 and 2-4, input vertices 5 (subsystem 0) and 6 (subsystem 1)
+        assert block_digraph(serial_pair) == [[1], [4], [3, 4], [], [], [0], [2]]
 
 
 class TestJson:

@@ -18,7 +18,7 @@ from structctl.centralized import verify
 from structctl.distributed import controlled_program
 from structctl.model import assemble_global, random_serial_system, random_system
 from structctl.runtime import run
-from structctl.serial import check_lemma4_details
+from structctl.serial import check_lemma4_details, seq_strt_ctl
 from structctl.similar import check_cycle_cover, check_via_collapse, random_similar_spec
 
 
@@ -96,6 +96,16 @@ def test_serial_details():
         for k in range(300)
     ]
     assert _digest(out) == "4a8f256a3e296c5019af24c4407aef1b368b146fb52d65ed4e7e2347789a28da"
+
+
+def test_serial_traces():
+    # Every message and every agent's verdict of the serial agents on the
+    # systems of the test above.
+    out = []
+    for k in range(300):
+        res = run(random_serial_system(2 + k % 5, (1, 4), (0, 2), 0.35, seed=k), seq_strt_ctl)
+        out.append([res.trace.to_jsonl(), res.outputs])
+    assert _digest(out) == "beb98c62d4c9cb6f4a8da0d6e52be4f1cd7fbccd397991d35a32f1b515bd984d"
 
 
 def test_similar_checks():

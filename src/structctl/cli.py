@@ -198,7 +198,7 @@ def _verify_distributed(args) -> tuple[dict, bool]:
 
 def _verify_serial(args) -> tuple[dict, bool]:
     system = _load_system(args.input)
-    check = is_serial(system, "primal")
+    check = is_serial(system)
     if not check.is_serial:
         raise CliError(
             f"system is not serial (primal): offending subsystems "
@@ -206,7 +206,7 @@ def _verify_serial(args) -> tuple[dict, bool]:
             details={"offending_subsystems": list(check.offenders)},
         )
     try:
-        result = run(system, seq_strt_ctl_variant("primal"))
+        result = run(system, seq_strt_ctl_variant())
     except DisconnectedError as exc:
         raise CliError(str(exc)) from None
     verdicts = {str(i): bool(v) for i, v in sorted(result.outputs.items())}

@@ -117,8 +117,7 @@ def _reached_steps(
             completed = it
         if tree is not None and it < iterations:
             grew = yield from tree_aggregate(
-                ctx, tree, len(reached) > before, lambda v, heard: v or any(heard),
-                keyed=False,
+                ctx, tree, len(reached) > before, lambda v, heard: v or any(heard)
             )
             if not grew:
                 sizes += [len(reached)] * (iterations - it)
@@ -400,7 +399,7 @@ def _exact_relabel(ctx: AgentContext, tree: Tree, region: Region, cap: int):
             changed = news(dist)
         ids = yield from tree_aggregate(
             ctx, tree, [ctx.id] if changed else [],
-            lambda v, heard: sorted(set(v).union(*heard)), keyed=False,
+            lambda v, heard: sorted(set(v).union(*heard)),
         )
         speakers = set(ids)
     # distances and prices never exceed the cap
@@ -518,7 +517,7 @@ def _census(ctx: AgentContext, tree: Tree, region: Region, cap: int):
     own = region.label[: len(region.excess)]
     low = [l for l, x in zip(own, region.excess) if l < cap and x > 0]
     part = [sorted({l for l in own if l < cap}), [min(low)] if low else []]
-    labels, low = yield from tree_aggregate(ctx, tree, part, merge)
+    labels, low = yield from tree_aggregate(ctx, tree, part, merge, keyed=True)
 
     present = {0, *labels}
     gap = 1
@@ -596,7 +595,7 @@ def controlled_program(
         tree = yield from bfs(ctx)
         N, total_n, total_p = yield from tree_aggregate(
             ctx, tree, _size_entry(ctx, succ),
-            lambda v, heard: [sum(col) for col in zip(v, *heard)], keyed=False,
+            lambda v, heard: [sum(col) for col in zip(v, *heard)],
         )
         got, sizes, completed = yield from _reached_steps(ctx, succ, N, tree)
         rchd = len(got) == ctx.subsystem.n
@@ -607,7 +606,7 @@ def controlled_program(
         mchd = region.sink_flow() == ctx.subsystem.n
 
         ctld = yield from tree_aggregate(
-            ctx, tree, rchd and mchd, lambda v, heard: v and all(heard), keyed=False
+            ctx, tree, rchd and mchd, lambda v, heard: v and all(heard)
         )
         out = {
             "ctld": ctld,

@@ -170,11 +170,6 @@ class InterconnectedSystem:
             sorted((c for c in self.connections if c.from_ == i), key=lambda c: c.to)
         )
 
-    def neighbors(self, i: int) -> list[int]:
-        """Subsystems connected to i in either direction, sorted."""
-        ns = {c.from_ for c in self.incoming(i)} | {c.to for c in self.outgoing(i)}
-        return sorted(ns)
-
 
 def assemble_global(sys: InterconnectedSystem) -> tuple[SparsityPattern, SparsityPattern]:
     """Stack subsystems into global (A, B) patterns.

@@ -220,7 +220,7 @@ def bfs(ctx: AgentContext):
 
 
 def tree_aggregate(
-    ctx: AgentContext, tree: Tree, value, merge: Callable, keyed: bool = True
+    ctx: AgentContext, tree: Tree, value, merge: Callable, keyed: bool = False
 ):
     """A global aggregate as one convergecast plus broadcast on ``tree``
     (Segall's PIF): receive each child's value in ascending order, fold them

@@ -765,10 +765,16 @@ def boundary_vertex_count(sys: InterconnectedSystem) -> int:
     return len(verts)
 
 
+def neighbors(sys: InterconnectedSystem, i: int) -> list[int]:
+    """Subsystems connected to i in either direction, sorted."""
+    ns = {c.from_ for c in sys.incoming(i)} | {c.to for c in sys.outgoing(i)}
+    return sorted(ns)
+
+
 def undirected_distances(sys: InterconnectedSystem, src: int) -> list[int]:
     """Hop distance from ``src`` to every subsystem, with every connection
     usable in both directions: one BFS."""
-    adj = [sys.neighbors(v) for v in range(sys.r)]
+    adj = [neighbors(sys, v) for v in range(sys.r)]
     dist = {src: 0}
     queue = deque([src])
     while queue:
@@ -787,7 +793,7 @@ def bfs_tree_parents(sys: InterconnectedSystem) -> list[int | None]:
     dist = undirected_distances(sys, 0)
     parents: list[int | None] = [None]
     for v in range(1, sys.r):
-        parents.append(min(j for j in sys.neighbors(v) if dist[j] == dist[v] - 1))
+        parents.append(min(j for j in neighbors(sys, v) if dist[j] == dist[v] - 1))
     return parents
 
 
@@ -811,7 +817,7 @@ def reached_program(extra_iterations: int = 0):
         tree = yield from bfs(ctx)
         N, _, _ = yield from tree_aggregate(
             ctx, tree, _size_entry(ctx, succ),
-            lambda v, heard: [sum(col) for col in zip(v, *heard)], keyed=False,
+            lambda v, heard: [sum(col) for col in zip(v, *heard)],
         )
         got, sizes, completed = yield from _reached_steps(
             ctx, succ, N + extra_iterations

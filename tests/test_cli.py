@@ -161,9 +161,18 @@ class TestVerifyModes:
         save(fan, path)
         code, out, err = run_cli(capsys, "verify", "--mode", "serial", "--input", str(path))
         assert code == 2
-        rep = report_of(out)
-        assert rep["details"]["offending_subsystems"] == [0]
-        assert "0" in err
+        assert out == (
+            '{\n'
+            '  "command": "verify",\n'
+            '  "details": {\n'
+            '    "offending_subsystems": [\n'
+            '      0\n'
+            '    ]\n'
+            '  },\n'
+            '  "error": "system is not serial (primal): offending subsystems [0]"\n'
+            '}\n'
+        )
+        assert err == "error: system is not serial (primal): offending subsystems [0]\n"
 
     def test_similar_thm2_false_is_exit_1(self, capsys, witness_file):
         code, out, _ = run_cli(capsys, "verify", "--mode", "similar-thm2", "--input", witness_file)
@@ -479,7 +488,7 @@ class TestInternalErrors:
     def test_split_distributed_verdict_exits_2(self, capsys, monkeypatch, ring_file):
         real = distributed.tree_aggregate
 
-        def split(ctx, tree, value, merge, keyed=True):
+        def split(ctx, tree, value, merge, keyed=False):
             # the consensus is the one aggregate of bools whose merge is an AND
             got = yield from real(ctx, tree, value, merge, keyed)
             final = not keyed and isinstance(value, bool) and not merge(True, [False])
@@ -496,8 +505,8 @@ class TestInternalErrors:
     def test_split_serial_verdict_exits_2(self, capsys, monkeypatch, tmp_path, serial_pair):
         real = serial.tree_aggregate
 
-        def split(ctx, tree, value, merge, keyed=True):
-            got = yield from real(ctx, tree, value, merge, keyed)
+        def split(ctx, tree, value, merge):
+            got = yield from real(ctx, tree, value, merge)
             return not got if not ctx.id else got  # agent 0 sees the AND flipped
 
         monkeypatch.setattr("structctl.serial.tree_aggregate", split)
@@ -530,7 +539,7 @@ class TestGen:
                 "--density", "0.35", "--serial", "--seed", str(seed), "--out", str(path),
             )
             assert code == 0
-            assert is_serial(load(path), "primal").is_serial
+            assert is_serial(load(path)).is_serial
 
     def test_similar_kind_writes_template_file(self, capsys, tmp_path):
         path = tmp_path / "sim.json"

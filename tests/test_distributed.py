@@ -14,6 +14,7 @@ from oracles import (
     bfs_tree_parents,
     boundary_vertex_count,
     directed,
+    neighbors,
     reached,
     reached_program,
     scc_partition_oracle,
@@ -111,7 +112,7 @@ def setup_messages(sysm) -> list[int]:
     dist = undirected_distances(sysm, 0)
     parents = bfs_tree_parents(sysm)
     return [
-        sum(max(dist[i], dist[j]) + 1 for j in sysm.neighbors(i))
+        sum(max(dist[i], dist[j]) + 1 for j in neighbors(sysm, i))
         + (parents[i] is not None) + parents.count(i)
         for i in range(sysm.r)
     ]
@@ -384,7 +385,7 @@ class TestFloodedPhases:
                     assert sorted(by_round) == speaks, (i, k)
                     before: dict = {}
                     for t, sent in sorted(by_round.items()):
-                        assert [j for j, _ in sent] == list(sysm.neighbors(i))
+                        assert [j for j, _ in sent] == list(neighbors(sysm, i))
                         if t > 1:
                             assert any(d for _, d in sent), (i, t)
                             for j, d in sent:
@@ -409,7 +410,7 @@ class TestFloodedPhases:
         extra: dict = {}
         everyone: list = []  # the ids of the system running
 
-        def one_more(ctx, tree, value, merge, keyed=True):
+        def one_more(ctx, tree, value, merge, keyed=False):
             got = yield from real(ctx, tree, value, merge, keyed)
             if keyed or not isinstance(value, list) or len(value) > 1:
                 return got  # not the sweep's id list
@@ -546,7 +547,7 @@ class TestTree:
             sent: dict = {}
             for rec in res.trace:
                 sent[rec.sender, rec.receiver] = sent.get((rec.sender, rec.receiver), 0) + 1
-            edges = {(i, j) for i in range(sysm.r) for j in sysm.neighbors(i)}
+            edges = {(i, j) for i in range(sysm.r) for j in neighbors(sysm, i)}
             assert set(sent) == edges
             for (i, j), count in sent.items():
                 assert count == max(dist[i], dist[j]) + 1, (i, j)
@@ -556,8 +557,7 @@ class TestTree:
             tree = yield from bfs(ctx)
             entry = _size_entry(ctx, state_digraph(ctx.subsystem.A))
             return (yield from tree_aggregate(
-                ctx, tree, entry, lambda v, heard: [sum(c) for c in zip(v, *heard)],
-                keyed=False,
+                ctx, tree, entry, lambda v, heard: [sum(c) for c in zip(v, *heard)]
             ))
 
         for sysm in self.systems(ring4):
@@ -580,10 +580,12 @@ class TestTree:
         for sysm in self.systems(ring4):
             def program(ctx):
                 tree = yield from bfs(ctx)
-                ids = yield from tree_aggregate(ctx, tree, [[ctx.id], []], union)
+                ids = yield from tree_aggregate(
+                    ctx, tree, [[ctx.id], []], union, keyed=True
+                )
                 last = ctx.id == sysm.r - 1
                 both = yield from tree_aggregate(
-                    ctx, tree, not last, lambda v, heard: v and all(heard), keyed=False
+                    ctx, tree, not last, lambda v, heard: v and all(heard)
                 )
                 return ids, both
 

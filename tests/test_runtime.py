@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import build_system
-from oracles import bfs_tree_parents, filter_trace, undirected_distances
+from oracles import bfs_tree_parents, filter_trace, neighbors, undirected_distances
 from structctl.runtime import (
     DeadlockError,
     DisconnectedError,
@@ -291,7 +291,7 @@ class TestBfs:
             sent: dict = {}
             for rec in res.trace:
                 sent[rec.sender, rec.receiver] = sent.get((rec.sender, rec.receiver), 0) + 1
-            edges = {(i, j) for i in range(sysm.r) for j in sysm.neighbors(i)}
+            edges = {(i, j) for i in range(sysm.r) for j in neighbors(sysm, i)}
             assert set(sent) == edges
             for (i, j), count in sent.items():
                 assert count == max(dist[i], dist[j]) + 1, (sysm.r, i, j)

@@ -11,6 +11,7 @@ import json
 import random
 from dataclasses import dataclass
 from itertools import chain
+from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable
 
@@ -406,8 +407,16 @@ def loads(text: str) -> InterconnectedSystem:
 def indented_json(obj, newline: str = "\n") -> str:
     """The text ``json.dumps`` writes for ``obj`` with sorted keys and an indent
     of 2, without the pure-Python encoder that json's indenting runs on.
-    ``newline`` carries the indentation of nested containers."""
+    ``newline`` carries the indentation of nested containers.
+
+    Two routes write the same bytes.  A list of lists that is a uniform list
+    tree (see ``_list_tree_json``) is encoded once by json's C encoder and
+    re-indented by replacement; everything else recurses here."""
     kind, inner = type(obj), newline + "  "
+    if kind is list and obj and type(obj[0]) is list:
+        text = _list_tree_json(obj, newline)
+        if text is not None:
+            return text
     if (kind is list or kind is tuple) and obj:
         items = [_json_str(v) if type(v) is str else int.__repr__(v) if type(v) is int
                  else indented_json(v, inner) for v in obj]
@@ -422,6 +431,43 @@ def indented_json(obj, newline: str = "\n") -> str:
     if kind is int:
         return int.__repr__(obj)
     return json.dumps(obj)  # empty containers, true/false/null and floats
+
+
+# Compact, with NUL as the item separator: in its ASCII output a NUL inside a
+# string is escaped, so a raw NUL can only be a separator.  It only sees trees
+# of lists, str and int that ``_list_tree_json`` has walked, so it needs no
+# cycle check and no ``default``.
+_compact_nul = c_make_encoder(None, None, _json_str, None, ": ", "\x00", True, False, True)
+_LEAF_TYPES = {str, int}
+
+
+def _list_tree_json(obj: list, newline: str) -> str | None:
+    """``indented_json(obj, newline)`` if ``obj`` is a uniform list tree, else
+    None.  In a uniform list tree every container is a non-empty ``list`` and
+    every leaf is a ``str`` or ``int`` at the same depth, so json's indented
+    text is the compact text with each separator re-spaced by the number m of
+    brackets on each side of it, m = 0 between leaves."""
+    level, lists, height, seen = [obj], 1, 1, set()
+    while type(level[0][0]) is list:  # one level per pass, of non-empty lists
+        # Only lists that hold lists can close a cycle; one met twice ends the walk.
+        seen.update(map(id, level))
+        level = list(chain.from_iterable(level))
+        if len(seen) != lists or set(map(type, level)) != {list} or not all(level):
+            return None
+        lists, height = lists + len(level), height + 1
+    if not set(map(type, chain.from_iterable(level))) <= _LEAF_TYPES:
+        return None
+    text = "".join(_compact_nul(obj, 0))
+    if not text.count("[") == text.count("]") == lists:  # a bracket inside a string
+        return None
+    pads = [newline + "  " * k for k in range(height + 1)]
+    closes = [pad + "]" for pad in pads[height - 1::-1]]  # the innermost list first
+    opens = [pad + "[" for pad in pads[1:height]]  # the outermost list first
+    body = text[height:-height]
+    for m in range(height - 1, -1, -1):  # the longest bracket runs first
+        body = body.replace("]" * m + "\x00" + "[" * m, "".join(closes[:m]) + ","
+                            + "".join(opens[height - 1 - m:]) + pads[height])
+    return "".join(("[", *opens, pads[height], body, *closes))
 
 
 def dumps(sys: InterconnectedSystem) -> str:

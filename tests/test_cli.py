@@ -11,9 +11,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_system
-from structctl import distributed, serial
+from structctl import distributed, model, serial
 from structctl.centralized import numeric_probe, verify
 from structctl.cli import MODES, main
 from structctl.distributed import controlled_program
@@ -691,6 +693,60 @@ def _json_reference(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
+# Strings holding what the compact text and its re-indenting act on: brackets,
+# separators, quotes, escapes and the NUL the route separates items with.
+_TRICKY_TEXT = st.text(st.sampled_from('[],"\x00\\ax\né\U0001f600'), max_size=4)
+_LEAVES = st.one_of(_TRICKY_TEXT, st.integers(-(2**70), 2**70))
+
+
+def _uniform_trees(height: int):
+    """Uniform list trees of the given height: non-empty lists all the way
+    down, str and int leaves only at the bottom."""
+    below = _LEAVES if height == 1 else _uniform_trees(height - 1)
+    return st.lists(below, min_size=1, max_size=4)
+
+
+_UNIFORM = st.integers(1, 4).flatmap(_uniform_trees)
+
+
+@st.composite
+def _near_misses(draw):
+    """A uniform list tree of height 2 to 4 with one item swapped for one
+    that is not a uniform list tree's: an empty list, a tuple, a dict, a
+    true/null/float leaf, or an item one level deeper or shallower."""
+    tree = draw(st.integers(2, 4).flatmap(_uniform_trees))
+    node = tree
+    while True:
+        i = draw(st.integers(0, len(node) - 1))
+        if type(node[i]) is not list or draw(st.booleans()):
+            break
+        node = node[i]
+    item = node[i]
+    if type(item) is list:
+        swaps = [[], tuple(item), {"k": item}, [item], item[0], True]
+    else:
+        swaps = [[], (item,), {"k": item}, [item], True, None, 0.5, float("nan")]
+    node[i] = draw(st.sampled_from(swaps))
+    return tree
+
+
+_ANY_JSON = st.recursive(
+    st.one_of(_LEAVES, st.booleans(), st.none(), st.floats()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3),
+        st.lists(inner, max_size=3).map(tuple),
+        st.dictionaries(_TRICKY_TEXT, inner, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+def _has_bracket(obj) -> bool:
+    if type(obj) is list:
+        return any(map(_has_bracket, obj))
+    return type(obj) is str and ("[" in obj or "]" in obj)
+
+
 class TestReportWriter:
     """``indented_json`` writes exactly what ``json.dumps(obj, indent=2,
     sort_keys=True)`` writes, on every report the CLI prints."""
@@ -760,6 +816,79 @@ class TestReportWriter:
     )
     def test_hand_cases(self, obj):
         assert indented_json(obj) == _json_reference(obj)
+
+    @settings(max_examples=300)
+    @given(_UNIFORM)
+    def test_uniform_list_trees(self, tree):
+        """Every uniform list tree takes the C route unless a string holds a
+        bracket, and both routes write json's bytes at any indentation."""
+        routed = model._list_tree_json(tree, "\n")
+        assert (routed is None) == _has_bracket(tree)
+        assert indented_json(tree) == _json_reference(tree)
+        nested = {"a": tree, "b": [tree, {"c": tree}]}
+        assert indented_json(nested) == _json_reference(nested)
+        if routed is not None:
+            assert routed == _json_reference(tree)
+
+    @settings(max_examples=300)
+    @given(st.one_of(_near_misses(), _ANY_JSON))
+    def test_near_misses_and_random_trees(self, obj):
+        assert indented_json(obj) == _json_reference(obj)
+        assert indented_json({"k": [obj]}) == _json_reference({"k": [obj]})
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [["a[", 1]], [["]"]],  # a bracket inside a string
+            [[1], []], [[[1], []]],  # an empty inner list
+            [[1], 2], [[1], [[2]]], [[[1]], [2]],  # mixed heights
+            [(1, 2)], [[1], (2,)], [[(1,)]],  # tuples at any level
+            [[True]], [[None]], [[1.5]], [[1, False]],  # leaves neither str nor int
+            [[{}]], [[{"a": 1}]], [[1], {"a": [1]}],  # a dict inside
+        ],
+    )
+    def test_route_declines_near_misses(self, obj):
+        assert model._list_tree_json(obj, "\n") is None
+        assert indented_json(obj) == _json_reference(obj)
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            [["x", 0], ["u", 1]],  # rights, neighbors
+            [[["x", 0], ["u", 1]], [["x", 1], ["x", 0]]],  # matching, reach_forest
+            [[",", '"', "\x00", "\\", ',\x00"\\', "é\n"]], [[[[-(2**70)]]]],
+        ],
+    )
+    def test_route_takes_uniform_list_trees(self, obj):
+        assert model._list_tree_json(obj, "\n") == _json_reference(obj)
+
+    def test_self_containing_lists_raise(self):
+        a = []
+        a.append(a)
+        b = [[1]]
+        b.append(b)
+        c = []
+        c += [c, c]  # doubles at each level, so only a bounded walk ends
+        d = [[["x", 0]], []]
+        d[1].append(d)
+        for obj in (a, b, c, d):
+            assert model._list_tree_json(obj, "\n") is None
+            with pytest.raises(RecursionError):
+                indented_json(obj)
+
+    def test_certificates_of_every_type(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+        import workloads
+
+        calls = workloads.central_large(1, str(tmp_path), scale=0.02)
+        seen, codes, out = self.printed(capsys, monkeypatch, [c.argv for c in calls])
+        certs = {obj["certificate"]["type"]: obj["certificate"] for obj in seen}
+        assert codes == [0, 1, 1]
+        assert set(certs) == {"reach-and-match", "right-deficiency", "unreachable-closure"}
+        assert out == "".join(_json_reference(obj) + "\n" for obj in seen)
+        for kind, key in [("reach-and-match", "matching"), ("reach-and-match", "reach_forest"),
+                          ("right-deficiency", "rights"), ("right-deficiency", "neighbors")]:
+            assert model._list_tree_json(certs[kind][key], "\n    ") is not None
 
     def test_generated_files(self, thm1_ring):
         sysm = random_system(5, (1, 6), (0, 2), 0.35, seed=8)

@@ -422,9 +422,10 @@ def indented_json(obj, newline: str = "\n") -> str:
                  else indented_json(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if kind is dict and obj:
-        # json sorts the keys as given, then writes non-string keys as text.
-        items = [_json_str(k if isinstance(k, str) else json.dumps(k)) + ": "
-                 + indented_json(v, inner) for k, v in sorted(obj.items())]
+        # json sorts the keys as given.  A non-string key is written by json
+        # itself, as the text in {<key>: 0}, so it raises as json does.
+        items = [(_json_str(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4])
+                 + ": " + indented_json(v, inner) for k, v in sorted(obj.items())]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     if kind is str:
         return _json_str(obj)

@@ -817,6 +817,19 @@ class TestReportWriter:
     def test_hand_cases(self, obj):
         assert indented_json(obj) == _json_reference(obj)
 
+    @pytest.mark.parametrize("key", ["k", 2, 1.5, float("nan"), True, False, None, (1, 2), b"k"])
+    def test_dict_keys_as_json_writes_or_rejects_them(self, key):
+        try:
+            want = _json_reference({key: 0})
+        except TypeError as exc:
+            with pytest.raises(TypeError) as got:
+                indented_json({key: 0})
+            assert str(got.value) == str(exc)
+            assert str(exc).startswith("keys must be str, int, float, bool or None, not ")
+        else:
+            assert indented_json({key: 0}) == want
+            assert indented_json({"a": [{key: [key]}]}) == _json_reference({"a": [{key: [key]}]})
+
     @settings(max_examples=300)
     @given(_UNIFORM)
     def test_uniform_list_trees(self, tree):

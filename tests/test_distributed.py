@@ -3,6 +3,7 @@ verdicts, plus the worked ring walkthrough pinned step by step."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import random
@@ -14,6 +15,7 @@ from oracles import (
     bfs_tree_parents,
     boundary_vertex_count,
     directed,
+    discharge_every_step,
     neighbors,
     reached,
     reached_program,
@@ -638,6 +640,113 @@ class TestRegion:
         assert any(j != 0 for j in cached_owners(full))  # caches neighbor lefts too
         assert all(j != 0 for j in cached_owners(trimmed))
         assert len(cached_owners(trimmed)) < len(cached_owners(full))
+
+
+class ScanCounting(list):
+    """An excess list that counts the discharge loop's scans over it: one
+    per iteration, plus the last one, which finds no vertex to select."""
+
+    scans = 0
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+
+def discharge_state(region) -> tuple:
+    return region.label[:], region.excess[:], region.flow[:], region.holding[:]
+
+
+def scanned_discharge(region, cap: int) -> int:
+    """Run the package's discharge; return its loop's scan count."""
+    region.excess = counted = ScanCounting(region.excess)
+    region.discharge(cap)
+    region.excess = list(counted)
+    return counted.scans
+
+
+def ping_pong_region():
+    """L0 - R0 with R0's sink edge already taken: the unit at L0 bounces
+    between the two, each relabel raising one label past the other."""
+    region = Region(ring_context(build_system([(1, 0, {(0, 0)}, set())], []), 0))
+    region.flow[0] = 1
+    return region
+
+
+def centre_region():
+    """Centre R0 with leaves L0 and L1, R0's sink edge taken, one unit at
+    each leaf.  L0 also feeds agent 1's R0 across the boundary, cached at
+    label 20: the climb stops there and L0 reserves a unit for that exit."""
+    sysm = build_system(
+        [(2, 0, {(0, 0), (0, 1)}, set()), (1, 1, set(), {(0, 0)})],
+        [(1, 0, {(0, 0)})],
+    )
+    region = Region(ring_context(sysm, 0))
+    assert region.names == ["L0", "L1", "R0", "R1", "1.R0", "t"]
+    region.flow[0] = 1
+    region.label[4] = 20
+    return region
+
+
+class TestDischargeSkip:
+    """``Region.discharge`` skips whole periods of a label climb; its end
+    state must equal the every-step loop's (``oracles.discharge_every_step``)."""
+
+    @pytest.mark.parametrize("make", [ping_pong_region, centre_region])
+    @pytest.mark.parametrize("cap", [10, 30, 101, 1000])
+    def test_end_state_equals_every_step(self, make, cap):
+        want, got = make(), make()
+        discharge_every_step(want, cap)
+        scanned_discharge(got, cap)
+        assert discharge_state(got) == discharge_state(want)
+
+    def test_ping_pong_climbs_to_the_cap(self):
+        region = ping_pong_region()
+        scanned_discharge(region, 1000)
+        assert region.label[:2] == [1000, 999]  # the unit is trapped at L0
+        assert region.excess == [1, 0]
+
+    def test_climb_stops_below_the_cached_label_and_holds(self):
+        region = centre_region()
+        scanned_discharge(region, 1000)
+        # L0 rose just past the cached 20 and reserved its unit for the
+        # exchange; the other unit climbed on between R0 and L1 to the cap.
+        assert region.label[:3] == [21, 1000, 999]
+        assert region.holding == [1, 0, 0, 0]
+        assert region.excess == [1, 1, 0, 0]
+
+    @pytest.mark.parametrize("make", [ping_pong_region, centre_region])
+    def test_iterations_do_not_grow_with_the_cap(self, make):
+        scans = {cap: scanned_discharge(make(), cap) for cap in (100, 10**4, 10**6)}
+        assert len(set(scans.values())) == 1, scans
+        assert scans[100] <= 40
+
+    def test_random_runs_match_every_step_after_each_call(self, monkeypatch):
+        # Every discharge call of the preflow passes, with and without the
+        # incoming boundary, is checked against the every-step loop on a
+        # copy of the region.
+        package = Region.discharge
+        scans = [0, 0]  # every-step loop, package
+
+        def both(region, cap):
+            twin = copy.copy(region)
+            twin.label, twin.flow = region.label[:], region.flow[:]
+            twin.excess, twin.holding = ScanCounting(region.excess), region.holding[:]
+            discharge_every_step(twin, cap)
+            region.excess = ScanCounting(region.excess)
+            package(region, cap)
+            scans[0] += twin.excess.scans
+            scans[1] += region.excess.scans
+            region.excess = list(region.excess)
+            assert discharge_state(region) == discharge_state(twin)
+
+        monkeypatch.setattr(Region, "discharge", both)
+        programs = (controlled, controlled_program(drop_incoming_boundary=True))
+        for seed, sysm in wide_corpus(120):
+            for program in programs:
+                run(sysm, program)
+        # the corpus climbs: the skip cuts the loop's scans by half or more
+        assert 2 * scans[1] <= scans[0], scans
 
 
 class TestRingWalkthrough:

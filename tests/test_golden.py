@@ -98,6 +98,22 @@ def test_serial_details():
     assert _digest(out) == "4a8f256a3e296c5019af24c4407aef1b368b146fb52d65ed4e7e2347789a28da"
 
 
+def test_serial_verdicts():
+    # The verdict fields of the systems above, without which own rights stay
+    # unmatched: several optimal matchings can leave different sets, so only
+    # the set's size is fixed by the optimum.
+    out = []
+    for k in range(300):
+        details = check_lemma4_details(
+            random_serial_system(2 + k % 5, (1, 4), (0, 2), 0.35, seed=k)
+        )
+        out.append({
+            i: [v["ctld"], v["mchd"], v["rchd"], v["stranded_states"], len(v["unmatched_own"])]
+            for i, v in details.items()
+        })
+    assert _digest(out) == "c1b1db1b5110ade1bcccd776612d567ab4f15e48f0fbe70421a1d5830cdde179"
+
+
 def test_serial_traces():
     # Every message and every agent's verdict of the serial agents on the
     # systems of the test above.

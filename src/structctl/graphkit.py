@@ -17,12 +17,11 @@ process, produce identical results, which the certificates rely on.
 from __future__ import annotations
 
 from collections import deque
+from heapq import heappop, heappush
 from itertools import compress
 from typing import Iterable
 
 from .model import Graph
-
-INF = float("inf")
 
 Mates = tuple[list[int], list[int]]
 
@@ -190,84 +189,71 @@ def min_weight_max_matching(
     prefer_rights: Iterable[int] | None = None,
 ) -> Mates:
     """Minimum total weight among maximum-cardinality matchings into the
-    rights 0..n-1; ``weights`` maps every edge (l, k) to its weight.
+    rights 0..n-1; ``weights`` maps every edge (l, k) to a non-negative
+    integer weight.  With ``prefer_rights``, ties in weight are broken toward
+    matchings covering more of those rights.
 
-    Solved as a square assignment problem (missing pairs get a sentinel cost
-    large enough that cardinality always dominates).  With ``prefer_rights``,
-    ties in weight are broken toward matchings covering more of those right
-    vertices (weights must then be integers); the result is still a
-    minimum-weight maximum matching for the given weights.
+    Successive shortest augmenting paths with potentials (Edmonds & Karp,
+    J. ACM 19, 1972): each augmentation runs one Dijkstra from every free
+    left over reduced costs, and the search stops when no free right can be
+    reached.  After k augmentations the matching costs least among those of
+    size k.  Edge (l, k) costs ``weights[l, k] * (n + 1)``, plus 1 when
+    ``prefer_rights`` is given and k is not in it, so among matchings of one
+    size the cost orders by weight, then by preferred rights covered.  Costs
+    are never negative, so the potentials start at zero.  Where several
+    matchings are optimal, the result is one of them.
     """
-    lefts = left_order(len(g), n)
     mate_l = [-1] * len(g)
     mate_r = [-1] * n
-    if not n:
-        return mate_l, mate_r
-    bonus_set = frozenset(prefer_rights) if prefer_rights is not None else frozenset()
-    scale = n + 1
-    cost_of: dict = {}
-    for l, heads in enumerate(g):
-        for r in heads:
-            w = weights[(l, r)]
-            if bonus_set:
-                if w != int(w):
-                    raise ValueError("prefer_rights requires integer weights")
-                cost_of[(l, r)] = int(w) * scale - (1 if r in bonus_set else 0)
-            else:
-                cost_of[(l, r)] = w
-    span = sum(abs(c) for c in cost_of.values()) + 1
-    sentinel = 2 * span + 1
-
-    size = len(lefts)  # the rights are vertices too, so never more than the lefts
-    cost = [[sentinel] * size for _ in range(size)]
-    lpos = {l: i for i, l in enumerate(lefts)}
-    for (l, r), c in cost_of.items():
-        cost[lpos[l]][r] = c
-
-    # classic O(n^3) assignment with potentials, 1-based with column 0 a slack
-    u = [0.0] * (size + 1)
-    v = [0.0] * (size + 1)
-    p = [0] * (size + 1)  # p[j]: row assigned to column j
-    way = [0] * (size + 1)
-    for i in range(1, size + 1):
-        p[0] = i
-        j0 = 0
-        minv = [INF] * (size + 1)
-        used = [False] * (size + 1)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = INF
-            j1 = 0
-            for j in range(1, size + 1):
-                if used[j]:
-                    continue
-                cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            for j in range(size + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
+    prefer = frozenset(prefer_rights or ())
+    miss = [int(r not in prefer) for r in range(n)] if prefer else [0] * n
+    cost = [[weights[(l, r)] * (n + 1) + miss[r] for r in heads] for l, heads in enumerate(g)]
+    pot_l = [0] * len(g)
+    pot_r = [0] * n
+    free = [l for l in left_order(len(g), n) if g[l]]
+    for _ in range(n):
+        dist: dict[int, int] = {}  # right -> reduced distance from the free lefts
+        via: dict[int, int] = {}  # right -> the left it was reached from
+        # entries (distance, key): key < n is the right key, key >= n the free
+        # left free[key - n]; at equal distance rights come out first, so a
+        # free right at distance 0 can end the search before every free
+        # left is expanded
+        heap = [(0, n + i) for i in range(len(free))]
+        while heap:
+            d, key = heappop(heap)
+            if key >= n:
+                l = free[key - n]
+            elif d > dist[key]:
+                continue
+            elif mate_r[key] < 0:
                 break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-
-    for j in range(1, size + 1):
-        li, r = p[j] - 1, j - 1
-        if 0 <= li < len(lefts) and r < n and (lefts[li], r) in cost_of:
-            mate_l[lefts[li]] = r
-            mate_r[r] = lefts[li]
+            else:
+                l = mate_r[key]
+            base = d + pot_l[l]
+            for r, c in zip(g[l], cost[l]):
+                nd = base + c - pot_r[r]
+                if r not in dist or nd < dist[r]:
+                    dist[r] = nd
+                    via[r] = l
+                    heappush(heap, (nd, r))
+        else:
+            break  # no free right is reachable: the matching is maximum
+        # lower the potential of everything settled nearer than the free
+        # right found, by its shortfall: reduced costs stay non-negative and
+        # become 0 along the path
+        for l in free:
+            pot_l[l] -= d
+        for k, dk in dist.items():
+            if dk < d:
+                pot_r[k] += dk - d
+                if mate_r[k] >= 0:
+                    pot_l[mate_r[k]] += dk - d
+        r = key
+        while r >= 0:
+            l = via[r]
+            mate_r[r] = l
+            mate_l[l], r = r, mate_l[l]
+        free.remove(l)
     return mate_l, mate_r
 
 

@@ -488,6 +488,9 @@ def save(sys: InterconnectedSystem, path) -> None:
 # ---------------------------------------------------------------------------
 # random instances
 
+# Chance of each directed connection beyond ``random_system``'s spanning tree.
+EXTRA_CONN_PROB = 0.15
+
 
 def _random_pattern(
     rng: random.Random, rows: int, cols: int, density: float, diagonal: bool = True
@@ -535,7 +538,7 @@ def random_system(
     density: float,
     seed: int,
     *,
-    extra_conn_prob: float = 0.15,
+    extra_conn_prob: float = EXTRA_CONN_PROB,
 ) -> InterconnectedSystem:
     """A seeded random system whose condensed graph is weakly connected.
 

@@ -16,7 +16,10 @@ with the runtime's ``bfs`` and AND their booleans with one
 ``check_lemma4`` runs the identical per-subsystem computation without the
 message passing; it is the reference the distributed run is compared against
 and agrees with it by construction.  The verdict is sound (true implies the
-global system is structurally controllable) but not complete.
+global system is structurally controllable) but not complete.  The optimum
+fixes how many own rights stay unmatched but not which, so a subsystem's
+``unmatched_own`` is the witness of the one optimal matching the solver
+returns; only the booleans travel.
 """
 
 from __future__ import annotations

@@ -69,38 +69,41 @@ def system_graph(A: SparsityPattern, B: SparsityPattern) -> Bipartite:
 
 
 def matching_opt_bruteforce(
-    b: Bipartite, weights: dict | None = None
-) -> tuple[int, int]:
-    """(max cardinality, min total weight among max-cardinality matchings).
+    b: Bipartite, weights: dict | None = None, prefer=None
+) -> tuple[int, ...]:
+    """(max cardinality, min total weight among max-cardinality matchings);
+    with ``prefer``, a set of rights, also the most of them covered among
+    those minimum-weight maximum matchings.
 
     Exponential in the right side; use on graphs with <= ~20 rights.
     """
     lefts = sorted(b.left)
     rights = sorted(b.right)
     rpos = {r: k for k, r in enumerate(rights)}
-    adj: list[list[tuple[int, int]]] = [[] for _ in lefts]
+    covers = prefer or ()
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in lefts]
     for li, l in enumerate(lefts):
         for (ll, r) in sorted(b.edges):
             if ll == l:
                 w = 0 if weights is None else weights[(ll, r)]
-                adj[li].append((rpos[r], w))
+                adj[li].append((rpos[r], w, int(r in covers)))
 
     @lru_cache(maxsize=None)
-    def best(i: int, mask: int) -> tuple[int, int]:
+    def best(i: int, mask: int) -> tuple[int, int, int]:
         if i == len(lefts):
-            return (0, 0)
+            return (0, 0, 0)
         top = best(i + 1, mask)
-        for rj, wt in adj[i]:
+        for rj, wt, cov in adj[i]:
             if not mask & (1 << rj):
-                c2, w2 = best(i + 1, mask | (1 << rj))
-                cand = (c2 + 1, w2 + wt)
-                if cand[0] > top[0] or (cand[0] == top[0] and cand[1] < top[1]):
+                c2, w2, v2 = best(i + 1, mask | (1 << rj))
+                cand = (c2 + 1, w2 + wt, v2 + cov)
+                if (-cand[0], cand[1], -cand[2]) < (-top[0], top[1], -top[2]):
                     top = cand
         return top
 
     out = best(0, 0)
     best.cache_clear()
-    return out
+    return out if prefer is not None else out[:2]
 
 
 def enumerate_max_matchings(b: Bipartite) -> list[frozenset]:

@@ -189,6 +189,24 @@ class TestMinWeightMatching:
         _, mate_r = min_weight_max_matching(g, 3, weights, prefer_rights=[1])
         assert mate_r[1] >= 0
 
+    def test_prefer_rights_matches_dp_on_all_three_orders(self):
+        # cardinality first, then weight, then preferred rights covered; the
+        # weights 1 and 2 of the serial check make weight ties common
+        rng = random.Random(2024)
+        for _ in range(400):
+            count = rng.randint(1, 9)
+            n = rng.randint(1, min(count, 7))
+            density = rng.uniform(0.1, 0.6)
+            g = digraph(count, {
+                (l, k) for l in range(count) for k in range(n) if rng.random() < density
+            })
+            top = rng.choice((2, 2, 3, 6))
+            weights = {(l, k): rng.randint(top // 2, top) for l, heads in enumerate(g) for k in heads}
+            prefer = {k for k in range(n) if rng.random() < 0.5}
+            m = matching_edges(min_weight_max_matching(g, n, weights, prefer_rights=prefer))
+            got = (len(m), sum(weights[e] for e in m), sum(k in prefer for _, k in m))
+            assert got == matching_opt_bruteforce(bipartite(g, n), weights, prefer)
+
 
 class TestDecomposition:
     def test_nine_state_paths_and_cycles(self, nine_state):

@@ -30,8 +30,11 @@ from structctl.model import (
     assemble_global,
     random_serial_system,
     state_digraph,
+    system_digraph,
 )
 from structctl.serial import (
+    _blocks_for,
+    _stack_blocks,
     check_lemma4,
     check_lemma4_details,
     is_serial,
@@ -150,6 +153,37 @@ class TestAgentsVsMirror:
         )
         with pytest.raises(ValueError, match=r"offending subsystems \[0\]"):
             run_seq_strt_ctl(fan)
+
+
+class TestUnmatchedWitness:
+    def test_some_optimal_matching_leaves_exactly_the_reported_rights(self):
+        # Optimal: maximum, then least weight (1 for a state edge inside the
+        # own block or inside the stacked neighbours, 2 for coupling and
+        # input edges), then most own rights covered.  Several optima can
+        # leave different own rights uncovered; the reported set must be one.
+        checked = ambiguous = 0
+        for seed in range(300):
+            sysm = random_serial_system(2 + seed % 3, (1, 4), (0, 2), 0.35, seed=seed)
+            for i, details in check_lemma4_details(sysm).items():
+                n_i = sysm.subsystem(i).n
+                A, B = _stack_blocks(sysm.subsystem(i), _blocks_for(sysm, i))
+                total = A.rows
+                if total > 9:
+                    continue
+                g = system_digraph(A, B)
+                scored = []
+                for m in enumerate_max_matchings(bipartite(g, total)):
+                    weight = sum(
+                        1 if l < total and (l < n_i) == (k < n_i) else 2 for l, k in m
+                    )
+                    covered = {k for _, k in m if k < n_i}
+                    scored.append(((weight, -len(covered)), frozenset(range(n_i)) - covered))
+                best = min(key for key, _ in scored)
+                witnesses = {left for key, left in scored if key == best}
+                assert frozenset(details["unmatched_own"]) in witnesses, (seed, i)
+                checked += 1
+                ambiguous += len(witnesses) > 1
+        assert checked > 500 and ambiguous > 0
 
 
 def _family_system(kind: str, r: int, seed: int) -> InterconnectedSystem:

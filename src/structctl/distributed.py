@@ -229,16 +229,11 @@ class Region:
 
     # -- lazy global relabel -------------------------------------------------
 
-    def _distances(self, cap: int, price: list) -> list:
-        """Residual distance to the sink for every own vertex, capped at
-        ``cap``, with ``price`` (read at cached ids only) pricing the first
-        step of any route that leaves the region."""
-        return self._relax(cap, self._exits(cap, price))
-
     def _exits(self, cap: int, price: list) -> list:
         """Each own vertex's cheapest step out of the region: 1 over an open
         sink edge, else 1 + the least ``price`` over its residual cross edges
-        (``cap`` or more when it has neither)."""
+        (``cap`` or more when it has neither).  ``price`` is read at cached
+        ids only."""
         n, flow, open_at, cross = self.n, self.flow, self.open_at, self.cross
         base = []
         for v, room in enumerate(open_at):
@@ -277,7 +272,7 @@ class Region:
         preserved while dead ends surface immediately instead of one relabel
         per exchange.
         """
-        for v, d in enumerate(self._distances(cap, self.label)):
+        for v, d in enumerate(self._relax(cap, self._exits(cap, self.label))):
             if d > self.label[v]:
                 self.label[v] = d
 

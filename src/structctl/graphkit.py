@@ -19,7 +19,6 @@ from __future__ import annotations
 from collections import deque
 from heapq import heappop, heappush
 from itertools import compress
-from typing import Iterable
 
 from .model import Graph
 
@@ -182,32 +181,21 @@ def max_matching(g: Graph, n: int) -> Mates:
     return mate_l, mate_r
 
 
-def min_weight_max_matching(
-    g: Graph,
-    n: int,
-    weights: dict,
-    prefer_rights: Iterable[int] | None = None,
-) -> Mates:
+def min_weight_max_matching(g: Graph, n: int, weights: dict) -> Mates:
     """Minimum total weight among maximum-cardinality matchings into the
     rights 0..n-1; ``weights`` maps every edge (l, k) to a non-negative
-    integer weight.  With ``prefer_rights``, ties in weight are broken toward
-    matchings covering more of those rights.
+    integer weight, which is the edge's cost.
 
     Successive shortest augmenting paths with potentials (Edmonds & Karp,
     J. ACM 19, 1972): each augmentation runs one Dijkstra from every free
     left over reduced costs, and the search stops when no free right can be
     reached.  After k augmentations the matching costs least among those of
-    size k.  Edge (l, k) costs ``weights[l, k] * (n + 1)``, plus 1 when
-    ``prefer_rights`` is given and k is not in it, so among matchings of one
-    size the cost orders by weight, then by preferred rights covered.  Costs
-    are never negative, so the potentials start at zero.  Where several
-    matchings are optimal, the result is one of them.
+    size k.  Costs are never negative, so the potentials start at zero.
+    Where several matchings are optimal, the result is one of them.
     """
     mate_l = [-1] * len(g)
     mate_r = [-1] * n
-    prefer = frozenset(prefer_rights or ())
-    miss = [int(r not in prefer) for r in range(n)] if prefer else [0] * n
-    cost = [[weights[(l, r)] * (n + 1) + miss[r] for r in heads] for l, heads in enumerate(g)]
+    cost = [[weights[(l, r)] for r in heads] for l, heads in enumerate(g)]
     pot_l = [0] * len(g)
     pot_r = [0] * n
     free = [l for l in left_order(len(g), n) if g[l]]

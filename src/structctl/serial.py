@@ -85,8 +85,12 @@ def _local_verdict(
     """One subsystem's matched/reached decision on its stacked neighborhood.
 
     Weight 1 for state edges staying on one side of the own/stacked split,
-    weight 2 for everything else (coupling and input edges); ties among
-    minimum-weight maximum matchings are broken toward covering own rights.
+    weight 2 for everything else (coupling and input edges).  Every
+    minimum-weight maximum matching leaves the same number of own rights
+    unmatched: inputs feed own rights only, so along an alternating path
+    from an own right to a stacked one each change of side, at a state
+    left, moves the weight by 1, the total moves by an odd amount, and such
+    a path never joins two optimal matchings.
     """
     n_i = own.n
     A_stacked, B_stacked = _stack_blocks(own, blocks)
@@ -97,7 +101,7 @@ def _local_verdict(
         for l, heads in enumerate(g)
         for k in heads
     }
-    _, mate_r = min_weight_max_matching(g, total, weights, prefer_rights=range(n_i))
+    _, mate_r = min_weight_max_matching(g, total, weights)
     unmatched_own = [k for k in range(n_i) if mate_r[k] < 0]
 
     local = system_digraph(own.A, own.B)

@@ -125,9 +125,8 @@ def check_via_collapse(spec: SimilarSystemSpec) -> CheckResult:
     if pre["template_controllable"] or not pre["template_right_perfect"]:
         return CheckResult("precondition-unmet", pre)
     collapsed = verify(spec.Aprime | spec.H, spec.Bprime).controllable
-    source_rows = sorted(
-        i for i in range(spec.r) if not any(row == i for row, _ in spec.E.nonzeros)
-    )
+    fed = {row for row, _ in spec.E.nonzeros}
+    source_rows = [i for i in range(spec.r) if i not in fed]
     ok = collapsed and not source_rows
     return CheckResult(
         "true" if ok else "false",

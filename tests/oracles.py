@@ -68,42 +68,35 @@ def system_graph(A: SparsityPattern, B: SparsityPattern) -> Bipartite:
 # matchings (bitmask DP over the right side)
 
 
-def matching_opt_bruteforce(
-    b: Bipartite, weights: dict | None = None, prefer=None
-) -> tuple[int, ...]:
-    """(max cardinality, min total weight among max-cardinality matchings);
-    with ``prefer``, a set of rights, also the most of them covered among
-    those minimum-weight maximum matchings.
+def matching_opt_bruteforce(b: Bipartite, weights: dict | None = None) -> tuple[int, int]:
+    """(max cardinality, min total weight among max-cardinality matchings).
 
     Exponential in the right side; use on graphs with <= ~20 rights.
     """
     lefts = sorted(b.left)
     rights = sorted(b.right)
     rpos = {r: k for k, r in enumerate(rights)}
-    covers = prefer or ()
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in lefts]
+    adj: list[list[tuple[int, int]]] = [[] for _ in lefts]
     for li, l in enumerate(lefts):
         for (ll, r) in sorted(b.edges):
             if ll == l:
-                w = 0 if weights is None else weights[(ll, r)]
-                adj[li].append((rpos[r], w, int(r in covers)))
+                adj[li].append((rpos[r], 0 if weights is None else weights[(ll, r)]))
 
     @lru_cache(maxsize=None)
-    def best(i: int, mask: int) -> tuple[int, int, int]:
+    def best(i: int, mask: int) -> tuple[int, int]:
         if i == len(lefts):
-            return (0, 0, 0)
+            return (0, 0)
         top = best(i + 1, mask)
-        for rj, wt, cov in adj[i]:
+        for rj, wt in adj[i]:
             if not mask & (1 << rj):
-                c2, w2, v2 = best(i + 1, mask | (1 << rj))
-                cand = (c2 + 1, w2 + wt, v2 + cov)
-                if (-cand[0], cand[1], -cand[2]) < (-top[0], top[1], -top[2]):
-                    top = cand
+                c2, w2 = best(i + 1, mask | (1 << rj))
+                if (-c2 - 1, w2 + wt) < (-top[0], top[1]):
+                    top = (c2 + 1, w2 + wt)
         return top
 
     out = best(0, 0)
     best.cache_clear()
-    return out if prefer is not None else out[:2]
+    return out
 
 
 def enumerate_max_matchings(b: Bipartite) -> list[frozenset]:

@@ -334,7 +334,7 @@ class TestFloodedPhases:
                         w = region.remote_of[action.frm].get(key)
                         if w is not None:
                             prices[w] = min(prices[w], val)
-            dist = region._distances(cap, prices)
+            dist = region._relax(cap, region._exits(cap, prices))
             shared = {v for bucket in region.shared_with.values() for v in bucket}
             settled.append(last == {region.names[v]: min(dist[v], cap) for v in shared})
 

@@ -180,18 +180,8 @@ class TestMinWeightMatching:
         assert len(m) == card
         assert sum(weights[e] for e in m) == weight
 
-    def test_prefer_rights_breaks_weight_ties(self):
-        # lefts 3 and 4, rights 0..2
-        g = digraph(5, {(3, 0), (3, 1), (4, 1), (4, 2)})
-        weights = {(3, 0): 1, (3, 1): 1, (4, 1): 1, (4, 2): 1}
-        mate_l, _ = min_weight_max_matching(g, 3, weights, prefer_rights=[2])
-        assert mate_l[4] == 2
-        _, mate_r = min_weight_max_matching(g, 3, weights, prefer_rights=[1])
-        assert mate_r[1] >= 0
-
-    def test_prefer_rights_matches_dp_on_all_three_orders(self):
-        # cardinality first, then weight, then preferred rights covered; the
-        # weights 1 and 2 of the serial check make weight ties common
+    def test_matches_dp_on_weight_ties(self):
+        # the weights 1 and 2 of the serial check make weight ties common
         rng = random.Random(2024)
         for _ in range(400):
             count = rng.randint(1, 9)
@@ -202,10 +192,9 @@ class TestMinWeightMatching:
             })
             top = rng.choice((2, 2, 3, 6))
             weights = {(l, k): rng.randint(top // 2, top) for l, heads in enumerate(g) for k in heads}
-            prefer = {k for k in range(n) if rng.random() < 0.5}
-            m = matching_edges(min_weight_max_matching(g, n, weights, prefer_rights=prefer))
-            got = (len(m), sum(weights[e] for e in m), sum(k in prefer for _, k in m))
-            assert got == matching_opt_bruteforce(bipartite(g, n), weights, prefer)
+            m = matching_edges(min_weight_max_matching(g, n, weights))
+            got = (len(m), sum(weights[e] for e in m))
+            assert got == matching_opt_bruteforce(bipartite(g, n), weights)
 
 
 class TestDecomposition:

@@ -84,6 +84,16 @@ class TestChecks:
         assert res.details["sources"] == [0]
         assert not verify(*assemble_global(expand(spec))).controllable
 
+    def test_collapse_check_lists_every_source_ascending(self, similar_template):
+        # copy 4 feeds copies 3 and 1; copies 0, 2 and 4 are fed by none
+        spec = SimilarSystemSpec(
+            r=5, n=2, p=1, E=pat(5, 5, {(3, 4), (1, 4)}), **similar_template
+        )
+        res = check_via_collapse(spec)
+        assert res.status == "false"
+        assert res.details["sources"] == [0, 2, 4]
+        assert not verify(*assemble_global(expand(spec))).controllable
+
     def test_precondition_unmet_is_not_a_verdict(self):
         # a controllable template refuses both checks
         spec = SimilarSystemSpec(

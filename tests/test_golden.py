@@ -12,14 +12,21 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+from pathlib import Path
 
 from oracles import verify_via_cacti
 from structctl.centralized import verify
+from structctl.cli import main
 from structctl.distributed import controlled_program
-from structctl.model import assemble_global, random_serial_system, random_system
+from structctl.model import assemble_global, random_serial_system, random_system, system_to_obj
 from structctl.runtime import run
 from structctl.serial import check_lemma4_details, seq_strt_ctl
-from structctl.similar import check_cycle_cover, check_via_collapse, random_similar_spec
+from structctl.similar import (
+    check_cycle_cover,
+    check_via_collapse,
+    random_similar_spec,
+    similar_dumps,
+)
 
 
 def _digest(obj) -> str:
@@ -135,3 +142,77 @@ def test_similar_checks():
             res = check(spec)
             out.append([res.status, res.details])
     assert _digest(out) == "58ed9563de2d360d2cd9a54cfad7e931c4d597bd1892d79c6da0ec0155d23bf0"
+
+
+def _centralized_files() -> list[tuple[str, dict]]:
+    """Seeded system files for ``test_cli_centralized_reports``, written to
+    the working directory as (name, JSON object) pairs."""
+    files = []
+    for r in range(1, 9):
+        for k in range(3):
+            sysm = random_system(r, (1, 8), (0, 2), 0.3, seed=100 * r + k)
+            files.append((f"general-{r}-{k}.json", system_to_obj(sysm)))
+    for k in range(6):
+        rng = random.Random(k)
+        obj = system_to_obj(random_system(3 + k, (1, 6), (0, 2), 0.35, seed=700 + k))
+        rng.shuffle(obj["subsystems"])
+        rng.shuffle(obj["connections"])
+        files.append((f"shuffled-{k}.json", obj))
+    for k in range(6):
+        rng = random.Random(50 + k)
+        obj = system_to_obj(random_system(2 + k, (1, 6), (0, 2), 0.35, seed=800 + k))
+        for block in [s["A"] for s in obj["subsystems"]] + [s["B"] for s in obj["subsystems"]] \
+                + [c["E"] for c in obj["connections"]]:
+            block.extend(rng.choices(block, k=len(block)) if block else [])
+            rng.shuffle(block)
+        files.append((f"repeated-{k}.json", obj))
+    for k in range(4):
+        spec = random_similar_spec((2, 5), (1, 6), (0, 2), 0.35, seed=900 + k)
+        files.append((f"similar-{k}.json", json.loads(similar_dumps(spec))))
+    # Malformed files: each ModelError text reaches stderr and the report.
+    base = system_to_obj(random_system(3, (2, 4), (1, 2), 0.4, seed=5))
+    for k, mutate in enumerate([
+        lambda o: o["subsystems"][1]["A"].append([9, 0]),
+        lambda o: o["subsystems"][0]["B"].append(["0", 0]),
+        lambda o: o["subsystems"][1]["A"].insert(0, [1]),
+        lambda o: o["subsystems"][1].update(A={"0": 1}),
+        lambda o: o["subsystems"][2].update(n=-1),
+        lambda o: o["subsystems"][0].pop("p"),
+        lambda o: o["subsystems"][2].update(n=0),
+        lambda o: o["subsystems"][0].update(id=7),
+        lambda o: o["connections"][0]["E"].extend([[0, 99], [99, 0], [5, 5]]),
+        lambda o: o["connections"].append(dict(o["connections"][0])),
+        lambda o: o["connections"][0].update(E=[]),
+        lambda o: o.update(extra=1),
+    ]):
+        obj = json.loads(json.dumps(base))
+        mutate(obj)
+        files.append((f"malformed-{k}.json", obj))
+    return files
+
+
+def test_cli_centralized_reports(capsys, monkeypatch, tmp_path):
+    # Exit code, stdout and stderr of `verify --mode centralized` on seeded
+    # files: input-free subsystems, subsystems and connections out of id
+    # order, repeated pairs, similar templates, the benchmark's networks at
+    # toy size, the numeric probe and malformed files.
+    bench_dir = Path(__file__).parents[1] / "bench"
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.syspath_prepend(str(bench_dir))
+    import workloads
+
+    names = []
+    for name, obj in _centralized_files():
+        Path(name).write_text(json.dumps(obj), encoding="utf-8")
+        names.append(name)
+    names += [call.path for call in workloads.central_large(1, ".", scale=0.02)]
+    argvs = [["--input", name] for name in names]
+    argvs += [["--input", name, "--seed", str(k)] for k, name in enumerate(names[:30:3])]
+    argvs += [["--input", names[-1], "--seed", "4"]]  # past the probe's limit
+    out = []
+    for argv in argvs:
+        code = main(["verify", "--mode", "centralized", *argv])
+        captured = capsys.readouterr()
+        out.append([argv, code, captured.out, captured.err])
+    assert sorted({code for _, code, _, _ in out}) == [0, 1, 2]
+    assert _digest(out) == "71092d82c061524702d1153f1b1300b6fcbdcadc50c244e4055d65c49b8596f6"

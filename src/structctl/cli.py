@@ -20,11 +20,13 @@ import sys
 from .centralized import PROBE_MAX_STATES, numeric_probe, verify_digraph
 from .distributed import controlled_program
 from .model import (
+    Graph,
     InterconnectedSystem,
     ModelError,
     assemble_global,
     block_digraph,
     dumps,
+    graph_from_obj,
     indented_json,
     random_serial_system,
     random_system,
@@ -129,21 +131,41 @@ def _unanimous(verdicts: dict[str, bool]) -> bool:
     return values.pop()
 
 
+def _load_graph(path: str, probe: bool) -> tuple[Graph, int, int, int, tuple | None]:
+    """The graph of a system file's (A, B) with its subsystem, state and input
+    counts, and the (A, B) patterns when ``probe`` asks for the numeric probe
+    and the states are few enough for it.  Nothing of the decoded file
+    outlives the call."""
+    obj = _load_json(path)
+    try:
+        if isinstance(obj, dict) and "similar" in obj:
+            system = expand(similar_from_obj(obj))
+            graph, r, n, p = block_digraph(system), system.r, system.n_total, system.p_total
+        else:
+            system = None
+            graph, r, n, p = graph_from_obj(obj)
+        patterns = None
+        if probe and n <= PROBE_MAX_STATES:
+            patterns = assemble_global(system or system_from_obj(obj))
+    except ModelError as exc:
+        raise CliError(f"{path}: {exc}") from None
+    return graph, r, n, p, patterns
+
+
 def _verify_centralized(args) -> tuple[dict, bool]:
-    system = _load_system(args.input)
-    n = system.n_total
-    verdict = verify_digraph(block_digraph(system), n)
+    graph, r, n, p, patterns = _load_graph(args.input, args.seed is not None)
+    verdict = verify_digraph(graph, n)
     report = {
         "controllable": verdict.controllable,
         "certificate": verdict.certificate,
-        "subsystems": system.r,
+        "subsystems": r,
         "states": n,
-        "inputs": system.p_total,
+        "inputs": p,
     }
     if args.seed is not None:
         probe = {"seed": args.seed}
-        if n <= PROBE_MAX_STATES:
-            probe["full_rank"] = numeric_probe(*assemble_global(system), seed=args.seed)
+        if patterns is not None:
+            probe["full_rank"] = numeric_probe(*patterns, seed=args.seed)
         else:
             probe["skipped"] = (
                 f"{n} states exceed the numeric probe's limit of {PROBE_MAX_STATES}"

@@ -8,9 +8,10 @@ connection patterns between them ("from" feeds "to").
 from __future__ import annotations
 
 import json
+import operator
 import random
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable
@@ -24,6 +25,16 @@ class ModelError(ValueError):
 
 # ---------------------------------------------------------------------------
 # patterns
+
+
+def _stray_pair(pairs: Iterable, rows: int, cols: int):
+    """The first (row, col) of ``pairs`` that is not an integer position in a
+    ``rows x cols`` pattern, or None.  An item that does not unpack into two
+    values raises TypeError or ValueError."""
+    for r, c in pairs:
+        if not (type(r) is int and type(c) is int and 0 <= r < rows and 0 <= c < cols):
+            return r, c
+    return None
 
 
 @dataclass(frozen=True)
@@ -40,12 +51,12 @@ class SparsityPattern:
             raise ModelError(f"pattern shape ({rows}, {cols}) is negative")
         # frozenset() hands a frozenset back as is, so this copies only other inputs
         object.__setattr__(self, "nonzeros", frozenset(self.nonzeros))
-        for r, c in self.nonzeros:
-            if not (type(r) is int and type(c) is int and 0 <= r < rows and 0 <= c < cols):
-                raise ModelError(
-                    f"nonzero ({r!r}, {c!r}) is not an integer position in a "
-                    f"{rows}x{cols} pattern"
-                )
+        stray = _stray_pair(self.nonzeros, rows, cols)
+        if stray is not None:
+            raise ModelError(
+                f"nonzero ({stray[0]!r}, {stray[1]!r}) is not an integer position in a "
+                f"{rows}x{cols} pattern"
+            )
 
     @property
     def is_zero(self) -> bool:
@@ -63,6 +74,13 @@ class SparsityPattern:
 # systems
 
 
+def _check_counts(sid: int, n: int, p: int) -> None:
+    if n < 1:
+        raise ModelError(f"subsystem {sid}: state count must be >= 1")
+    if p < 0:
+        raise ModelError(f"subsystem {sid}: input count must be >= 0")
+
+
 @dataclass(frozen=True)
 class Subsystem:
     """One block: ``n`` states, ``p`` inputs, local patterns A (n x n), B (n x p)."""
@@ -74,10 +92,7 @@ class Subsystem:
     B: SparsityPattern
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ModelError(f"subsystem {self.id}: state count must be >= 1")
-        if self.p < 0:
-            raise ModelError(f"subsystem {self.id}: input count must be >= 0")
+        _check_counts(self.id, self.n, self.p)
         if (self.A.rows, self.A.cols) != (self.n, self.n):
             raise ModelError(
                 f"subsystem {self.id}: A is {self.A.rows}x{self.A.cols}, expected {self.n}x{self.n}"
@@ -101,6 +116,33 @@ class Interconnection:
     E: SparsityPattern
 
 
+def _check_system(ids: list[int], ns: list[int], links: Iterable) -> None:
+    """The checks of a whole system: the subsystem ``ids`` in ascending order
+    with their state counts ``ns``, then each connection's (to, from, E rows,
+    E cols, E empty) in order."""
+    if ids != list(range(len(ids))):
+        raise ModelError(f"subsystem ids must be exactly 0..r-1, got {ids}")
+    if not ids:
+        raise ModelError("a system needs at least one subsystem")
+    seen: set[Pair] = set()
+    for to, frm, rows, cols, empty in links:
+        if to == frm:
+            raise ModelError(f"connection ({to}, {frm}) is a self-loop")
+        for end in (to, frm):
+            if not 0 <= end < len(ids):
+                raise ModelError(f"connection references unknown subsystem {end}")
+        if (to, frm) in seen:
+            raise ModelError(f"duplicate connection to={to} from={frm}")
+        seen.add((to, frm))
+        if (rows, cols) != (ns[to], ns[frm]):
+            raise ModelError(
+                f"connection to={to} from={frm}: E is {rows}x{cols}, "
+                f"expected {ns[to]}x{ns[frm]}"
+            )
+        if empty:
+            raise ModelError(f"connection to={to} from={frm} has an empty pattern")
+
+
 @dataclass(frozen=True)
 class InterconnectedSystem:
     subsystems: tuple[Subsystem, ...]
@@ -110,33 +152,11 @@ class InterconnectedSystem:
         subs = tuple(sorted(self.subsystems, key=lambda s: s.id))
         object.__setattr__(self, "subsystems", subs)
         object.__setattr__(self, "connections", tuple(self.connections))
-        ids = [s.id for s in subs]
-        if ids != list(range(len(subs))):
-            raise ModelError(f"subsystem ids must be exactly 0..r-1, got {ids}")
-        if not subs:
-            raise ModelError("a system needs at least one subsystem")
-        seen: set[Pair] = set()
-        for conn in self.connections:
-            if conn.to == conn.from_:
-                raise ModelError(f"connection ({conn.to}, {conn.from_}) is a self-loop")
-            for end in (conn.to, conn.from_):
-                if not 0 <= end < len(subs):
-                    raise ModelError(f"connection references unknown subsystem {end}")
-            if (conn.to, conn.from_) in seen:
-                raise ModelError(
-                    f"duplicate connection to={conn.to} from={conn.from_}"
-                )
-            seen.add((conn.to, conn.from_))
-            n_to, n_from = subs[conn.to].n, subs[conn.from_].n
-            if (conn.E.rows, conn.E.cols) != (n_to, n_from):
-                raise ModelError(
-                    f"connection to={conn.to} from={conn.from_}: E is "
-                    f"{conn.E.rows}x{conn.E.cols}, expected {n_to}x{n_from}"
-                )
-            if conn.E.is_zero:
-                raise ModelError(
-                    f"connection to={conn.to} from={conn.from_} has an empty pattern"
-                )
+        _check_system(
+            [s.id for s in subs],
+            [s.n for s in subs],
+            [(c.to, c.from_, c.E.rows, c.E.cols, c.E.is_zero) for c in self.connections],
+        )
 
     @property
     def r(self) -> int:
@@ -235,24 +255,33 @@ system_bipartite = system_digraph
 
 def block_digraph(sys: InterconnectedSystem) -> Graph:
     """``system_digraph(*assemble_global(sys))``, read straight off the
-    blocks: each A, B and E is walked once with its state and input offsets.
-    Connections never repeat a (to, from) pair or loop on one subsystem, so
-    no two blocks share an edge."""
-    n = sys.n_total
-    succ: Graph = [[] for _ in range(n + sys.p_total)]
+    blocks."""
+    return _block_graph(
+        [(s.n, s.p, s.A.nonzeros, s.B.nonzeros) for s in sys.subsystems],
+        [(c.to, c.from_, c.E.nonzeros) for c in sys.connections],
+    )
+
+
+def _block_graph(subs: list, conns: list) -> Graph:
+    """The graph of the assembled (A, B) of subsystems (n, p, A pairs, B pairs)
+    in id order and connections (to, from, E pairs): each block is walked once
+    with its state and input offsets.  Connections never repeat a (to, from)
+    pair or loop on one subsystem, so no two blocks share an edge."""
+    n = sum(sub[0] for sub in subs)
+    succ: Graph = [[] for _ in range(n + sum(sub[1] for sub in subs))]
     offset = []
     dr, dc = 0, n
-    for sub in sys.subsystems:
+    for sn, sp, A, B in subs:
         offset.append(dr)
-        for k, l in sub.A.nonzeros:
+        for k, l in A:
             succ[dr + l].append(dr + k)
-        for k, j in sub.B.nonzeros:
+        for k, j in B:
             succ[dc + j].append(dr + k)
-        dr += sub.n
-        dc += sub.p
-    for conn in sys.connections:
-        dt, df = offset[conn.to], offset[conn.from_]
-        for t, f in conn.E.nonzeros:
+        dr += sn
+        dc += sp
+    for to, frm, E in conns:
+        dt, df = offset[to], offset[frm]
+        for t, f in E:
             succ[df + f].append(dt + t)
     for heads in succ:
         heads.sort()
@@ -312,6 +341,24 @@ def _parse_pairs(value, rows: int, cols: int, where: str) -> SparsityPattern:
     raise ModelError(f"{where}: {error}")
 
 
+def _block_pairs(value, rows: int, cols: int, where: str):
+    """The pairs of one block for ``graph_from_obj``, none repeated.  A block
+    whose pairs pass the check and strictly increase, as in every file this
+    package writes, is used as it stands; a valid block in another order is
+    collected into a set.  Anything else goes to ``_parse_pairs``, which words
+    the fault as ``system_from_obj`` does (and passes what it passes, such as
+    ``[0, true]`` beside ``[0, 1]``, where the frozenset keeps ``(0, 1)``)."""
+    try:
+        if isinstance(value, list) and rows >= 0 and cols >= 0 \
+                and _stray_pair(value, rows, cols) is None:
+            if all(map(operator.lt, value, islice(value, 1, None))):
+                return value
+            return set(map(tuple, value))
+    except (TypeError, ValueError):  # an item that is not a pair
+        pass
+    return _parse_pairs(value, rows, cols, where).nonzeros
+
+
 def _require_int(obj: dict, key: str, where: str) -> int:
     v = obj.get(key)
     if not isinstance(v, int) or isinstance(v, bool):
@@ -319,7 +366,19 @@ def _require_int(obj: dict, key: str, where: str) -> int:
     return v
 
 
-def system_from_obj(obj) -> InterconnectedSystem:
+# Most states plus inputs a system file may declare.  Every graph holds one
+# successor list per state and per input, so without a limit a file of a few
+# bytes could ask for any amount of memory; 10**7 is 100 times the largest
+# instance benchmarked (10**5 states).
+MAX_VERTICES = 10**7
+
+
+def _walk(obj, block) -> tuple[list, list]:
+    """Check a decoded system file and return its subsystems as (id, n, p, A,
+    B) in id order and its connections as (to, from, E) in file order, with
+    each block as ``block(value, rows, cols, where)`` returns it.  The checks
+    run in one order, so each fault is named as ``system_from_obj`` always
+    named it."""
     if not isinstance(obj, dict):
         raise ModelError("top level: expected a JSON object")
     if "similar" in obj:
@@ -332,6 +391,7 @@ def system_from_obj(obj) -> InterconnectedSystem:
     if not isinstance(obj["connections"], list):
         raise ModelError("'connections' must be a list")
     subs = []
+    vertices = 0
     for k, raw in enumerate(obj["subsystems"]):
         where = f"subsystems[{k}]"
         if not isinstance(raw, dict):
@@ -341,19 +401,21 @@ def system_from_obj(obj) -> InterconnectedSystem:
         n = _require_int(raw, "n", where)
         p = _require_int(raw, "p", where)
         try:
-            subs.append(
-                Subsystem(
-                    id=sid,
-                    n=n,
-                    p=p,
-                    A=_parse_pairs(raw["A"], n, n, f"{where}.A"),
-                    B=_parse_pairs(raw["B"], n, p, f"{where}.B"),
-                )
-            )
+            A = block(raw["A"], n, n, f"{where}.A")
+            B = block(raw["B"], n, p, f"{where}.B")
+            _check_counts(sid, n, p)
         except ModelError as exc:
             raise ModelError(f"{where}: {exc}") from None
+        vertices += n + p
+        if vertices > MAX_VERTICES:
+            raise ModelError(
+                f"{where}: states plus inputs reach {vertices}, "
+                f"above the limit of {MAX_VERTICES}"
+            )
+        subs.append((sid, n, p, A, B))
     conns = []
-    n_of = {s.id: s.n for s in subs}
+    links = []
+    n_of = {sub[0]: sub[1] for sub in subs}
     for k, raw in enumerate(obj["connections"]):
         where = f"connections[{k}]"
         if not isinstance(raw, dict):
@@ -363,14 +425,30 @@ def system_from_obj(obj) -> InterconnectedSystem:
         frm = _require_int(raw, "from", where)
         if to not in n_of or frm not in n_of:
             raise ModelError(f"{where}: endpoint references an unknown subsystem id")
-        conns.append(
-            Interconnection(
-                to=to,
-                from_=frm,
-                E=_parse_pairs(raw["E"], n_of[to], n_of[frm], f"{where}.E"),
-            )
-        )
-    return InterconnectedSystem(tuple(subs), tuple(conns))
+        conns.append((to, frm, block(raw["E"], n_of[to], n_of[frm], f"{where}.E")))
+        links.append((to, frm, n_of[to], n_of[frm], not raw["E"]))
+    ordered = sorted(subs, key=lambda sub: sub[0])
+    _check_system([sub[0] for sub in ordered], [sub[1] for sub in ordered], links)
+    return ordered, conns
+
+
+def system_from_obj(obj) -> InterconnectedSystem:
+    subs, conns = _walk(obj, _parse_pairs)
+    return InterconnectedSystem(
+        tuple(Subsystem(*sub) for sub in subs),
+        tuple(Interconnection(*conn) for conn in conns),
+    )
+
+
+def graph_from_obj(obj) -> tuple[Graph, int, int, int]:
+    """``block_digraph(system_from_obj(obj))`` with the subsystem, state and
+    input counts r, n and p, built without patterns or system objects: the
+    same checks in the same order, each pair checked once, the blocks placed
+    straight from the decoded file."""
+    subs, conns = _walk(obj, _block_pairs)
+    graph = _block_graph([sub[1:] for sub in subs], conns)
+    n = sum(sub[1] for sub in subs)
+    return graph, len(subs), n, len(graph) - n
 
 
 def system_to_obj(sys: InterconnectedSystem) -> dict:

@@ -159,8 +159,9 @@ _encode = json.encoder.c_make_encoder(
 _scan = json.scanner.make_scanner(json.JSONDecoder())
 
 
-def _encode_payload(value, where: str) -> tuple[str, object]:
-    """The compact JSON text of a payload and a fresh copy decoded from it."""
+def _encode_payload(value, sender: int, to: int) -> tuple[str, object]:
+    """The compact JSON text of a payload that agent ``sender`` sends to agent
+    ``to``, and a fresh copy decoded from it."""
     try:
         text = "".join(_encode(value, 0))
         copy = _scan(text, 0)[0]
@@ -170,6 +171,7 @@ def _encode_payload(value, where: str) -> tuple[str, object]:
         pass
     # The encoder coerces non-string keys and rejects sets and NaN without
     # saying which part of the payload is at fault; the strict walk does.
+    where = f"agent {sender} -> {to}"
     normalized = _normalize_payload(value, where)
     try:
         text = "".join(_encode(normalized, 0))
@@ -275,7 +277,7 @@ def run(sys: InterconnectedSystem, program: AgentProgram) -> RunResult:
         """Agent i's ``ctx.send``: queue and trace a message sent this round."""
         if to not in neighbors[i]:
             raise ProtocolError(f"agent {i}: send to {to}, which is not a neighbor")
-        text, copy = _encode_payload(payload, f"agent {i} -> {to}")
+        text, copy = _encode_payload(payload, i, to)
         queues[i, to].append((round_no, copy))
         trace.records.append(TraceRecord(round_no, i, to, text))
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .centralized import verify
 from .graphkit import max_matching
 from .model import (
+    MAX_VERTICES,
     Graph,
     InterconnectedSystem,
     Interconnection,
@@ -77,8 +78,14 @@ def expand(spec: SimilarSystemSpec) -> InterconnectedSystem:
     """Materialize the r coupled copies as an ordinary system.
 
     With an all-zero H the connections carry nothing and are dropped (the
-    copies are then mutually disconnected).
+    copies are then mutually disconnected).  Raises ModelError past the
+    states-plus-inputs limit that system files have.
     """
+    if spec.r * (spec.n + spec.p) > MAX_VERTICES:
+        raise ModelError(
+            f"similar spec: {spec.r} copies of {spec.n + spec.p} states plus inputs "
+            f"are above the limit of {MAX_VERTICES}"
+        )
     subs = tuple(
         Subsystem(id=i, n=spec.n, p=spec.p, A=spec.Aprime, B=spec.Bprime)
         for i in range(spec.r)

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -15,8 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_system
-from structctl import distributed, model, serial
-from structctl.centralized import numeric_probe, verify
+from structctl import cli, distributed, model, serial
+from structctl.centralized import numeric_probe, verify, verify_digraph
 from structctl.cli import MODES, main
 from structctl.distributed import controlled_program
 from structctl.model import (
@@ -31,7 +32,7 @@ from structctl.model import (
 )
 from structctl.runtime import Recv
 from structctl.serial import is_serial
-from structctl.similar import similar_dumps, similar_to_obj
+from structctl.similar import random_similar_spec, similar_dumps, similar_to_obj
 
 
 def run_python(*args):
@@ -230,6 +231,27 @@ class TestVerifyInputHandling:
         assert code == 2
         assert "A" in report_of(out)["error"]
 
+    def test_files_past_the_vertex_limit_are_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"subsystems": [
+            {"id": 0, "n": model.MAX_VERTICES + 1, "p": 0, "A": [], "B": []}
+        ], "connections": []}))
+        for mode in ("centralized", "distributed", "serial"):
+            code, out, err = run_cli(capsys, "verify", "--mode", mode, "--input", str(path))
+            assert code == 2
+            assert report_of(out)["error"] == (
+                f"{path}: subsystems[0]: states plus inputs reach 10000001, "
+                "above the limit of 10000000"
+            )
+            assert "Traceback" not in err
+        path.write_text(json.dumps({"similar": {
+            "r": model.MAX_VERTICES, "n": 1, "p": 1, "Aprime": [], "Bprime": [[0, 0]],
+            "H": [[0, 0]], "E": [[0, 1]],
+        }}))
+        code, out, _ = run_cli(capsys, "verify", "--mode", "centralized", "--input", str(path))
+        assert code == 2
+        assert "above the limit of 10000000" in report_of(out)["error"]
+
     def test_fig5_flag_needs_distributed(self, capsys, ring_file):
         code, out, _ = run_cli(
             capsys, "verify", "--mode", "centralized", "--input", ring_file,
@@ -366,6 +388,54 @@ class TestCentralizedGraph:
         )
         assert code == 0
         assert "skipped" in report_of(out)["numeric_probe"]
+
+    @pytest.mark.parametrize("argv", [[], ["--seed", "3"]])
+    @pytest.mark.parametrize("kind", ["general", "similar"])
+    def test_the_decoded_file_is_released_before_the_checks(
+        self, capsys, monkeypatch, tmp_path, kind, argv
+    ):
+        # Weak references to the decoded file and to one of its blocks must be
+        # dead by the time verify_digraph runs, with the collector paused; a
+        # system file builds patterns only for the probe.
+        class Decoded(dict):
+            pass
+
+        class Block(list):
+            pass
+
+        load = cli._load_json
+        refs = []
+
+        def tracked(path):
+            obj = Decoded(load(path))
+            body = obj["similar"] if kind == "similar" else obj["subsystems"][0]
+            key = "Aprime" if kind == "similar" else "A"
+            body[key] = Block(body[key])
+            refs.extend([weakref.ref(obj), weakref.ref(body[key])])
+            return obj
+
+        def checked(graph, n):
+            assert [ref() for ref in refs] == [None, None]
+            return verify_digraph(graph, n)
+
+        path = tmp_path / "g.json"
+        if kind == "similar":
+            path.write_text(similar_dumps(random_similar_spec((3, 3), (2, 4), (1, 1), 0.4, seed=2)))
+        else:
+            save(random_system(3, (2, 6), (0, 2), 0.3, seed=4), path)
+        patterns = []
+        check_pattern = SparsityPattern.__post_init__
+        monkeypatch.setattr(SparsityPattern, "__post_init__",
+                            lambda pat: patterns.append(check_pattern(pat)))
+        monkeypatch.setattr(cli, "_load_json", tracked)
+        monkeypatch.setattr(cli, "verify_digraph", checked)
+        code, out, _ = run_cli(
+            capsys, "verify", "--mode", "centralized", "--input", str(path), *argv
+        )
+        assert code in (0, 1) and len(refs) == 2
+        if argv:
+            assert "full_rank" in report_of(out)["numeric_probe"]
+        assert bool(patterns) == (kind == "similar" or bool(argv))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_repeated_pairs_give_the_same_report(self, capsys, tmp_path, seed):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import build_system, pat
 from oracles import assemble_naive, dense, neighbors
 from structctl.model import (
+    MAX_VERTICES,
     InterconnectedSystem,
     Interconnection,
     ModelError,
@@ -21,6 +24,7 @@ from structctl.model import (
     block_digraph,
     condensed_graph,
     dumps,
+    graph_from_obj,
     is_weakly_connected,
     loads,
     random_serial_system,
@@ -32,7 +36,7 @@ from structctl.model import (
     system_digraph,
     system_from_obj,
 )
-from structctl.similar import expand, random_similar_spec
+from structctl.similar import SimilarSystemSpec, expand, random_similar_spec
 
 
 class TestSparsityPattern:
@@ -202,6 +206,98 @@ class TestBlockDigraph:
         assert block_digraph(serial_pair) == [[1], [4], [3, 4], [], [], [0], [2]]
 
 
+@st.composite
+def system_objects(draw):
+    """A valid decoded system file: subsystems in any order, some input-free,
+    blocks with repeated pairs in any order, sorted, or strictly increasing."""
+    r = draw(st.integers(1, 6))
+    ns = [draw(st.integers(1, 5)) for _ in range(r)]
+    ps = [draw(st.integers(0, 2)) for _ in range(r)]
+
+    def block(rows, cols, min_size=0):
+        if not rows * cols:
+            return []
+        pairs = draw(st.lists(
+            st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1)).map(list),
+            min_size=min_size, max_size=2 * rows * cols,
+        ))
+        order = draw(st.sampled_from(["as drawn", "sorted", "increasing"]))
+        if order == "sorted":
+            pairs.sort()
+        elif order == "increasing":
+            pairs = [list(pair) for pair in sorted(set(map(tuple, pairs)))]
+        return pairs
+
+    subs = [{"id": i, "n": ns[i], "p": ps[i], "A": block(ns[i], ns[i]),
+             "B": block(ns[i], ps[i])} for i in range(r)]
+    links = [(t, f) for t in range(r) for f in range(r) if t != f]
+    chosen = draw(st.lists(st.sampled_from(links), unique=True)) if links else []
+    conns = [{"to": t, "from": f, "E": block(ns[t], ns[f], 1)} for t, f in chosen]
+    return {"subsystems": draw(st.permutations(subs)), "connections": conns}
+
+
+class TestGraphFromObj:
+    """``graph_from_obj`` gives the graph and counts of the system that
+    ``system_from_obj`` builds, and leaves the decoded file as it was."""
+
+    @given(system_objects())
+    def test_same_graph_as_the_system(self, obj):
+        text = json.dumps(obj)
+        graph, r, n, p = graph_from_obj(obj)
+        sysm = system_from_obj(obj)
+        assert graph == block_digraph(sysm)
+        assert (r, n, p) == (sysm.r, sysm.n_total, sysm.p_total)
+        assert json.dumps(obj) == text
+
+    def test_a_bool_beside_its_equal_int_passes_as_before(self, serial_pair):
+        # The frozenset keeps (0, 1) and drops the equal (0, True), so
+        # system_from_obj accepts the block; the graph path follows it.
+        obj = json.loads(dumps(serial_pair))
+        obj["subsystems"][1].update(A=[[1, 0], [1, False], [2, 0]])
+        sysm = system_from_obj(obj)
+        assert sysm == serial_pair
+        assert graph_from_obj(obj) == (block_digraph(sysm), 2, 5, 2)
+
+
+class TestVertexLimit:
+    """A file may declare at most MAX_VERTICES states plus inputs, checked
+    before anything is allocated per state."""
+
+    @staticmethod
+    def one_subsystem(n, p):
+        return {"subsystems": [{"id": 0, "n": n, "p": p, "A": [], "B": []}],
+                "connections": []}
+
+    @pytest.mark.parametrize("parse", [system_from_obj, graph_from_obj])
+    def test_one_state_past_the_limit_is_rejected_without_allocating(self, parse):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelError) as err:
+                parse(self.one_subsystem(MAX_VERTICES + 1, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == (
+            "subsystems[0]: states plus inputs reach 10000001, above the limit of 10000000"
+        )
+        assert peak < 1 << 20
+
+    def test_the_limit_counts_states_and_inputs_of_every_subsystem(self, serial_pair):
+        assert system_from_obj(self.one_subsystem(MAX_VERTICES - 1, 1)).n_total == MAX_VERTICES - 1
+        obj = json.loads(dumps(serial_pair))
+        obj["subsystems"][1].update(n=MAX_VERTICES - 3, A=[])
+        for parse in (system_from_obj, graph_from_obj):
+            with pytest.raises(ModelError, match=r"subsystems\[1\]: .* reach 10000001"):
+                parse(obj)
+
+    def test_expanding_a_template_past_the_limit_is_rejected(self):
+        r = MAX_VERTICES // 2 + 1
+        spec = SimilarSystemSpec(r, 1, 1, pat(1, 1, set()), pat(1, 1, {(0, 0)}),
+                                 pat(1, 1, {(0, 0)}), pat(r, r, {(0, 1)}))
+        with pytest.raises(ModelError, match="5000001 copies of 2 states plus inputs"):
+            expand(spec)
+
+
 class TestJson:
     def test_roundtrip_random_systems(self):
         for seed in range(40):
@@ -227,21 +323,48 @@ class TestJson:
             (lambda o: o["subsystems"][0].update(id=5), "id"),
             (lambda o: o["connections"][0].update(to=9), "connections[0]"),
             (lambda o: o["connections"][0]["E"].append([9, 0]), "E"),
+            (lambda o: o["subsystems"][0]["B"].append([0, True]), "B[1]: expected"),
+            (lambda o: o["subsystems"][1]["A"].insert(1, [False, 0]), "A[1]: expected"),
+            (lambda o: o["subsystems"][1]["A"].append([1]), "A[2]: expected"),
+            (lambda o: o["connections"][0]["E"].append([0, 0, 0]), "E[1]: expected"),
+            (lambda o: o["subsystems"][0].update(A={"0": 1}), "A: expected a list"),
+            (lambda o: o["subsystems"][0].update(n=0, A=[], B=[]), "state count"),
+            (lambda o: o["subsystems"][1].update(p=-1, B=[]), "shape (3, -1)"),
+            (lambda o: o["subsystems"][0].update(n=-1), "is negative"),
+            (lambda o: o["subsystems"][1].pop("p"), "missing key(s) ['p']"),
+            (lambda o: o["connections"].append(dict(o["connections"][0])), "duplicate"),
+            (lambda o: o["connections"][0].update({"from": 1}), "self-loop"),
+            (lambda o: o["connections"][0].update({"from": -1}), "unknown subsystem"),
+            (lambda o: (o["connections"].clear(), o["subsystems"][1].update(id=0)),
+             "got [0, 0]"),
+            (lambda o: (o["subsystems"].clear(), o["connections"].clear()),
+             "at least one subsystem"),
+            (lambda o: o["connections"][0].update(E=[]), "empty pattern"),
+            (lambda o: o["subsystems"][1]["A"].extend([[3, 0], [0, 5], [7, 7]]),
+             "not an integer position in a 3x3"),
+            (lambda o: o["connections"][0]["E"].extend([[0, 2], [3, 0]]), "in a 3x2"),
+            (lambda o: o["subsystems"].append(3), "subsystems[2]: expected an object"),
+            (lambda o: o["connections"].insert(0, []), "connections[0]: expected an"),
+            (lambda o: o["connections"][0].update(to="1"), "key 'to'"),
+            (lambda o: o.update(subsystems={}), "'subsystems' must be a list"),
         ],
     )
     def test_malformed_files_name_the_problem(self, serial_pair, mutate, fragment):
-        import json
-
+        # The graph path names every fault with the same text.
         obj = json.loads(dumps(serial_pair))
         mutate(obj)
         with pytest.raises(ModelError) as err:
             system_from_obj(obj)
         assert fragment in str(err.value)
+        with pytest.raises(ModelError) as graph_err:
+            graph_from_obj(obj)
+        assert str(graph_err.value) == str(err.value)
 
     def test_similar_file_redirected(self):
-        with pytest.raises(ModelError) as err:
-            system_from_obj({"similar": {}})
-        assert "similar" in str(err.value)
+        for parse in (system_from_obj, graph_from_obj):
+            with pytest.raises(ModelError) as err:
+                parse({"similar": {}})
+            assert "similar" in str(err.value)
 
     def test_not_json_at_all(self):
         with pytest.raises(ModelError):

@@ -204,9 +204,9 @@ class TestProtocol:
         # after an encode that raises partway, a list the payload holds twice
         # is not taken for a circular reference
         with pytest.raises(ProtocolError):
-            _encode_payload({"a": [1, {2, 3}]}, "w")
+            _encode_payload({"a": [1, {2, 3}]}, 0, 1)
         shared = [1]
-        assert _encode_payload([shared, {"k": shared}], "w")[0] == '[[1],{"k":[1]}]'
+        assert _encode_payload([shared, {"k": shared}], 0, 1)[0] == '[[1],{"k":[1]}]'
 
     def test_yielding_garbage(self, line2):
         def program(ctx):
@@ -320,13 +320,13 @@ class TestPayloadCopies:
 
 def _strict_encode(value):
     """The reference: walk the payload strictly, then encode the result."""
-    normalized = _normalize_payload(value, "w")
+    normalized = _normalize_payload(value, "agent 0 -> 1")
     try:
         return json.dumps(
             normalized, separators=(",", ":"), sort_keys=True, allow_nan=False
         )
     except ValueError as exc:
-        raise ProtocolError(f"w: {exc}") from None
+        raise ProtocolError(f"agent 0 -> 1: {exc}") from None
 
 
 _scalars = st.one_of(
@@ -349,9 +349,9 @@ class TestEncodeMatchesStrictWalk:
             expected = _strict_encode(value)
         except ProtocolError as exc:
             with pytest.raises(ProtocolError) as got:
-                _encode_payload(value, "w")
+                _encode_payload(value, 0, 1)
             assert str(got.value) == str(exc)
             return
-        text, copy = _encode_payload(value, "w")
+        text, copy = _encode_payload(value, 0, 1)
         assert text == expected
         assert copy == json.loads(expected)

@@ -12,7 +12,8 @@ is deliverable from round ``k + 1`` on; within a round agents run one after
 the other in ascending id order, each until it blocks or returns.  Messages
 between the same pair are delivered in send order.  All scheduling is
 deterministic, so two runs of the same program on the same system produce
-byte-identical traces.
+byte-identical traces.  Each agent keeps one inbox queue per neighbor, and a
+blocked agent holds the queue it waits on.
 
 Agents may only exchange messages with neighbors in the interconnection
 topology (either direction), which must be weakly connected.  An agent knows
@@ -24,7 +25,8 @@ that tree.
 
 Payloads must be JSON-representable.  Each payload is encoded once at send
 time, and the encoded text is decoded right away into the copy that is queued
-for its one receiver; the text goes into the trace.  Later mutation by the
+for its one receiver; the text goes into the trace as one
+:class:`TraceRecord` row.  Later mutation by the
 sender therefore cannot leak through, and every receiver gets a fresh copy.
 A payload whose decoded copy does not equal it (tuples, non-string keys) or
 that the encoder refuses is walked by a strict checker, which either accepts
@@ -36,7 +38,7 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Generator, Iterator, NamedTuple
 
 from .model import (
@@ -60,9 +62,17 @@ class DisconnectedError(ValueError):
     """The interconnection topology is not weakly connected."""
 
 
-@dataclass(frozen=True)
 class Recv:
-    frm: int
+    """The one action an agent yields: wait for the next message from agent
+    ``frm``.  A slots class, since every message costs one."""
+
+    __slots__ = ("frm",)
+
+    def __init__(self, frm: int):
+        self.frm = frm
+
+    def __repr__(self) -> str:
+        return f"Recv(frm={self.frm!r})"
 
 
 @dataclass(frozen=True)
@@ -251,12 +261,14 @@ def tree_aggregate(
 
 
 class _AgentState:
-    __slots__ = ("gen", "awaiting", "done", "output")
+    __slots__ = ("gen", "inbox", "awaiting", "output")
 
-    def __init__(self, gen: Generator):
+    def __init__(self, gen: Generator, inbox: dict):
         self.gen = gen
-        self.awaiting: int | None = None
-        self.done = False
+        self.inbox = inbox  # neighbor -> FIFO of (send round, payload) from it
+        # the inbox queue a Recv blocks on; None before the first step and
+        # once the agent has returned
+        self.awaiting: deque | None = None
         self.output: object = None
 
 
@@ -273,78 +285,81 @@ def run(sys: InterconnectedSystem, program: AgentProgram) -> RunResult:
     if not is_weakly_connected(condensed_graph(sys)):
         raise DisconnectedError("interconnection topology is not weakly connected")
 
-    def send(i: int, to: int, payload) -> None:
-        """Agent i's ``ctx.send``: queue and trace a message sent this round."""
-        if to not in neighbors[i]:
-            raise ProtocolError(f"agent {i}: send to {to}, which is not a neighbor")
-        text, copy = _encode_payload(payload, i, to)
-        queues[i, to].append((round_no, copy))
-        trace.records.append(TraceRecord(round_no, i, to, text))
-
-    contexts = {}
-    for i in range(sys.r):
-        contexts[i] = AgentContext(
-            id=i,
-            subsystem=sys.subsystem(i),
-            incoming={c.from_: c.E for c in sys.incoming(i)},
-            outgoing={c.to: c.E for c in sys.outgoing(i)},
-            send=partial(send, i),
-        )
-    neighbors = {i: frozenset(ctx.neighbors) for i, ctx in contexts.items()}
-    # Unconsumed messages per (sender, receiver) neighbor pair, in both
-    # directions: FIFO of (send_round, payload).
-    queues = {(i, j): deque() for i in range(sys.r) for j in neighbors[i]}
-    trace = Trace()
+    records = []
     round_no = 0  # a program that is not a generator may send as it is called
+
+    def sender(i: int, outbox: dict) -> Callable[[int, object], None]:
+        """Agent i's ``ctx.send``, given its neighbors' inbox queues of its
+        messages: queue and trace a message sent this round."""
+
+        def send(to: int, payload) -> None:
+            queue = outbox.get(to)
+            if queue is None:
+                raise ProtocolError(f"agent {i}: send to {to}, which is not a neighbor")
+            text, copy = _encode_payload(payload, i, to)
+            queue.append((round_no, copy))
+            records.append(tuple.__new__(TraceRecord, (round_no, i, to, text)))
+
+        return send
+
+    links = [
+        ({c.from_: c.E for c in sys.incoming(i)}, {c.to: c.E for c in sys.outgoing(i)})
+        for i in range(sys.r)
+    ]
+    # inboxes[i][j]: the messages from neighbor j that agent i has not yet
+    # received, as (send round, payload) in send order
+    inboxes = [{j: deque() for j in sorted({*inc, *out})} for inc, out in links]
     agents = []
-    for i in range(sys.r):
-        gen = program(contexts[i])
+    for i, (incoming, outgoing) in enumerate(links):
+        outbox = {j: inboxes[j][i] for j in inboxes[i]}
+        ctx = AgentContext(i, sys.subsystem(i), incoming, outgoing, sender(i, outbox))
+        gen = program(ctx)
         if not isinstance(gen, Generator):
             raise ProtocolError(
                 f"agent {i}: program returned {gen!r}, not a generator"
             )
-        agents.append(_AgentState(gen))
+        agents.append(_AgentState(gen, inboxes[i]))
 
-    def drive(i: int, agent: _AgentState) -> None:
-        """Advance agent i until it returns or blocks on an unavailable Recv."""
-        while True:
-            resume = None
-            if agent.awaiting is not None:
-                q = queues[agent.awaiting, i]
-                if not (q and q[0][0] < round_no):
-                    return  # nothing deliverable yet; stays blocked
-                _, resume = q.popleft()
-                agent.awaiting = None
-            try:
-                action = agent.gen.send(resume)
-            except StopIteration as stop:
-                agent.done = True
-                agent.output = stop.value
-                return
-            if not isinstance(action, Recv):
-                raise ProtocolError(f"agent {i}: yielded {action!r}; expected Recv")
-            if action.frm not in neighbors[i]:
-                raise ProtocolError(
-                    f"agent {i}: receive from {action.frm}, which is not a neighbor"
-                )
-            agent.awaiting = action.frm
-
-    while True:
+    live = list(enumerate(agents))
+    while live:
         round_no += 1
-        for i, agent in enumerate(agents):
-            if not agent.done:
-                drive(i, agent)
-        live = {i: a for i, a in enumerate(agents) if not a.done}
-        if not live:
-            break
+        finished = False
+        for i, agent in live:
+            # Advance agent i until it returns or blocks on an unavailable Recv.
+            queue = agent.awaiting
+            gen_send = agent.gen.send
+            while True:
+                resume = None
+                if queue is not None:
+                    if not (queue and queue[0][0] < round_no):
+                        break  # nothing deliverable yet; stays blocked
+                    resume = queue.popleft()[1]
+                try:
+                    action = gen_send(resume)
+                except StopIteration as stop:
+                    agent.output = stop.value
+                    finished = True
+                    queue = None
+                    break
+                if not isinstance(action, Recv):
+                    raise ProtocolError(f"agent {i}: yielded {action!r}; expected Recv")
+                queue = agent.inbox.get(action.frm)
+                if queue is None:
+                    raise ProtocolError(
+                        f"agent {i}: receive from {action.frm}, which is not a neighbor"
+                    )
+            agent.awaiting = queue
+        if finished:
+            live = [(i, a) for i, a in live if a.awaiting is not None]
         # Every live agent is now blocked.  Anything still queued on an
         # awaited channel was sent this round and becomes deliverable next
         # round; if no such message exists, no future round changes anything.
-        if not any(queues[a.awaiting, i] for i, a in live.items()):
+        if live and not any(a.awaiting for _, a in live):
             waits = ", ".join(
-                f"agent {i} awaits {a.awaiting}" for i, a in live.items()
+                f"agent {i} awaits {j}"
+                for i, a in live for j, q in a.inbox.items() if q is a.awaiting
             )
             raise DeadlockError(f"no message in flight can unblock: {waits}")
 
     outputs = {i: a.output for i, a in enumerate(agents)}
-    return RunResult(outputs=outputs, trace=trace, rounds=round_no)
+    return RunResult(outputs=outputs, trace=Trace(records), rounds=round_no)

@@ -215,6 +215,22 @@ class TestProtocol:
         with pytest.raises(ProtocolError, match="expected Recv"):
             run(line2, program)
 
+    def test_recv_keeps_frm_and_its_repr(self):
+        action = Recv(3)
+        assert action.frm == 3
+        assert repr(action) == "Recv(frm=3)"
+        assert not hasattr(action, "__dict__")
+
+    def test_a_lookalike_with_frm_is_not_a_recv(self, line2):
+        class Lookalike:
+            frm = 1
+
+        def program(ctx):
+            yield Lookalike()
+
+        with pytest.raises(ProtocolError, match="agent 0: yielded .*; expected Recv"):
+            run(line2, program)
+
     def test_program_that_is_not_a_generator(self, line2):
         with pytest.raises(
             ProtocolError, match="agent 0: program returned 5, not a generator"

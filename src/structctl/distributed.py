@@ -10,10 +10,12 @@ propagates internally.  The preflow for the matching condition is
 push-relabel, computed region by region: each agent owns the flow vertices
 of its own subsystem (source- and sink-adjacent copies of its states plus
 its inputs) and keeps cached labels for the boundary vertices of
-neighboring regions.  Excess crosses region boundaries through an
-offer/accept exchange that only ever moves units from a strictly higher
-true label to a strictly lower one, so global label validity is preserved
-and, at quiescence, the flow into the sink equals the global
+neighboring regions.  Labels cross an edge as (position, label) pairs in a
+boundary order that both ends derive from the connections, and the barrier
+sends only the labels that changed.  Excess crosses region boundaries
+through an offer/accept exchange that only ever moves units from a strictly
+higher true label to a strictly lower one, so global label validity is
+preserved and, at quiescence, the flow into the sink equals the global
 maximum-matching size.
 
 Global aggregates travel on that tree: each one is a convergecast plus
@@ -150,7 +152,7 @@ class Region:
     Vertices are integers.  Own ids run L0..Ln-1, R0..Rn-1, U0..Up-1 (the
     sorted order of the ``(side, agent, index)`` tuples they stand for), and
     the cached boundary vertices of neighbors follow in the same sorted
-    order; ``names`` spells each id as it travels on the wire (``"L3"``, or
+    order; ``names`` spells each id in the snapshots (``"L3"``, or
     ``"2.R0"`` for agent 2's vertex) and ends with the sink ``"t"``.
     ``label`` covers own and cached ids, ``excess`` and ``holding`` own ids,
     ``flow`` edge ids: edge k is right n + k's sink edge, then the own edges,
@@ -159,6 +161,17 @@ class Region:
     x, both sorted.  Two tie-breaks fix the discharge order: the active
     vertex is the least (-label, id), and a push goes to the sink first (its
     label is 0), otherwise to the least (label, id).
+
+    Labels travel by position.  Both ends of an edge derive its boundary
+    order from the connections' E: the sender's lefts that feed the
+    receiver, then the sender's rights that the receiver feeds, each by
+    ascending state, which are ascending ids at both ends.
+    ``shared_with[j]`` lists the own ids in the order towards j,
+    ``cached_from[j]`` the cached ids in j's order towards this region, and
+    ``told[j]`` the label j last heard for each own id of the order, which
+    starts as j's cache does.  Without the incoming boundary a receiver
+    caches only the sender's rights, which the sender's region does not
+    see, so every order is empty and no label is sent.
     """
 
     def __init__(self, ctx: AgentContext, include_incoming: bool = True):
@@ -207,8 +220,9 @@ class Region:
         self.cross: list[list] = [[] for _ in range(V + len(remote))]
         self.keys: list = [None] * len(self.ends)  # wire key per cross edge
         self.edge_of: dict[tuple, int] = {}  # wire key -> cross edge
-        self.shared_with = {j: [] for j in ctx.neighbors}  # own ids j caches
-        self.remote_of = {j: {} for j in ctx.neighbors}  # j's keys -> cached ids
+        # each edge's boundary order, at both ends (see the class doc)
+        self.shared_with = {j: [] for j in ctx.neighbors}
+        self.cached_from = {j: [] for j in ctx.neighbors}
         for x, v, j, key in links:
             e = len(self.ends)
             self.ends.append((x, rid[v]) if x < n else (rid[v], x))
@@ -216,12 +230,15 @@ class Region:
             self.cross[rid[v]].append((x, e))
             self.keys.append(key)
             self.edge_of[key] = e
-            if x not in self.shared_with[j]:
+            if include_incoming and x not in self.shared_with[j]:
                 self.shared_with[j].append(x)
-        for v in remote:
-            self.remote_of[v[1]][_vkey(v)] = rid[v]
+        if include_incoming:
+            for v in remote:
+                self.cached_from[v[1]].append(rid[v])
         for adjacency in (*self.internal, *self.cross, *self.shared_with.values()):
             adjacency.sort()
+        label = self.label
+        self.told = {j: [label[v] for v in ids] for j, ids in self.shared_with.items()}
         self.flow = [0] * len(self.ends)
 
     def sink_flow(self) -> int:
@@ -374,16 +391,16 @@ def _exact_relabel(ctx: AgentContext, tree: Tree, region: Region, cap: int):
 
     Each round the agents with news send every neighbor the capped
     distances of those own vertices the neighbor caches that changed since
-    the agent last sent them (``{}`` when none of them did); in round 1
-    every agent has news.  Then a union on the tree names the agents whose
-    distances changed this round: they, and only they, send in the next
-    round, and each agent receives only from the neighbors named.  Remote
+    the agent last sent them, as ``[position, distance, ...]`` in the edge's
+    boundary order (see :class:`Region`; ``[]`` when none changed); in
+    round 1 every agent has news.  Then a union on the tree names the agents
+    whose distances changed this round: they, and only they, send in the
+    next round, and each agent receives only from the neighbors named.  Remote
     prices only decrease, so distances only decrease, and each remote price
     is the last distance its owner sent.  Once no agent has news every
     distance has been sent and every price equals it, which is the
     fixpoint, so every agent stops after the same round."""
-    names, cross, flow = region.names, region.cross, region.flow
-    open_at = region.open_at
+    cross, flow, open_at = region.cross, region.flow, region.open_at
     remote = [cap] * len(region.label)  # prices, read at cached ids only
     shared = sorted(set().union(*region.shared_with.values()))
     sent: list = [None] * len(region.excess)
@@ -405,10 +422,10 @@ def _exact_relabel(ctx: AgentContext, tree: Tree, region: Region, cap: int):
         t += 1
         if ctx.id in speakers:
             for j in ctx.neighbors:
-                d = {}
-                for v in region.shared_with[j]:
+                d = []
+                for x, v in enumerate(region.shared_with[j]):
                     if v in changed:
-                        d[names[v]] = changed[v]
+                        d += x, changed[v]
                 # "chg" (the round) stays only because bench/checks.phase_of
                 # recognises relabel messages by their key set.
                 ctx.send(j, {"d": d, "chg": t})
@@ -416,10 +433,10 @@ def _exact_relabel(ctx: AgentContext, tree: Tree, region: Region, cap: int):
         for j in ctx.neighbors:
             if j not in speakers:
                 continue
-            heard = yield Recv(j)
-            cached = region.remote_of[j]  # every key j sends, with both boundaries
-            for key, val in heard["d"].items():
-                w = cached[key]
+            d = (yield Recv(j))["d"]
+            cached = region.cached_from[j]
+            for x in range(0, len(d), 2):
+                w, val = cached[d[x]], d[x + 1]
                 if val < remote[w]:
                     remote[w] = val
                     # a lower price matters only where it lowers a step out
@@ -450,6 +467,12 @@ def _barrier(ctx: AgentContext, region: Region):
     """One boundary exchange: labels and offers out, accepts back, transfers
     applied on both sides.  Returns the number of own units accepted away.
 
+    Labels go as ``[position, label, ...]`` in the edge's boundary order
+    (see :class:`Region`), and only those that changed since the last
+    barrier on that edge: the receiver keeps its cache, which no other step
+    raises past the owner's label, so after the exchange every cached label
+    equals its owner's.  An offering vertex's label is read from that cache.
+
     Only a neighbor that made offers gets an accepts message, possibly an
     empty one, so an agent waits for a reply only from the neighbors it
     offered to: an empty reply to no offer would move nothing.  An offer
@@ -469,11 +492,12 @@ def _barrier(ctx: AgentContext, region: Region):
                 j = key[2] if key[0] == region.owner else key[0]
                 offers_to[j].append([list(key), 1])
 
-    names = region.names
     for j in ctx.neighbors:
-        mine = {}
-        for v in region.shared_with[j]:
-            mine[names[v]] = label[v]
+        told, mine = region.told[j], []
+        for x, v in enumerate(region.shared_with[j]):
+            if label[v] != told[x]:
+                told[x] = label[v]
+                mine += x, label[v]
         ctx.send(j, {"labels": mine, "offers": sorted(offers_to[j])})
     inbound = {}
     for j in ctx.neighbors:
@@ -482,28 +506,27 @@ def _barrier(ctx: AgentContext, region: Region):
     accepts_to: dict[int, list] = {j: [] for j in ctx.neighbors}
     incoming_units = []  # (own vertex, edge or None, new flow) moved to us
     for j in ctx.neighbors:
-        labels = inbound[j]["labels"]
-        cached = region.remote_of[j]
-        for key, lab in labels.items():
-            if key in cached and lab > label[cached[key]]:
-                label[cached[key]] = lab
+        labels, cached = inbound[j]["labels"], region.cached_from[j]
+        for x in range(0, len(labels), 2):
+            w = cached[labels[x]]
+            if labels[x + 1] > label[w]:
+                label[w] = labels[x + 1]
         for key, amount in inbound[j]["offers"]:
             if amount != 1:
                 raise ProtocolError(
                     f"agent {ctx.id}: offer of {amount} units from {j}; offers move 1"
                 )
-            fs, fl, ts, tl = key
-            if ts == region.owner:  # forward offer onto our right
-                w = n + tl
-                if not region.include_incoming:
-                    accepts_to[j].append(key)
-                    incoming_units.append((w, None, 1))
-                elif labels[f"L{fl}"] > label[w]:
-                    accepts_to[j].append(key)
-                    incoming_units.append((w, region.edge_of[tuple(key)], 1))
-            elif labels[f"R{tl}"] > label[fl]:  # a unit back along our cross edge
+            forward = key[2] == region.owner  # onto our right, else back
+            if forward and not region.include_incoming:
+                accepts_to[j].append(key)  # our region has no edge for it
+                incoming_units.append((n + key[3], None, 1))
+                continue
+            e = region.edge_of[tuple(key)]
+            left, right = region.ends[e]  # j's end is a cached id, just updated
+            v, w, f = (right, left, 1) if forward else (left, right, 0)
+            if label[w] > label[v]:
                 accepts_to[j].append(key)
-                incoming_units.append((fl, region.edge_of[tuple(key)], 0))
+                incoming_units.append((v, e, f))
 
     for j in ctx.neighbors:
         if inbound[j]["offers"]:

@@ -104,7 +104,17 @@ def is_ids(payload) -> bool:
 
 
 def is_relabel(payload) -> bool:
-    return isinstance(payload, dict) and set(payload) == {"d", "chg"}
+    """A relabel sweep message: ``{"d": [position, distance, ...], "chg": t}``."""
+    return (
+        isinstance(payload, dict)
+        and set(payload) == {"d", "chg"}
+        and isinstance(payload["d"], list)
+    )
+
+
+def by_position(flat: list) -> dict:
+    """A flat ``[position, value, ...]`` list as {position: value}."""
+    return dict(zip(flat[::2], flat[1::2]))
 
 
 def setup_messages(sysm) -> list[int]:
@@ -319,7 +329,8 @@ class TestFloodedPhases:
             def send(to, payload):
                 ctx.send(to, payload)
                 if is_relabel(payload):
-                    last.update(payload["d"])
+                    for x, val in by_position(payload["d"]).items():
+                        last[region.shared_with[to][x]] = val
 
             sweep = real(dataclasses.replace(ctx, send=send), tree, region, cap)
             reply = None
@@ -330,13 +341,12 @@ class TestFloodedPhases:
                     break
                 reply = yield action
                 if is_relabel(reply):
-                    for key, val in reply["d"].items():
-                        w = region.remote_of[action.frm].get(key)
-                        if w is not None:
-                            prices[w] = min(prices[w], val)
+                    for x, val in by_position(reply["d"]).items():
+                        w = region.cached_from[action.frm][x]
+                        prices[w] = min(prices[w], val)
             dist = region._relax(cap, region._exits(cap, prices))
             shared = {v for bucket in region.shared_with.values() for v in bucket}
-            settled.append(last == {region.names[v]: min(dist[v], cap) for v in shared})
+            settled.append(last == {v: min(dist[v], cap) for v in shared})
 
         monkeypatch.setattr(distributed, "_exact_relabel", spy)
         sweeps_seen = quiet_speakers = 0
@@ -383,7 +393,9 @@ class TestFloodedPhases:
                     speaks = [1] + [t + 2 for t in range(rounds - 1) if i in lists[t]]
                     by_round: dict = {}
                     for j, payload in relabels:
-                        by_round.setdefault(payload["chg"], []).append((j, payload["d"]))
+                        by_round.setdefault(payload["chg"], []).append(
+                            (j, by_position(payload["d"]))
+                        )
                     assert sorted(by_round) == speaks, (i, k)
                     before: dict = {}
                     for t, sent in sorted(by_round.items()):
@@ -514,7 +526,85 @@ class TestBarrier:
         with pytest.raises(ProtocolError, match="offer of 2 units"):
             while isinstance(action, Recv):
                 offers = [[key, 2]] if action.frm == key[0] else []
-                action = barrier.send({"labels": {}, "offers": offers})
+                action = barrier.send({"labels": [], "offers": offers})
+
+    def test_both_ends_derive_the_same_boundary_order(self, ring4):
+        systems = [ring4] + [sysm for _, sysm in corpus(20, start=6700, r_hi=7)]
+        for sysm in systems:
+            for include in (True, False):
+                regions = [Region(ring_context(sysm, i), include) for i in range(sysm.r)]
+                for i, region in enumerate(regions):
+                    V = len(region.excess)
+                    cached = sorted(w for ids in region.cached_from.values() for w in ids)
+                    # with the incoming boundary every cached id has a position
+                    assert cached == (list(range(V, len(region.label))) if include else [])
+                    for j, own in region.shared_with.items():
+                        peer = regions[j]
+                        assert [f"{i}.{region.names[v]}" for v in own] == [
+                            peer.names[w] for w in peer.cached_from[i]
+                        ]
+                        assert bool(own) == include
+
+    def test_every_cached_label_equals_its_owners_after_each_barrier(
+        self, ring4, monkeypatch
+    ):
+        real = distributed._barrier
+        regions: dict = {}
+        after: dict = {}  # (agent, barrier number) -> its labels after it
+
+        def spy(ctx, region):
+            accepted = yield from real(ctx, region)
+            regions[ctx.id] = region
+            k = sum(agent == ctx.id for agent, _ in after)
+            after[ctx.id, k] = region.label[:]
+            return accepted
+
+        monkeypatch.setattr(distributed, "_barrier", spy)
+        checked = 0
+        for sysm in [ring4] + [sysm for _, sysm in corpus(20, start=6900, r_hi=7)]:
+            regions.clear()
+            after.clear()
+            run(sysm, controlled)
+            for (i, k), labels in after.items():
+                for j, cached in regions[i].cached_from.items():
+                    for x, w in enumerate(cached):
+                        v = regions[j].shared_with[i][x]
+                        assert labels[w] == after[j, k][v], (i, j, k, x)
+                        checked += 1
+        assert checked > 0
+
+    def test_a_barrier_without_label_changes_sends_no_labels(self, ring4):
+        sent = []
+        ctx = ring_context(ring4, 0, sent)
+        region = Region(ctx)
+        v = region.shared_with[ctx.neighbors[0]][0]
+        region.label[v] += 3
+
+        def barrier_labels():
+            sent.clear()
+            barrier = _barrier(ctx, region)
+            action = next(barrier)
+            with pytest.raises(StopIteration):
+                while True:
+                    action = barrier.send({"labels": [], "offers": []})
+            return {to: payload["labels"] for to, payload in sent}
+
+        # the raised label goes to every neighbor that caches it, once
+        assert barrier_labels() == {
+            j: [own.index(v), region.label[v]] if v in own else []
+            for j, own in region.shared_with.items()
+        }
+        assert barrier_labels() == {j: [] for j in ctx.neighbors}
+
+    def test_without_the_incoming_boundary_no_label_is_sent(self, ring4):
+        for sysm in [ring4] + [sysm for _, sysm in corpus(10, start=6700, r_hi=7)]:
+            res = run(sysm, controlled_program(drop_incoming_boundary=True))
+            barriers = [
+                payload
+                for payload in (json.loads(rec.payload) for rec in res.trace)
+                if isinstance(payload, dict) and set(payload) == {"labels", "offers"}
+            ]
+            assert barriers and all(payload["labels"] == [] for payload in barriers)
 
 
 class TestTree:

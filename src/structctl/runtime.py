@@ -26,8 +26,8 @@ that tree.
 Payloads must be JSON-representable.  Each payload is encoded once at send
 time, and the encoded text is decoded right away into the copy that is queued
 for its one receiver; the text goes into the trace as one
-:class:`TraceRecord` row.  Later mutation by the
-sender therefore cannot leak through, and every receiver gets a fresh copy.
+:class:`TraceRecord` row.  Later mutation by the sender therefore cannot
+leak through, and every receiver gets a fresh copy.
 A payload whose decoded copy does not equal it (tuples, non-string keys) or
 that the encoder refuses is walked by a strict checker, which either accepts
 it (tuples become lists) or raises :class:`ProtocolError` naming the fault.

@@ -74,6 +74,16 @@ def copy_level_digraph(spec: SimilarSystemSpec) -> Graph:
     return digraph(spec.r, ((j, i) for i, j in spec.E.nonzeros))
 
 
+def _check_copies(r: int, n: int, p: int) -> None:
+    """Refuse r copies of n states and p inputs past the states-plus-inputs
+    limit that system files have."""
+    if r * (n + p) > MAX_VERTICES:
+        raise ModelError(
+            f"similar spec: {r} copies of {n + p} states plus inputs "
+            f"are above the limit of {MAX_VERTICES}"
+        )
+
+
 def expand(spec: SimilarSystemSpec) -> InterconnectedSystem:
     """Materialize the r coupled copies as an ordinary system.
 
@@ -81,11 +91,7 @@ def expand(spec: SimilarSystemSpec) -> InterconnectedSystem:
     copies are then mutually disconnected).  Raises ModelError past the
     states-plus-inputs limit that system files have.
     """
-    if spec.r * (spec.n + spec.p) > MAX_VERTICES:
-        raise ModelError(
-            f"similar spec: {spec.r} copies of {spec.n + spec.p} states plus inputs "
-            f"are above the limit of {MAX_VERTICES}"
-        )
+    _check_copies(spec.r, spec.n, spec.p)
     subs = tuple(
         Subsystem(id=i, n=spec.n, p=spec.p, A=spec.Aprime, B=spec.Bprime)
         for i in range(spec.r)
@@ -174,6 +180,7 @@ def similar_from_obj(obj) -> SimilarSystemSpec:
     r = _require_int(body, "r", "similar")
     n = _require_int(body, "n", "similar")
     p = _require_int(body, "p", "similar")
+    _check_copies(r, n, p)  # before the checks allocate per copy
     return SimilarSystemSpec(
         r=r,
         n=n,

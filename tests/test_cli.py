@@ -248,9 +248,14 @@ class TestVerifyInputHandling:
             "r": model.MAX_VERTICES, "n": 1, "p": 1, "Aprime": [], "Bprime": [[0, 0]],
             "H": [[0, 0]], "E": [[0, 1]],
         }}))
-        code, out, _ = run_cli(capsys, "verify", "--mode", "centralized", "--input", str(path))
-        assert code == 2
-        assert "above the limit of 10000000" in report_of(out)["error"]
+        # the similar checks refuse the template before they allocate per copy
+        for mode in ("centralized", "similar-thm1", "similar-thm2"):
+            code, out, _ = run_cli(capsys, "verify", "--mode", mode, "--input", str(path))
+            assert code == 2
+            assert report_of(out)["error"] == (
+                f"{path}: similar spec: 10000000 copies of 2 states plus inputs "
+                "are above the limit of 10000000"
+            )
 
     def test_fig5_flag_needs_distributed(self, capsys, ring_file):
         code, out, _ = run_cli(

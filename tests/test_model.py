@@ -36,7 +36,7 @@ from structctl.model import (
     system_digraph,
     system_from_obj,
 )
-from structctl.similar import SimilarSystemSpec, expand, random_similar_spec
+from structctl.similar import SimilarSystemSpec, expand, random_similar_spec, similar_from_obj
 
 
 class TestSparsityPattern:
@@ -296,6 +296,35 @@ class TestVertexLimit:
                                  pat(1, 1, {(0, 0)}), pat(r, r, {(0, 1)}))
         with pytest.raises(ModelError, match="5000001 copies of 2 states plus inputs"):
             expand(spec)
+
+    @staticmethod
+    def template(r, n, p):
+        return {"similar": {"r": r, "n": n, "p": p, "Aprime": [], "Bprime": [],
+                            "H": [[0, 0]], "E": [[0, 1]]}}
+
+    def test_a_template_past_the_limit_is_rejected_without_allocating(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ModelError) as err:
+                similar_from_obj(self.template(MAX_VERTICES // 3 + 1, 2, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == (
+            "similar spec: 3333334 copies of 3 states plus inputs "
+            "are above the limit of 10000000"
+        )
+        assert peak < 1 << 20
+
+    def test_a_template_at_the_limit_loads_without_allocating_per_copy(self):
+        tracemalloc.start()
+        try:
+            spec = similar_from_obj(self.template(MAX_VERTICES, 1, 0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert spec.r == MAX_VERTICES
+        assert peak < 1 << 20
 
 
 class TestJson:

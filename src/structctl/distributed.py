@@ -20,13 +20,14 @@ maximum-matching size.
 
 Global aggregates travel on that tree: each one is a convergecast plus
 broadcast of 2(r - 1) messages (the runtime's ``tree_aggregate``).
-``controlled`` runs five kinds: the sizes, reachability's per-iteration "any
-reached set grew", the label census of every pass, the relabel sweep's
-per-round list of agents with news, and the final AND-consensus.  They let
-``controlled`` send only messages that carry news: reachability stops at its
-global fixpoint, only agents with news speak in the relabel sweep, and
-accepts answer only offers.  Each skipped message is one whose effect the
-receiver could predict, so the outputs are those of the full exchange.
+``controlled`` runs four kinds: the sizes (each agent's subtree ids ride up
+with them), reachability's per-iteration "any reached set grew", the label
+census of every pass, and the final AND-consensus.  They let ``controlled``
+send only messages that carry news: reachability stops at its global
+fixpoint, the relabel sweep sends its news only along news edges (see
+below), and accepts answer only offers.  Each skipped message is one whose
+effect the receiver could predict, so the outputs are those of the full
+exchange.
 
 Termination and the pass bound: each pass starts by recomputing every own
 label as the residual distance to the sink given the cached boundary labels
@@ -38,10 +39,10 @@ From the second pass on, the recomputation becomes a synchronous multi-round
 sweep that relaxes distances across regions to a global fixpoint, which
 rules out the count-to-infinity laddering two mutually cached boundaries
 could otherwise sustain.  The sweep sends only distances that changed, and
-after each round a union on the tree names the agents whose distances
-changed; only they send in the next round, and all agents stop once none
-did, which is a global fixpoint (see :func:`_exact_relabel`).  Without the
-incoming boundary no neighbor caches what a sweep would send, so none runs.
+after each round the tree carries its (speaker, listener) news edges only
+to the subtrees that hold them; all agents stop once none has news, which
+is a global fixpoint (see :func:`_exact_relabel`).  Without the incoming
+boundary no neighbor caches what a sweep would send, so none runs.
 Labels are capped at 2*sum(n)+sum(p)+2 (the number of flow vertices); excess
 stuck at the cap is permanently trapped, and the run stops once no region
 holds excess below the cap.
@@ -60,6 +61,7 @@ those labels (and the cap) could turn out otherwise.
 from __future__ import annotations
 
 import heapq
+from functools import cached_property
 
 from .graphkit import scc
 from .model import digraph, state_digraph
@@ -70,11 +72,22 @@ from .runtime import AgentContext, ProtocolError, Recv, Tree, bfs, tree_aggregat
 # sizes and reachability
 
 
-def _size_entry(ctx: AgentContext, succ: list) -> list:
-    """The agent's share of the global sizes: ``[state-digraph SCC count, n,
-    p]``, with ``succ`` the agent's ``state_digraph(A)``."""
+def _sizes(ctx: AgentContext, tree: Tree, succ: list, subtrees: bool):
+    """The sizes ``[SCC count of the state digraph succ, n, p]`` summed on
+    ``tree``, and ``{id: the child whose subtree holds it}`` for the sweep:
+    with ``subtrees`` each subtree's ids ride up behind the sums."""
+    toward: dict = {}
+
+    def merge(sums: list, heard: list) -> list:
+        for c, got in zip(tree.children, heard):
+            sums = [a + b for a, b in zip(sums, got)]
+            toward.update(dict.fromkeys(got[3:], c))
+        up = subtrees and tree.parent is not None
+        return sums + (sorted([ctx.id, *toward]) if up else [])
+
     own = ctx.subsystem
-    return [len(scc(succ)), own.n, own.p]
+    sums = yield from tree_aggregate(ctx, tree, [len(scc(succ)), own.n, own.p], merge)
+    return sums, toward
 
 
 def _reached_steps(
@@ -195,11 +208,8 @@ class Region:
                 for j in sorted(ctx.incoming)
                 for k, l in sorted(ctx.incoming[j].nonzeros)
             ]
-        remote = sorted({v for _, v, _, _ in links})
+        self.remote = remote = sorted({v for _, v, _, _ in links})
         rid = {v: V + x for x, v in enumerate(remote)}
-        own = [(s, i, k) for s, m in (("L", n), ("R", n), ("U", p)) for k in range(m)]
-        self.names = [_vkey(v) for v in own]
-        self.names += [f"{v[1]}.{_vkey(v)}" for v in remote] + ["t"]
         self.label = [2] * n + [1] * n + [2] * p
         self.label += [1 if v[0] == "R" else 2 for v in remote]
         self.excess = [1] * n + [0] * n + [1] * p
@@ -207,39 +217,47 @@ class Region:
         # the flow value that leaves room to push away from an own vertex
         self.open_at = [0] * n + [1] * n + [0] * p
 
-        sink = len(self.names) - 1
-        self.ends = [(n + k, sink) for k in range(n)]  # (left, right) per edge
-        self.ends += [(l, n + k) for k, l in sorted(sub.A.nonzeros)]
-        self.ends += [(2 * n + l, n + k) for k, l in sorted(sub.B.nonzeros)]
-        self.internal: list[list] = [[] for _ in range(V)]  # (own target, edge)
-        for e in range(n, len(self.ends)):
-            v, w = self.ends[e]
-            self.internal[v].append((w, e))
-            self.internal[w].append((v, e))
+        sink = V + len(remote)
+        self.ends = ends = [(n + k, sink) for k in range(n)]  # (left, right) per edge
+        ends += [(l, n + k) for k, l in sorted(sub.A.nonzeros)]
+        ends += [(2 * n + l, n + k) for k, l in sorted(sub.B.nonzeros)]
+        self.internal = internal = [[] for _ in range(V)]  # (own target, edge)
+        for e in range(n, len(ends)):
+            v, w = ends[e]
+            internal[v].append((w, e))
+            internal[w].append((v, e))
         # (vertex across the boundary, edge) for own and cached ids alike
-        self.cross: list[list] = [[] for _ in range(V + len(remote))]
-        self.keys: list = [None] * len(self.ends)  # wire key per cross edge
-        self.edge_of: dict[tuple, int] = {}  # wire key -> cross edge
+        self.cross = cross = [[] for _ in range(V + len(remote))]
+        self.keys = keys = [None] * len(ends)  # wire key per cross edge
+        self.edge_of = edge_of = {}  # wire key -> cross edge
         # each edge's boundary order, at both ends (see the class doc)
-        self.shared_with = {j: [] for j in ctx.neighbors}
+        shared: dict = {j: set() for j in ctx.neighbors}
         self.cached_from = {j: [] for j in ctx.neighbors}
         for x, v, j, key in links:
-            e = len(self.ends)
-            self.ends.append((x, rid[v]) if x < n else (rid[v], x))
-            self.cross[x].append((rid[v], e))
-            self.cross[rid[v]].append((x, e))
-            self.keys.append(key)
-            self.edge_of[key] = e
-            if include_incoming and x not in self.shared_with[j]:
-                self.shared_with[j].append(x)
+            e, y = len(ends), rid[v]
+            ends.append((x, y) if x < n else (y, x))
+            cross[x].append((y, e))
+            cross[y].append((x, e))
+            keys.append(key)
+            edge_of[key] = e
+            if include_incoming:
+                shared[j].add(x)
         if include_incoming:
             for v in remote:
                 self.cached_from[v[1]].append(rid[v])
-        for adjacency in (*self.internal, *self.cross, *self.shared_with.values()):
+        for adjacency in (*internal, *cross):
             adjacency.sort()
+        self.shared_with = {j: sorted(ids) for j, ids in shared.items()}
         label = self.label
         self.told = {j: [label[v] for v in ids] for j, ids in self.shared_with.items()}
-        self.flow = [0] * len(self.ends)
+        self.flow = [0] * len(ends)
+
+    @cached_property
+    def names(self) -> list:
+        """Each id spelled for the snapshots (see above), built on first read."""
+        i, n, p = self.owner, self.n, len(self.excess) - 2 * self.n
+        own = [(s, i, k) for s, m in (("L", n), ("R", n), ("U", p)) for k in range(m)]
+        return [*map(_vkey, own), *(f"{v[1]}.{_vkey(v)}" for v in self.remote), "t"]
 
     def sink_flow(self) -> int:
         return sum(self.flow[: self.n])
@@ -264,9 +282,16 @@ class Region:
     def _relax(self, cap: int, base: list) -> list:
         """Residual distance to the sink for every own vertex, capped at
         ``cap``, given its cheapest step out (see :meth:`_exits`)."""
-        flow, open_at, internal = self.flow, self.open_at, self.internal
         dist = [b if b < cap else cap for b in base]
-        heap = sorted((b, v) for v, b in enumerate(base) if b < cap)
+        self._lower(dist, [(b, v) for v, b in enumerate(base) if b < cap])
+        return dist
+
+    def _lower(self, dist: list, heap: list) -> set:
+        """Lower ``dist`` in place along residual paths from the ``(distance,
+        vertex)`` entries of ``heap``, already in ``dist``; return all lowered."""
+        flow, open_at, internal = self.flow, self.open_at, self.internal
+        lowered = {v for _, v in heap}
+        heapq.heapify(heap)
         while heap:
             d, v = heapq.heappop(heap)
             if d > dist[v]:
@@ -277,8 +302,9 @@ class Region:
             for u, e in internal[v]:
                 if flow[e] != room and d < dist[u]:
                     dist[u] = d
+                    lowered.add(u)
                     heapq.heappush(heap, (d, u))
-        return dist
+        return lowered
 
     def recompute_labels(self, cap: int) -> None:
         """Raise every own label to the exact residual distance to the sink,
@@ -382,85 +408,105 @@ class Region:
                 seen.clear()  # periods are read off real iterations only
 
 
-def _exact_relabel(ctx: AgentContext, tree: Tree, region: Region, cap: int):
+def _exact_relabel(
+    ctx: AgentContext, tree: Tree, toward: dict, region: Region, cap: int
+):
     """Synchronous distance sweep replacing the cached recomputation once a
     run drags on: fresh residual distances relax to a global fixpoint, one
     region hop per round, so every label (own and cached) becomes the exact
     global residual distance and trapped excess freezes at once.  It needs
     the incoming boundary, or no neighbor caches what an agent sends.
 
-    Each round the agents with news send every neighbor the capped
-    distances of those own vertices the neighbor caches that changed since
-    the agent last sent them, as ``[position, distance, ...]`` in the edge's
-    boundary order (see :class:`Region`; ``[]`` when none changed); in
-    round 1 every agent has news.  Then a union on the tree names the agents
-    whose distances changed this round: they, and only they, send in the
-    next round, and each agent receives only from the neighbors named.  Remote
-    prices only decrease, so distances only decrease, and each remote price
-    is the last distance its owner sent.  Once no agent has news every
-    distance has been sent and every price equals it, which is the
-    fixpoint, so every agent stops after the same round."""
+    In round 1 every agent sends every neighbor the capped distances of the
+    own vertices it caches, as ``{"d": [position, distance, ...], "chg":
+    round}`` in the edge's boundary order (see :class:`Region`).  Then each
+    agent whose distances changed names a (speaker, listener) pair for each
+    neighbor caching a change.  The pairs go up the tree as ``[s, l, ...]``;
+    child c gets ``[next round, s, l, ...]`` with the pairs whose speaker or
+    listener its subtree holds (``toward``, see :func:`_sizes`), and in that
+    round each speaker sends its listeners only the changes, which they read
+    in ascending speaker order.  A subtree holding neither gets nothing: it
+    sleeps on its parent and sends nothing up after that round, and the
+    parent, which knows what it forwarded, does not wait for it.  A speaker
+    forwards the list before it speaks, so on each tree edge a round's list
+    comes before its relabels.  Inside a region a round lowers distances
+    only from the vertices whose step out fell (:meth:`Region._lower`), and
+    the lowered shared ones are the news.  Distances and prices only
+    decrease, and each price is the last distance its owner sent, so once no
+    agent has news every price equals it: the fixpoint.  The root then sends
+    ``[]``, which every agent forwards to every child."""
     cross, flow, open_at = region.cross, region.flow, region.open_at
     remote = [cap] * len(region.label)  # prices, read at cached ids only
-    shared = sorted(set().union(*region.shared_with.values()))
-    sent: list = [None] * len(region.excess)
 
-    def news(dist: list) -> dict:
-        """The shared distances that differ from the last ones sent."""
+    def news(lowered) -> dict:
+        """``[position, distance, ...]`` of the lowered own ids per neighbor."""
         out = {}
-        for v in shared:
-            if sent[v] != dist[v]:
-                sent[v] = out[v] = dist[v]
+        for j, ids in region.shared_with.items():
+            d = []
+            for x, v in enumerate(ids):
+                if v in lowered:
+                    d += x, dist[v]
+            if d:
+                out[j] = d
         return out
 
-    base = region._exits(cap, remote)
-    dist = region._relax(cap, base)
-    changed = news(dist)
-    speakers = {ctx.id, *ctx.neighbors}  # round 1: everyone
-    t = 0
-    while speakers:
-        t += 1
-        if ctx.id in speakers:
-            for j in ctx.neighbors:
-                d = []
-                for x, v in enumerate(region.shared_with[j]):
-                    if v in changed:
-                        d += x, changed[v]
-                # "chg" (the round) stays only because bench/checks.phase_of
-                # recognises relabel messages by their key set.
-                ctx.send(j, {"d": d, "chg": t})
-        improved = False
-        for j in ctx.neighbors:
-            if j not in speakers:
-                continue
+    # no price is known yet: only the open sink edges lead out (see _exits)
+    me, t, n = ctx.id, 1, region.n
+    dist = [1 if room and flow[v - n] == 0 else cap for v, room in enumerate(open_at)]
+    region._lower(dist, [(1, n + k) for k in range(n) if flow[k] == 0])
+    out = news(range(len(dist)))
+    talk = hear = ctx.neighbors  # round 1: everyone, and every subtree wakes
+    awake = tree.children
+    while True:
+        for j in talk:
+            # "chg" (the round) stays only because bench/checks.phase_of
+            # recognises relabel messages by their key set.
+            ctx.send(j, {"d": out.get(j, []), "chg": t})
+        fell = []
+        for j in hear:
             d = (yield Recv(j))["d"]
             cached = region.cached_from[j]
             for x in range(0, len(d), 2):
                 w, val = cached[d[x]], d[x + 1]
                 if val < remote[w]:
                     remote[w] = val
-                    # a lower price matters only where it lowers a step out
+                    # a lower price matters where its step out beats the distance
                     for v, e in cross[w]:
-                        if flow[e] == open_at[v] and val + 1 < base[v]:
-                            base[v] = val + 1
-                            improved = True
-        changed = {}
-        if improved:
-            dist = region._relax(cap, base)
-            changed = news(dist)
-        ids = yield from tree_aggregate(
-            ctx, tree, [ctx.id] if changed else [],
-            lambda v, heard: sorted(set(v).union(*heard)),
-        )
-        speakers = set(ids)
+                        if flow[e] == open_at[v] and val + 1 < dist[v]:
+                            dist[v] = val + 1
+                            fell.append((val + 1, v))
+        out = news(region._lower(dist, fell)) if fell else {}
+        pairs = [x for j in out for x in (me, j)]  # own news edges first
+        for c in awake:
+            pairs += yield Recv(c)
+        if tree.parent is None:
+            down = [t + 1, *pairs] if pairs else []
+        else:
+            ctx.send(tree.parent, pairs)
+            down = yield Recv(tree.parent)  # a quiet subtree sleeps here
+        if not down:
+            for c in tree.children:
+                ctx.send(c, [])
+            break
+        t, talk, hear = down[0], [], []
+        lists = {c: [t] for c in tree.children}
+        for x in range(1, len(down), 2):
+            s, l = down[x], down[x + 1]
+            if s == me:
+                talk.append(l)
+            elif l == me:
+                hear.append(s)
+            a, b = toward.get(s), toward.get(l)  # the children to wake
+            if a is not None:
+                lists[a] += s, l
+            if b is not None and b != a:
+                lists[b] += s, l
+        hear.sort()
+        awake = [c for c, part in lists.items() if len(part) > 1]
+        for c in awake:
+            ctx.send(c, lists[c])
     # distances and prices never exceed the cap
-    label = region.label
-    for v, d in enumerate(dist):
-        if d > label[v]:
-            label[v] = d
-    for w in range(len(dist), len(label)):
-        if remote[w] > label[w]:
-            label[w] = remote[w]
+    region.label[:] = map(max, region.label, dist + remote[len(dist):])
 
 
 def _barrier(ctx: AgentContext, region: Region):
@@ -587,10 +633,7 @@ def _census(ctx: AgentContext, tree: Tree, region: Region, cap: int):
 
 
 def _prd(
-    ctx: AgentContext,
-    tree: Tree,
-    region: Region,
-    cap: int,
+    ctx: AgentContext, tree: Tree, toward: dict, region: Region, cap: int,
     collect_states: bool,
 ):
     """Push-relabel passes separated by boundary exchanges until no excess in
@@ -604,7 +647,7 @@ def _prd(
         if pass_no > 4 * cap + 10:
             raise RuntimeError(f"agent {ctx.id}: discharge failed to settle")
         if pass_no >= 2 and region.include_incoming:
-            yield from _exact_relabel(ctx, tree, region, cap)
+            yield from _exact_relabel(ctx, tree, toward, region, cap)
         else:
             # On the first pass no flow exists yet, and without the incoming
             # boundary no price can improve: the sweep would end here too.
@@ -650,16 +693,15 @@ def controlled_program(
     def controlled(ctx: AgentContext):
         succ = state_digraph(ctx.subsystem.A)
         tree = yield from bfs(ctx)
-        N, total_n, total_p = yield from tree_aggregate(
-            ctx, tree, _size_entry(ctx, succ),
-            lambda v, heard: [sum(col) for col in zip(v, *heard)],
+        (N, total_n, total_p), toward = yield from _sizes(
+            ctx, tree, succ, not drop_incoming_boundary
         )
         got, sizes, completed = yield from _reached_steps(ctx, succ, N, tree)
         rchd = len(got) == ctx.subsystem.n
 
         cap = 2 * total_n + total_p + 2
         region = Region(ctx, include_incoming=not drop_incoming_boundary)
-        prd_stats = yield from _prd(ctx, tree, region, cap, collect_states)
+        prd_stats = yield from _prd(ctx, tree, toward, region, cap, collect_states)
         mchd = region.sink_flow() == ctx.subsystem.n
 
         ctld = yield from tree_aggregate(

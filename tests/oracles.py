@@ -23,13 +23,13 @@ from collections import deque, namedtuple
 from functools import lru_cache
 
 from structctl.centralized import Verdict, verify
-from structctl.distributed import Region, _reached_steps, _size_entry
+from structctl.distributed import Region, _reached_steps, _sizes
 from structctl.graphkit import left_order, max_matching
 from structctl.model import (
     InterconnectedSystem, SparsityPattern, state_digraph, system_bipartite,
     system_digraph,
 )
-from structctl.runtime import AgentContext, Trace, bfs, tree_aggregate
+from structctl.runtime import AgentContext, Recv, Trace, Tree, bfs, tree_aggregate
 from structctl.similar import SimilarSystemSpec, check_cycle_cover, copy_level_digraph
 
 # The oracles' own graph forms, over any hashable vertices.
@@ -860,10 +860,7 @@ def reached_program(extra_iterations: int = 0):
     def reached(ctx: AgentContext):
         succ = state_digraph(ctx.subsystem.A)
         tree = yield from bfs(ctx)
-        N, _, _ = yield from tree_aggregate(
-            ctx, tree, _size_entry(ctx, succ),
-            lambda v, heard: [sum(col) for col in zip(v, *heard)],
-        )
+        (N, _, _), _ = yield from _sizes(ctx, tree, succ, False)
         got, sizes, completed = yield from _reached_steps(
             ctx, succ, N + extra_iterations
         )
@@ -879,3 +876,84 @@ def reached_program(extra_iterations: int = 0):
 
 
 reached = reached_program()
+
+
+def exact_relabel_by_speakers(ctx: AgentContext, tree: Tree, region: Region, cap: int):
+    """Synchronous distance sweep replacing the cached recomputation once a
+    run drags on: fresh residual distances relax to a global fixpoint, one
+    region hop per round, so every label (own and cached) becomes the exact
+    global residual distance and trapped excess freezes at once.  It needs
+    the incoming boundary, or no neighbor caches what an agent sends.
+
+    Each round the agents with news send every neighbor the capped
+    distances of those own vertices the neighbor caches that changed since
+    the agent last sent them, as ``[position, distance, ...]`` in the edge's
+    boundary order (see :class:`Region`; ``[]`` when none changed); in
+    round 1 every agent has news.  Then a union on the tree names the agents
+    whose distances changed this round: they, and only they, send in the
+    next round, and each agent receives only from the neighbors named.  Remote
+    prices only decrease, so distances only decrease, and each remote price
+    is the last distance its owner sent.  Once no agent has news every
+    distance has been sent and every price equals it, which is the
+    fixpoint, so every agent stops after the same round."""
+    cross, flow, open_at = region.cross, region.flow, region.open_at
+    remote = [cap] * len(region.label)  # prices, read at cached ids only
+    shared = sorted(set().union(*region.shared_with.values()))
+    sent: list = [None] * len(region.excess)
+
+    def news(dist: list) -> dict:
+        """The shared distances that differ from the last ones sent."""
+        out = {}
+        for v in shared:
+            if sent[v] != dist[v]:
+                sent[v] = out[v] = dist[v]
+        return out
+
+    base = region._exits(cap, remote)
+    dist = region._relax(cap, base)
+    changed = news(dist)
+    speakers = {ctx.id, *ctx.neighbors}  # round 1: everyone
+    t = 0
+    while speakers:
+        t += 1
+        if ctx.id in speakers:
+            for j in ctx.neighbors:
+                d = []
+                for x, v in enumerate(region.shared_with[j]):
+                    if v in changed:
+                        d += x, changed[v]
+                # "chg" (the round) stays only because bench/checks.phase_of
+                # recognises relabel messages by their key set.
+                ctx.send(j, {"d": d, "chg": t})
+        improved = False
+        for j in ctx.neighbors:
+            if j not in speakers:
+                continue
+            d = (yield Recv(j))["d"]
+            cached = region.cached_from[j]
+            for x in range(0, len(d), 2):
+                w, val = cached[d[x]], d[x + 1]
+                if val < remote[w]:
+                    remote[w] = val
+                    # a lower price matters only where it lowers a step out
+                    for v, e in cross[w]:
+                        if flow[e] == open_at[v] and val + 1 < base[v]:
+                            base[v] = val + 1
+                            improved = True
+        changed = {}
+        if improved:
+            dist = region._relax(cap, base)
+            changed = news(dist)
+        ids = yield from tree_aggregate(
+            ctx, tree, [ctx.id] if changed else [],
+            lambda v, heard: sorted(set(v).union(*heard)),
+        )
+        speakers = set(ids)
+    # distances and prices never exceed the cap
+    label = region.label
+    for v, d in enumerate(dist):
+        if d > label[v]:
+            label[v] = d
+    for w in range(len(dist), len(label)):
+        if remote[w] > label[w]:
+            label[w] = remote[w]

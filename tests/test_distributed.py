@@ -16,6 +16,7 @@ from oracles import (
     boundary_vertex_count,
     directed,
     discharge_every_step,
+    exact_relabel_by_speakers,
     neighbors,
     reached,
     reached_program,
@@ -27,7 +28,7 @@ from structctl.centralized import verify
 from structctl.distributed import (
     Region,
     _barrier,
-    _size_entry,
+    _sizes,
     _vkey,
     controlled,
     controlled_program,
@@ -98,8 +99,9 @@ def is_census(payload) -> bool:
 
 
 def is_ids(payload) -> bool:
-    """An int list: a reach message, a ``bfs`` message, the sizes, or the
-    relabel sweep's id list."""
+    """An int list: a reach message, a ``bfs`` message, the sizes (with the
+    subtree ids on the way up), or one of the relabel sweep's lists of news
+    edges."""
     return isinstance(payload, list) and all(type(x) is int for x in payload)
 
 
@@ -110,6 +112,64 @@ def is_relabel(payload) -> bool:
         and set(payload) == {"d", "chg"}
         and isinstance(payload["d"], list)
     )
+
+
+def news_edges(flat: list) -> list:
+    """A flat ``[speaker, listener, ...]`` list as sorted (speaker, listener)
+    pairs, repeats kept."""
+    return sorted(zip(flat[::2], flat[1::2]))
+
+
+def sweep_messages(res) -> list:
+    """The relabel sweeps of a ``controlled`` run, read off its trace.
+
+    Per sender, a sweep opens with its round-1 relabel messages and closes
+    with its next barrier message; the int lists it sends in between are the
+    sweep's lists.  Each sweep is ``(relabels, lists)``, with ``(round,
+    speaker, listener, d)`` per relabel message and ``(sender, receiver,
+    list)`` per list, in send order."""
+    sweeps: list = []
+    opened: dict = {}  # sender -> sweeps it has opened
+    inside: dict = {}
+    for rec in res.trace:
+        payload = json.loads(rec.payload)
+        i = rec.sender
+        if is_relabel(payload):
+            if not inside.get(i):
+                inside[i] = True
+                opened[i] = opened.get(i, 0) + 1
+                if opened[i] > len(sweeps):
+                    sweeps.append(([], []))
+            sweeps[opened[i] - 1][0].append((payload["chg"], i, rec.receiver, payload["d"]))
+        elif isinstance(payload, dict) and "offers" in payload:
+            inside[i] = False
+        elif inside.get(i) and is_ids(payload):
+            sweeps[opened[i] - 1][1].append((i, rec.receiver, payload))
+    return sweeps
+
+
+def subtrees(parents: list) -> list[set]:
+    """Each agent's subtree ids in the tree that ``parents`` describes."""
+    below = [{i} for i in range(len(parents))]
+    for i, j in enumerate(parents):
+        while j is not None:
+            below[j].add(i)
+            j = parents[j]
+    return below
+
+
+def run_with_speaker_union_sweep(monkeypatch, sysm, program):
+    """``run(sysm, program)`` with the relabel sweep of
+    :func:`oracles.exact_relabel_by_speakers`, which sends every neighbor a
+    relabel message, ``"d": []`` included, in each round an agent speaks."""
+    with monkeypatch.context() as m:
+        m.setattr(
+            distributed, "_exact_relabel",
+            lambda ctx, tree, toward, region, cap: exact_relabel_by_speakers(
+                ctx, tree, region, cap
+            ),
+        )
+        return run(sysm, program)
 
 
 def by_position(flat: list) -> dict:
@@ -322,7 +382,7 @@ class TestFloodedPhases:
         real = distributed._exact_relabel
         settled = []
 
-        def spy(ctx, tree, region, cap):
+        def spy(ctx, tree, toward, region, cap):
             prices = [cap] * len(region.label)
             last = {}
 
@@ -332,7 +392,7 @@ class TestFloodedPhases:
                     for x, val in by_position(payload["d"]).items():
                         last[region.shared_with[to][x]] = val
 
-            sweep = real(dataclasses.replace(ctx, send=send), tree, region, cap)
+            sweep = real(dataclasses.replace(ctx, send=send), tree, toward, region, cap)
             reply = None
             while True:
                 try:
@@ -354,89 +414,182 @@ class TestFloodedPhases:
             subs = sysm.subsystems
             cap = 2 * sum(s.n for s in subs) + sum(s.p for s in subs) + 2
             parents = bfs_tree_parents(sysm)
-            res = run(sysm, controlled)
-            # Per sender, a sweep is a maximal run of its relabel messages
-            # and the tree union's id lists, opened by round 1's relabel
-            # messages.  Reach messages are int lists too, but every agent
-            # sends them before its first barrier, so before any sweep.
-            sweeps: dict = {}
-            in_sweep: dict = {}
-            for rec in res.trace:
-                payload = json.loads(rec.payload)
-                i = rec.sender
-                relabel = is_relabel(payload)
-                part = relabel or (in_sweep.get(i) and is_ids(payload))
-                if relabel and not in_sweep.get(i):
-                    sweeps.setdefault(i, []).append(([], []))
-                if part:
-                    sweeps[i][-1][0 if relabel else 1].append((rec.receiver, payload))
-                in_sweep[i] = part
-            assert set(sweeps) == set(range(sysm.r))
-            assert len({len(own) for own in sweeps.values()}) == 1
             root_children = [j for j, p in enumerate(parents) if p == 0]
-            for k in range(len(sweeps[0])):
-                # The root's broadcasts, one id list to each child per round:
-                # non-empty until the first empty one, which ends the sweep.
-                down = [ids for _, ids in sweeps[0][k][1]]
-                lists = down[:: len(root_children)]
-                assert down == [ids for ids in lists for _ in root_children]
-                assert lists[-1] == [] and all(lists[:-1]), (k, lists)
-                rounds = len(lists)
-                for i, own in sweeps.items():
-                    relabels, ids = own[k]
-                    children = [j for j, p in enumerate(parents) if p == i]
-                    tree_degree = len(children) + (parents[i] is not None)
-                    assert len(ids) == rounds * tree_degree
-                    # every agent speaks in round 1; after it, exactly the
-                    # agents the last round's list named speak, each to
-                    # every neighbor once, and each says something new
-                    speaks = [1] + [t + 2 for t in range(rounds - 1) if i in lists[t]]
-                    by_round: dict = {}
-                    for j, payload in relabels:
-                        by_round.setdefault(payload["chg"], []).append(
-                            (j, by_position(payload["d"]))
-                        )
-                    assert sorted(by_round) == speaks, (i, k)
-                    before: dict = {}
-                    for t, sent in sorted(by_round.items()):
-                        assert [j for j, _ in sent] == list(neighbors(sysm, i))
-                        if t > 1:
-                            assert any(d for _, d in sent), (i, t)
-                            for j, d in sent:
-                                for key, val in d.items():
-                                    assert val < before[j].get(key, cap + 1), (i, j, t, key)
-                        for j, d in sent:
-                            before.setdefault(j, {}).update(d)
-                quiet_speakers += sum(len(ids) < sysm.r for ids in lists[:-1])
-            sweeps_seen += len(sweeps[0])
+            sweeps = sweep_messages(run(sysm, controlled))
+            for relabels, lists in sweeps:
+                # The root's lists, [t, news edges...] to each child whose
+                # subtree speaks or listens in round t, name every news edge
+                # of the round; the first round without any ends the sweep
+                # with [] to every child.
+                named: dict = {}
+                root_lists = [(j, flat) for i, j, flat in lists if i == 0]
+                for j, flat in root_lists:
+                    named.setdefault(flat[0] if flat else None, []).append((j, flat))
+                assert named.pop(None) == [(j, []) for j in root_children]
+                assert root_lists[-len(root_children):] == [(j, []) for j in root_children]
+                rounds = len(named) + 1
+                assert sorted(named) == list(range(2, rounds + 1))
+                speakers = {1: {(i, j) for i in range(sysm.r) for j in neighbors(sysm, i)}}
+                for t, sent in named.items():
+                    speakers[t] = {e for _, flat in sent for e in news_edges(flat[1:])}
+                # every agent speaks to every neighbor in round 1; after it,
+                # exactly the news edges the lists named carry a message, and
+                # each says something new
+                by_round: dict = {}
+                for t, i, j, d in relabels:
+                    by_round.setdefault(t, []).append((i, j, by_position(d)))
+                assert sorted(by_round) == list(range(1, rounds + 1))
+                before: dict = {}
+                for t, sent in sorted(by_round.items()):
+                    assert sorted((i, j) for i, j, _ in sent) == sorted(speakers[t]), t
+                    for i, j, d in sent:
+                        assert d, (i, j, t)
+                        for key, val in d.items():
+                            assert val < before.get((i, j), {}).get(key, cap + 1)
+                        before.setdefault((i, j), {}).update(d)
+                quiet_speakers += sum(
+                    len({i for i, _ in speakers[t]}) < sysm.r for t in range(2, rounds + 1)
+                )
+            sweeps_seen += len(sweeps)
         assert sweeps_seen > len(systems)
         assert settled and all(settled)
         # some rounds after the first leave agents silent
         assert quiet_speakers > 0
 
     def test_relabel_sweep_ends_at_a_fixpoint(self, ring4, monkeypatch):
-        """One more quiet round per sweep leaves every label where it was."""
+        """One more round per sweep, in which every agent speaks to every
+        neighbor, leaves every label where it was."""
         systems = [ring4] + [sysm for _, sysm in corpus(8, start=6100, r_hi=7)]
         program = controlled_program(collect_states=True)
         plain = [run(sysm, program) for sysm in systems]
 
-        real = distributed.tree_aggregate
-        extra: dict = {}
-        everyone: list = []  # the ids of the system running
+        real = distributed._exact_relabel
+        everyone: list = []  # every news edge of the system running
 
-        def one_more(ctx, tree, value, merge, keyed=False):
-            got = yield from real(ctx, tree, value, merge, keyed)
-            if keyed or not isinstance(value, list) or len(value) > 1:
-                return got  # not the sweep's id list
-            extra[ctx.id] = not got and not extra.get(ctx.id)
-            return got or (everyone if extra[ctx.id] else got)
+        def one_more(ctx, tree, toward, region, cap):
+            """The root adds every news edge to the first round after which
+            it hears no news from any child it woke, and again whenever the
+            round before added none."""
+            if tree.parent is not None:
+                return (yield from real(ctx, tree, toward, region, cap))
+            awake, ups, added = set(tree.children), [], False
 
-        monkeypatch.setattr(distributed, "tree_aggregate", one_more)
+            def send(to, payload):
+                ctx.send(to, payload)
+                if is_ids(payload) and payload:
+                    awake.add(to)
+
+            sweep = real(dataclasses.replace(ctx, send=send), tree, toward, region, cap)
+            reply = None
+            while True:
+                try:
+                    action = sweep.send(reply)
+                except StopIteration as stop:
+                    return stop.value
+                reply = yield action
+                if is_ids(reply):  # a woken child's news edges
+                    ups.append(reply)
+                    if action.frm == max(awake):
+                        quiet = not any(ups)
+                        if quiet and not added:
+                            reply = reply + everyone
+                        added = quiet and not added
+                        ups.clear()
+                        awake.clear()
+
+        monkeypatch.setattr(distributed, "_exact_relabel", one_more)
         for sysm, want in zip(systems, plain):
-            everyone[:] = range(sysm.r)
+            everyone[:] = [x for i in range(sysm.r) for j in neighbors(sysm, i) for x in (i, j)]
             res = run(sysm, program)
             assert res.outputs == want.outputs
             assert len(res.trace) > len(want.trace)
+
+    def test_a_subtree_wakes_only_for_the_news_edges_it_holds(self, ring4):
+        """For each round after the first, a subtree gets the list [t, ...]
+        exactly when it holds a speaker or a listener of round t, and the
+        list names exactly those news edges.  A subtree sends one list up
+        after each round it was awake for, naming the next round's news
+        edges whose speaker it holds, and nothing after a round it slept
+        through.  Every agent receives the final [] once, as the last list
+        of the sweep."""
+        systems = [ring4, star(5), path(6), detour()]
+        systems += [sysm for _, sysm in corpus(20, start=6100, r_hi=8)]
+        systems += [random_system(40, (1, 8), (1, 2), 0.3, seed=40, extra_conn_prob=2 / 40)]
+        slept = 0
+        for sysm in systems:
+            parents = bfs_tree_parents(sysm)
+            below = subtrees(parents)
+            for relabels, lists in sweep_messages(run(sysm, controlled)):
+                rounds = max(t for t, *_ in relabels)
+                edges: dict = {t: [] for t in range(1, rounds + 2)}
+                for t, i, j, _ in relabels:
+                    edges[t].append((i, j))
+                up = {c: [] for c in range(1, sysm.r)}
+                down = {c: [] for c in range(1, sysm.r)}
+                for i, j, flat in lists:
+                    if parents[i] == j:
+                        up[i].append(flat)
+                    else:
+                        assert parents[j] == i
+                        down[j].append(flat)
+                for c in range(1, sysm.r):
+                    assert down[c][-1] == [] and [] not in down[c][:-1], c
+                    woken = {flat[0]: news_edges(flat[1:]) for flat in down[c][:-1]}
+                    assert len(woken) == len(down[c]) - 1
+
+                    def held(t, ends=(0, 1)):
+                        return sorted(e for e in edges[t] if any(e[k] in below[c] for k in ends))
+
+                    for t in range(2, rounds + 1):
+                        assert woken.get(t, []) == held(t), (c, t)
+                        slept += t not in woken
+                    assert set(woken) <= set(range(2, rounds + 1))
+                    awake = [1, *sorted(woken)]
+                    assert [news_edges(flat) for flat in up[c]] == [
+                        held(t + 1, ends=(0,)) for t in awake
+                    ], c
+        assert slept > 0
+
+    def test_each_round_an_agent_receives_exactly_its_news(self, ring4, monkeypatch):
+        """No relabel message is empty.  In each round an agent receives, in
+        ascending order, from exactly the neighbors that have news for it:
+        the same news in the same rounds as when every agent with news tells
+        every neighbor, ``"d": []`` included."""
+        systems = [ring4, path(6)] + [sysm for _, sysm in corpus(20, start=6500, r_hi=8)]
+        real = distributed._exact_relabel
+        heard: dict = {}  # agent -> (sweep, round, sender) per relabel it received
+        sweeps_run: dict = {}  # agent -> sweeps so far
+
+        def spy(ctx, tree, toward, region, cap):
+            k = sweeps_run[ctx.id] = sweeps_run.get(ctx.id, 0) + 1
+            sweep = real(ctx, tree, toward, region, cap)
+            reply = None
+            while True:
+                try:
+                    action = sweep.send(reply)
+                except StopIteration as stop:
+                    return stop.value
+                reply = yield action
+                if is_relabel(reply):
+                    heard.setdefault(ctx.id, []).append((k, reply["chg"], action.frm))
+
+        monkeypatch.setattr(distributed, "_exact_relabel", spy)
+        for sysm in systems:
+            heard.clear()
+            sweeps_run.clear()
+            sweeps = sweep_messages(run(sysm, controlled))
+            told = sweep_messages(run_with_speaker_union_sweep(monkeypatch, sysm, controlled))
+            assert len(sweeps) == len(told)
+            with_news: dict = {}
+            for k, ((relabels, _), (every, _)) in enumerate(zip(sweeps, told), 1):
+                assert all(d for *_, d in relabels)
+                assert sorted(relabels) == sorted(m for m in every if m[3])
+                for t, i, j, d in every:
+                    if d:
+                        with_news.setdefault(j, []).append((k, t, i))
+            assert {j: sorted(got) for j, got in with_news.items()} == heard
+            for got in heard.values():
+                assert got == sorted(got)
 
     def test_census_runs_once_per_pass_on_the_tree(self, ring4):
         systems = [ring4, star(5), path(5), single()]
@@ -477,6 +630,30 @@ class TestFloodedPhases:
         assert (res.rounds, len(res.trace)) == (38, 112)
         res = run(ring4, controlled_program(drop_incoming_boundary=True))
         assert (res.rounds, len(res.trace)) == (34, 98)
+
+
+class TestSpeakerUnionOracle:
+    def test_outputs_and_snapshots_equal_the_speaker_union_sweeps(self, monkeypatch):
+        """The sweep against :func:`oracles.exact_relabel_by_speakers`, which
+        sends every agent the whole speaker list and every neighbor a
+        message: outputs and per-pass snapshots are equal on the wide corpus
+        (input-free subsystems included), the dense r = 10, 20 and 40
+        instances of the scale sweep and the bounded-degree r = 40 and 80
+        ones."""
+        systems = [sysm for _, sysm in wide_corpus(300)]
+        systems += [random_system(r, (1, 8), (1, 2), 0.3, seed=r) for r in (10, 20, 40)]
+        systems += [
+            random_system(r, (1, 8), (1, 2), 0.3, seed=r, extra_conn_prob=2 / r)
+            for r in (40, 80)
+        ]
+        program = controlled_program(collect_states=True)
+        swept = input_free = 0
+        for sysm in systems:
+            want = run_with_speaker_union_sweep(monkeypatch, sysm, program).outputs
+            assert run(sysm, program).outputs == want
+            swept += want[0]["passes"] > 1 and sysm.r > 1
+            input_free += any(s.p == 0 for s in sysm.subsystems)
+        assert swept > 100 and input_free > 0
 
 
 class TestBarrier:
@@ -647,10 +824,10 @@ class TestTree:
     def test_sizes_sum_scc_counts_states_and_inputs(self, ring4):
         def program(ctx):
             tree = yield from bfs(ctx)
-            entry = _size_entry(ctx, state_digraph(ctx.subsystem.A))
-            return (yield from tree_aggregate(
-                ctx, tree, entry, lambda v, heard: [sum(c) for c in zip(v, *heard)]
-            ))
+            succ = state_digraph(ctx.subsystem.A)
+            with_ids = yield from _sizes(ctx, tree, succ, True)
+            without = yield from _sizes(ctx, tree, succ, False)
+            return with_ids, without
 
         for sysm in self.systems(ring4):
             res = run(sysm, program)
@@ -660,7 +837,24 @@ class TestTree:
                 sum(s.n for s in subs),
                 sum(s.p for s in subs),
             ]
-            assert res.outputs == dict.fromkeys(range(sysm.r), want)
+            parents = bfs_tree_parents(sysm)
+            below = subtrees(parents)
+            for i, ((sums, kids), (bare, _)) in res.outputs.items():
+                assert sums == bare == want
+                # each agent learns which child's subtree holds each id below it
+                assert kids == {
+                    x: c for c, p in enumerate(parents) if p == i for x in below[c]
+                }
+            # The ids ride up behind the sums, and only the sums come down:
+            # each tree edge's last two messages each way are the two
+            # aggregates'.
+            for i in range(1, sysm.r):
+                up, down = ([
+                    json.loads(rec.payload) for rec in res.trace
+                    if (rec.sender, rec.receiver) == edge
+                ][-2:] for edge in ((i, parents[i]), (parents[i], i)))
+                assert [m[3:] for m in up] == [sorted(below[i]), []]
+                assert down == [want, want]
             # the controlled run's reachability budget is the same sum
             N = run(sysm, controlled).outputs[0]["N"]
             assert N == want[0]

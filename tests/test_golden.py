@@ -94,7 +94,7 @@ def test_distributed_traces():
         ))
     systems += [random_system(r, (1, 8), (1, 2), 0.3, seed=r) for r in (10, 20, 40)]
     out = [run(sysm, program).trace.to_jsonl() for sysm in systems for program in programs]
-    assert _digest(out) == "22d9bf5fb9c595c673a0bc6b4d78f3e1d0b18a1ce31535505a843657ba036b22"
+    assert _digest(out) == "51702bfb49ca3489c28181460c56e3550f8654941f866cb433b45f0b2a570657"
 
 
 def test_serial_details():

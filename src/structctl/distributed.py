@@ -10,11 +10,11 @@ propagates internally.  The preflow for the matching condition is
 push-relabel, computed region by region: each agent owns the flow vertices
 of its own subsystem (source- and sink-adjacent copies of its states plus
 its inputs) and keeps cached labels for the boundary vertices of
-neighboring regions.  Labels cross an edge as (position, label) pairs in a
-boundary order that both ends derive from the connections, and the barrier
-sends only the labels that changed.  Excess crosses region boundaries
-through an offer/accept exchange that only ever moves units from a strictly
-higher true label to a strictly lower one, so global label validity is
+neighboring regions.  Distances cross an edge as (position, distance)
+pairs in a boundary order that both ends derive from the connections.
+Excess crosses region boundaries through an offer/accept exchange that only
+ever moves units from a strictly higher true label to a strictly lower one
+(each offer carries its vertex's label), so global label validity is
 preserved and, at quiescence, the flow into the sink equals the global
 maximum-matching size.
 
@@ -38,11 +38,12 @@ the lowest label holding excess) that applies the gap heuristic globally.
 From the second pass on, the recomputation becomes a synchronous multi-round
 sweep that relaxes distances across regions to a global fixpoint, which
 rules out the count-to-infinity laddering two mutually cached boundaries
-could otherwise sustain.  The sweep sends only distances that changed, and
-after each round the tree carries its (speaker, listener) news edges only
-to the subtrees that hold them; all agents stop once none has news, which
-is a global fixpoint (see :func:`_exact_relabel`).  Without the incoming
-boundary no neighbor caches what a sweep would send, so none runs.
+could otherwise sustain.  Its first round rides the barrier before it;
+later rounds send only distances that changed, and after each round the
+tree carries its (speaker, listener) news edges only to the subtrees that
+hold them; all agents stop once none has news, which is a global fixpoint
+(see :func:`_exact_relabel`).  Without the incoming boundary no neighbor
+caches what a sweep would send, so none runs.
 Labels are capped at 2*sum(n)+sum(p)+2 (the number of flow vertices); excess
 stuck at the cap is permanently trapped, and the run stops once no region
 holds excess below the cap.
@@ -179,12 +180,11 @@ class Region:
     order from the connections' E: the sender's lefts that feed the
     receiver, then the sender's rights that the receiver feeds, each by
     ascending state, which are ascending ids at both ends.
-    ``shared_with[j]`` lists the own ids in the order towards j,
-    ``cached_from[j]`` the cached ids in j's order towards this region, and
-    ``told[j]`` the label j last heard for each own id of the order, which
-    starts as j's cache does.  Without the incoming boundary a receiver
-    caches only the sender's rights, which the sender's region does not
-    see, so every order is empty and no label is sent.
+    ``shared_with[j]`` lists the own ids in the order towards j, and
+    ``cached_from[j]`` the cached ids in j's order towards this region.
+    Without the incoming boundary a receiver caches only the sender's
+    rights, which the sender's region does not see, so every order is empty
+    and no distance is sent.
     """
 
     def __init__(self, ctx: AgentContext, include_incoming: bool = True):
@@ -248,8 +248,6 @@ class Region:
         for adjacency in (*internal, *cross):
             adjacency.sort()
         self.shared_with = {j: sorted(ids) for j, ids in shared.items()}
-        label = self.label
-        self.told = {j: [label[v] for v in ids] for j, ids in self.shared_with.items()}
         self.flow = [0] * len(ends)
 
     @cached_property
@@ -284,6 +282,14 @@ class Region:
         ``cap``, given its cheapest step out (see :meth:`_exits`)."""
         dist = [b if b < cap else cap for b in base]
         self._lower(dist, [(b, v) for v, b in enumerate(base) if b < cap])
+        return dist
+
+    def opening(self, cap: int) -> list:
+        """Each own vertex's distance to the sink with no price known: only
+        open sink edges lead out (see :meth:`_exits`)."""
+        n, flow, open_at = self.n, self.flow, self.open_at
+        dist = [1 if room and flow[v - n] == 0 else cap for v, room in enumerate(open_at)]
+        self._lower(dist, [(1, n + k) for k in range(n) if flow[k] == 0])
         return dist
 
     def _lower(self, dist: list, heap: list) -> set:
@@ -409,7 +415,8 @@ class Region:
 
 
 def _exact_relabel(
-    ctx: AgentContext, tree: Tree, toward: dict, region: Region, cap: int
+    ctx: AgentContext, tree: Tree, toward: dict, region: Region, cap: int,
+    dist: list, heard: dict,
 ):
     """Synchronous distance sweep replacing the cached recomputation once a
     run drags on: fresh residual distances relax to a global fixpoint, one
@@ -417,24 +424,24 @@ def _exact_relabel(
     global residual distance and trapped excess freezes at once.  It needs
     the incoming boundary, or no neighbor caches what an agent sends.
 
-    In round 1 every agent sends every neighbor the capped distances of the
-    own vertices it caches, as ``{"d": [position, distance, ...], "chg":
-    round}`` in the edge's boundary order (see :class:`Region`).  Then each
-    agent whose distances changed names a (speaker, listener) pair for each
-    neighbor caching a change.  The pairs go up the tree as ``[s, l, ...]``;
-    child c gets ``[next round, s, l, ...]`` with the pairs whose speaker or
-    listener its subtree holds (``toward``, see :func:`_sizes`), and in that
-    round each speaker sends its listeners only the changes, which they read
-    in ascending speaker order.  A subtree holding neither gets nothing: it
-    sleeps on its parent and sends nothing up after that round, and the
-    parent, which knows what it forwarded, does not wait for it.  A speaker
-    forwards the list before it speaks, so on each tree edge a round's list
-    comes before its relabels.  Inside a region a round lowers distances
-    only from the vertices whose step out fell (:meth:`Region._lower`), and
-    the lowered shared ones are the news.  Distances and prices only
-    decrease, and each price is the last distance its owner sent, so once no
-    agent has news every price equals it: the fixpoint.  The root then sends
-    ``[]``, which every agent forwards to every child."""
+    Round 1 rode the barrier (see :func:`_barrier`): the sweep starts from
+    the own opening distances ``dist`` and applies the lists ``heard`` in
+    ascending neighbor order.  Then each agent whose distances changed names
+    a (speaker, listener) pair for each neighbor caching a change.  The
+    pairs go up the tree as ``[s, l, ...]``; child c gets ``[next round, s,
+    l, ...]`` with the pairs whose speaker or listener its subtree holds
+    (``toward``, see :func:`_sizes`), and in that round each speaker sends
+    its listeners only the changes, as ``{"d": [position, distance, ...],
+    "chg": round}``, which they read in ascending speaker order.  A subtree
+    holding neither gets nothing: it sleeps on its parent and sends nothing
+    up after that round, and the parent, which knows what it forwarded,
+    does not wait for it.  A speaker forwards the list before it speaks, so
+    on each tree edge a round's list comes before its relabels.  Inside a
+    region a round lowers distances only from the vertices whose step out
+    fell (:meth:`Region._lower`), and the lowered shared ones are the news.
+    Distances and prices only decrease, and each price is the last distance
+    its owner sent, so once no agent has news every price equals it: the
+    fixpoint.  The root then sends ``[]`` down the whole tree."""
     cross, flow, open_at = region.cross, region.flow, region.open_at
     remote = [cap] * len(region.label)  # prices, read at cached ids only
 
@@ -450,13 +457,8 @@ def _exact_relabel(
                 out[j] = d
         return out
 
-    # no price is known yet: only the open sink edges lead out (see _exits)
-    me, t, n = ctx.id, 1, region.n
-    dist = [1 if room and flow[v - n] == 0 else cap for v, room in enumerate(open_at)]
-    region._lower(dist, [(1, n + k) for k in range(n) if flow[k] == 0])
-    out = news(range(len(dist)))
-    talk = hear = ctx.neighbors  # round 1: everyone, and every subtree wakes
-    awake = tree.children
+    me, t, talk, hear = ctx.id, 1, (), ctx.neighbors  # round 1: heard at the barrier
+    awake = tree.children  # and every subtree is awake after it
     while True:
         for j in talk:
             # "chg" (the round) stays only because bench/checks.phase_of
@@ -464,7 +466,7 @@ def _exact_relabel(
             ctx.send(j, {"d": out.get(j, []), "chg": t})
         fell = []
         for j in hear:
-            d = (yield Recv(j))["d"]
+            d = (yield Recv(j))["d"] if t > 1 else heard[j]
             cached = region.cached_from[j]
             for x in range(0, len(d), 2):
                 w, val = cached[d[x]], d[x + 1]
@@ -509,20 +511,21 @@ def _exact_relabel(
     region.label[:] = map(max, region.label, dist + remote[len(dist):])
 
 
-def _barrier(ctx: AgentContext, region: Region):
-    """One boundary exchange: labels and offers out, accepts back, transfers
-    applied on both sides.  Returns the number of own units accepted away.
+def _barrier(ctx: AgentContext, region: Region, cap: int):
+    """One boundary exchange: offers out, accepts back, transfers applied on
+    both sides.  Returns the number of own units accepted away, and the next
+    sweep's round 1 (``None`` without the incoming boundary: no sweep runs).
 
-    Labels go as ``[position, label, ...]`` in the edge's boundary order
-    (see :class:`Region`), and only those that changed since the last
-    barrier on that edge: the receiver keeps its cache, which no other step
-    raises past the owner's label, so after the exchange every cached label
-    equals its owner's.  An offering vertex's label is read from that cache.
-
-    Only a neighbor that made offers gets an accepts message, possibly an
-    empty one, so an agent waits for a reply only from the neighbors it
-    offered to: an empty reply to no offer would move nothing.  An offer
-    moves one unit: another amount is a :class:`ProtocolError`."""
+    That round goes as ``"labels"``: ``[position, distance, ...]`` in the
+    edge's boundary order (see :class:`Region`) for the sender's opening
+    distances below the cap (:meth:`Region.opening`), final once the
+    discharge ends, as transfers move only cross flows and the census gap
+    only labels.  The sweep leaves each cached label equal to its owner's,
+    so no label goes here.  An offer is ``[key, 1, label]``: one unit, and
+    the offering vertex's label, which the receiver compares with its own
+    end's; any other offer is a :class:`ProtocolError`.  Only a neighbor that
+    made offers gets an accepts message, possibly empty, so an agent waits
+    for replies only from the neighbors it offered to."""
     label, excess, flow, n = region.label, region.excess, region.flow, region.n
     offers_to: dict[int, list] = {j: [] for j in ctx.neighbors}
     for v, budget in enumerate(region.holding):
@@ -536,43 +539,38 @@ def _barrier(ctx: AgentContext, region: Region):
             for _, _, e in ranked[:budget]:
                 key = region.keys[e]
                 j = key[2] if key[0] == region.owner else key[0]
-                offers_to[j].append([list(key), 1])
+                offers_to[j].append([list(key), 1, label[v]])
 
+    dist = region.opening(cap) if region.include_incoming else None
     for j in ctx.neighbors:
-        told, mine = region.told[j], []
+        mine = []  # an empty order reads no distance
         for x, v in enumerate(region.shared_with[j]):
-            if label[v] != told[x]:
-                told[x] = label[v]
-                mine += x, label[v]
+            if dist[v] < cap:
+                mine += x, dist[v]
         ctx.send(j, {"labels": mine, "offers": sorted(offers_to[j])})
-    inbound = {}
-    for j in ctx.neighbors:
-        inbound[j] = yield Recv(j)
 
+    inbound = {}
     accepts_to: dict[int, list] = {j: [] for j in ctx.neighbors}
     incoming_units = []  # (own vertex, edge or None, new flow) moved to us
     for j in ctx.neighbors:
-        labels, cached = inbound[j]["labels"], region.cached_from[j]
-        for x in range(0, len(labels), 2):
-            w = cached[labels[x]]
-            if labels[x + 1] > label[w]:
-                label[w] = labels[x + 1]
-        for key, amount in inbound[j]["offers"]:
-            if amount != 1:
+        inbound[j] = yield Recv(j)
+        for offer in inbound[j]["offers"]:
+            shape = type(offer) is list and len(offer) == 3
+            if not shape or offer[1] != 1 or type(offer[2]) is not int:
                 raise ProtocolError(
-                    f"agent {ctx.id}: offer of {amount} units from {j}; offers move 1"
+                    f"agent {ctx.id}: offer {offer!r} from {j} is not [key, 1, label]"
                 )
+            key, _, price = offer
             forward = key[2] == region.owner  # onto our right, else back
             if forward and not region.include_incoming:
                 accepts_to[j].append(key)  # our region has no edge for it
                 incoming_units.append((n + key[3], None, 1))
                 continue
             e = region.edge_of[tuple(key)]
-            left, right = region.ends[e]  # j's end is a cached id, just updated
-            v, w, f = (right, left, 1) if forward else (left, right, 0)
-            if label[w] > label[v]:
+            v = region.ends[e][forward]  # our end: the right of a forward edge
+            if price > label[v]:
                 accepts_to[j].append(key)
-                incoming_units.append((v, e, f))
+                incoming_units.append((v, e, int(forward)))
 
     for j in ctx.neighbors:
         if inbound[j]["offers"]:
@@ -598,7 +596,8 @@ def _barrier(ctx: AgentContext, region: Region):
     if min(excess) < 0:
         raise RuntimeError(f"agent {ctx.id}: negative excess after the exchange")
     region.holding = [0] * len(excess)
-    return len(accepted)
+    heard = {j: got["labels"] for j, got in inbound.items()}
+    return len(accepted), (dist, heard) if region.include_incoming else None
 
 
 def _census(ctx: AgentContext, tree: Tree, region: Region, cap: int):
@@ -642,18 +641,19 @@ def _prd(
     sink_saturated_pass = None
     states = []
     pass_no = 0
+    opening = None  # the next sweep's round 1, from the barrier
     while True:
         pass_no += 1
         if pass_no > 4 * cap + 10:
             raise RuntimeError(f"agent {ctx.id}: discharge failed to settle")
-        if pass_no >= 2 and region.include_incoming:
-            yield from _exact_relabel(ctx, tree, toward, region, cap)
+        if opening:
+            yield from _exact_relabel(ctx, tree, toward, region, cap, *opening)
         else:
             # On the first pass no flow exists yet, and without the incoming
             # boundary no price can improve: the sweep would end here too.
             region.recompute_labels(cap)
         region.discharge(cap)
-        sent = yield from _barrier(ctx, region)
+        sent, opening = yield from _barrier(ctx, region, cap)
         transfers_by_pass.append(sent)
         if sink_saturated_pass is None and region.sink_flow() == region.n:
             sink_saturated_pass = pass_no

@@ -1,4 +1,5 @@
-"""Metamorphic relations on path, ring and star topologies.
+"""Metamorphic relations on path, ring and star topologies, and on the
+bounded-degree family of the scale sweep, whose BFS trees run deeper.
 
 Renumbering the subsystems must leave the centralized verdict and the
 unanimous distributed ``controlled`` verdict unchanged, and adding one
@@ -24,6 +25,7 @@ from structctl.model import (
     _nonempty_pattern,
     _random_pattern,
     assemble_global,
+    random_system,
 )
 from structctl.runtime import run
 
@@ -104,18 +106,33 @@ def _verdicts(sys: InterconnectedSystem) -> tuple[bool, bool]:
     return verify(*assemble_global(sys)).controllable, distributed.pop()
 
 
+def _relations_hold(sysm: InterconnectedSystem, seed: int) -> bool:
+    """Check both relations on one system; return its verdict."""
+    rng = random.Random(seed)
+    verdict, distributed = _verdicts(sysm)
+    assert distributed == verdict, seed
+    perm = rng.sample(range(sysm.r), sysm.r)
+    assert _verdicts(_renumbered(sysm, perm)) == (verdict, verdict), (seed, perm)
+    if verdict:
+        assert _verdicts(_with_one_more(sysm, rng)) == (True, True), seed
+    return verdict
+
+
 @pytest.mark.parametrize("kind", FAMILIES)
 def test_renumbering_and_one_more_nonzero(kind):
     positives = 0
     for r in range(2, 9):
         for seed in range(12):
-            rng = random.Random(1000 * r + seed)
             sysm = _family_system(kind, r, seed=1000 * r + seed)
-            verdict, distributed = _verdicts(sysm)
-            assert distributed == verdict, (r, seed)
-            perm = rng.sample(range(r), r)
-            assert _verdicts(_renumbered(sysm, perm)) == (verdict, verdict), (r, seed, perm)
-            if verdict:
-                positives += 1
-                assert _verdicts(_with_one_more(sysm, rng)) == (True, True), (r, seed)
+            positives += _relations_hold(sysm, 1000 * r + seed)
     assert positives >= 12
+
+
+def test_bounded_degree_family():
+    """``random_system`` with mean degree about 6 at every r, up to 40."""
+    positives = 0
+    for r, seeds in ((6, 10), (10, 6), (20, 2), (30, 1), (40, 1)):
+        for seed in range(100 * r, 100 * r + seeds):
+            sysm = random_system(r, (1, 8), (1, 2), 0.3, seed, extra_conn_prob=2 / r)
+            positives += _relations_hold(sysm, seed)
+    assert positives >= 3

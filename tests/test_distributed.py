@@ -3,6 +3,7 @@ verdicts, plus the worked ring walkthrough pinned step by step."""
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import json
@@ -120,31 +121,42 @@ def news_edges(flat: list) -> list:
     return sorted(zip(flat[::2], flat[1::2]))
 
 
-def sweep_messages(res) -> list:
+def sweep_messages(res, carried: bool = True) -> list:
     """The relabel sweeps of a ``controlled`` run, read off its trace.
 
-    Per sender, a sweep opens with its round-1 relabel messages and closes
-    with its next barrier message; the int lists it sends in between are the
-    sweep's lists.  Each sweep is ``(relabels, lists)``, with ``(round,
-    speaker, listener, d)`` per relabel message and ``(sender, receiver,
-    list)`` per list, in send order."""
+    Per sender, a sweep opens with the first relabel message or int list it
+    sends after a barrier message and closes with its next barrier message;
+    the int lists in between are the sweep's lists.  Each sweep is
+    ``(relabels, lists)``, with ``(round, speaker, listener, d)`` per
+    relabel message and ``(sender, receiver, list)`` per list, in send
+    order.  With ``carried``, round 1's news is read off the barrier
+    messages that opened the sweep: ``(1, speaker, listener, labels)`` for
+    each non-empty ``labels``, ahead of the sweep's own relabels."""
     sweeps: list = []
     opened: dict = {}  # sender -> sweeps it has opened
     inside: dict = {}
+    carry: dict = {}  # sender -> round 1 from its last barrier messages
     for rec in res.trace:
         payload = json.loads(rec.payload)
         i = rec.sender
-        if is_relabel(payload):
-            if not inside.get(i):
+        if isinstance(payload, dict) and "offers" in payload:
+            if inside.get(i, True):  # i's first barrier message since a sweep
+                carry[i] = []
+            inside[i] = False
+            if carried and payload["labels"]:
+                carry[i].append((1, i, rec.receiver, payload["labels"]))
+        elif i in inside and (is_relabel(payload) or is_ids(payload)):
+            if not inside[i]:
                 inside[i] = True
                 opened[i] = opened.get(i, 0) + 1
                 if opened[i] > len(sweeps):
                     sweeps.append(([], []))
-            sweeps[opened[i] - 1][0].append((payload["chg"], i, rec.receiver, payload["d"]))
-        elif isinstance(payload, dict) and "offers" in payload:
-            inside[i] = False
-        elif inside.get(i) and is_ids(payload):
-            sweeps[opened[i] - 1][1].append((i, rec.receiver, payload))
+                sweeps[opened[i] - 1][0].extend(carry[i])
+            relabels, lists = sweeps[opened[i] - 1]
+            if is_relabel(payload):
+                relabels.append((payload["chg"], i, rec.receiver, payload["d"]))
+            else:
+                lists.append((i, rec.receiver, payload))
     return sweeps
 
 
@@ -161,11 +173,12 @@ def subtrees(parents: list) -> list[set]:
 def run_with_speaker_union_sweep(monkeypatch, sysm, program):
     """``run(sysm, program)`` with the relabel sweep of
     :func:`oracles.exact_relabel_by_speakers`, which sends every neighbor a
-    relabel message, ``"d": []`` included, in each round an agent speaks."""
+    relabel message, ``"d": []`` included, in each round an agent speaks,
+    and sends its own round 1 in place of the one the barrier carried."""
     with monkeypatch.context() as m:
         m.setattr(
             distributed, "_exact_relabel",
-            lambda ctx, tree, toward, region, cap: exact_relabel_by_speakers(
+            lambda ctx, tree, toward, region, cap, *round1: exact_relabel_by_speakers(
                 ctx, tree, region, cap
             ),
         )
@@ -188,6 +201,12 @@ def setup_messages(sysm) -> list[int]:
         + (parents[i] is not None) + parents.count(i)
         for i in range(sysm.r)
     ]
+
+
+def label_cap(sysm) -> int:
+    """``controlled``'s label cap: the number of flow vertices plus 2."""
+    subs = sysm.subsystems
+    return 2 * sum(s.n for s in subs) + sum(s.p for s in subs) + 2
 
 
 def ring_context(ring, i, sent=None):
@@ -378,13 +397,17 @@ class TestFloodedPhases:
 
         # Each sweep ends at the fixpoint: the distances an agent's last
         # prices give its shared vertices are the last ones it sent, so no
-        # agent stops holding news.
+        # agent stops holding news.  Round 1's went with the barrier, where
+        # a distance at the cap stays unsent: every price starts there.
         real = distributed._exact_relabel
         settled = []
 
-        def spy(ctx, tree, toward, region, cap):
+        def spy(ctx, tree, toward, region, cap, dist, heard):
             prices = [cap] * len(region.label)
-            last = {}
+            for j, d in heard.items():
+                for x, val in by_position(d).items():
+                    prices[region.cached_from[j][x]] = val
+            last = {v: dist[v] for ids in region.shared_with.values() for v in ids}
 
             def send(to, payload):
                 ctx.send(to, payload)
@@ -392,7 +415,9 @@ class TestFloodedPhases:
                     for x, val in by_position(payload["d"]).items():
                         last[region.shared_with[to][x]] = val
 
-            sweep = real(dataclasses.replace(ctx, send=send), tree, toward, region, cap)
+            sweep = real(
+                dataclasses.replace(ctx, send=send), tree, toward, region, cap, dist, heard
+            )
             reply = None
             while True:
                 try:
@@ -411,8 +436,7 @@ class TestFloodedPhases:
         monkeypatch.setattr(distributed, "_exact_relabel", spy)
         sweeps_seen = quiet_speakers = 0
         for sysm in systems:
-            subs = sysm.subsystems
-            cap = 2 * sum(s.n for s in subs) + sum(s.p for s in subs) + 2
+            cap = label_cap(sysm)
             parents = bfs_tree_parents(sysm)
             root_children = [j for j, p in enumerate(parents) if p == 0]
             sweeps = sweep_messages(run(sysm, controlled))
@@ -429,23 +453,26 @@ class TestFloodedPhases:
                 assert root_lists[-len(root_children):] == [(j, []) for j in root_children]
                 rounds = len(named) + 1
                 assert sorted(named) == list(range(2, rounds + 1))
-                speakers = {1: {(i, j) for i in range(sysm.r) for j in neighbors(sysm, i)}}
+                speakers = {}
                 for t, sent in named.items():
                     speakers[t] = {e for _, flat in sent for e in news_edges(flat[1:])}
-                # every agent speaks to every neighbor in round 1; after it,
+                # round 1 rode the barrier, on neighbor edges; after it,
                 # exactly the news edges the lists named carry a message, and
-                # each says something new
+                # each says something new, below the cap
                 by_round: dict = {}
                 for t, i, j, d in relabels:
                     by_round.setdefault(t, []).append((i, j, by_position(d)))
-                assert sorted(by_round) == list(range(1, rounds + 1))
+                assert set(by_round) | {1} == set(range(1, rounds + 1))
+                speakers[1] = {(i, j) for i, j, _ in by_round.get(1, [])}
+                assert len(speakers[1]) == len(by_round.get(1, []))
+                assert all(j in neighbors(sysm, i) for i, j in speakers[1])
                 before: dict = {}
                 for t, sent in sorted(by_round.items()):
                     assert sorted((i, j) for i, j, _ in sent) == sorted(speakers[t]), t
                     for i, j, d in sent:
                         assert d, (i, j, t)
                         for key, val in d.items():
-                            assert val < before.get((i, j), {}).get(key, cap + 1)
+                            assert val < before.get((i, j), {}).get(key, cap)
                         before.setdefault((i, j), {}).update(d)
                 quiet_speakers += sum(
                     len({i for i, _ in speakers[t]}) < sysm.r for t in range(2, rounds + 1)
@@ -466,12 +493,12 @@ class TestFloodedPhases:
         real = distributed._exact_relabel
         everyone: list = []  # every news edge of the system running
 
-        def one_more(ctx, tree, toward, region, cap):
+        def one_more(ctx, tree, toward, region, cap, *round1):
             """The root adds every news edge to the first round after which
             it hears no news from any child it woke, and again whenever the
             round before added none."""
             if tree.parent is not None:
-                return (yield from real(ctx, tree, toward, region, cap))
+                return (yield from real(ctx, tree, toward, region, cap, *round1))
             awake, ups, added = set(tree.children), [], False
 
             def send(to, payload):
@@ -479,7 +506,7 @@ class TestFloodedPhases:
                 if is_ids(payload) and payload:
                     awake.add(to)
 
-            sweep = real(dataclasses.replace(ctx, send=send), tree, toward, region, cap)
+            sweep = real(dataclasses.replace(ctx, send=send), tree, toward, region, cap, *round1)
             reply = None
             while True:
                 try:
@@ -520,7 +547,7 @@ class TestFloodedPhases:
             parents = bfs_tree_parents(sysm)
             below = subtrees(parents)
             for relabels, lists in sweep_messages(run(sysm, controlled)):
-                rounds = max(t for t, *_ in relabels)
+                rounds = max((t for t, *_ in relabels), default=1)
                 edges: dict = {t: [] for t in range(1, rounds + 2)}
                 for t, i, j, _ in relabels:
                     edges[t].append((i, j))
@@ -554,15 +581,19 @@ class TestFloodedPhases:
         """No relabel message is empty.  In each round an agent receives, in
         ascending order, from exactly the neighbors that have news for it:
         the same news in the same rounds as when every agent with news tells
-        every neighbor, ``"d": []`` included."""
+        every neighbor, ``"d": []`` included.  Round 1's news is the barrier's
+        ``labels``, which leave out the distances at the cap."""
         systems = [ring4, path(6)] + [sysm for _, sysm in corpus(20, start=6500, r_hi=8)]
         real = distributed._exact_relabel
-        heard: dict = {}  # agent -> (sweep, round, sender) per relabel it received
+        heard: dict = {}  # agent -> (sweep, round, sender) per list it applied
         sweeps_run: dict = {}  # agent -> sweeps so far
 
-        def spy(ctx, tree, toward, region, cap):
+        def spy(ctx, tree, toward, region, cap, dist, round1):
             k = sweeps_run[ctx.id] = sweeps_run.get(ctx.id, 0) + 1
-            sweep = real(ctx, tree, toward, region, cap)
+            for j, d in round1.items():
+                if d:
+                    heard.setdefault(ctx.id, []).append((k, 1, j))
+            sweep = real(ctx, tree, toward, region, cap, dist, round1)
             reply = None
             while True:
                 try:
@@ -573,15 +604,22 @@ class TestFloodedPhases:
                 if is_relabel(reply):
                     heard.setdefault(ctx.id, []).append((k, reply["chg"], action.frm))
 
+        def below_cap(d, cap):
+            return [x for x, v in zip(d[::2], d[1::2]) if v < cap for x in (x, v)]
+
         monkeypatch.setattr(distributed, "_exact_relabel", spy)
         for sysm in systems:
+            cap = label_cap(sysm)
             heard.clear()
             sweeps_run.clear()
             sweeps = sweep_messages(run(sysm, controlled))
-            told = sweep_messages(run_with_speaker_union_sweep(monkeypatch, sysm, controlled))
+            told = sweep_messages(
+                run_with_speaker_union_sweep(monkeypatch, sysm, controlled), carried=False
+            )
             assert len(sweeps) == len(told)
             with_news: dict = {}
             for k, ((relabels, _), (every, _)) in enumerate(zip(sweeps, told), 1):
+                every = [(t, i, j, below_cap(d, cap) if t == 1 else d) for t, i, j, d in every]
                 assert all(d for *_, d in relabels)
                 assert sorted(relabels) == sorted(m for m in every if m[3])
                 for t, i, j, d in every:
@@ -619,17 +657,48 @@ class TestFloodedPhases:
     def test_ring_rounds_and_message_counts_are_pinned(self, ring4):
         # bfs 2 + 3 + 3 + 2 exchanges on the 4 edges, both ways (20), the
         # sizes 6, reach 16 plus 6 for each of 3 ORs, a sweep of one round
-        # (8, plus its 6-message id list), two barriers of 8 labels/offers
-        # messages each plus one accepts per offer (4 in all); 6 messages for
-        # each of two censuses and the consensus.  The ring first completes
-        # reachability at iteration N = 4, so no OR finds a fixpoint before
-        # the last iteration, and the ORs cost messages and rounds here
-        # instead of saving them.  Without the incoming boundary the sweep's
-        # 14 messages go, and the run takes 4 rounds less.
+        # (its relabels rode the first barrier, so only its 6-message id
+        # list), two barriers of 8 labels/offers messages each plus one
+        # accepts per offer (4 in all); 6 messages for each of two censuses
+        # and the consensus.  The ring first completes reachability at
+        # iteration N = 4, so no OR finds a fixpoint before the last
+        # iteration, and the ORs cost messages and rounds here instead of
+        # saving them.  Without the incoming boundary the sweep's 6 messages
+        # go, and the run takes 4 rounds less.
         res = run(ring4, controlled)
-        assert (res.rounds, len(res.trace)) == (38, 112)
+        assert (res.rounds, len(res.trace)) == (38, 104)
         res = run(ring4, controlled_program(drop_incoming_boundary=True))
         assert (res.rounds, len(res.trace)) == (34, 98)
+
+
+    def test_every_cached_label_equals_its_owners_after_each_sweep(
+        self, ring4, monkeypatch
+    ):
+        """The barrier updates no cached label; the sweep that opens every
+        later pass leaves each equal to its owner's."""
+        real = distributed._exact_relabel
+        regions: dict = {}
+        after: dict = {}  # (agent, sweep number) -> its labels after it
+
+        def spy(ctx, tree, toward, region, cap, *round1):
+            yield from real(ctx, tree, toward, region, cap, *round1)
+            regions[ctx.id] = region
+            k = sum(agent == ctx.id for agent, _ in after)
+            after[ctx.id, k] = region.label[:]
+
+        monkeypatch.setattr(distributed, "_exact_relabel", spy)
+        checked = 0
+        for sysm in [ring4] + [sysm for _, sysm in corpus(20, start=6900, r_hi=7)]:
+            regions.clear()
+            after.clear()
+            run(sysm, controlled)
+            for (i, k), labels in after.items():
+                for j, cached in regions[i].cached_from.items():
+                    for x, w in enumerate(cached):
+                        v = regions[j].shared_with[i][x]
+                        assert labels[w] == after[j, k][v], (i, j, k, x)
+                        checked += 1
+        assert checked > 0
 
 
 class TestSpeakerUnionOracle:
@@ -659,10 +728,11 @@ class TestSpeakerUnionOracle:
 class TestBarrier:
     def test_accepts_answer_exactly_the_offers(self, ring4):
         systems = [ring4] + [sysm for _, sysm in corpus(20, start=6700, r_hi=7)]
-        answered = unanswered = 0
+        answered = unanswered = rejected = 0
         for sysm in systems:
             for drop in (False, True):
-                res = run(sysm, controlled_program(drop_incoming_boundary=drop))
+                program = controlled_program(drop_incoming_boundary=drop, collect_states=True)
+                res = run(sysm, program)
                 # barriers[i, j]: labels/offers messages i has sent j so far;
                 # offers[j, i, b]: the offers j made i in barrier b, if any;
                 # accepts[j, i, b]: i's reply to them
@@ -676,8 +746,14 @@ class TestBarrier:
                     i, j = rec.sender, rec.receiver
                     if set(payload) == {"labels", "offers"}:
                         b = barriers[i, j] = barriers.get((i, j), 0) + 1
+                        # each offer is [key, 1, label]: it moves one unit, and
+                        # it carries the offering vertex's label in pass b
+                        labels = res.outputs[i]["states"][b - 1]["labels"]
+                        for key, amount, label in payload["offers"]:
+                            v = f"L{key[1]}" if key[0] == i else f"R{key[3]}"
+                            assert (amount, label) == (1, labels[v]), (i, j, b, key)
                         if payload["offers"]:
-                            offers[i, j, b] = [key for key, _ in payload["offers"]]
+                            offers[i, j, b] = payload["offers"]
                         else:
                             unanswered += 1
                     elif set(payload) == {"accepts"}:
@@ -686,24 +762,68 @@ class TestBarrier:
                         assert key not in accepts, key
                         accepts[key] = payload["accepts"]
                 assert set(accepts) == set(offers)
-                for key, accepted in accepts.items():
-                    assert all(e in offers[key] for e in accepted), key
+                # j accepts exactly the offers whose label is above its own
+                # end's; without the incoming boundary it has no edge for a
+                # forward offer and takes it
+                for (i, j, b), accepted in accepts.items():
+                    labels = res.outputs[j]["states"][b - 1]["labels"]
+                    want = []
+                    for key, _, label in offers[i, j, b]:
+                        forward = key[2] == j
+                        end = f"R{key[3]}" if forward else f"L{key[1]}"
+                        if (drop and forward) or label > labels[end]:
+                            want.append(key)
+                        rejected += label <= labels[end]
+                    assert accepted == sorted(want), (i, j, b)
                 answered += len(offers)
-        assert answered > 0 and unanswered > 0
+        assert answered > 0 and unanswered > 0 and rejected > 0
 
-    def test_offer_of_two_units_is_a_protocol_error(self, ring4):
+    @staticmethod
+    def offered(ring4, offer) -> list:
+        """Agent 0's barrier on ``ring4`` (cap 35), fed ``offer(key)`` as the
+        one offer from agent 3, on the real edge from 3's L2 onto 0's R2, and
+        empty messages otherwise; returns what agent 0 sent."""
         sent = []
         ctx = ring_context(ring4, 0, sent)
         region = Region(ctx)
-        # a real edge from a neighbor's left onto one of our rights
         key = next(list(key) for key in region.keys if key and key[2] == 0)
-        barrier = _barrier(ctx, region)
+        barrier = _barrier(ctx, region, 35)
         action = next(barrier)
         assert [to for to, _ in sent] == list(ctx.neighbors)  # labels and offers
-        with pytest.raises(ProtocolError, match="offer of 2 units"):
-            while isinstance(action, Recv):
-                offers = [[key, 2]] if action.frm == key[0] else []
+        with contextlib.suppress(StopIteration):
+            while True:
+                offers = [offer(key)] if action.frm == key[0] else []
                 action = barrier.send({"labels": [], "offers": offers})
+        return sent
+
+    def test_an_offer_is_taken_only_from_a_strictly_higher_label(self, ring4):
+        # agent 0's R2 is at label 1 before any pass
+        for label, taken in ((1, False), (2, True)):
+            sent = self.offered(ring4, lambda key: [key, 1, label])
+            assert [(to, bool(payload["accepts"])) for to, payload in sent[2:]] == [(3, taken)]
+
+    def test_offer_of_two_units_is_a_protocol_error(self, ring4):
+        fault = r"agent 0: offer \[\[3, .*\], 2, 9\] from 3 is not"
+        with pytest.raises(ProtocolError, match=fault):
+            self.offered(ring4, lambda key: [key, 2, 9])
+
+    @pytest.mark.parametrize(
+        "offer",
+        [
+            lambda key: [key, 1],
+            lambda key: [key, 1, 9, 9],
+            lambda key: [key, 1, "9"],
+            lambda key: key,
+            lambda key: 7,
+        ],
+        ids=["no-label", "extra-field", "text-label", "bare-key", "not-a-list"],
+    )
+    def test_a_malformed_offer_names_the_agent_and_the_sender(self, ring4, offer):
+        """An offer that is not ``[key, 1, label]`` is a ProtocolError, not
+        a bare ValueError from unpacking it."""
+        fault = r"agent 0: offer .* from 3 is not \[key, 1, label\]"
+        with pytest.raises(ProtocolError, match=fault):
+            self.offered(ring4, offer)
 
     def test_both_ends_derive_the_same_boundary_order(self, ring4):
         systems = [ring4] + [sysm for _, sysm in corpus(20, start=6700, r_hi=7)]
@@ -722,56 +842,76 @@ class TestBarrier:
                         ]
                         assert bool(own) == include
 
-    def test_every_cached_label_equals_its_owners_after_each_barrier(
-        self, ring4, monkeypatch
-    ):
-        real = distributed._barrier
-        regions: dict = {}
-        after: dict = {}  # (agent, barrier number) -> its labels after it
-
-        def spy(ctx, region):
-            accepted = yield from real(ctx, region)
-            regions[ctx.id] = region
-            k = sum(agent == ctx.id for agent, _ in after)
-            after[ctx.id, k] = region.label[:]
-            return accepted
-
-        monkeypatch.setattr(distributed, "_barrier", spy)
-        checked = 0
-        for sysm in [ring4] + [sysm for _, sysm in corpus(20, start=6900, r_hi=7)]:
-            regions.clear()
-            after.clear()
-            run(sysm, controlled)
-            for (i, k), labels in after.items():
-                for j, cached in regions[i].cached_from.items():
-                    for x, w in enumerate(cached):
-                        v = regions[j].shared_with[i][x]
-                        assert labels[w] == after[j, k][v], (i, j, k, x)
-                        checked += 1
-        assert checked > 0
-
-    def test_a_barrier_without_label_changes_sends_no_labels(self, ring4):
+    def test_a_barrier_without_offers_moves_nothing(self, ring4):
+        """With no offer either way a barrier sends only its labels/offers
+        messages, moves no unit, flow or label, and returns what it heard.
+        Its ``labels`` are the opening distances, not the labels, so a
+        repeat sends them again."""
         sent = []
         ctx = ring_context(ring4, 0, sent)
         region = Region(ctx)
-        v = region.shared_with[ctx.neighbors[0]][0]
-        region.label[v] += 3
+        region.label[region.shared_with[ctx.neighbors[0]][0]] += 3
 
-        def barrier_labels():
+        def barrier():
             sent.clear()
-            barrier = _barrier(ctx, region)
+            barrier = _barrier(ctx, region, 35)
             action = next(barrier)
-            with pytest.raises(StopIteration):
+            with pytest.raises(StopIteration) as stop:
                 while True:
-                    action = barrier.send({"labels": [], "offers": []})
-            return {to: payload["labels"] for to, payload in sent}
+                    action = barrier.send({"labels": [0, action.frm], "offers": []})
+            return sent[:], stop.value.value
 
-        # the raised label goes to every neighbor that caches it, once
-        assert barrier_labels() == {
-            j: [own.index(v), region.label[v]] if v in own else []
-            for j, own in region.shared_with.items()
-        }
-        assert barrier_labels() == {j: [] for j in ctx.neighbors}
+        state = [region.label[:], region.excess[:], region.flow[:]]
+        first, (moved, (dist, heard)) = barrier()
+        # no flow yet: agent 1 caches 0's L2, which reaches R0's open sink
+        # edge in 2, and agent 3 caches 0's R2, whose own sink edge is open
+        assert first == [
+            (1, {"labels": [0, 2], "offers": []}),
+            (3, {"labels": [0, 1], "offers": []}),
+        ]
+        assert moved == 0 and dist == region.opening(35)
+        assert heard == {j: [0, j] for j in ctx.neighbors}
+        assert [region.label, region.excess, region.flow] == state
+        assert barrier()[0] == first
+
+    def test_the_barrier_carries_the_next_sweeps_opening_distances(
+        self, ring4, monkeypatch
+    ):
+        """What a barrier carried under ``labels`` is, by position, the
+        sender's opening distances below the cap as computed afresh when the
+        next sweep starts, after the transfers and the census gap; the sweep
+        starts from the same own distances."""
+        real = distributed._exact_relabel
+        regions: dict = {}
+        fresh: dict = {}  # (agent, sweep number) -> its opening distances then
+        carried: dict = {}  # (agent, sweep number) -> the lists it starts from
+
+        def spy(ctx, tree, toward, region, cap, dist, heard):
+            k = sum(agent == ctx.id for agent, _ in fresh)
+            fresh[ctx.id, k] = region.opening(cap)
+            assert dist == fresh[ctx.id, k]
+            carried[ctx.id, k] = copy.deepcopy(heard)
+            regions[ctx.id] = region
+            return (yield from real(ctx, tree, toward, region, cap, dist, heard))
+
+        monkeypatch.setattr(distributed, "_exact_relabel", spy)
+        systems = [ring4] + [sysm for _, sysm in corpus(20, start=6700, r_hi=7)]
+        systems += [sysm for _, sysm in wide_corpus(300)]
+        checked = 0
+        for sysm in systems:
+            cap = label_cap(sysm)
+            regions.clear()
+            fresh.clear()
+            carried.clear()
+            run(sysm, controlled)
+            for (i, k), heard in carried.items():
+                assert list(heard) == neighbors(sysm, i)
+                for j, got in heard.items():
+                    dist, own = fresh[j, k], regions[j].shared_with[i]
+                    want = [(x, dist[v]) for x, v in enumerate(own) if dist[v] < cap]
+                    assert got == [y for pair in want for y in pair]
+                    checked += len(got)
+        assert checked > 1000
 
     def test_without_the_incoming_boundary_no_label_is_sent(self, ring4):
         for sysm in [ring4] + [sysm for _, sysm in corpus(10, start=6700, r_hi=7)]:

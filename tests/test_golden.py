@@ -94,7 +94,7 @@ def test_distributed_traces():
         ))
     systems += [random_system(r, (1, 8), (1, 2), 0.3, seed=r) for r in (10, 20, 40)]
     out = [run(sysm, program).trace.to_jsonl() for sysm in systems for program in programs]
-    assert _digest(out) == "51702bfb49ca3489c28181460c56e3550f8654941f866cb433b45f0b2a570657"
+    assert _digest(out) == "f946a795908323ebbcf293353774e4edc9e1cf9e9fc68d07ede8e29737552167"
 
 
 def test_serial_details():

@@ -11,10 +11,11 @@ distributed runs (the boundary size, hop distances, the BFS tree, trace
 filtering) and ``reached``, a reachability-only agent program that runs the
 package's reachability steps for every iteration, with no tree to stop
 them; ``discharge_every_step`` is the region discharge with no period
-skipped.  ``max_matching_every_search`` is Hopcroft–Karp with no search
-skipped.  The reference-algorithm section, a unit-capacity preflow and a
-matching exchange, imports nothing; the tests check the package's
-matchings against it.
+skipped.  ``max_matching_every_search`` is Hopcroft–Karp with a layering
+search before every phase, the reference whose size and deficiency witness
+``graphkit.max_matching`` must reproduce.  The reference-algorithm section,
+a unit-capacity preflow and a matching exchange, imports nothing; the tests
+check the package's matchings against it.
 """
 
 from __future__ import annotations
@@ -511,8 +512,9 @@ def build_composite_matching(spec: SimilarSystemSpec) -> tuple[list[int], list[i
 
 def max_matching_every_search(g: list[list[int]], n: int) -> tuple[list[int], list[int]]:
     """Hopcroft–Karp into the rights 0..n-1 with a layering search before
-    every phase, the first and the last included; ``graphkit.max_matching``
-    skips those two, and its mates must equal these."""
+    every phase, the first and the last included: a second maximum-matching
+    algorithm, against which ``graphkit.max_matching``'s size and
+    right-deficiency witness are checked."""
     lefts = left_order(len(g), n)
     mate_l = [-1] * len(g)
     mate_r = [-1] * n

@@ -33,16 +33,30 @@ def _digest(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
-def test_centralized_certificates():
-    # the 1000-instance corpus of acceptance criterion 1
+def _centralized_verdicts() -> list:
+    """``verify`` and ``verify_via_cacti`` on the 1000-instance corpus of
+    acceptance criterion 1."""
     out = []
     for seed in range(1000):
         rng = random.Random(seed * 7919 + 13)
         sysm = random_system(rng.randint(2, 6), (1, 8), (1, 2), density=0.30, seed=seed)
         A, B = assemble_global(sysm)
-        for v in (verify(A, B), verify_via_cacti(A, B)):
-            out.append([v.controllable, v.mode, v.certificate])
-    assert _digest(out) == "37fbaec12a4c9e67c6b33265217a3276bacaa951ece354dbc607c4e7b48b15cd"
+        out += [verify(A, B), verify_via_cacti(A, B)]
+    return out
+
+
+def _fixed_parts(certificate: dict) -> dict:
+    """A certificate without the parts that depend on which maximum matching
+    was found: the matching and the cacti built on it.  What is left, a
+    negative certificate whole or a positive one's type and reach forest, is
+    the same for every maximum matching; for a right-deficiency witness that
+    is the Dulmage–Mendelsohn decomposition."""
+    return {k: v for k, v in certificate.items() if k not in ("matching", "cacti")}
+
+
+def test_centralized_certificates():
+    out = [[v.controllable, v.mode, v.certificate] for v in _centralized_verdicts()]
+    assert _digest(out) == "c8928f75a5892b8b57ec72495f3cd002da44ec0bb0bf50dd65d317ca833e8313"
 
 
 def test_distributed_outputs():
@@ -191,11 +205,11 @@ def _centralized_files() -> list[tuple[str, dict]]:
     return files
 
 
-def test_cli_centralized_reports(capsys, monkeypatch, tmp_path):
-    # Exit code, stdout and stderr of `verify --mode centralized` on seeded
-    # files: input-free subsystems, subsystems and connections out of id
-    # order, repeated pairs, similar templates, the benchmark's networks at
-    # toy size, the numeric probe and malformed files.
+def _cli_centralized_runs(capsys, monkeypatch, tmp_path) -> list:
+    """[argv, exit code, stdout, stderr] of `verify --mode centralized` on
+    seeded files: input-free subsystems, subsystems and connections out of id
+    order, repeated pairs, similar templates, the benchmark's networks at toy
+    size, the numeric probe and malformed files."""
     bench_dir = Path(__file__).parents[1] / "bench"
     monkeypatch.chdir(tmp_path)
     monkeypatch.syspath_prepend(str(bench_dir))
@@ -214,5 +228,24 @@ def test_cli_centralized_reports(capsys, monkeypatch, tmp_path):
         code = main(["verify", "--mode", "centralized", *argv])
         captured = capsys.readouterr()
         out.append([argv, code, captured.out, captured.err])
+    return out
+
+
+def test_cli_centralized_reports(capsys, monkeypatch, tmp_path):
+    out = _cli_centralized_runs(capsys, monkeypatch, tmp_path)
     assert sorted({code for _, code, _, _ in out}) == [0, 1, 2]
-    assert _digest(out) == "71092d82c061524702d1153f1b1300b6fcbdcadc50c244e4055d65c49b8596f6"
+    assert _digest(out) == "ba0a43713bc966136f3c9516e91db03764caa5c32543a205ff0497490db717bf"
+
+
+def test_centralized_parts_every_maximum_matching_shares(capsys, monkeypatch, tmp_path):
+    # The verdicts, exit codes, negative certificates and reach forests of
+    # `test_centralized_certificates` and `test_cli_centralized_reports`:
+    # another maximum-matching algorithm may move those two digests, through
+    # the matchings and cacti of positive certificates, but not this one.
+    out = [[v.controllable, v.mode, _fixed_parts(v.certificate)] for v in _centralized_verdicts()]
+    for argv, code, stdout, stderr in _cli_centralized_runs(capsys, monkeypatch, tmp_path):
+        report = json.loads(stdout)
+        if "certificate" in report:
+            report["certificate"] = _fixed_parts(report["certificate"])
+        out.append([argv, code, report, stderr])
+    assert _digest(out) == "f809685f9a1a6d49641b516df568fec25676b5c4315ddefcb001adb89b8984e4"

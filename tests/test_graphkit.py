@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -58,6 +59,77 @@ def matching_graphs(max_v=8):
 
 def size(mates) -> int:
     return sum(1 for r in mates[0] if r >= 0)
+
+
+def assert_maximum_with_the_reference_witness(g, n):
+    """``max_matching`` gives a matching of g as large as the reference
+    Hopcroft–Karp's, with the same right-deficiency witness.  Which maximum
+    matching it is may differ."""
+    mate_l, mate_r = mates = max_matching(g, n)
+    assert len(mate_l) == len(g) and len(mate_r) == n
+    assert all(r in g[l] for l, r in enumerate(mate_l) if r >= 0)
+    assert all(mate_r[r] == l for l, r in enumerate(mate_l) if r >= 0)
+    assert all(mate_l[l] == r for r, l in enumerate(mate_r) if l >= 0)
+    reference = max_matching_every_search(g, n)
+    assert size(mates) == size(reference)
+    assert right_deficiency_witness(g, mates) == right_deficiency_witness(g, reference)
+
+
+def _random_feeders(degree):
+    """Every state fed by ``degree`` random vertices, one input per 50
+    states."""
+    def build(n, seed):
+        rng = random.Random(seed)
+        count = n + n // 50
+        edges = {(rng.randrange(count), h) for h in range(n) for _ in range(degree)}
+        return digraph(count, edges), n
+    return build
+
+
+def _banded(n, seed):
+    """Edges l -> k for |l - k| <= 3, each kept with probability one half."""
+    rng = random.Random(seed)
+    edges = {(l, k) for k in range(n) for l in range(max(0, k - 3), min(n, k + 4))
+             if rng.random() < 0.5}
+    return digraph(n + 1, edges | {(n, 0)}), n
+
+
+def _chain(step):
+    """Rings of 20 to 200 states along the chain l -> l + step, the ring's
+    last state feeding its first, and every state on a self-loop but the
+    ring's highest.  The greedy start takes every self-loop and leaves the
+    highest state unmatched; the one augmenting path runs the ring's length."""
+    def build(n, seed):
+        rng = random.Random(seed)
+        edges, start = set(), 0
+        while start < n:
+            stop = min(n, start + rng.randint(20, 200))
+            ring = range(start, stop) if step > 0 else range(stop - 1, start - 1, -1)
+            edges |= {(l, l) for l in range(start, stop - 1)} | set(zip(ring, ring[1:]))
+            edges.add((ring[-1], ring[0]))
+            start = stop
+        return digraph(n, edges), n
+    return build
+
+
+def _grid(n, seed):
+    """A side x side grid, each cell feeding the cells right of it and below
+    it, with seed + 1 inputs feeding the first cells of the top row."""
+    side = round(n ** 0.5)
+    n = side * side
+    edges = {(i * side + j, i * side + j + 1) for i in range(side) for j in range(side - 1)}
+    edges |= {(i * side + j, (i + 1) * side + j) for i in range(side - 1) for j in range(side)}
+    return digraph(n + seed + 1, edges | {(n + k, k) for k in range(seed + 1)}), n
+
+
+FAMILIES = {
+    "random-degree-2": _random_feeders(2),
+    "random-degree-3": _random_feeders(3),
+    "banded": _banded,
+    "chain-forward": _chain(1),
+    "chain-backward": _chain(-1),
+    "grid": _grid,
+}
 
 
 class TestScc:
@@ -125,26 +197,31 @@ class TestMaxMatching:
         assert all(mate_l[l] == r for r, l in enumerate(mate_r) if l >= 0)
         assert matching_edges((mate_l, mate_r)) in enumerate_max_matchings(bipartite(g, n))
 
-    # edgeless; a perfect matching (every right matched mid-phase, no last
-    # search); deficient (rights 0 and 1 share their one feeder)
+    # edgeless; a perfect matching (every right matched mid-phase);
+    # deficient (rights 0 and 1 share their one feeder)
     @example((digraph(4, []), 2))
     @example((digraph(6, {(4, 0), (4, 1), (5, 1), (2, 2), (3, 0)}), 3))
     @example((digraph(5, {(3, 0), (3, 1), (4, 2)}), 3))
     @given(matching_graphs(12))
-    def test_mates_equal_the_every_search_version(self, gn):
-        g, n = gn
-        assert max_matching(g, n) == max_matching_every_search(g, n)
+    def test_maximum_with_the_reference_witness(self, gn):
+        assert_maximum_with_the_reference_witness(*gn)
 
     @given(st.integers(1, 60), st.integers(1, 4), st.integers(0, 2**31))
     @settings(max_examples=60)
-    def test_mates_equal_the_every_search_version_on_system_graphs(self, n, p, seed):
+    def test_maximum_with_the_reference_witness_on_system_graphs(self, n, p, seed):
         # about two feeders per state, so long augmenting paths and several
         # phases occur
         rng = random.Random(seed)
         A = pat(n, n, {(k, rng.randrange(n)) for k in range(n) for _ in range(2)})
         B = pat(n, p, {(rng.randrange(n), j) for j in range(p)})
-        g = system_digraph(A, B)
-        assert max_matching(g, n) == max_matching_every_search(g, n)
+        assert_maximum_with_the_reference_witness(system_digraph(A, B), n)
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_maximum_on_sparse_families(self, family):
+        # Pothen–Fan's worst case is O(V·E), against Hopcroft–Karp's
+        # O(E·√V): the families where depth-first phases could go wrong
+        for seed in range(2):
+            assert_maximum_with_the_reference_witness(*FAMILIES[family](1500, seed))
 
     def test_deterministic_across_edge_orderings(self):
         edges = [(5 + i, (i * 3 + j) % 5) for i in range(5) for j in range(2)]

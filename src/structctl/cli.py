@@ -267,6 +267,8 @@ def _verify_similar(args) -> tuple[dict, bool]:
 def cmd_verify(args) -> tuple[dict, int]:
     if args.seed is not None and args.seed < 0:
         raise CliError(f"--seed must be a non-negative integer, got {args.seed}")
+    if args.seed is not None and args.mode != "centralized":
+        raise CliError("--seed only applies to --mode centralized")
     if args.fig5_simplify and args.mode != "distributed":
         raise CliError("--fig5-simplify only applies to --mode distributed")
     if args.trace and args.mode not in ("distributed", "serial"):

@@ -35,15 +35,18 @@ label as the residual distance to the sink given the cached boundary labels
 strictly downhill with boundary exits preferred, and ends with a boundary
 exchange plus the label census (the union of the labels below the cap and
 the lowest label holding excess) that applies the gap heuristic globally.
-From the second pass on, the recomputation becomes a synchronous multi-round
-sweep that relaxes distances across regions to a global fixpoint, which
-rules out the count-to-infinity laddering two mutually cached boundaries
-could otherwise sustain.  Its first round rides the barrier before it;
-later rounds send only distances that changed, and after each round the
-tree carries its (speaker, listener) news edges only to the subtrees that
-hold them; all agents stop once none has news, which is a global fixpoint
-(see :func:`_exact_relabel`).  Without the incoming boundary no neighbor
-caches what a sweep would send, so none runs.
+Both ways of recomputing run the same steps (:meth:`Region.recompute_labels`):
+the opening distances, a price per cached id, a lowering from the vertices
+that fell.  From the second pass on, a synchronous multi-round sweep prices
+each distance a neighbor sends as it arrives, relaxing distances across
+regions to a global fixpoint, which rules out the count-to-infinity
+laddering two mutually cached boundaries could otherwise sustain.  Its
+first round rides the barrier before it; later rounds send only distances
+that changed, and after each round the tree carries its (speaker,
+listener) news edges only to the subtrees that hold them; all agents stop
+once none has news, which is a global fixpoint (see :func:`_exact_relabel`).
+Without the incoming boundary no neighbor caches what a sweep would send,
+so none runs.
 Labels are capped at 2*sum(n)+sum(p)+2 (the number of flow vertices); excess
 stuck at the cap is permanently trapped, and the run stops once no region
 holds excess below the cap.
@@ -262,31 +265,9 @@ class Region:
 
     # -- lazy global relabel -------------------------------------------------
 
-    def _exits(self, cap: int, price: list) -> list:
-        """Each own vertex's cheapest step out of the region: 1 over an open
-        sink edge, else 1 + the least ``price`` over its residual cross edges
-        (``cap`` or more when it has neither).  ``price`` is read at cached
-        ids only."""
-        n, flow, open_at, cross = self.n, self.flow, self.open_at, self.cross
-        base = []
-        for v, room in enumerate(open_at):
-            b = cap
-            for w, e in cross[v]:
-                if flow[e] == room and price[w] < b:
-                    b = price[w]
-            base.append(1 if room and flow[v - n] == 0 else b + 1)
-        return base
-
-    def _relax(self, cap: int, base: list) -> list:
-        """Residual distance to the sink for every own vertex, capped at
-        ``cap``, given its cheapest step out (see :meth:`_exits`)."""
-        dist = [b if b < cap else cap for b in base]
-        self._lower(dist, [(b, v) for v, b in enumerate(base) if b < cap])
-        return dist
-
     def opening(self, cap: int) -> list:
-        """Each own vertex's distance to the sink with no price known: only
-        open sink edges lead out (see :meth:`_exits`)."""
+        """Each own vertex's distance to the sink, capped at ``cap``, with no
+        price known: only open sink edges lead out, at a step of 1."""
         n, flow, open_at = self.n, self.flow, self.open_at
         dist = [1 if room and flow[v - n] == 0 else cap for v, room in enumerate(open_at)]
         self._lower(dist, [(1, n + k) for k in range(n) if flow[k] == 0])
@@ -312,18 +293,32 @@ class Region:
                     heapq.heappush(heap, (d, u))
         return lowered
 
+    def _price(self, dist: list, w: int, val: int, fell: list) -> None:
+        """Price cached id ``w`` at ``val``: each own vertex whose residual
+        step out through ``w`` (val + 1) beats its ``dist`` falls to it and
+        joins ``fell`` as ``(distance, vertex)``, ready for :meth:`_lower`."""
+        flow, open_at = self.flow, self.open_at
+        for v, e in self.cross[w]:
+            if flow[e] == open_at[v] and val + 1 < dist[v]:
+                dist[v] = val + 1
+                fell.append((val + 1, v))
+
     def recompute_labels(self, cap: int) -> None:
         """Raise every own label to the exact residual distance to the sink,
         treating cached boundary labels as the cost of leaving the region.
 
-        Labels never decrease (a valid label is always a lower bound on the
-        true residual distance), so label monotonicity and push validity are
+        The sweep's own steps: the opening distances, each cached id priced
+        at its label, then the lowering from the vertices that fell.  Labels
+        never decrease (a valid label is always a lower bound on the true
+        residual distance), so label monotonicity and push validity are
         preserved while dead ends surface immediately instead of one relabel
         per exchange.
         """
-        for v, d in enumerate(self._relax(cap, self._exits(cap, self.label))):
-            if d > self.label[v]:
-                self.label[v] = d
+        dist, fell, label = self.opening(cap), [], self.label
+        for w in range(len(dist), len(label)):
+            self._price(dist, w, label[w], fell)
+        self._lower(dist, fell)
+        label[: len(dist)] = map(max, label, dist)
 
     # -- local discharge -----------------------------------------------------
 
@@ -418,11 +413,12 @@ def _exact_relabel(
     ctx: AgentContext, tree: Tree, toward: dict, region: Region, cap: int,
     dist: list, heard: dict,
 ):
-    """Synchronous distance sweep replacing the cached recomputation once a
-    run drags on: fresh residual distances relax to a global fixpoint, one
-    region hop per round, so every label (own and cached) becomes the exact
-    global residual distance and trapped excess freezes at once.  It needs
-    the incoming boundary, or no neighbor caches what an agent sends.
+    """The synchronous distance sweep opening every pass after the first:
+    :meth:`Region.recompute_labels`'s steps, priced at the distances
+    neighbors send instead of the cached labels, relax to a global fixpoint,
+    one region hop per round, so every label (own and cached) becomes the
+    exact global residual distance and trapped excess freezes at once.  It
+    needs the incoming boundary, or no neighbor caches what an agent sends.
 
     Round 1 rode the barrier (see :func:`_barrier`): the sweep starts from
     the own opening distances ``dist`` and applies the lists ``heard`` in
@@ -437,12 +433,12 @@ def _exact_relabel(
     up after that round, and the parent, which knows what it forwarded,
     does not wait for it.  A speaker forwards the list before it speaks, so
     on each tree edge a round's list comes before its relabels.  Inside a
-    region a round lowers distances only from the vertices whose step out
-    fell (:meth:`Region._lower`), and the lowered shared ones are the news.
+    region each price heard lowers the vertices whose step out it beats
+    (:meth:`Region._price`), a round lowers distances only from those
+    (:meth:`Region._lower`), and the lowered shared ones are the news.
     Distances and prices only decrease, and each price is the last distance
     its owner sent, so once no agent has news every price equals it: the
     fixpoint.  The root then sends ``[]`` down the whole tree."""
-    cross, flow, open_at = region.cross, region.flow, region.open_at
     remote = [cap] * len(region.label)  # prices, read at cached ids only
 
     def news(lowered) -> dict:
@@ -472,11 +468,7 @@ def _exact_relabel(
                 w, val = cached[d[x]], d[x + 1]
                 if val < remote[w]:
                     remote[w] = val
-                    # a lower price matters where its step out beats the distance
-                    for v, e in cross[w]:
-                        if flow[e] == open_at[v] and val + 1 < dist[v]:
-                            dist[v] = val + 1
-                            fell.append((val + 1, v))
+                    region._price(dist, w, val, fell)
         out = news(region._lower(dist, fell)) if fell else {}
         pairs = [x for j in out for x in (me, j)]  # own news edges first
         for c in awake:

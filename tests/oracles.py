@@ -11,8 +11,10 @@ distributed runs (the boundary size, hop distances, the BFS tree, trace
 filtering) and ``reached``, a reachability-only agent program that runs the
 package's reachability steps for every iteration, with no tree to stop
 them; ``discharge_every_step`` is the region discharge with no period
-skipped.  ``max_matching_every_search`` is Hopcroft–Karp with a layering
-search before every phase, the reference whose size and deficiency witness
+skipped; ``batch_exits`` and ``batch_relax`` are the batch reference for a
+region's residual distances, which the package computes step by step.
+``max_matching_every_search`` is Hopcroft–Karp with a layering search
+before every phase, the reference whose size and deficiency witness
 ``graphkit.max_matching`` must reproduce.  The reference-algorithm section,
 a unit-capacity preflow and a matching exchange, imports nothing; the tests
 check the package's matchings against it.
@@ -854,6 +856,33 @@ def discharge_every_step(self: Region, cap: int) -> None:
         label[v] = min(cap, 1 + min(prices, default=cap))
 
 
+def batch_exits(self: Region, cap: int, price: list) -> list:
+    """Each own vertex's cheapest step out of the region: 1 over an open
+    sink edge, else 1 + the least ``price`` over its residual cross edges
+    (``cap`` or more when it has neither).  ``price`` is read at cached ids
+    only.  With :func:`batch_relax`, the batch reference for the residual
+    distances that ``Region.recompute_labels`` and the relabel sweep compute
+    step by step; call it as ``batch_exits(region, cap, price)``."""
+    n, flow, open_at, cross = self.n, self.flow, self.open_at, self.cross
+    base = []
+    for v, room in enumerate(open_at):
+        b = cap
+        for w, e in cross[v]:
+            if flow[e] == room and price[w] < b:
+                b = price[w]
+        base.append(1 if room and flow[v - n] == 0 else b + 1)
+    return base
+
+
+def batch_relax(self: Region, cap: int, base: list) -> list:
+    """Residual distance to the sink for every own vertex, capped at
+    ``cap``, given its cheapest step out (see :func:`batch_exits`), in one
+    lowering seeded with every step below the cap."""
+    dist = [b if b < cap else cap for b in base]
+    self._lower(dist, [(b, v) for v, b in enumerate(base) if b < cap])
+    return dist
+
+
 def reached_program(extra_iterations: int = 0):
     """Agent program: true iff every own state is input-reachable globally.
     It runs every iteration, with no tree to stop it at the fixpoint;
@@ -911,8 +940,8 @@ def exact_relabel_by_speakers(ctx: AgentContext, tree: Tree, region: Region, cap
                 sent[v] = out[v] = dist[v]
         return out
 
-    base = region._exits(cap, remote)
-    dist = region._relax(cap, base)
+    base = batch_exits(region, cap, remote)
+    dist = batch_relax(region, cap, base)
     changed = news(dist)
     speakers = {ctx.id, *ctx.neighbors}  # round 1: everyone
     t = 0
@@ -944,7 +973,7 @@ def exact_relabel_by_speakers(ctx: AgentContext, tree: Tree, region: Region, cap
                             improved = True
         changed = {}
         if improved:
-            dist = region._relax(cap, base)
+            dist = batch_relax(region, cap, base)
             changed = news(dist)
         ids = yield from tree_aggregate(
             ctx, tree, [ctx.id] if changed else [],

@@ -315,6 +315,18 @@ class TestVerifyInputHandling:
             assert report_of(out)["error"] == "--seed must be a non-negative integer, got -1"
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "mode", ["distributed", "serial", "similar-thm1", "similar-thm2"]
+    )
+    def test_seed_needs_centralized(self, capsys, ring_file, mode):
+        # only the centralized numeric probe reads a seed
+        code, out, err = run_cli(
+            capsys, "verify", "--mode", mode, "--input", ring_file, "--seed", "3",
+        )
+        assert code == 2
+        assert report_of(out)["error"] == "--seed only applies to --mode centralized"
+        assert "Traceback" not in err
+
     def test_numeric_probe_skip_is_reported(self, capsys, tmp_path):
         chain = {(k + 1, k) for k in range(69)}
         path = tmp_path / "big.json"

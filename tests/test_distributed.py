@@ -13,6 +13,8 @@ import pytest
 
 from conftest import build_system, matching_size, reached_states
 from oracles import (
+    batch_exits,
+    batch_relax,
     bfs_tree_parents,
     boundary_vertex_count,
     directed,
@@ -429,7 +431,7 @@ class TestFloodedPhases:
                     for x, val in by_position(reply["d"]).items():
                         w = region.cached_from[action.frm][x]
                         prices[w] = min(prices[w], val)
-            dist = region._relax(cap, region._exits(cap, prices))
+            dist = batch_relax(region, cap, batch_exits(region, cap, prices))
             shared = {v for bucket in region.shared_with.values() for v in bucket}
             settled.append(last == {v: min(dist[v], cap) for v in shared})
 
@@ -1064,6 +1066,48 @@ class TestRegion:
         assert any(j != 0 for j in cached_owners(full))  # caches neighbor lefts too
         assert all(j != 0 for j in cached_owners(trimmed))
         assert len(cached_owners(trimmed)) < len(cached_owners(full))
+
+
+class TestRecomputeLabels:
+    def test_every_call_raises_own_labels_to_the_batch_distances(self, monkeypatch):
+        """Every call in a run leaves each own label at max(label, the batch
+        reference's distance priced at the cached labels) and every cached
+        label as it was, with and without the incoming boundary."""
+        real = Region.recompute_labels
+        calls = []
+
+        def spy(region, cap):
+            before = region.label[:]
+            dist = batch_relax(region, cap, batch_exits(region, cap, before))
+            real(region, cap)
+            expected = [*map(max, before, dist), *before[len(dist):]]
+            calls.append((region.label == expected, region.owner, before, cap))
+
+        monkeypatch.setattr(Region, "recompute_labels", spy)
+        systems = [sysm for _, sysm in wide_corpus(300)]
+        systems += [random_system(r, (1, 8), (1, 2), 0.3, seed=r) for r in (10, 20)]
+        for sysm in systems:
+            for drop in (False, True):
+                run(sysm, controlled_program(drop_incoming_boundary=drop))
+        # at least pass 1 of every agent in both boundary modes
+        assert len(calls) >= 2 * sum(sysm.r for sysm in systems)
+        assert [c for c in calls if not c[0]] == []
+
+    @pytest.mark.parametrize("include", [True, False])
+    def test_a_price_lowers_the_vertices_behind_its_exit(self, include):
+        """Agent 0's L0 feeds its R1 and agent 1's R0.  With flow on L0 -> R1
+        and on R1's sink edge, R1's only way out runs back to L0 and across
+        to 1.R0, cached at label 1, so R1 is 3 from the sink: found only by
+        lowering from the vertices that the price of 1.R0 lowered."""
+        sysm = build_system(
+            [(2, 0, {(1, 0)}, set()), (1, 0, set(), set())], [(1, 0, {(0, 0)})]
+        )
+        region = Region(ring_context(sysm, 0), include)
+        assert region.names == ["L0", "L1", "R0", "R1", "1.R0", "t"]
+        assert region.ends[1:3] == [(3, 5), (0, 3)]  # R1's sink edge, L0 -> R1
+        region.flow[1] = region.flow[2] = 1
+        region.recompute_labels(9)
+        assert region.label == [2, 9, 1, 3, 1]
 
 
 class ScanCounting(list):

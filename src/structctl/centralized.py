@@ -1,4 +1,12 @@
-"""Whole-system controllability verdicts with replayable certificates."""
+"""Whole-system controllability verdicts with replayable certificates.
+
+:func:`certify_digraph` runs the check on the graph of (A, B) and keeps its
+certificate in the graph's vertex ids (:class:`IdCertificate`).  The
+certificate has two encodings, which share one id-to-vertex rule: the dict
+in :func:`verify_digraph`'s :class:`Verdict`, which
+:func:`check_certificate` replays, and the indented report text, which the
+CLI writes without building the dict.
+"""
 
 from __future__ import annotations
 
@@ -29,12 +37,6 @@ class Verdict:
         return self.controllable
 
 
-def _encoder(n: int):
-    """Certificate encoding of a ``system_digraph`` vertex: ["x", j] for
-    state j, ["u", j] for input column j."""
-    return lambda v: ["x", v] if v < n else ["u", v - n]
-
-
 def verify(A: SparsityPattern, B: SparsityPattern) -> Verdict:
     """Structural controllability of the pattern pair (A, B); see
     :func:`verify_digraph`, which this runs on ``system_digraph(A, B)``."""
@@ -53,41 +55,112 @@ def verify_digraph(g: Graph, n: int) -> Verdict:
     either the closed set of unreachable states or a right-side deficiency
     witness (a set of states with fewer distinct feeders than members).
     An unreachable state is preferred over a deficiency when both exist.
+    The certificate is :func:`certify_digraph`'s, decoded into vertices by
+    :meth:`IdCertificate.as_dict`.
     """
+    cert = certify_digraph(g, n)
+    return Verdict(cert.controllable, "reachability-matching", cert.as_dict())
+
+
+def certify_digraph(g: Graph, n: int) -> "IdCertificate":
+    """The check of :func:`verify_digraph`, with its certificate left in the
+    graph's vertex ids: the unreached states; or W and N(W); or the matched
+    (left, right) pairs in ``left_order`` and every state's reach parent."""
     parent = input_reachable_with_parents(g, n)
     unreached = [j for j in range(n) if parent[j] < 0]
     if unreached:
-        return Verdict(
-            False,
-            "reachability-matching",
-            {"type": "unreachable-closure", "states": unreached},
-        )
+        return IdCertificate("unreachable-closure", n, states=unreached)
     mates = max_matching(g, n)
     witness = right_deficiency_witness(g, mates)
-    enc = _encoder(n)
     if witness is not None:
         w_set, n_set = witness
-        return Verdict(
-            False,
-            "reachability-matching",
-            {
-                "type": "right-deficiency",
-                "rights": [enc(v) for v in w_set],
-                "neighbors": [enc(v) for v in n_set],
-            },
-        )
+        return IdCertificate("right-deficiency", n, rights=(w_set,), neighbors=(n_set,))
     mate_l = mates[0]
-    return Verdict(
-        True,
-        "reachability-matching",
-        {
-            "type": "reach-and-match",
-            "matching": [
-                [enc(l), enc(mate_l[l])] for l in left_order(len(g), n) if mate_l[l] >= 0
-            ],
-            "reach_forest": [[enc(j), enc(parent[j])] for j in range(n)],
-        },
+    lefts = [l for l in left_order(len(g), n) if mate_l[l] >= 0]
+    return IdCertificate(
+        "reach-and-match", n,
+        matching=(lefts, [mate_l[l] for l in lefts]),
+        reach_forest=(range(n), parent),
     )
+
+
+def _encoded(ids, n: int) -> tuple[list, list]:
+    """The certificate encoding of graph vertices, ["x", j] for state j and
+    ["u", j - n] for input vertex j, as the list of tags and the list of
+    indices."""
+    return ["x" if v < n else "u" for v in ids], [v if v < n else v - n for v in ids]
+
+
+class IdCertificate:
+    """A centralized certificate whose vertices are still graph ids.
+
+    ``kind`` is the certificate's "type".  ``fields`` holds its other keys,
+    in the order the dict lists them.
+    A list value is a list of states, written as bare ints.  A tuple of one
+    or two equal-length id lists is a list of vertices, or of [vertex,
+    vertex] pairs.  The two encodings, :meth:`as_dict` and :meth:`write`,
+    both map ids to vertices by :func:`_encoded`."""
+
+    __slots__ = ("kind", "n", "fields")
+
+    def __init__(self, kind: str, n: int, **fields):
+        self.kind, self.n, self.fields = kind, n, fields
+
+    @property
+    def controllable(self) -> bool:
+        return self.kind == "reach-and-match"
+
+    def as_dict(self) -> dict:
+        """The certificate as ``Verdict.certificate`` holds it."""
+        cert = {"type": self.kind}
+        for key, ids in self.fields.items():
+            if type(ids) is list:
+                cert[key] = list(ids)
+                continue
+            columns = [list(map(list, zip(*_encoded(c, self.n)))) for c in ids]
+            cert[key] = columns[0] if len(columns) == 1 else list(map(list, zip(*columns)))
+        return cert
+
+    def write(self, newline: str) -> str:
+        """``model.indented_json(self.as_dict(), newline)``, with each list
+        written by one %-format over a flat tuple of its tags and indices."""
+        inner = newline + "  "
+        texts = {key: _list_text(ids, self.n, inner) for key, ids in self.fields.items()}
+        texts["type"] = f'"{self.kind}"'
+        # One join copies each list's text once: every further copy of a long
+        # certificate's text would add to the process's peak memory.
+        parts = []
+        for key in sorted(texts):
+            parts += (",", inner, f'"{key}": ', texts[key])
+        parts[0] = "{"
+        parts += (newline, "}")
+        return "".join(parts)
+
+
+def _vertex_text(newline: str) -> str:
+    """The %-format of one ``[tag, index]`` vertex at ``newline``."""
+    pad = newline + "  "
+    return "[" + pad + '"%s",' + pad + "%d" + newline + "]"
+
+
+def _list_text(ids, n: int, newline: str) -> str:
+    """The indented text of one :class:`IdCertificate` field at ``newline``."""
+    pad = newline + "  "
+    if type(ids) is list:  # states, as bare ints
+        count, entry, args = len(ids), "%d", ids
+    else:
+        width, count = len(ids), len(ids[0])
+        if width == 1:
+            entry = _vertex_text(pad)
+        else:
+            inner = pad + "  "
+            entry = "[" + inner + ("," + inner).join([_vertex_text(inner)] * width) + pad + "]"
+        args = [None] * (2 * width * count)
+        for k, column in enumerate(ids):
+            args[2 * k::2 * width], args[2 * k + 1::2 * width] = _encoded(column, n)
+    if not count:
+        return "[]"
+    return ("[" + pad + ("," + pad).join([entry] * count) + newline + "]") % tuple(args)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .centralized import PROBE_MAX_STATES, numeric_probe, verify_digraph
+from .centralized import PROBE_MAX_STATES, certify_digraph, numeric_probe
 from .distributed import controlled_program
 from .model import (
     Graph,
@@ -45,7 +45,7 @@ from .similar import (
 )
 
 # Not called: centralized mode builds its graph from the blocks and runs
-# `verify_digraph`.  Kept importable for the benchmark hook on `cli.verify`.
+# `certify_digraph`.  Kept importable for the benchmark hook on `cli.verify`.
 from .centralized import verify  # noqa: F401
 
 MODES = ("centralized", "distributed", "serial", "similar-thm1", "similar-thm2")
@@ -154,10 +154,11 @@ def _load_graph(path: str, probe: bool) -> tuple[Graph, int, int, int, tuple | N
 
 def _verify_centralized(args) -> tuple[dict, bool]:
     graph, r, n, p, patterns = _load_graph(args.input, args.seed is not None)
-    verdict = verify_digraph(graph, n)
+    # The report writer writes the certificate straight from its vertex ids.
+    cert = certify_digraph(graph, n)
     report = {
-        "controllable": verdict.controllable,
-        "certificate": verdict.certificate,
+        "controllable": cert.controllable,
+        "certificate": cert,
         "subsystems": r,
         "states": n,
         "inputs": p,
@@ -171,7 +172,7 @@ def _verify_centralized(args) -> tuple[dict, bool]:
                 f"{n} states exceed the numeric probe's limit of {PROBE_MAX_STATES}"
             )
         report["numeric_probe"] = probe
-    return report, verdict.controllable
+    return report, cert.controllable
 
 
 def _verify_distributed(args) -> tuple[dict, bool]:

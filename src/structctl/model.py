@@ -489,7 +489,9 @@ def indented_json(obj, newline: str = "\n") -> str:
 
     Two routes write the same bytes.  A list of lists that is a uniform list
     tree (see ``_list_tree_json``) is encoded once by json's C encoder and
-    re-indented by replacement; everything else recurses here."""
+    re-indented by replacement; everything else recurses here.  A value with
+    a ``write(newline)`` method, such as a ``centralized.IdCertificate``,
+    writes its own text at the indentation it is handed."""
     kind, inner = type(obj), newline + "  "
     if kind is list and obj and type(obj[0]) is list:
         text = _list_tree_json(obj, newline)
@@ -509,6 +511,9 @@ def indented_json(obj, newline: str = "\n") -> str:
         return _json_str(obj)
     if kind is int:
         return int.__repr__(obj)
+    write = getattr(obj, "write", None)
+    if write is not None:
+        return write(newline)
     return json.dumps(obj)  # empty containers, true/false/null and floats
 
 

@@ -2,20 +2,26 @@
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import pat
 from oracles import check_cacti_certificate, controllable_bruteforce, verify_via_cacti
 from structctl.centralized import (
     PROBE_MAX_STATES,
+    IdCertificate,
     Verdict,
+    certify_digraph,
     check_certificate,
     numeric_probe,
     verify,
 )
-from structctl.model import SparsityPattern
+from structctl.model import SparsityPattern, digraph, graph_from_obj, indented_json
 
 
 def random_pair(seed, max_n=7, max_p=2, density=0.35):
@@ -25,6 +31,18 @@ def random_pair(seed, max_n=7, max_p=2, density=0.35):
     A = {(i, j) for i in range(n) for j in range(n) if rng.random() < density}
     B = {(i, j) for i in range(n) for j in range(p) if rng.random() < 0.5}
     return pat(n, n, A), pat(n, p, B)
+
+
+def system_graphs(max_n=6, max_p=3):
+    """(g, n): the graph of some (A, B) with 1..max_n states and 0..max_p
+    inputs."""
+    def graphs(n, p):
+        edges = st.frozensets(st.tuples(st.integers(0, n + p - 1), st.integers(0, n - 1)))
+        return edges.map(lambda pairs: (digraph(n + p, pairs), n))
+
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.integers(0, max_p).flatmap(lambda p: graphs(n, p))
+    )
 
 
 def looped_chain(n, entries):
@@ -248,6 +266,51 @@ class TestCacti:
         assert cactus["cycles"]
         forged = {"type": "input-cacti", "cacti": [{**cactus, "cycles": []}]}
         assert not check_cacti_certificate(A, B, Verdict(True, v.mode, forged))
+
+
+class TestCertificateText:
+    """``IdCertificate.write`` writes what the report writer writes for the
+    certificate dict that ``verify_digraph`` materializes, at any indentation."""
+
+    NEWLINES = ["\n", "\n  ", "\n        "]
+
+    def assert_written_as_the_dict(self, cert):
+        materialized = cert.as_dict()
+        for newline in self.NEWLINES:
+            assert cert.write(newline) == indented_json(materialized, newline)
+        assert cert.write("\n") == json.dumps(materialized, indent=2, sort_keys=True)
+
+    @given(system_graphs())
+    @example((digraph(1, []), 1))  # n = 1, unreachable
+    @example((digraph(2, [(1, 0)]), 1))  # n = 1, controllable
+    @example((digraph(3, [(2, 0), (0, 1)]), 2))  # the matching starts with an input row
+    @example((digraph(4, [(3, 0), (0, 1), (0, 2)]), 3))  # x1 and x2 share x0
+    def test_drawn_graphs(self, gn):
+        self.assert_written_as_the_dict(certify_digraph(*gn))
+
+    @pytest.mark.parametrize(
+        "cert",
+        [
+            certify_digraph([], 0),  # an empty matching and forest
+            certify_digraph([[]], 0),  # an input and no states
+            IdCertificate("right-deficiency", 2, rights=([0, 1],), neighbors=([],)),
+        ],
+        ids=["no-vertices", "one-input", "no-neighbors"],
+    )
+    def test_empty_lists(self, cert):
+        self.assert_written_as_the_dict(cert)
+
+    def test_benchmark_networks(self, monkeypatch, tmp_path):
+        monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "bench"))
+        import workloads
+
+        kinds = []
+        for call in workloads.central_large(1, str(tmp_path), scale=0.02):
+            graph, _, n, _ = graph_from_obj(json.loads(Path(call.path).read_text()))
+            cert = certify_digraph(graph, n)
+            self.assert_written_as_the_dict(cert)
+            kinds.append(cert.kind)
+        assert kinds == ["reach-and-match", "right-deficiency", "unreachable-closure"]
 
 
 class TestNumericProbe:

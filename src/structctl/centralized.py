@@ -5,7 +5,8 @@ certificate in the graph's vertex ids (:class:`IdCertificate`).  The
 certificate has two encodings, which share one id-to-vertex rule: the dict
 in :func:`verify_digraph`'s :class:`Verdict`, which
 :func:`check_certificate` replays, and the indented report text, which the
-CLI writes without building the dict.
+CLI writes without building the dict: each of its lists is a ``model.Rows``
+over the tags and indices.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .graphkit import (
     max_matching,
     right_deficiency_witness,
 )
-from .model import Graph, SparsityPattern, system_digraph
+from .model import Graph, Rows, SparsityPattern, indented_json, system_digraph
 
 # Not called: `verify` reads reachability and the matching off one graph.
 # Kept importable for the benchmark hook on `centralized.system_bipartite`.
@@ -91,6 +92,9 @@ def _encoded(ids, n: int) -> tuple[list, list]:
     return ["x" if v < n else "u" for v in ids], [v if v < n else v - n for v in ids]
 
 
+_VERTEX = ('"%s"', "%d")  # the Rows shape of a ["x", j] or ["u", j] vertex
+
+
 class IdCertificate:
     """A centralized certificate whose vertices are still graph ids.
 
@@ -99,7 +103,8 @@ class IdCertificate:
     A list value is a list of states, written as bare ints.  A tuple of one
     or two equal-length id lists is a list of vertices, or of [vertex,
     vertex] pairs.  The two encodings, :meth:`as_dict` and :meth:`write`,
-    both map ids to vertices by :func:`_encoded`."""
+    both map ids to vertices by :func:`_encoded`; :meth:`write` hands each
+    list to ``model.indented_json`` as a ``model.Rows``."""
 
     __slots__ = ("kind", "n", "fields")
 
@@ -123,44 +128,18 @@ class IdCertificate:
 
     def write(self, newline: str) -> str:
         """``model.indented_json(self.as_dict(), newline)``, with each list
-        written by one %-format over a flat tuple of its tags and indices."""
-        inner = newline + "  "
-        texts = {key: _list_text(ids, self.n, inner) for key, ids in self.fields.items()}
-        texts["type"] = f'"{self.kind}"'
-        # One join copies each list's text once: every further copy of a long
-        # certificate's text would add to the process's peak memory.
-        parts = []
-        for key in sorted(texts):
-            parts += (",", inner, f'"{key}": ', texts[key])
-        parts[0] = "{"
-        parts += (newline, "}")
-        return "".join(parts)
+        a ``model.Rows`` of its tags and indices."""
+        rows = {key: self._rows(ids) for key, ids in self.fields.items()}
+        return indented_json({"type": self.kind, **rows}, newline)
 
-
-def _vertex_text(newline: str) -> str:
-    """The %-format of one ``[tag, index]`` vertex at ``newline``."""
-    pad = newline + "  "
-    return "[" + pad + '"%s",' + pad + "%d" + newline + "]"
-
-
-def _list_text(ids, n: int, newline: str) -> str:
-    """The indented text of one :class:`IdCertificate` field at ``newline``."""
-    pad = newline + "  "
-    if type(ids) is list:  # states, as bare ints
-        count, entry, args = len(ids), "%d", ids
-    else:
+    def _rows(self, ids) -> Rows:
+        if type(ids) is list:  # states, as bare ints
+            return Rows("%d", len(ids), ids)
         width, count = len(ids), len(ids[0])
-        if width == 1:
-            entry = _vertex_text(pad)
-        else:
-            inner = pad + "  "
-            entry = "[" + inner + ("," + inner).join([_vertex_text(inner)] * width) + pad + "]"
         args = [None] * (2 * width * count)
         for k, column in enumerate(ids):
-            args[2 * k::2 * width], args[2 * k + 1::2 * width] = _encoded(column, n)
-    if not count:
-        return "[]"
-    return ("[" + pad + ("," + pad).join([entry] * count) + newline + "]") % tuple(args)
+            args[2 * k::2 * width], args[2 * k + 1::2 * width] = _encoded(column, self.n)
+        return Rows(_VERTEX if width == 1 else (_VERTEX,) * width, count, args)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import operator
 import random
 from dataclasses import dataclass
 from itertools import chain, islice
-from json.encoder import c_make_encoder
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable
 
@@ -451,27 +450,31 @@ def graph_from_obj(obj) -> tuple[Graph, int, int, int]:
     return graph, len(subs), n, len(graph) - n
 
 
-def system_to_obj(sys: InterconnectedSystem) -> dict:
+def _pair_list(pattern: SparsityPattern) -> list:
+    return [list(rc) for rc in sorted(pattern.nonzeros)]
+
+
+def _pair_rows(pattern: SparsityPattern) -> Rows:
+    pairs = sorted(pattern.nonzeros)
+    return Rows(("%d", "%d"), len(pairs), chain.from_iterable(pairs))
+
+
+def _system_obj(sys: InterconnectedSystem, pairs) -> dict:
+    """The file object of ``sys``, with each pattern as ``pairs`` gives it."""
     return {
         "subsystems": [
-            {
-                "id": s.id,
-                "n": s.n,
-                "p": s.p,
-                "A": [list(rc) for rc in sorted(s.A.nonzeros)],
-                "B": [list(rc) for rc in sorted(s.B.nonzeros)],
-            }
+            {"id": s.id, "n": s.n, "p": s.p, "A": pairs(s.A), "B": pairs(s.B)}
             for s in sys.subsystems
         ],
         "connections": [
-            {
-                "to": c.to,
-                "from": c.from_,
-                "E": [list(rc) for rc in sorted(c.E.nonzeros)],
-            }
+            {"to": c.to, "from": c.from_, "E": pairs(c.E)}
             for c in sorted(sys.connections, key=lambda c: (c.to, c.from_))
         ],
     }
+
+
+def system_to_obj(sys: InterconnectedSystem) -> dict:
+    return _system_obj(sys, _pair_list)
 
 
 def loads(text: str) -> InterconnectedSystem:
@@ -485,28 +488,27 @@ def loads(text: str) -> InterconnectedSystem:
 def indented_json(obj, newline: str = "\n") -> str:
     """The text ``json.dumps`` writes for ``obj`` with sorted keys and an indent
     of 2, without the pure-Python encoder that json's indenting runs on.
-    ``newline`` carries the indentation of nested containers.
-
-    Two routes write the same bytes.  A list of lists that is a uniform list
-    tree (see ``_list_tree_json``) is encoded once by json's C encoder and
-    re-indented by replacement; everything else recurses here.  A value with
-    a ``write(newline)`` method, such as a ``centralized.IdCertificate``,
-    writes its own text at the indentation it is handed."""
+    ``newline`` carries the indentation of nested containers.  A value with a
+    ``write(newline)`` method, such as a :class:`Rows` or a
+    ``centralized.IdCertificate``, writes its own text at the indentation it
+    is handed."""
     kind, inner = type(obj), newline + "  "
-    if kind is list and obj and type(obj[0]) is list:
-        text = _list_tree_json(obj, newline)
-        if text is not None:
-            return text
     if (kind is list or kind is tuple) and obj:
         items = [_json_str(v) if type(v) is str else int.__repr__(v) if type(v) is int
                  else indented_json(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if kind is dict and obj:
         # json sorts the keys as given.  A non-string key is written by json
-        # itself, as the text in {<key>: 0}, so it raises as json does.
-        items = [(_json_str(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4])
-                 + ": " + indented_json(v, inner) for k, v in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        # itself, as the text in {<key>: 0}, so it raises as json does.  One
+        # join copies each value's text once: a long list's text is not
+        # copied again behind its key.
+        parts = []
+        for k, v in sorted(obj.items()):
+            parts += (",", inner, _json_str(k) if isinstance(k, str)
+                      else json.dumps({k: 0})[1:-4], ": ", indented_json(v, inner))
+        parts[0] = "{"
+        parts += (newline, "}")
+        return "".join(parts)
     if kind is str:
         return _json_str(obj)
     if kind is int:
@@ -517,45 +519,37 @@ def indented_json(obj, newline: str = "\n") -> str:
     return json.dumps(obj)  # empty containers, true/false/null and floats
 
 
-# Compact, with NUL as the item separator: in its ASCII output a NUL inside a
-# string is escaped, so a raw NUL can only be a separator.  It only sees trees
-# of lists, str and int that ``_list_tree_json`` has walked, so it needs no
-# cycle check and no ``default``.
-_compact_nul = c_make_encoder(None, None, _json_str, None, ": ", "\x00", True, False, True)
-_LEAF_TYPES = {str, int}
+def _row_format(shape, newline: str) -> str:
+    if type(shape) is str:
+        return shape
+    pad = newline + "  "
+    return "[" + pad + ("," + pad).join([_row_format(s, pad) for s in shape]) + newline + "]"
 
 
-def _list_tree_json(obj: list, newline: str) -> str | None:
-    """``indented_json(obj, newline)`` if ``obj`` is a uniform list tree, else
-    None.  In a uniform list tree every container is a non-empty ``list`` and
-    every leaf is a ``str`` or ``int`` at the same depth, so json's indented
-    text is the compact text with each separator re-spaced by the number m of
-    brackets on each side of it, m = 0 between leaves."""
-    level, lists, height, seen = [obj], 1, 1, set()
-    while type(level[0][0]) is list:  # one level per pass, of non-empty lists
-        # Only lists that hold lists can close a cycle; one met twice ends the walk.
-        seen.update(map(id, level))
-        level = list(chain.from_iterable(level))
-        if len(seen) != lists or set(map(type, level)) != {list} or not all(level):
-            return None
-        lists, height = lists + len(level), height + 1
-    if not set(map(type, chain.from_iterable(level))) <= _LEAF_TYPES:
-        return None
-    text = "".join(_compact_nul(obj, 0))
-    if not text.count("[") == text.count("]") == lists:  # a bracket inside a string
-        return None
-    pads = [newline + "  " * k for k in range(height + 1)]
-    closes = [pad + "]" for pad in pads[height - 1::-1]]  # the innermost list first
-    opens = [pad + "[" for pad in pads[1:height]]  # the outermost list first
-    body = text[height:-height]
-    for m in range(height - 1, -1, -1):  # the longest bracket runs first
-        body = body.replace("]" * m + "\x00" + "[" * m, "".join(closes[:m]) + ","
-                            + "".join(opens[height - 1 - m:]) + pads[height])
-    return "".join(("[", *opens, pads[height], body, *closes))
+class Rows:
+    """A long JSON list of ``count`` rows of one shape, which
+    :func:`indented_json` writes by one %-format over the flat ``args``.
+
+    A shape is ``"%d"`` for an int, ``'"%s"'`` for a str that json writes
+    without escapes (such as a vertex tag), or a tuple of shapes for a list
+    of them.  ``args`` holds the rows' values in order, row after row; it
+    is kept as a tuple, so every write gives the same text."""
+
+    __slots__ = ("shape", "count", "args")
+
+    def __init__(self, shape, count: int, args):
+        self.shape, self.count, self.args = shape, count, tuple(args)
+
+    def write(self, newline: str) -> str:
+        if not self.count:
+            return "[]"
+        pad = newline + "  "
+        row = _row_format(self.shape, pad)
+        return ("[" + pad + ("," + pad).join([row] * self.count) + newline + "]") % self.args
 
 
 def dumps(sys: InterconnectedSystem) -> str:
-    return indented_json(system_to_obj(sys)) + "\n"
+    return indented_json(_system_obj(sys, _pair_rows)) + "\n"
 
 
 def load(path) -> InterconnectedSystem:

@@ -31,6 +31,8 @@ from .model import (
     SparsityPattern,
     Subsystem,
     _check_keys,
+    _pair_list,
+    _pair_rows,
     _parse_pairs,
     _random_pattern,
     _require_int,
@@ -192,18 +194,14 @@ def similar_from_obj(obj) -> SimilarSystemSpec:
     )
 
 
+def _similar_obj(spec: SimilarSystemSpec, pairs) -> dict:
+    """The file object of ``spec``, with each pattern as ``pairs`` gives it."""
+    patterns = {key: pairs(getattr(spec, key)) for key in ("Aprime", "Bprime", "H", "E")}
+    return {"similar": {"r": spec.r, "n": spec.n, "p": spec.p, **patterns}}
+
+
 def similar_to_obj(spec: SimilarSystemSpec) -> dict:
-    return {
-        "similar": {
-            "r": spec.r,
-            "n": spec.n,
-            "p": spec.p,
-            "Aprime": [list(rc) for rc in sorted(spec.Aprime.nonzeros)],
-            "Bprime": [list(rc) for rc in sorted(spec.Bprime.nonzeros)],
-            "H": [list(rc) for rc in sorted(spec.H.nonzeros)],
-            "E": [list(rc) for rc in sorted(spec.E.nonzeros)],
-        }
-    }
+    return _similar_obj(spec, _pair_list)
 
 
 def similar_loads(text: str) -> SimilarSystemSpec:
@@ -215,7 +213,7 @@ def similar_loads(text: str) -> SimilarSystemSpec:
 
 
 def similar_dumps(spec: SimilarSystemSpec) -> str:
-    return indented_json(similar_to_obj(spec)) + "\n"
+    return indented_json(_similar_obj(spec, _pair_rows)) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ import weakref
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import build_system
+from conftest import build_system, pat
 from structctl import cli, distributed, model, serial
 from structctl.centralized import (
     IdCertificate,
@@ -38,7 +38,12 @@ from structctl.model import (
 )
 from structctl.runtime import Recv
 from structctl.serial import is_serial
-from structctl.similar import random_similar_spec, similar_dumps, similar_to_obj
+from structctl.similar import (
+    SimilarSystemSpec,
+    random_similar_spec,
+    similar_dumps,
+    similar_to_obj,
+)
 
 
 def run_python(*args):
@@ -786,8 +791,8 @@ def _json_reference(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
-# Strings holding what the compact text and its re-indenting act on: brackets,
-# separators, quotes, escapes and the NUL the route separates items with.
+# Strings holding what a writer that edits text instead of values could
+# confuse with structure: brackets, separators, quotes, escapes and NUL.
 _TRICKY_TEXT = st.text(st.sampled_from('[],"\x00\\ax\né\U0001f600'), max_size=4)
 _LEAVES = st.one_of(_TRICKY_TEXT, st.integers(-(2**70), 2**70))
 
@@ -834,10 +839,38 @@ _ANY_JSON = st.recursive(
 )
 
 
-def _has_bracket(obj) -> bool:
-    if type(obj) is list:
-        return any(map(_has_bracket, obj))
-    return type(obj) is str and ("[" in obj or "]" in obj)
+def _patterns(rows: int, cols: int, min_size: int = 0, diagonal: bool = True):
+    cells = st.tuples(st.integers(0, rows - 1), st.integers(0, cols - 1))
+    if not diagonal:
+        cells = cells.filter(lambda rc: rc[0] != rc[1])
+    if not rows * cols or (not diagonal and rows == 1):
+        return st.just(pat(rows, cols, ()))
+    return st.frozensets(cells, min_size=min_size, max_size=8).map(
+        lambda nz: pat(rows, cols, nz))
+
+
+@st.composite
+def _systems(draw):
+    """Systems of 1 to 4 subsystems, some input-free or with empty blocks."""
+    r = draw(st.integers(1, 4))
+    ns = [draw(st.integers(1, 4)) for _ in range(r)]
+    subs = []
+    for n in ns:
+        p = draw(st.integers(0, 2))
+        subs.append((n, p, draw(_patterns(n, n)).nonzeros, draw(_patterns(n, p)).nonzeros))
+    links = [(t, f) for t in range(r) for f in range(r) if t != f]
+    chosen = draw(st.lists(st.sampled_from(links), unique=True)) if links else []
+    return build_system(
+        subs, [(t, f, draw(_patterns(ns[t], ns[f], 1)).nonzeros) for t, f in chosen])
+
+
+@st.composite
+def _similar_specs(draw):
+    r, n, p = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    return SimilarSystemSpec(
+        r, n, p, draw(_patterns(n, n)), draw(_patterns(n, p)), draw(_patterns(n, n)),
+        draw(_patterns(r, r, diagonal=False)),
+    )
 
 
 class TestReportWriter:
@@ -919,6 +952,9 @@ class TestReportWriter:
             {"dir/ü\"x\n.json": "\x00", "\\": ["\"", "é"]},
             (1, ("a", [2])), {"k": (True, None)},
             {"b": [[["x", 1], ["u", 0]]], "a": {"c": [["x", -1]], "d": "e"}},
+            [["x", 0], ["u", 1]],  # rights, neighbors
+            [[["x", 0], ["u", 1]], [["x", 1], ["x", 0]]],  # matching, reach_forest
+            [[",", '"', "\x00", "\\", ',\x00"\\', "é\n"]], [[[[-(2**70)]]]],
         ],
     )
     def test_hand_cases(self, obj):
@@ -940,15 +976,11 @@ class TestReportWriter:
     @settings(max_examples=300)
     @given(_UNIFORM)
     def test_uniform_list_trees(self, tree):
-        """Every uniform list tree takes the C route unless a string holds a
-        bracket, and both routes write json's bytes at any indentation."""
-        routed = model._list_tree_json(tree, "\n")
-        assert (routed is None) == _has_bracket(tree)
+        """Uniform list trees, strings with brackets, separators and escapes
+        included, are written as json writes them at any indentation."""
         assert indented_json(tree) == _json_reference(tree)
         nested = {"a": tree, "b": [tree, {"c": tree}]}
         assert indented_json(nested) == _json_reference(nested)
-        if routed is not None:
-            assert routed == _json_reference(tree)
 
     @settings(max_examples=300)
     @given(st.one_of(_near_misses(), _ANY_JSON))
@@ -968,19 +1000,8 @@ class TestReportWriter:
         ],
     )
     def test_route_declines_near_misses(self, obj):
-        assert model._list_tree_json(obj, "\n") is None
+        """Hand-made near misses of a uniform list tree."""
         assert indented_json(obj) == _json_reference(obj)
-
-    @pytest.mark.parametrize(
-        "obj",
-        [
-            [["x", 0], ["u", 1]],  # rights, neighbors
-            [[["x", 0], ["u", 1]], [["x", 1], ["x", 0]]],  # matching, reach_forest
-            [[",", '"', "\x00", "\\", ',\x00"\\', "é\n"]], [[[[-(2**70)]]]],
-        ],
-    )
-    def test_route_takes_uniform_list_trees(self, obj):
-        assert model._list_tree_json(obj, "\n") == _json_reference(obj)
 
     def test_self_containing_lists_raise(self):
         a = []
@@ -992,7 +1013,6 @@ class TestReportWriter:
         d = [[["x", 0]], []]
         d[1].append(d)
         for obj in (a, b, c, d):
-            assert model._list_tree_json(obj, "\n") is None
             with pytest.raises(RecursionError):
                 indented_json(obj)
 
@@ -1007,10 +1027,16 @@ class TestReportWriter:
         assert set(certs) == {"reach-and-match", "right-deficiency", "unreachable-closure"}
         assert out == "".join(_json_reference(obj) + "\n" for obj in seen)
 
-    def test_generated_files(self, thm1_ring):
-        sysm = random_system(5, (1, 6), (0, 2), 0.35, seed=8)
+    @given(_systems(), _similar_specs())
+    @example(  # empty A, p = 0 with an empty B, one subsystem and no connections
+        build_system([(2, 0, set(), set())], []),
+        # r = 1 with an empty E, and a zero H
+        SimilarSystemSpec(1, 2, 0, pat(2, 2, {(0, 1)}), pat(2, 0, ()), pat(2, 2, ()),
+                          pat(1, 1, ())),
+    )
+    def test_generated_files(self, sysm, spec):
         assert dumps(sysm) == _json_reference(system_to_obj(sysm)) + "\n"
-        assert similar_dumps(thm1_ring) == _json_reference(similar_to_obj(thm1_ring)) + "\n"
+        assert similar_dumps(spec) == _json_reference(similar_to_obj(spec)) + "\n"
 
 
 class TestCollector:

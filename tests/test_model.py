@@ -18,6 +18,7 @@ from structctl.model import (
     InterconnectedSystem,
     Interconnection,
     ModelError,
+    Rows,
     SparsityPattern,
     Subsystem,
     assemble_global,
@@ -25,6 +26,7 @@ from structctl.model import (
     condensed_graph,
     dumps,
     graph_from_obj,
+    indented_json,
     is_weakly_connected,
     loads,
     random_serial_system,
@@ -398,6 +400,49 @@ class TestJson:
     def test_not_json_at_all(self):
         with pytest.raises(ModelError):
             loads("{nope")
+
+
+_INTS = st.integers(-(2**70), 2**70)
+_VERTEX = ('"%s"', "%d")
+_VERTICES = st.tuples(st.sampled_from(["x", "u", "tag"]), st.integers(0, 10**6)).map(list)
+# Each Rows shape with a strategy for one row in its list form.
+_SHAPES = [
+    ("%d", _INTS),
+    (_VERTEX, _VERTICES),
+    ((_VERTEX, _VERTEX), st.lists(_VERTICES, min_size=2, max_size=2)),
+    (("%d", "%d"), st.lists(_INTS, min_size=2, max_size=2)),
+]
+_SHAPE_IDS = ["ints", "vertex", "vertex-pair", "int-pair"]
+
+
+def _flat(row) -> list:
+    return [v for item in row for v in _flat(item)] if type(row) is list else [row]
+
+
+class TestRows:
+    """``Rows`` writes what ``indented_json`` writes for the list of its rows
+    at any indentation, and the same text each time it is written."""
+
+    NEWLINES = ["\n", "\n  ", "\n        "]
+
+    @pytest.mark.parametrize("shape, row", _SHAPES, ids=_SHAPE_IDS)
+    @given(data=st.data())
+    def test_written_as_the_list(self, shape, row, data):
+        rows = data.draw(st.lists(row, max_size=6))
+        # an iterator, as dumps passes: the rows keep their values
+        written = Rows(shape, len(rows), iter(_flat(rows)))
+        for newline in self.NEWLINES:
+            assert written.write(newline) == indented_json(rows, newline)
+            assert written.write(newline) == written.write(newline)
+        assert written.write("\n") == json.dumps(rows, indent=2)
+        obj = {"b": written, "a": [written, {"c": written}]}
+        plain = {"b": rows, "a": [rows, {"c": rows}]}
+        assert indented_json(obj) == json.dumps(plain, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("shape", [shape for shape, _ in _SHAPES], ids=_SHAPE_IDS)
+    def test_no_rows(self, shape):
+        for newline in self.NEWLINES:
+            assert Rows(shape, 0, []).write(newline) == "[]" == indented_json([], newline)
 
 
 class TestGenerators:

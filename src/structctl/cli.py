@@ -63,14 +63,27 @@ class CliError(Exception):
 # input loading
 
 
-def _load_json(path: str):
+def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return fh.read()
     except OSError as exc:
         raise CliError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+def _decode(text: str, where: str):
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise CliError(f"{path}: invalid JSON: {exc}") from None
+        raise CliError(f"{where}: invalid JSON: {exc}") from None
+    except RecursionError:  # json's decoder recurses once per nested array or object
+        raise CliError(f"{where}: invalid JSON: nested too deeply to decode") from None
+
+
+def _load_json(path: str):
+    return _decode(_read_text(path), path)
 
 
 def _load_system(path: str) -> InterconnectedSystem:
@@ -366,20 +379,13 @@ def cmd_gen(args) -> tuple[dict, int]:
 
 
 def cmd_trace(args) -> tuple[dict, int]:
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise CliError(f"{args.input}: {exc.strerror or exc}") from None
+    lines = _read_text(args.input).splitlines()
 
     kept = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"{args.input}:{lineno}: invalid JSON: {exc}") from None
+        rec = _decode(line, f"{args.input}:{lineno}")
         if not isinstance(rec, dict):
             raise CliError(f"{args.input}:{lineno}: expected an object")
         if "round" in rec and "from" in rec and "to" in rec:
@@ -409,9 +415,10 @@ def cmd_trace(args) -> tuple[dict, int]:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on the first :func:`main` call of the
-    process (not at import) and reused by every later one."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser by name, built on
+    the first :func:`main` call of the process (not at import) and reused by
+    every later one."""
     parser = argparse.ArgumentParser(
         prog="structctl",
         description="Structural controllability of interconnected linear systems.",
@@ -446,7 +453,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--round", type=int, default=None)
     p_trace.add_argument("--agent", type=int, default=None)
     p_trace.set_defaults(func=cmd_trace)
-    return parser
+    return parser, {"verify": p_verify, "gen": p_gen, "trace": p_trace}
+
+
+def _parse_argv(argv) -> argparse.Namespace:
+    """The top-level parser's ``parse_args(argv)``, in one pass: a call that
+    opens with a command goes straight to that command's parser, as the top
+    level would hand it on.  Anything else is the top level's to answer."""
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:])
+    if extras:  # worded under the top level's usage line, as parse_args does
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv=None) -> int:
@@ -467,7 +490,7 @@ def main(argv=None) -> int:
 
 
 def _run_command(argv) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_argv(argv)
     try:
         report, code = args.func(args)
     except CliError as exc:

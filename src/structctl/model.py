@@ -8,10 +8,9 @@ connection patterns between them ("from" feeds "to").
 from __future__ import annotations
 
 import json
-import operator
 import random
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _json_str
 from typing import Iterable
 
@@ -318,6 +317,8 @@ _CONN_KEYS = {"to", "from", "E"}
 
 
 def _check_keys(obj: dict, expected: set[str], where: str) -> None:
+    if obj.keys() == expected:
+        return
     missing = expected - obj.keys()
     unknown = obj.keys() - expected
     if missing:
@@ -344,17 +345,23 @@ def _block_pairs(value, rows: int, cols: int, where: str):
     """The pairs of one block for ``graph_from_obj``, none repeated.  A block
     whose pairs pass the check and strictly increase, as in every file this
     package writes, is used as it stands; a valid block in another order is
-    collected into a set.  Anything else goes to ``_parse_pairs``, which words
-    the fault as ``system_from_obj`` does (and passes what it passes, such as
-    ``[0, true]`` beside ``[0, 1]``, where the frozenset keeps ``(0, 1)``)."""
-    try:
-        if isinstance(value, list) and rows >= 0 and cols >= 0 \
-                and _stray_pair(value, rows, cols) is None:
-            if all(map(operator.lt, value, islice(value, 1, None))):
-                return value
-            return set(map(tuple, value))
-    except (TypeError, ValueError):  # an item that is not a pair
-        pass
+    collected into a set.  One loop checks each pair and the order.  Anything
+    else goes to ``_parse_pairs``, which words the fault as
+    ``system_from_obj`` does (and passes what it passes, such as ``[0, true]``
+    beside ``[0, 1]``, where the frozenset keeps ``(0, 1)``)."""
+    if isinstance(value, list) and rows >= 0 and cols >= 0:
+        increasing, last_r, last_c = True, -1, 0
+        try:
+            for r, c in value:
+                if not (type(r) is int and type(c) is int and 0 <= r < rows and 0 <= c < cols):
+                    break
+                if increasing and (r < last_r or r == last_r and c <= last_c):
+                    increasing = False
+                last_r, last_c = r, c
+            else:
+                return value if increasing else set(map(tuple, value))
+        except (TypeError, ValueError):  # an item that is not a pair
+            pass
     return _parse_pairs(value, rows, cols, where).nonzeros
 
 
@@ -373,11 +380,11 @@ MAX_VERTICES = 10**7
 
 
 def _walk(obj, block) -> tuple[list, list]:
-    """Check a decoded system file and return its subsystems as (id, n, p, A,
-    B) in id order and its connections as (to, from, E) in file order, with
-    each block as ``block(value, rows, cols, where)`` returns it.  The checks
-    run in one order, so each fault is named as ``system_from_obj`` always
-    named it."""
+    """Check each part of a decoded system file and return its subsystems as
+    (id, n, p, A, B) in id order and its connections as (to, from, E) in file
+    order, with each block as ``block(value, rows, cols, where)`` returns it.
+    The checks run in one order, and ``_check_system`` follows them, so each
+    fault is named as ``system_from_obj`` always named it."""
     if not isinstance(obj, dict):
         raise ModelError("top level: expected a JSON object")
     if "similar" in obj:
@@ -413,7 +420,6 @@ def _walk(obj, block) -> tuple[list, list]:
             )
         subs.append((sid, n, p, A, B))
     conns = []
-    links = []
     n_of = {sub[0]: sub[1] for sub in subs}
     for k, raw in enumerate(obj["connections"]):
         where = f"connections[{k}]"
@@ -425,13 +431,11 @@ def _walk(obj, block) -> tuple[list, list]:
         if to not in n_of or frm not in n_of:
             raise ModelError(f"{where}: endpoint references an unknown subsystem id")
         conns.append((to, frm, block(raw["E"], n_of[to], n_of[frm], f"{where}.E")))
-        links.append((to, frm, n_of[to], n_of[frm], not raw["E"]))
-    ordered = sorted(subs, key=lambda sub: sub[0])
-    _check_system([sub[0] for sub in ordered], [sub[1] for sub in ordered], links)
-    return ordered, conns
+    return sorted(subs, key=lambda sub: sub[0]), conns
 
 
 def system_from_obj(obj) -> InterconnectedSystem:
+    # InterconnectedSystem runs _check_system.
     subs, conns = _walk(obj, _parse_pairs)
     return InterconnectedSystem(
         tuple(Subsystem(*sub) for sub in subs),
@@ -445,8 +449,12 @@ def graph_from_obj(obj) -> tuple[Graph, int, int, int]:
     same checks in the same order, each pair checked once, the blocks placed
     straight from the decoded file."""
     subs, conns = _walk(obj, _block_pairs)
+    ns = [sub[1] for sub in subs]
+    # Lazy, so ns is indexed only after the ids are found to be 0..r-1.
+    _check_system([sub[0] for sub in subs], ns,
+                  ((to, frm, ns[to], ns[frm], not E) for to, frm, E in conns))
     graph = _block_graph([sub[1:] for sub in subs], conns)
-    n = sum(sub[1] for sub in subs)
+    n = sum(ns)
     return graph, len(subs), n, len(graph) - n
 
 
@@ -493,11 +501,15 @@ def indented_json(obj, newline: str = "\n") -> str:
     ``centralized.IdCertificate``, writes its own text at the indentation it
     is handed."""
     kind, inner = type(obj), newline + "  "
-    if (kind is list or kind is tuple) and obj:
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
         items = [_json_str(v) if type(v) is str else int.__repr__(v) if type(v) is int
                  else indented_json(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if kind is dict and obj:
+    if kind is dict:
+        if not obj:
+            return "{}"
         # json sorts the keys as given.  A non-string key is written by json
         # itself, as the text in {<key>: 0}, so it raises as json does.  One
         # join copies each value's text once: a long list's text is not
@@ -513,10 +525,14 @@ def indented_json(obj, newline: str = "\n") -> str:
         return _json_str(obj)
     if kind is int:
         return int.__repr__(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
     write = getattr(obj, "write", None)
     if write is not None:
         return write(newline)
-    return json.dumps(obj)  # empty containers, true/false/null and floats
+    return json.dumps(obj)  # floats, subclasses, and what json refuses
 
 
 def _row_format(shape, newline: str) -> str:

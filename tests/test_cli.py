@@ -235,6 +235,22 @@ class TestVerifyInputHandling:
         assert code == 2
         assert "invalid JSON" in report_of(out)["error"]
 
+    @pytest.mark.parametrize("mode", MODES)
+    def test_undecodable_and_too_deep_files_are_input_errors(self, capsys, tmp_path, mode):
+        not_utf8 = tmp_path / "latin1.json"
+        not_utf8.write_bytes(b'{"subsystems": [], "connections": []} \xe9')
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000)
+        for path, error in [
+            (not_utf8, "not UTF-8 text: 'utf-8' codec can't decode byte 0xe9 in "
+                       "position 38: unexpected end of data"),
+            (deep, "invalid JSON: nested too deeply to decode"),
+        ]:
+            code, out, err = run_cli(capsys, "verify", "--mode", mode, "--input", str(path))
+            assert code == 2
+            assert report_of(out) == {"command": "verify", "error": f"{path}: {error}"}
+            assert err == f"error: {path}: {error}\n"
+
     def test_malformed_system_names_the_field(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"subsystems": [{"id": 0, "n": 1, "p": 0, "A": [[5, 5]], "B": []}], "connections": []}')
@@ -540,6 +556,59 @@ class TestParserReuse:
         assert report_of(in_process[4][1])["fig5_simplify"] is False
 
 
+class TestArgvDispatch:
+    """A call that opens with a command is parsed by that command's parser
+    alone, with the outcome the top-level parser gives."""
+
+    TABLE = [
+        ["verify", "--mode", "centralized", "--input", "{ring}", "--seed", "3"],
+        ["verify", "--mode", "distributed", "--input", "{ring}", "--trace", "{tmp}/t.jsonl"],
+        ["verify", "--mode", "serial", "--input", "{ring}"],
+        ["verify", "--mode", "similar-thm1", "--input", "{witness}"],
+        ["verify", "--input", "{witness}", "--mode=similar-thm2"],
+        ["gen", "--general", "--r", "3", "--seed", "1", "--out", "{tmp}/g.json"],
+        ["trace", "--input", "{tmp}/t.jsonl", "--round", "1", "--agent", "2"],
+        ["-h"],
+        ["verify", "-h"],
+        ["gen", "-h"],
+        ["trace", "--help"],
+        [],
+        ["frob", "--mode", "centralized"],
+        ["verify", "--input", "{ring}"],
+        ["verify", "--mode", "psychic", "--input", "{ring}"],
+        ["verify", "--mode", "centralized", "--input", "{ring}", "--bogus", "x"],
+        ["verify", "--mode", "centralized", "--input", "{ring}", "extra"],
+        ["verify", "--mode", "centralized", "--input", "{ring}", "--seed", "x"],
+        ["--input", "{ring}", "verify"],
+    ]
+
+    @staticmethod
+    def outcome(capsys, call, argv):
+        try:
+            result = call(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        captured = capsys.readouterr()
+        return result, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", TABLE, ids=[" ".join(a) or "empty" for a in TABLE])
+    def test_same_outcome_as_the_top_level_parser(
+        self, capsys, monkeypatch, tmp_path, ring_file, witness_file, argv
+    ):
+        argv = [a.format(ring=ring_file, witness=witness_file, tmp=tmp_path) for a in argv]
+        # a trace for the trace call to read
+        main(["verify", "--mode", "distributed", "--input", ring_file,
+              "--trace", str(tmp_path / "t.jsonl")])
+        capsys.readouterr()
+        top_level = cli._build_parser()[0].parse_args
+        assert self.outcome(capsys, cli._parse_argv, argv) == self.outcome(capsys, top_level, argv)
+        ran = self.outcome(capsys, main, argv)
+        written = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+        monkeypatch.setattr(cli, "_parse_argv", top_level)
+        assert self.outcome(capsys, main, argv) == ran
+        assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == written
+
+
 class TestInternalErrors:
     """A fault inside a run is exit 2 with the error report, never a verdict."""
 
@@ -753,6 +822,21 @@ class TestTrace:
         assert code == 0
         assert out == ""
         assert "0 of 0" in err
+
+    def test_undecodable_and_too_deep_traces_are_input_errors(self, capsys, tmp_path):
+        not_utf8 = tmp_path / "latin1.jsonl"
+        not_utf8.write_bytes(b'{"round": 1, "from": 0, "to": 1, "payload": "\xe9"}\n')
+        deep = tmp_path / "deep.jsonl"
+        deep.write_text('{"pass": 0, "agent": 1}\n' + "[" * 100000 + "\n")
+        for path, error in [
+            (not_utf8, f"{not_utf8}: not UTF-8 text: 'utf-8' codec can't decode byte "
+                       "0xe9 in position 45: invalid continuation byte"),
+            (deep, f"{deep}:2: invalid JSON: nested too deeply to decode"),
+        ]:
+            code, out, err = run_cli(capsys, "trace", "--input", str(path))
+            assert code == 2
+            assert report_of(out) == {"command": "trace", "error": error}
+            assert err == f"error: {error}\n"
 
     def test_malformed_trace_is_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.jsonl"

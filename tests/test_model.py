@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import build_system, pat
 from oracles import assemble_naive, dense, neighbors
+from structctl import model
 from structctl.model import (
     MAX_VERTICES,
     InterconnectedSystem,
@@ -329,6 +330,10 @@ class TestVertexLimit:
         assert peak < 1 << 20
 
 
+class _Block(list):
+    pass
+
+
 class TestJson:
     def test_roundtrip_random_systems(self):
         for seed in range(40):
@@ -378,6 +383,26 @@ class TestJson:
             (lambda o: o["connections"].insert(0, []), "connections[0]: expected an"),
             (lambda o: o["connections"][0].update(to="1"), "key 'to'"),
             (lambda o: o.update(subsystems={}), "'subsystems' must be a list"),
+            # Faults in two blocks: both paths name the first in walk order,
+            # which takes every subsystem (A, then B) before any connection.
+            (lambda o: (o["subsystems"][1]["A"].append([9, 0]),
+                        o["subsystems"][0]["B"].append([0, 7])), "subsystems[0]: "),
+            (lambda o: (o["subsystems"][0]["B"].append([0, 7]),
+                        o["subsystems"][0]["A"].append([9, 0])), "subsystems[0].A: "),
+            (lambda o: (o["connections"][0]["E"].append([9, 0]),
+                        o["subsystems"][1]["B"].append([1])), "subsystems[1].B[1]: "),
+            (lambda o: (o["subsystems"][1]["A"].append(None),
+                        o["subsystems"][1]["B"].append([1])), "subsystems[1].A[2]: "),
+            # A list subclass is a list.
+            (lambda o: o["subsystems"][1].update(A=_Block(o["subsystems"][1]["A"] + [[3, 0]])),
+             "subsystems[1]: subsystems[1].A: nonzero (3, 0)"),
+            (lambda o: (o["subsystems"][1].update(A=_Block(o["subsystems"][1]["A"])),
+                        o["connections"][0]["E"].append([0, 9])), "connections[0].E: "),
+            # An unsorted or repeated block passes, and the next fault is named.
+            (lambda o: (o["subsystems"][1]["A"].reverse(),
+                        o["subsystems"][1]["B"].append([0, 7])), "subsystems[1].B: "),
+            (lambda o: (o["subsystems"][1]["A"].extend(o["subsystems"][1]["A"]),
+                        o["connections"][0]["E"].append([0, 9])), "connections[0].E: "),
         ],
     )
     def test_malformed_files_name_the_problem(self, serial_pair, mutate, fragment):
@@ -390,6 +415,38 @@ class TestJson:
         with pytest.raises(ModelError) as graph_err:
             graph_from_obj(obj)
         assert str(graph_err.value) == str(err.value)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda o: o["subsystems"][1]["A"].reverse(),
+            lambda o: o["subsystems"][1]["A"].extend(o["subsystems"][1]["A"]),
+            lambda o: o["subsystems"][1]["A"].insert(0, [2, 0]),
+            lambda o: o["subsystems"][1].update(A=_Block(o["subsystems"][1]["A"])),
+            lambda o: o["connections"][0].update(E=_Block(o["connections"][0]["E"] * 2)),
+            lambda o: o["subsystems"][1].update(A=[tuple(rc) for rc in o["subsystems"][1]["A"]]),
+        ],
+        ids=["unsorted", "repeated", "repeated-first", "subclass", "subclass-repeated",
+             "tuples"],
+    )
+    def test_unsorted_repeated_and_subclassed_blocks_load_as_before(self, serial_pair, mutate):
+        obj = json.loads(dumps(serial_pair))
+        mutate(obj)
+        assert system_from_obj(obj) == serial_pair
+        assert graph_from_obj(obj) == (block_digraph(serial_pair), 2, 5, 2)
+
+    @pytest.mark.parametrize("parse", [system_from_obj, graph_from_obj])
+    def test_the_system_checks_run_once(self, monkeypatch, serial_pair, parse):
+        calls = []
+        check = model._check_system
+
+        def spy(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(model, "_check_system", spy)
+        parse(json.loads(dumps(serial_pair)))
+        assert len(calls) == 1
 
     def test_similar_file_redirected(self):
         for parse in (system_from_obj, graph_from_obj):

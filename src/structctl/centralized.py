@@ -1,17 +1,19 @@
 """Whole-system controllability verdicts with replayable certificates.
 
 :func:`certify_digraph` runs the check on the graph of (A, B) and keeps its
-certificate in the graph's vertex ids (:class:`IdCertificate`).  The
+certificate in the graph's vertex ids (:class:`IdCertificate`), and
+:func:`replay_digraph` replays such a certificate on that graph.  The
 certificate has two encodings, which share one id-to-vertex rule: the dict
-in :func:`verify_digraph`'s :class:`Verdict`, which
-:func:`check_certificate` replays, and the indented report text, which the
-CLI writes without building the dict: each of its lists is a ``model.Rows``
-over the tags and indices.
+in :func:`verify`'s :class:`Verdict`, which :func:`check_certificate`
+decodes back to ids once and replays on ``system_digraph(A, B)``, and the
+indented report text, which the CLI writes without building the dict: each
+of its lists is a ``model.Rows`` over the tags and indices.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
@@ -39,34 +41,32 @@ class Verdict:
 
 
 def verify(A: SparsityPattern, B: SparsityPattern) -> Verdict:
-    """Structural controllability of the pattern pair (A, B); see
-    :func:`verify_digraph`, which this runs on ``system_digraph(A, B)``."""
-    if A.rows != B.rows:
-        raise ValueError(f"A has {A.rows} states but B has {B.rows} rows")
-    return verify_digraph(system_digraph(A, B), A.rows)
-
-
-def verify_digraph(g: Graph, n: int) -> Verdict:
-    """Structural controllability via input reachability plus a matching that
-    covers every state's right copy, on the graph of (A, B) with n states
-    (``model.system_digraph`` or ``model.block_digraph``).
-
-    The certificate replays without re-deriving anything: a positive verdict
-    carries the matching and a reachability forest; a negative one carries
-    either the closed set of unreachable states or a right-side deficiency
-    witness (a set of states with fewer distinct feeders than members).
-    An unreachable state is preferred over a deficiency when both exist.
-    The certificate is :func:`certify_digraph`'s, decoded into vertices by
-    :meth:`IdCertificate.as_dict`.
-    """
-    cert = certify_digraph(g, n)
+    """Structural controllability of the pattern pair (A, B):
+    :func:`certify_digraph` on ``system_digraph(A, B)``, with its certificate
+    decoded into vertices by :meth:`IdCertificate.as_dict`."""
+    n = _states(A, B)
+    cert = certify_digraph(system_digraph(A, B), n)
     return Verdict(cert.controllable, "reachability-matching", cert.as_dict())
 
 
+def _states(A: SparsityPattern, B: SparsityPattern) -> int:
+    """n, once A is n x n and B has n rows (a ValueError if not)."""
+    if A.rows != A.cols:
+        raise ValueError(f"A is {A.rows} x {A.cols}, not square")
+    if A.rows != B.rows:
+        raise ValueError(f"A has {A.rows} states but B has {B.rows} rows")
+    return A.rows
+
+
 def certify_digraph(g: Graph, n: int) -> "IdCertificate":
-    """The check of :func:`verify_digraph`, with its certificate left in the
-    graph's vertex ids: the unreached states; or W and N(W); or the matched
-    (left, right) pairs in ``left_order`` and every state's reach parent."""
+    """Structural controllability via input reachability plus a matching that
+    covers every state's right copy, on the graph of (A, B) with n states
+    (``model.system_digraph`` or ``model.block_digraph``).  The certificate,
+    in the graph's vertex ids, replays (:func:`replay_digraph`) without
+    re-deriving anything: the unreached states, preferred over a deficiency
+    when both exist; or a right-side deficiency witness W and N(W) (states
+    with fewer distinct feeders than members); or the matched (left, right)
+    pairs in ``left_order`` and every state's reach parent."""
     parent = input_reachable_with_parents(g, n)
     unreached = [j for j in range(n) if parent[j] < 0]
     if unreached:
@@ -146,106 +146,104 @@ class IdCertificate:
 # certificate replay
 
 
-def _vertex(v, n: int, p: int) -> tuple | None:
-    """The (tag, index) of a vertex ``["x", state]`` or ``["u", input]`` whose
-    index is an int in range; None for anything else."""
-    if isinstance(v, (list, tuple)) and len(v) == 2 and type(v[1]) is int:
-        tag, k = v
-        if 0 <= k < (n if tag == "x" else p if tag == "u" else 0):
-            return (tag, k)
-    return None
-
-
-def _vertices(items, n: int, p: int) -> list | None:
-    """Certificate vertices as (tag, index) pairs; None if any is not one."""
-    if not isinstance(items, (list, tuple)):
-        return None
-    out = [_vertex(v, n, p) for v in items]
-    return None if None in out else out
-
-
-def _vertex_pairs(entries, n: int, p: int) -> list | None:
-    """``[vertex, vertex]`` entries as decoded pairs; None if any is not one."""
-    if not isinstance(entries, list):
-        return None
-    pairs = [_vertices(e, n, p) for e in entries]
-    return None if any(pair is None or len(pair) != 2 for pair in pairs) else pairs
-
-
-def _is_edge(A: SparsityPattern, B: SparsityPattern, tail: tuple, head: tuple) -> bool:
-    if head[0] != "x":
+def replay_digraph(g: Graph, cert: IdCertificate) -> bool:
+    """Whether ``cert``, whose ids are vertices of g, proves its verdict on g,
+    the graph of (A, B) with ``cert.n`` states: in one pass over its lists
+    and at most one over g.  Reach parents must be edges, and every state's
+    chain of them must end at an input."""
+    n, f = cert.n, cert.fields
+    if cert.kind == "unreachable-closure":  # states, closed under feeders
+        inside = _marks(len(g), f["states"])
+        return bool(f["states"]) and inside.find(1, n) < 0 and not any(
+            not inside[t] and any(map(inside.__getitem__, heads)) for t, heads in enumerate(g)
+        )
+    if cert.kind == "right-deficiency":  # distinct states W, fed by fewer N(W)
+        (rights,), (neighbors,) = f["rights"], f["neighbors"]
+        in_w = _marks(len(g), rights)
+        feeders = bytearray(any(map(in_w.__getitem__, heads)) for heads in g)
+        return in_w.count(1) == len(rights) and in_w.find(1, n) < 0 and (
+            feeders == _marks(len(g), neighbors) and feeders.count(1) < len(rights)
+        )
+    if cert.kind != "reach-and-match":
         return False
-    pattern = A if tail[0] == "x" else B
-    return (head[1], tail[1]) in pattern.nonzeros
+    (lefts, rights), (heads, tails) = f["matching"], f["reach_forest"]
+    if _marks(len(g), lefts).count(1) != len(lefts):  # a left matched twice
+        return False
+    if not len(rights) == _marks(len(g), rights).count(1, 0, n) == n:  # not each state once
+        return False
+    if not (_are_edges(g, lefts, rights) and _are_edges(g, tails, heads)):
+        return False
+    parent = [-1] * n
+    for h, t in zip(heads, tails):
+        parent[h] = t
+    # Each state is walked once: a walk stops at an input or at a state an
+    # earlier walk cleared, and meeting its own walk again is a cycle.
+    walk = [-1] * n
+    for j in range(n):
+        v = j
+        while 0 <= v < n and walk[v] < 0:
+            walk[v], v = j, parent[v]
+        if v < 0 or (v < n and walk[v] == j):
+            return False
+    return True
+
+
+def _marks(count: int, ids) -> bytearray:
+    marks = bytearray(count)
+    for v in ids:
+        marks[v] = 1
+    return marks
+
+
+def _are_edges(g: Graph, tails, heads) -> bool:
+    """Whether each (tail, head) is an edge, by bisecting sorted successors."""
+    for t, h in zip(tails, heads):
+        k = bisect_left(g[t], h)
+        if g[t][k:k + 1] != [h]:
+            return False
+    return True
+
+
+# Each type's keys and their entries: 0 bare states, 1 vertices, 2 pairs.
+_KEYS = {"unreachable-closure": {"states": 0}, "right-deficiency": {"rights": 1, "neighbors": 1},
+         "reach-and-match": {"matching": 2, "reach_forest": 2}}
 
 
 def check_certificate(A: SparsityPattern, B: SparsityPattern, verdict: Verdict) -> bool:
-    """Re-validate a verdict's certificate against the patterns alone.  A
-    certificate that is not a dict, a missing key or a malformed vertex
-    makes it invalid."""
-    cert = verdict.certificate
-    if not isinstance(cert, dict):
+    """Re-validate a verdict's certificate against the patterns alone: its
+    vertices are decoded to ids once for :func:`replay_digraph` on
+    ``system_digraph(A, B)``.  A certificate that is not a dict, a missing
+    key or a malformed vertex makes it invalid."""
+    n, cert = _states(A, B), verdict.certificate
+    kind = cert.get("type") if isinstance(cert, dict) else None
+    keys = _KEYS.get(kind) if isinstance(kind, str) else None
+    if keys is None or bool(verdict.controllable) != (kind == "reach-and-match"):
         return False
-    kind = cert.get("type")
-    n, p = A.rows, B.cols
+    fields = {key: _ids(cert.get(key), width, n, B.cols) for key, width in keys.items()}
+    return None not in fields.values() and replay_digraph(
+        system_digraph(A, B), IdCertificate(kind, n, **fields)
+    )
 
-    if kind == "unreachable-closure":
-        states = cert.get("states")
-        if verdict.controllable or not isinstance(states, list) or not states:
-            return False
-        if not all(type(k) is int and 0 <= k < n for k in states):
-            return False
-        states = set(states)
-        if any(k in states for k, _ in B.nonzeros):
-            return False
-        return not any(k in states and l not in states for k, l in A.nonzeros)
 
-    if kind == "right-deficiency":
-        rights = _vertices(cert.get("rights"), n, p)
-        neighbors = _vertices(cert.get("neighbors"), n, p)
-        if verdict.controllable or not rights or neighbors is None:
-            return False
-        if any(v[0] != "x" for v in rights) or len(set(rights)) != len(rights):
-            return False
-        # One pass over each pattern keeps the replay linear in its size.
-        members = {k for _, k in rights}
-        feeders = {("x", l) for k, l in A.nonzeros if k in members}
-        feeders.update(("u", j) for k, j in B.nonzeros if k in members)
-        return len(feeders) < len(rights) and set(neighbors) == feeders
-
-    if kind == "reach-and-match":
-        edges = _vertex_pairs(cert.get("matching"), n, p)
-        forest = _vertex_pairs(cert.get("reach_forest"), n, p)
-        if not verdict.controllable or edges is None or forest is None:
-            return False
-        lefts = [l for l, _ in edges]
-        rights = [r for _, r in edges]
-        if len(set(lefts)) != len(edges) or len(set(rights)) != len(edges):
-            return False
-        if not all(_is_edge(A, B, l, r) for l, r in edges):
-            return False
-        if set(rights) != {("x", j) for j in range(n)}:
-            return False
-        if not all(_is_edge(A, B, tail, head) for head, tail in forest):
-            return False
-        parent = dict(forest)
-        # Each state is walked once: a walk stops at a cleared state or an
-        # input, and meeting a state of its own chain again is a cycle.
-        cleared: set = set()
-        for j in range(n):
-            chain: set = set()
-            v = ("x", j)
-            while v not in cleared:
-                if v[0] == "u":
-                    break
-                if v not in parent or v in chain:
-                    return False
-                chain.add(v)
-                v = parent[v]
-            cleared |= chain
-        return True
-
-    return False
+def _ids(value, width: int, n: int, p: int) -> list | tuple | None:
+    """A certificate list of bare states (width 0), vertices (1) or vertex
+    pairs (2) in :class:`IdCertificate`'s form, the inverse of
+    :func:`_encoded`; None if it is malformed or an index is out of range."""
+    if not isinstance(value, (list, tuple) if width == 1 else list):
+        return None
+    if width == 0:
+        return list(value) if all(type(k) is int and 0 <= k < n for k in value) else None
+    if width == 2 and not all(isinstance(e, (list, tuple)) and len(e) == 2 for e in value):
+        return None
+    ids = []
+    for v in value if width == 1 else [v for e in value for v in e]:
+        if not (isinstance(v, (list, tuple)) and len(v) == 2 and type(v[1]) is int):
+            return None
+        tag, k = v
+        if not (tag == "x" and 0 <= k < n or tag == "u" and 0 <= k < p):
+            return None
+        ids.append(k if tag == "x" else n + k)
+    return tuple(ids[c::width] for c in range(width))
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +258,8 @@ _PRIME = (1 << 61) - 1  # the probe computes in GF(2^61 - 1)
 def numeric_probe(A: SparsityPattern, B: SparsityPattern, seed: int = 0) -> bool:
     """Whether one random integer realization of the pattern has full Kalman
     rank over GF(p), p = 2^61 - 1.  A zero B is False without sampling.
-    Refuses systems larger than ``PROBE_MAX_STATES`` states.
+    Refuses systems larger than ``PROBE_MAX_STATES`` states, and an A that
+    is not n x n or a B without n rows (ValueError).
 
     The nonzeros are drawn from 1..p-1 by ``random.Random(seed)``.  B's
     columns are queued; each queued vector independent of the basis so far
@@ -270,7 +269,7 @@ def numeric_probe(A: SparsityPattern, B: SparsityPattern, seed: int = 0) -> bool
     with probability at most n^2/(p-1) (Schwartz, J. ACM 27, 1980; Zippel,
     EUROSAM 1979): a Kalman minor has degree at most n^2 in the entries.
     """
-    n = A.rows
+    n = _states(A, B)
     if n > PROBE_MAX_STATES:
         raise ValueError(f"numeric probe limited to {PROBE_MAX_STATES} states, got {n}")
     if B.is_zero:

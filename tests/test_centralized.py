@@ -11,7 +11,12 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import pat
-from oracles import check_cacti_certificate, controllable_bruteforce, verify_via_cacti
+from oracles import (
+    check_cacti_certificate,
+    controllable_bruteforce,
+    system_graph,
+    verify_via_cacti,
+)
 from structctl.centralized import (
     PROBE_MAX_STATES,
     IdCertificate,
@@ -19,9 +24,16 @@ from structctl.centralized import (
     certify_digraph,
     check_certificate,
     numeric_probe,
+    replay_digraph,
     verify,
 )
-from structctl.model import SparsityPattern, digraph, graph_from_obj, indented_json
+from structctl.model import (
+    SparsityPattern,
+    digraph,
+    graph_from_obj,
+    indented_json,
+    system_digraph,
+)
 
 
 def random_pair(seed, max_n=7, max_p=2, density=0.35):
@@ -43,6 +55,30 @@ def system_graphs(max_n=6, max_p=3):
     return st.integers(1, max_n).flatmap(
         lambda n: st.integers(0, max_p).flatmap(lambda p: graphs(n, p))
     )
+
+
+def pattern_pairs(max_n=6, max_p=3):
+    """(A, B) with 0..max_n states and 0..max_p inputs."""
+    def patterns(rows, cols):
+        cells = [(i, j) for i in range(rows) for j in range(cols)]
+        if not cells:
+            return st.just(pat(rows, cols, ()))
+        return st.frozensets(st.sampled_from(cells)).map(lambda pairs: pat(rows, cols, pairs))
+
+    return st.tuples(st.integers(0, max_n), st.integers(0, max_p)).flatmap(
+        lambda np: st.tuples(patterns(np[0], np[0]), patterns(*np))
+    )
+
+
+# Pairs that are not an n x n A with an n-row B, and what refuses them.
+BAD_SHAPES = pytest.mark.parametrize(
+    "A, B, message",
+    [
+        (pat(2, 3, {(0, 2), (1, 0)}), pat(2, 1, ()), "A is 2 x 3, not square"),
+        (pat(2, 2, {(1, 0)}), pat(3, 1, {(2, 0)}), "A has 2 states but B has 3 rows"),
+    ],
+    ids=["A-not-square", "B-rows"],
+)
 
 
 def looped_chain(n, entries):
@@ -91,6 +127,12 @@ class TestVerify:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             verify(pat(2, 2, set()), pat(3, 1, set()))
+
+    @BAD_SHAPES
+    def test_bad_shapes_rejected(self, A, B, message):
+        # unchecked, the 2 x 3 A's column 2 reads as input 0 of the empty B
+        with pytest.raises(ValueError, match=message):
+            verify(A, B)
 
 
 class TestCertificateReplay:
@@ -222,6 +264,97 @@ class TestCertificateReplay:
             assert not check_certificate(A, B, Verdict(False, v.mode, cert)), neighbors
 
 
+class TestGraphReplay:
+    """``replay_digraph`` on the graph and the id-level certificate, and
+    ``check_certificate``'s decoding into it."""
+
+    @given(system_graphs())
+    @example((digraph(1, []), 1))  # n = 1, unreachable
+    @example((digraph(2, [(1, 0)]), 1))  # n = 1, controllable
+    @example((digraph(3, [(2, 0), (0, 1)]), 2))  # the matching starts with an input row
+    @example((digraph(4, [(3, 0), (0, 1), (0, 2)]), 3))  # x1 and x2 share x0
+    @example((digraph(1, []), 0))  # an input and no states
+    def test_certificates_of_drawn_graphs_replay(self, gn):
+        g, n = gn
+        assert replay_digraph(g, certify_digraph(g, n)) is True
+
+    # u0 -> x0 -> x1 -> x2 -> x1: controllable
+    CHAIN = digraph(4, [(3, 0), (0, 1), (1, 2), (2, 1)])
+
+    def test_tampered_matching_and_forest_rejected(self):
+        g, n = self.CHAIN, 3
+        cert = certify_digraph(g, n)
+        (lefts, rights), (heads, tails) = cert.fields["matching"], cert.fields["reach_forest"]
+        assert (lefts, rights) == ([3, 0, 1], [0, 1, 2]) and list(tails) == [3, 0, 1]
+        assert replay_digraph(g, cert)
+
+        def tampered(**fields):
+            forged = IdCertificate("reach-and-match", n, **{**cert.fields, **fields})
+            return replay_digraph(g, forged)
+
+        assert not tampered(matching=(lefts[:-1], rights[:-1]))  # x2 left unmatched
+        assert not tampered(matching=([3, 0, 2], rights))  # x2 -> x2 is no edge
+        assert not tampered(reach_forest=(heads, [3, 2, 1]))  # x1 and x2 parent each other
+        assert tampered(matching=([3, 2, 1], rights))  # x2 -> x1 is an edge too
+
+    def test_tampered_closure_rejected(self):
+        # u0 feeds x0; x1 and x2 feed each other and nothing reaches them
+        g, n = digraph(4, [(3, 0), (1, 2), (2, 1)]), 3
+        cert = certify_digraph(g, n)
+        assert cert.fields == {"states": [1, 2]} and replay_digraph(g, cert)
+        for states in ([0, 1, 2], [0], [1], [], [1, 2, 3]):
+            cert = IdCertificate("unreachable-closure", n, states=states)
+            assert not replay_digraph(g, cert), states
+
+    def test_tampered_deficiency_rejected(self):
+        # u0 -> x0, and x0 alone feeds x1 and x2
+        g, n = digraph(4, [(3, 0), (0, 1), (0, 2)]), 3
+        cert = certify_digraph(g, n)
+        assert cert.fields == {"rights": ([1, 2],), "neighbors": ([0],)}
+        assert replay_digraph(g, cert)
+        bigger = IdCertificate("right-deficiency", n, rights=([0, 1, 2],), neighbors=([0, 3],))
+        assert replay_digraph(g, bigger)  # every state: still two feeders
+        for rights, neighbors in [
+            ([1, 2], []),  # a neighbour dropped
+            ([1, 2], [0, 3]),  # a neighbour added
+            ([1, 2], [0, 1]),
+            ([0, 1], [0, 3]),  # as many neighbours as rights
+            ([1, 1, 2], [0]),  # a right twice
+            ([1, 2, 3], [0]),  # an input among the rights
+        ]:
+            cert = IdCertificate("right-deficiency", n, rights=(rights,), neighbors=(neighbors,))
+            assert not replay_digraph(g, cert), (rights, neighbors)
+
+    @pytest.mark.parametrize("p", [0, 1])
+    def test_zero_states_replay(self, p):
+        A, B = SparsityPattern(0, 0), SparsityPattern(0, p)
+        v = verify(A, B)
+        assert v.certificate == {"type": "reach-and-match", "matching": [], "reach_forest": []}
+        assert check_certificate(A, B, v) is True
+
+    @BAD_SHAPES
+    def test_bad_shapes_rejected(self, A, B, message):
+        # unchecked, the B-rows pair replays this closure as valid
+        cert = {"type": "unreachable-closure", "states": [0, 1]}
+        verdict = Verdict(False, "reachability-matching", cert)
+        with pytest.raises(ValueError, match=message):
+            check_certificate(A, B, verdict)
+
+    @given(pattern_pairs())
+    def test_system_digraph_is_the_oracle_graph(self, pair):
+        A, B = pair
+        g, n = system_digraph(A, B), A.rows
+        assert len(g) == n + B.cols
+        assert all(heads == sorted(set(heads)) for heads in g)
+
+        def vertex(v):
+            return ("x", v) if v < n else ("u", v - n)
+
+        oracle = system_graph(A, B)
+        assert set(map(vertex, range(len(g)))) == oracle.left
+        assert {(vertex(t), vertex(h)) for t, heads in enumerate(g) for h in heads} == oracle.edges
+
+
 class TestCacti:
     def test_same_verdict_as_verify(self):
         for seed in range(150):
@@ -270,7 +403,8 @@ class TestCacti:
 
 class TestCertificateText:
     """``IdCertificate.write`` writes what the report writer writes for the
-    certificate dict that ``verify_digraph`` materializes, at any indentation."""
+    certificate dict ``certify_digraph(graph, n).as_dict()``, at any
+    indentation."""
 
     NEWLINES = ["\n", "\n  ", "\n        "]
 
@@ -334,6 +468,11 @@ class TestNumericProbe:
         assert verify(A, B).controllable
         for seed in range(5):
             assert numeric_probe(A, B, seed=seed) is True, seed
+
+    @BAD_SHAPES
+    def test_bad_shapes_rejected(self, A, B, message):
+        with pytest.raises(ValueError, match=message):
+            numeric_probe(A, B)
 
     def test_size_limit(self):
         big = SparsityPattern(65, 65, frozenset())

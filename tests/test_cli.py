@@ -22,7 +22,6 @@ from structctl.centralized import (
     certify_digraph,
     numeric_probe,
     verify,
-    verify_digraph,
 )
 from structctl.cli import MODES, main
 from structctl.distributed import controlled_program
@@ -966,13 +965,13 @@ class TestReportWriter:
         """Run ``calls`` in process; return each printed object, the exit
         codes and the whole stdout.  A centralized report reaches the writer
         with its certificate in graph ids; the object returned for it holds
-        the certificate that ``verify_digraph`` materializes from the same
-        graph."""
+        the certificate that ``certify_digraph(graph, n).as_dict()``
+        materializes from the same graph."""
         seen, materialized = [], []
         certify = cli.certify_digraph
 
         def certifying(graph, n):
-            materialized.append(verify_digraph(graph, n).certificate)
+            materialized.append(certify_digraph(graph, n).as_dict())
             return certify(graph, n)
 
         def recording(obj):

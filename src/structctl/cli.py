@@ -25,6 +25,7 @@ from .model import (
     ModelError,
     assemble_global,
     block_digraph,
+    decode_json,
     dumps,
     graph_from_obj,
     indented_json,
@@ -75,11 +76,9 @@ def _read_text(path: str) -> str:
 
 def _decode(text: str, where: str):
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CliError(f"{where}: invalid JSON: {exc}") from None
-    except RecursionError:  # json's decoder recurses once per nested array or object
-        raise CliError(f"{where}: invalid JSON: nested too deeply to decode") from None
+        return decode_json(text)
+    except ModelError as exc:
+        raise CliError(f"{where}: {exc}") from None
 
 
 def _load_json(path: str):

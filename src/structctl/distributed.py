@@ -55,11 +55,10 @@ Each region keeps its preflow in integer arrays (see :class:`Region`): own
 vertex ids run L0..Ln-1, R0..Rn-1, U0..Up-1, and neighbors' cached boundary
 vertices follow.  The discharge is highest-label push-relabel with two
 tie-breaks: the active vertex is the least (-label, id), and a push goes to
-the sink first, otherwise to the least (label, id).  Stranded excess climbs
-toward the cap in periods that raise the climbing labels by one delta; the
-discharge skips whole periods while the climb stays below every label it
-could reach outside itself, which is exact because only comparisons with
-those labels (and the cap) could turn out otherwise.
+the sink first, otherwise to the least (label, id).  A stuck vertex
+relabels the whole region by :meth:`Region.recompute_labels`, a global
+relabel (Cherkassky and Goldberg, Algorithmica 19, 1997), so excess that
+cannot reach the sink goes to the cap in one step instead of climbing.
 """
 
 from __future__ import annotations
@@ -331,22 +330,15 @@ class Region:
         drains, pumps to the cap (trapped), or waits out the pass behind a
         pending reservation.
 
-        Stranded excess climbs in periods: the vertices of a climb push
-        units around and relabel until the loop state returns with every
-        climbing label raised by the same delta.  The loop then skips k whole
-        periods at once, k as large as keeps the climb below the least label
-        outside it that it reaches over a residual edge, and below the cap.
-        That is exact: a period's decisions compare labels inside the climb,
-        which a common shift keeps, or a climbing label with the cap or with
-        such an outside label, which stays put (only selected vertices
-        relabel, and no unit leaves the climb), and those comparisons come
-        out as before while the climb stays below them."""
+        A stuck vertex relabels the whole region (:meth:`recompute_labels`),
+        so stranded excess reaches the cap in one step instead of climbing
+        there.  Valid labels make that raise the stuck vertex; should it not,
+        the vertex steps to 1 + its least residual neighbor label, so every
+        stuck step still raises it and the loop ends."""
         n, label, excess, flow = self.n, self.label, self.excess, self.flow
         holding, internal, cross = self.holding, self.internal, self.cross
         open_at = self.open_at
         parked = [False] * len(excess)
-        picked = []  # the vertex selected in each iteration
-        seen: dict = {}  # v -> (len(picked), state, labels) at its last relabel
         while True:
             v, top = -1, -1
             for u, x in enumerate(excess):
@@ -354,7 +346,6 @@ class Region:
                     v, top = u, label[u]
             if v < 0:
                 return
-            picked.append(v)
             room = open_at[v]
             if not holding[v]:
                 exits = 0
@@ -384,29 +375,11 @@ class Region:
                 # label), so the extra units sit out the pass instead.
                 parked[v] = True
                 continue
-            edges = (*internal[v], *cross[v])
-            prices = [label[w] for w, e in edges if flow[e] == room]
-            label[v] = min(cap, 1 + min(prices, default=cap))
-            # A period ends here if the state is back to the one at v's last
-            # relabel and the vertices selected since all rose by one delta.
-            state, last = excess + flow + holding + parked, seen.get(v)
-            seen[v] = (len(picked), state, label[:])
-            if last is None or last[1] != state:
-                continue
-            climb = set(picked[last[0] :])
-            delta = label[v] - last[2][v]
-            if any(label[u] - last[2][u] != delta for u in climb):
-                continue
-            bound = cap
-            for u in climb:
-                for w, e in (*internal[u], *cross[u]):
-                    if flow[e] == open_at[u] and w not in climb and label[w] < bound:
-                        bound = label[w]
-            k = (bound - 1 - max(label[u] for u in climb)) // delta
-            if k > 0:
-                for u in climb:
-                    label[u] += k * delta
-                seen.clear()  # periods are read off real iterations only
+            self.recompute_labels(cap)
+            if label[v] == top:
+                edges = (*internal[v], *cross[v])
+                prices = [label[w] for w, e in edges if flow[e] == room]
+                label[v] = min(cap, 1 + min(prices, default=cap))
 
 
 def _exact_relabel(

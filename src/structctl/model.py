@@ -485,12 +485,19 @@ def system_to_obj(sys: InterconnectedSystem) -> dict:
     return _system_obj(sys, _pair_list)
 
 
-def loads(text: str) -> InterconnectedSystem:
+def decode_json(text: str):
+    """``json.loads(text)``; text that does not decode, or nests too deeply
+    to, raises :class:`ModelError` ``invalid JSON: ...``."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ModelError(f"invalid JSON: {exc}") from None
-    return system_from_obj(obj)
+    except RecursionError:  # json's decoder recurses once per nested array or object
+        raise ModelError("invalid JSON: nested too deeply to decode") from None
+
+
+def loads(text: str) -> InterconnectedSystem:
+    return system_from_obj(decode_json(text))
 
 
 def indented_json(obj, newline: str = "\n") -> str:

@@ -16,7 +16,6 @@ Two decision procedures work on the template alone:
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass
 
@@ -36,6 +35,7 @@ from .model import (
     _parse_pairs,
     _random_pattern,
     _require_int,
+    decode_json,
     digraph,
     indented_json,
     system_bipartite,
@@ -205,11 +205,7 @@ def similar_to_obj(spec: SimilarSystemSpec) -> dict:
 
 
 def similar_loads(text: str) -> SimilarSystemSpec:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ModelError(f"invalid JSON: {exc}") from None
-    return similar_from_obj(obj)
+    return similar_from_obj(decode_json(text))
 
 
 def similar_dumps(spec: SimilarSystemSpec) -> str:

@@ -10,8 +10,7 @@ matching of the expanded system; the last section holds facts about
 distributed runs (the boundary size, hop distances, the BFS tree, trace
 filtering) and ``reached``, a reachability-only agent program that runs the
 package's reachability steps for every iteration, with no tree to stop
-them; ``discharge_every_step`` is the region discharge with no period
-skipped; ``batch_exits`` and ``batch_relax`` are the batch reference for a
+them; ``batch_exits`` and ``batch_relax`` are the batch reference for a
 region's residual distances, which the package computes step by step.
 ``max_matching_every_search`` is Hopcroft–Karp with a layering search
 before every phase, the reference whose size and deficiency witness
@@ -806,54 +805,6 @@ def filter_trace(trace: Trace, round: int | None = None, agent: int | None = Non
         if (round is None or rec.round == round)
         and (agent is None or agent in (rec.sender, rec.receiver))
     ])
-
-
-def discharge_every_step(self: Region, cap: int) -> None:
-    """``Region.discharge`` without the period skip, verbatim: every label
-    climbs one relabel at a time.  Call it as ``discharge_every_step(region,
-    cap)``; the package's discharge must leave the region as this does."""
-    n, label, excess, flow = self.n, self.label, self.excess, self.flow
-    holding, internal, cross = self.holding, self.internal, self.cross
-    parked = [False] * len(excess)
-    while True:
-        v, top = -1, -1
-        for u, x in enumerate(excess):
-            if x > holding[u] and top < label[u] < cap and not parked[u]:
-                v, top = u, label[u]
-        if v < 0:
-            return
-        room = self.open_at[v]
-        if not holding[v]:
-            exits = 0
-            for w, e in cross[v]:
-                if flow[e] == room and label[w] < top:
-                    exits += 1
-            if exits:
-                holding[v] = min(excess[v], exits)
-                continue
-        if room and flow[v - n] == 0:  # a right's sink edge, label 0
-            flow[v - n] = 1
-            excess[v] -= 1
-            continue
-        low, target = top, None
-        for w, e in internal[v]:
-            if flow[e] == room and label[w] < low:
-                low, target = label[w], (w, e)
-        if target is not None:
-            w, e = target
-            flow[e] = 1 - room
-            excess[v] -= 1
-            excess[w] += 1
-            continue
-        if holding[v]:
-            # Surplus behind a reservation: relabeling here would not be
-            # strictly increasing (the reserved exits price below the
-            # label), so the extra units sit out the pass instead.
-            parked[v] = True
-            continue
-        edges = (*internal[v], *cross[v])
-        prices = [label[w] for w, e in edges if flow[e] == room]
-        label[v] = min(cap, 1 + min(prices, default=cap))
 
 
 def batch_exits(self: Region, cap: int, price: list) -> list:

@@ -75,7 +75,7 @@ def test_distributed_outputs():
         )
         for program in programs:
             out.append(run(sysm, program).outputs)
-    assert _digest(out) == "58bb5ea1ab03f496f7a59c9be39e8439662674abba6bb60d5ac6a0b6c16202ae"
+    assert _digest(out) == "ef8382b4c544d044304fb9c6c84bbd38b845d759b4e6f4613f9808260c1cf134"
 
 
 def test_distributed_outputs_at_scale():
@@ -90,7 +90,7 @@ def test_distributed_outputs_at_scale():
         sysm = random_system(r, (1, 8), (1, 2), 0.3, seed=r)
         for program in programs:
             out.append(run(sysm, program).outputs)
-    assert _digest(out) == "f21d1b1ac9ea522db258cb3d322df0dda837492015242bb7ef828173d05c4199"
+    assert _digest(out) == "d0955e6fed0d7e2fdee9cc12735ba10d649e6002fdb096365d7115cb40d80ae4"
 
 
 def test_distributed_traces():
@@ -108,7 +108,7 @@ def test_distributed_traces():
         ))
     systems += [random_system(r, (1, 8), (1, 2), 0.3, seed=r) for r in (10, 20, 40)]
     out = [run(sysm, program).trace.to_jsonl() for sysm in systems for program in programs]
-    assert _digest(out) == "f946a795908323ebbcf293353774e4edc9e1cf9e9fc68d07ede8e29737552167"
+    assert _digest(out) == "37b333350bcf8d2fa874b7eaa89d8e346251a049fd58066cdd2f2f9b2d3e6ca5"
 
 
 def test_serial_details():

@@ -458,6 +458,16 @@ class TestJson:
         with pytest.raises(ModelError):
             loads("{nope")
 
+    def test_too_deeply_nested_text_is_a_model_error(self, tmp_path):
+        # json's decoder recurses once per nesting level
+        text = "[" * 100_000
+        path = tmp_path / "deep.json"
+        path.write_text(text, encoding="utf-8")
+        for parse in (lambda: loads(text), lambda: load(path)):
+            with pytest.raises(ModelError) as err:
+                parse()
+            assert str(err.value) == "invalid JSON: nested too deeply to decode"
+
 
 _INTS = st.integers(-(2**70), 2**70)
 _VERTEX = ('"%s"', "%d")

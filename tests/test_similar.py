@@ -177,6 +177,13 @@ class TestJson:
             spec = random_similar_spec((1, 4), (1, 4), (0, 2), 0.4, seed=seed)
             assert similar_loads(similar_dumps(spec)) == spec
 
+    def test_undecodable_and_too_deeply_nested_text_are_model_errors(self):
+        with pytest.raises(ModelError, match="^invalid JSON: Expecting"):
+            similar_loads('{"similar": ')
+        with pytest.raises(ModelError) as err:
+            similar_loads('{"similar": ' + "[" * 100_000)
+        assert str(err.value) == "invalid JSON: nested too deeply to decode"
+
     def test_requires_the_wrapper_key(self):
         with pytest.raises(ModelError, match="similar"):
             similar_from_obj({"r": 1})

@@ -8,8 +8,9 @@ input-rooted cacti (a second positive certificate) and replays them; the
 similar-systems section lifts the cycle-cover check's result into a
 matching of the expanded system; the last section holds facts about
 distributed runs (the boundary size, hop distances, the BFS tree, trace
-filtering) and ``reached``, a reachability-only agent program that runs the
-package's reachability steps for every iteration, with no tree to stop
+filtering), ``run_delayed``, a scheduler that delays messages and shuffles
+the agents, and ``reached``, a reachability-only agent program that runs
+the package's reachability steps for every iteration, with no tree to stop
 them; ``batch_exits`` and ``batch_relax`` are the batch reference for a
 region's residual distances, which the package computes step by step.
 ``max_matching_every_search`` is Hopcroft–Karp with a layering search
@@ -31,7 +32,10 @@ from structctl.model import (
     InterconnectedSystem, SparsityPattern, state_digraph, system_bipartite,
     system_digraph,
 )
-from structctl.runtime import AgentContext, Recv, Trace, Tree, bfs, tree_aggregate
+from structctl.runtime import (
+    AgentContext, DeadlockError, ProtocolError, Recv, RunResult, Trace, TraceRecord, Tree,
+    _encode_payload, bfs, tree_aggregate,
+)
 from structctl.similar import SimilarSystemSpec, check_cycle_cover, copy_level_digraph
 
 # The oracles' own graph forms, over any hashable vertices.
@@ -805,6 +809,80 @@ def filter_trace(trace: Trace, round: int | None = None, agent: int | None = Non
         if (round is None or rec.round == round)
         and (agent is None or agent in (rec.sender, rec.receiver))
     ])
+
+
+def run_delayed(sys: InterconnectedSystem, program, rng, max_delay: int) -> RunResult:
+    """``runtime.run`` with its timing loosened: each message becomes
+    deliverable 1..``max_delay`` rounds after its send, as ``rng`` draws, but
+    never before an earlier message on its channel (FIFO per channel), and
+    each round the live agents step in an order ``rng`` shuffles.  A
+    ``Recv`` names one sender or a tuple of them; a tuple resumes with
+    ``[(sender, payload), ...]``, the oldest deliverable message of each, in
+    ascending sender order.  Payloads are copied and traced as ``run`` does.
+    With ``max_delay`` 1 every agent sees in each round what lockstep shows
+    it, so only the order of the trace's records can differ."""
+    records = []
+    round_no = 0
+    # inbox[i][j]: (deliverable round, payload) from j to i, in send order
+    inbox = [
+        {j: deque() for j in neighbors(sys, i)} for i in range(sys.r)
+    ]
+
+    def sender(i):
+        def send(to, payload):
+            if i not in inbox[to]:
+                raise ProtocolError(f"agent {i}: send to {to}, which is not a neighbor")
+            text, copy = _encode_payload(payload, i, to)
+            queue = inbox[to][i]
+            ready = round_no + rng.randint(1, max_delay)
+            queue.append((max(ready, queue[-1][0]) if queue else ready, copy))
+            records.append(TraceRecord(round_no, i, to, text))
+        return send
+
+    gens = []
+    for i in range(sys.r):
+        incoming = {c.from_: c.E for c in sys.incoming(i)}
+        outgoing = {c.to: c.E for c in sys.outgoing(i)}
+        gens.append(program(AgentContext(i, sys.subsystem(i), incoming, outgoing, sender(i))))
+    waits: dict = dict.fromkeys(range(sys.r))  # live agent -> the Recv's frm
+
+    def senders(frm) -> tuple:
+        return frm if isinstance(frm, tuple) else (frm,)
+
+    outputs: dict = {}
+    while waits:
+        round_no += 1
+        order = list(waits)
+        rng.shuffle(order)
+        for i in order:
+            while True:
+                frm = waits[i]
+                resume = None
+                if frm is not None:
+                    ready = [
+                        j for j in sorted(senders(frm))
+                        if inbox[i][j] and inbox[i][j][0][0] <= round_no
+                    ]
+                    if not ready:
+                        break
+                    got = [(j, inbox[i][j].popleft()[1]) for j in ready]
+                    resume = got if isinstance(frm, tuple) else got[0][1]
+                try:
+                    action = gens[i].send(resume)
+                except StopIteration as stop:
+                    outputs[i] = stop.value
+                    del waits[i]
+                    break
+                if not isinstance(action, Recv):
+                    raise ProtocolError(f"agent {i}: yielded {action!r}; expected Recv")
+                if not all(j in inbox[i] for j in senders(action.frm)):
+                    raise ProtocolError(f"agent {i}: receive from {action.frm!r}")
+                waits[i] = action.frm
+        if waits and not any(
+            inbox[i][j] for i, frm in waits.items() for j in senders(frm)
+        ):
+            raise DeadlockError(f"delayed run: {waits} wait forever")
+    return RunResult(dict(sorted(outputs.items())), Trace(records), round_no)
 
 
 def batch_exits(self: Region, cap: int, price: list) -> list:

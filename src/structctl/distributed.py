@@ -20,12 +20,11 @@ maximum-matching size.
 
 Global aggregates travel on that tree: each one is a convergecast plus
 broadcast of 2(r - 1) messages (the runtime's ``tree_aggregate``).
-``controlled`` runs four kinds: the sizes (each agent's subtree ids ride up
-with them), reachability's per-iteration "any reached set grew", the label
-census of every pass, and the final AND-consensus.  They let ``controlled``
-send only messages that carry news: reachability stops at its global
-fixpoint, the relabel sweep sends its news only along news edges (see
-below), and accepts answer only offers.  Each skipped message is one whose
+``controlled`` runs four kinds: the sizes, reachability's per-iteration
+"any reached set grew", the label census of every pass, and the final
+AND-consensus.  They let ``controlled`` send only messages that carry news:
+reachability stops at its global fixpoint, the relabel sweep sends only
+news and its acknowledgements (see below), and accepts answer only offers.  Each skipped message is one whose
 effect the receiver could predict, so the outputs are those of the full
 exchange.
 
@@ -37,16 +36,16 @@ exchange plus the label census (the union of the labels below the cap and
 the lowest label holding excess) that applies the gap heuristic globally.
 Both ways of recomputing run the same steps (:meth:`Region.recompute_labels`):
 the opening distances, a price per cached id, a lowering from the vertices
-that fell.  From the second pass on, a synchronous multi-round sweep prices
-each distance a neighbor sends as it arrives, relaxing distances across
-regions to a global fixpoint, which rules out the count-to-infinity
-laddering two mutually cached boundaries could otherwise sustain.  Its
-first round rides the barrier before it; later rounds send only distances
-that changed, and after each round the tree carries its (speaker,
-listener) news edges only to the subtrees that hold them; all agents stop
-once none has news, which is a global fixpoint (see :func:`_exact_relabel`).
-Without the incoming boundary no neighbor caches what a sweep would send,
-so none runs.
+that fell.  From the second pass on, a sweep prices each distance a
+neighbor sends as it arrives, relaxing distances across regions to a global
+fixpoint, which rules out the count-to-infinity laddering two mutually
+cached boundaries could otherwise sustain.  Its first round rides the
+barrier before it; after that an agent sends only the distances that
+changed, straight to the neighbors that cache them.  Every such message is
+acknowledged, and Dijkstra-Scholten termination tells the root when none is
+in flight, which is the fixpoint; the end rides the next barrier (see
+:func:`_exact_relabel`).  Without the incoming boundary no neighbor caches
+what a sweep would send, so none runs.
 Labels are capped at 2*sum(n)+sum(p)+2 (the number of flow vertices); excess
 stuck at the cap is permanently trapped, and the run stops once no region
 holds excess below the cap.
@@ -75,22 +74,14 @@ from .runtime import AgentContext, ProtocolError, Recv, Tree, bfs, tree_aggregat
 # sizes and reachability
 
 
-def _sizes(ctx: AgentContext, tree: Tree, succ: list, subtrees: bool):
+def _sizes(ctx: AgentContext, tree: Tree, succ: list):
     """The sizes ``[SCC count of the state digraph succ, n, p]`` summed on
-    ``tree``, and ``{id: the child whose subtree holds it}`` for the sweep:
-    with ``subtrees`` each subtree's ids ride up behind the sums."""
-    toward: dict = {}
-
-    def merge(sums: list, heard: list) -> list:
-        for c, got in zip(tree.children, heard):
-            sums = [a + b for a, b in zip(sums, got)]
-            toward.update(dict.fromkeys(got[3:], c))
-        up = subtrees and tree.parent is not None
-        return sums + (sorted([ctx.id, *toward]) if up else [])
-
+    ``tree``."""
     own = ctx.subsystem
-    sums = yield from tree_aggregate(ctx, tree, [len(scc(succ)), own.n, own.p], merge)
-    return sums, toward
+    return (yield from tree_aggregate(
+        ctx, tree, [len(scc(succ)), own.n, own.p],
+        lambda sums, heard: [sum(x) for x in zip(sums, *heard)],
+    ))
 
 
 def _reached_steps(
@@ -383,103 +374,93 @@ class Region:
 
 
 def _exact_relabel(
-    ctx: AgentContext, tree: Tree, toward: dict, region: Region, cap: int,
-    dist: list, heard: dict,
+    ctx: AgentContext, tree: Tree, region: Region, cap: int, dist: list, heard: dict
 ):
-    """The synchronous distance sweep opening every pass after the first:
-    :meth:`Region.recompute_labels`'s steps, priced at the distances
+    """The distance sweep opening every pass after the first, a diffusing
+    computation with Dijkstra-Scholten termination (Dijkstra and Scholten,
+    IPL 11(1), 1980; the shortest-path form of Chandy and Misra, CACM 25(11),
+    1982): :meth:`Region.recompute_labels`'s steps, priced at the distances
     neighbors send instead of the cached labels, relax to a global fixpoint,
-    one region hop per round, so every label (own and cached) becomes the
-    exact global residual distance and trapped excess freezes at once.  It
-    needs the incoming boundary, or no neighbor caches what an agent sends.
+    so every label (own and cached) becomes the exact global residual
+    distance and trapped excess freezes at once.  It needs the incoming
+    boundary, or no neighbor caches what an agent sends.
 
     Round 1 rode the barrier (see :func:`_barrier`): the sweep starts from
-    the own opening distances ``dist`` and applies the lists ``heard`` in
-    ascending neighbor order.  Then each agent whose distances changed names
-    a (speaker, listener) pair for each neighbor caching a change.  The
-    pairs go up the tree as ``[s, l, ...]``; child c gets ``[next round, s,
-    l, ...]`` with the pairs whose speaker or listener its subtree holds
-    (``toward``, see :func:`_sizes`), and in that round each speaker sends
-    its listeners only the changes, as ``{"d": [position, distance, ...],
-    "chg": round}``, which they read in ascending speaker order.  A subtree
-    holding neither gets nothing: it sleeps on its parent and sends nothing
-    up after that round, and the parent, which knows what it forwarded,
-    does not wait for it.  A speaker forwards the list before it speaks, so
-    on each tree edge a round's list comes before its relabels.  Inside a
-    region each price heard lowers the vertices whose step out it beats
-    (:meth:`Region._price`), a round lowers distances only from those
-    (:meth:`Region._lower`), and the lowered shared ones are the news.
-    Distances and prices only decrease, and each price is the last distance
-    its owner sent, so once no agent has news every price equals it: the
-    fixpoint.  The root then sends ``[]`` down the whole tree."""
+    the own opening distances ``dist`` and applies the lists ``heard``.
+    Each price heard lowers the vertices whose step out it beats
+    (:meth:`Region._price`), each batch of messages lowers distances only
+    from those (:meth:`Region._lower`), and the lowered shared ones are the
+    news: a speaker sends each neighbor caching a change ``{"d": [position,
+    distance, ...], "chg": acks}``, and an agent reads one ``Recv`` over all
+    its neighbors at a time.  ``chg`` acknowledges that many news messages
+    of the receiver; with no news for a sender, its acks go alone as ``{"d":
+    [], "chg": k}``.  Each agent starts engaged to its tree parent, which
+    counts its children as unacknowledged, and a neutral agent is engaged
+    by the first news it hears.  An agent acknowledges its engager last,
+    once none of its own messages is unacknowledged, and is neutral again.
+    Distances and prices only fall, and each price is the last distance its
+    owner sent, so once the root has nothing unacknowledged, no message is
+    in flight and every price equals it: the fixpoint.  The end rides the
+    next barrier: the root goes on to it, and every other agent leaves on
+    the first barrier messages it receives, which it returns by sender."""
     remote = [cap] * len(region.label)  # prices, read at cached ids only
+    # news heard and not yet acknowledged, the tree parent's engagement as one
+    owed = {j: int(j == tree.parent) for j in ctx.neighbors}
+    engager = ctx.id if tree.parent is None else tree.parent  # the root engages itself
+    deficit = len(tree.children)  # own news and children not yet acknowledged
+    fell: list = []  # (distance, vertex) that a price lowered; _lower empties it
+    early: dict = {}
 
-    def news(lowered) -> dict:
-        """``[position, distance, ...]`` of the lowered own ids per neighbor."""
-        out = {}
-        for j, ids in region.shared_with.items():
-            d = []
-            for x, v in enumerate(ids):
-                if v in lowered:
-                    d += x, dist[v]
-            if d:
-                out[j] = d
-        return out
+    def price(j: int, d: list) -> None:
+        cached = region.cached_from[j]
+        for x in range(0, len(d), 2):
+            w, val = cached[d[x]], d[x + 1]
+            if val < remote[w]:
+                remote[w] = val
+                region._price(dist, w, val, fell)
 
-    me, t, talk, hear = ctx.id, 1, (), ctx.neighbors  # round 1: heard at the barrier
-    awake = tree.children  # and every subtree is awake after it
+    for j in ctx.neighbors:
+        price(j, heard[j])
     while True:
-        for j in talk:
-            # "chg" (the round) stays only because bench/checks.phase_of
-            # recognises relabel messages by their key set.
-            ctx.send(j, {"d": out.get(j, []), "chg": t})
-        fell = []
-        for j in hear:
-            d = (yield Recv(j))["d"] if t > 1 else heard[j]
-            cached = region.cached_from[j]
-            for x in range(0, len(d), 2):
-                w, val = cached[d[x]], d[x + 1]
-                if val < remote[w]:
-                    remote[w] = val
-                    region._price(dist, w, val, fell)
-        out = news(region._lower(dist, fell)) if fell else {}
-        pairs = [x for j in out for x in (me, j)]  # own news edges first
-        for c in awake:
-            pairs += yield Recv(c)
-        if tree.parent is None:
-            down = [t + 1, *pairs] if pairs else []
-        else:
-            ctx.send(tree.parent, pairs)
-            down = yield Recv(tree.parent)  # a quiet subtree sleeps here
-        if not down:
-            for c in tree.children:
-                ctx.send(c, [])
+        out = {}
+        if fell:
+            lowered = region._lower(dist, fell)
+            for j, ids in region.shared_with.items():
+                d = [y for x, v in enumerate(ids) if v in lowered for y in (x, dist[v])]
+                if d:
+                    out[j] = d
+        deficit += len(out)
+        if not deficit and engager != ctx.id:
+            engager = None  # every own message acknowledged: ack the engager too
+        for j in ctx.neighbors:  # acks to the engager go only with news, or last
+            acks = owed[j] - (j == engager)
+            if j in out or (acks and j != engager):
+                ctx.send(j, {"d": out.get(j, []), "chg": acks})
+                owed[j] -= acks
+        if not deficit and engager == ctx.id:
             break
-        t, talk, hear = down[0], [], []
-        lists = {c: [t] for c in tree.children}
-        for x in range(1, len(down), 2):
-            s, l = down[x], down[x + 1]
-            if s == me:
-                talk.append(l)
-            elif l == me:
-                hear.append(s)
-            a, b = toward.get(s), toward.get(l)  # the children to wake
-            if a is not None:
-                lists[a] += s, l
-            if b is not None and b != a:
-                lists[b] += s, l
-        hear.sort()
-        awake = [c for c, part in lists.items() if len(part) > 1]
-        for c in awake:
-            ctx.send(c, lists[c])
+        got = yield Recv(ctx.neighbors)
+        if "offers" in got[0][1]:  # the next barrier has begun: the sweep is over
+            early = dict(got)
+            break
+        for j, msg in got:
+            deficit -= msg["chg"]
+            if msg["d"]:
+                if engager is None:
+                    engager = j
+                owed[j] += 1
+                price(j, msg["d"])
     # distances and prices never exceed the cap
     region.label[:] = map(max, region.label, dist + remote[len(dist):])
+    return early
 
 
-def _barrier(ctx: AgentContext, region: Region, cap: int):
+def _barrier(ctx: AgentContext, region: Region, cap: int, early: dict):
     """One boundary exchange: offers out, accepts back, transfers applied on
-    both sides.  Returns the number of own units accepted away, and the next
-    sweep's round 1 (``None`` without the incoming boundary: no sweep runs).
+    both sides.  ``early`` holds the labels/offers messages that the sweep
+    before it received, by sender.  Returns the number of own units accepted
+    away, and the next sweep's round 1 (``None`` without the incoming
+    boundary: no sweep runs).
 
     That round goes as ``"labels"``: ``[position, distance, ...]`` in the
     edge's boundary order (see :class:`Region`) for the sender's opening
@@ -518,7 +499,7 @@ def _barrier(ctx: AgentContext, region: Region, cap: int):
     accepts_to: dict[int, list] = {j: [] for j in ctx.neighbors}
     incoming_units = []  # (own vertex, edge or None, new flow) moved to us
     for j in ctx.neighbors:
-        inbound[j] = yield Recv(j)
+        inbound[j] = early.get(j) or (yield Recv(j))
         for offer in inbound[j]["offers"]:
             shape = type(offer) is list and len(offer) == 3
             if not shape or offer[1] != 1 or type(offer[2]) is not int:
@@ -596,10 +577,7 @@ def _census(ctx: AgentContext, tree: Tree, region: Region, cap: int):
     return any(l < gap for l in low)
 
 
-def _prd(
-    ctx: AgentContext, tree: Tree, toward: dict, region: Region, cap: int,
-    collect_states: bool,
-):
+def _prd(ctx: AgentContext, tree: Tree, region: Region, cap: int, collect_states: bool):
     """Push-relabel passes separated by boundary exchanges until no excess in
     any region sits below the label cap.  Returns per-pass statistics."""
     transfers_by_pass = []
@@ -607,18 +585,19 @@ def _prd(
     states = []
     pass_no = 0
     opening = None  # the next sweep's round 1, from the barrier
+    early: dict = {}  # the barrier messages the sweep received
     while True:
         pass_no += 1
         if pass_no > 4 * cap + 10:
             raise RuntimeError(f"agent {ctx.id}: discharge failed to settle")
         if opening:
-            yield from _exact_relabel(ctx, tree, toward, region, cap, *opening)
+            early = yield from _exact_relabel(ctx, tree, region, cap, *opening)
         else:
             # On the first pass no flow exists yet, and without the incoming
             # boundary no price can improve: the sweep would end here too.
             region.recompute_labels(cap)
         region.discharge(cap)
-        sent, opening = yield from _barrier(ctx, region, cap)
+        sent, opening = yield from _barrier(ctx, region, cap, early)
         transfers_by_pass.append(sent)
         if sink_saturated_pass is None and region.sink_flow() == region.n:
             sink_saturated_pass = pass_no
@@ -658,15 +637,13 @@ def controlled_program(
     def controlled(ctx: AgentContext):
         succ = state_digraph(ctx.subsystem.A)
         tree = yield from bfs(ctx)
-        (N, total_n, total_p), toward = yield from _sizes(
-            ctx, tree, succ, not drop_incoming_boundary
-        )
+        N, total_n, total_p = yield from _sizes(ctx, tree, succ)
         got, sizes, completed = yield from _reached_steps(ctx, succ, N, tree)
         rchd = len(got) == ctx.subsystem.n
 
         cap = 2 * total_n + total_p + 2
         region = Region(ctx, include_incoming=not drop_incoming_boundary)
-        prd_stats = yield from _prd(ctx, tree, toward, region, cap, collect_states)
+        prd_stats = yield from _prd(ctx, tree, region, cap, collect_states)
         mchd = region.sink_flow() == ctx.subsystem.n
 
         ctld = yield from tree_aggregate(

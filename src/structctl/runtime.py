@@ -6,6 +6,9 @@ It sends with a call and receives by yielding the one action there is:
 * ``ctx.send(to, payload)`` — enqueue a message; a send never blocks.
 * ``payload = yield Recv(frm)`` — block until a message from ``frm`` is
   deliverable, then resume with its payload.
+* ``got = yield Recv((j, k, ...))`` — block until a message from any of
+  them is deliverable, then resume with ``[(sender, payload), ...]``: the
+  oldest deliverable message of each sender, in ascending sender order.
 
 Time advances in rounds (numbered from 1).  A message sent during round ``k``
 is deliverable from round ``k + 1`` on; within a round agents run one after
@@ -13,7 +16,7 @@ the other in ascending id order, each until it blocks or returns.  Messages
 between the same pair are delivered in send order.  All scheduling is
 deterministic, so two runs of the same program on the same system produce
 byte-identical traces.  Each agent keeps one inbox queue per neighbor, and a
-blocked agent holds the queue it waits on.
+blocked agent holds the queue it waits on, or the (sender, queue) pairs.
 
 Agents may only exchange messages with neighbors in the interconnection
 topology (either direction), which must be weakly connected.  An agent knows
@@ -64,7 +67,8 @@ class DisconnectedError(ValueError):
 
 class Recv:
     """The one action an agent yields: wait for the next message from agent
-    ``frm``.  A slots class, since every message costs one."""
+    ``frm``, or from any agent of a tuple ``frm``.  A slots class, since
+    every message costs one."""
 
     __slots__ = ("frm",)
 
@@ -265,11 +269,21 @@ class _AgentState:
 
     def __init__(self, gen: Generator, inbox: dict):
         self.gen = gen
-        self.inbox = inbox  # neighbor -> FIFO of (send round, payload) from it
-        # the inbox queue a Recv blocks on; None before the first step and
-        # once the agent has returned
-        self.awaiting: deque | None = None
+        # neighbor -> FIFO of (send round, payload) from it, and each tuple of
+        # senders awaited so far -> its (sender, FIFO) pairs
+        self.inbox = inbox
+        # the inbox queue a Recv blocks on, or a list of (sender, queue) for a
+        # tuple of senders; None before the first step and once returned
+        self.awaiting: deque | list | None = None
         self.output: object = None
+
+
+def _waits(agent: _AgentState) -> list:
+    """The (sender, inbox queue) pairs a blocked agent waits on."""
+    queue = agent.awaiting
+    if type(queue) is list:
+        return queue
+    return [(j, q) for j, q in agent.inbox.items() if q is queue]
 
 
 def run(sys: InterconnectedSystem, program: AgentProgram) -> RunResult:
@@ -323,17 +337,22 @@ def run(sys: InterconnectedSystem, program: AgentProgram) -> RunResult:
     live = list(enumerate(agents))
     while live:
         round_no += 1
-        finished = False
+        finished = stepped = False
         for i, agent in live:
             # Advance agent i until it returns or blocks on an unavailable Recv.
             queue = agent.awaiting
             gen_send = agent.gen.send
             while True:
                 resume = None
-                if queue is not None:
+                if type(queue) is list:  # a tuple of senders
+                    resume = [(j, q.popleft()[1]) for j, q in queue if q and q[0][0] < round_no]
+                    if not resume:
+                        break
+                elif queue is not None:
                     if not (queue and queue[0][0] < round_no):
                         break  # nothing deliverable yet; stays blocked
                     resume = queue.popleft()[1]
+                stepped = True
                 try:
                     action = gen_send(resume)
                 except StopIteration as stop:
@@ -344,21 +363,23 @@ def run(sys: InterconnectedSystem, program: AgentProgram) -> RunResult:
                 if not isinstance(action, Recv):
                     raise ProtocolError(f"agent {i}: yielded {action!r}; expected Recv")
                 queue = agent.inbox.get(action.frm)
-                if queue is None:
-                    raise ProtocolError(
-                        f"agent {i}: receive from {action.frm}, which is not a neighbor"
-                    )
+                if queue is None:  # a new tuple of senders, or not a neighbor
+                    frm = action.frm if type(action.frm) is tuple else (action.frm,)
+                    queue = [(j, agent.inbox.get(j)) for j in sorted(frm)]
+                    bad = [j for j, q in queue if q is None]
+                    if bad or not queue:
+                        raise ProtocolError(
+                            f"agent {i}: receive from {bad[0] if bad else frm}, "
+                            "which is not a neighbor"
+                        )
+                    agent.inbox[frm] = queue
             agent.awaiting = queue
         if finished:
             live = [(i, a) for i, a in live if a.awaiting is not None]
-        # Every live agent is now blocked.  Anything still queued on an
-        # awaited channel was sent this round and becomes deliverable next
-        # round; if no such message exists, no future round changes anything.
-        if live and not any(a.awaiting for _, a in live):
-            waits = ", ".join(
-                f"agent {i} awaits {j}"
-                for i, a in live for j, q in a.inbox.items() if q is a.awaiting
-            )
+        # Every live agent is now blocked.  A round in which none could step
+        # sent nothing, so every later round is the same.
+        if live and not stepped:
+            waits = ", ".join(f"agent {i} awaits {j}" for i, a in live for j, _ in _waits(a))
             raise DeadlockError(f"no message in flight can unblock: {waits}")
 
     outputs = {i: a.output for i, a in enumerate(agents)}

@@ -920,7 +920,7 @@ def reached_program(extra_iterations: int = 0):
     def reached(ctx: AgentContext):
         succ = state_digraph(ctx.subsystem.A)
         tree = yield from bfs(ctx)
-        (N, _, _), _ = yield from _sizes(ctx, tree, succ, False)
+        N, _, _ = yield from _sizes(ctx, tree, succ)
         got, sizes, completed = yield from _reached_steps(
             ctx, succ, N + extra_iterations
         )
@@ -955,7 +955,9 @@ def exact_relabel_by_speakers(ctx: AgentContext, tree: Tree, region: Region, cap
     prices only decrease, so distances only decrease, and each remote price
     is the last distance its owner sent.  Once no agent has news every
     distance has been sent and every price equals it, which is the
-    fixpoint, so every agent stops after the same round."""
+    fixpoint, so every agent stops after the same round, and no barrier
+    message can reach a sweep: it returns no early ones (see
+    ``distributed._exact_relabel``)."""
     cross, flow, open_at = region.cross, region.flow, region.open_at
     remote = [cap] * len(region.label)  # prices, read at cached ids only
     shared = sorted(set().union(*region.shared_with.values()))
@@ -1017,3 +1019,4 @@ def exact_relabel_by_speakers(ctx: AgentContext, tree: Tree, region: Region, cap
     for w in range(len(dist), len(label)):
         if remote[w] > label[w]:
             label[w] = remote[w]
+    return {}

@@ -108,7 +108,7 @@ def test_distributed_traces():
         ))
     systems += [random_system(r, (1, 8), (1, 2), 0.3, seed=r) for r in (10, 20, 40)]
     out = [run(sysm, program).trace.to_jsonl() for sysm in systems for program in programs]
-    assert _digest(out) == "37b333350bcf8d2fa874b7eaa89d8e346251a049fd58066cdd2f2f9b2d3e6ca5"
+    assert _digest(out) == "fbb82c85f59bf7afc5eb0801ee8f08e55d6b29ef143c45730dab30f4c8df12c4"
 
 
 def test_serial_details():

@@ -261,6 +261,82 @@ class TestProtocol:
             run(line2, program)
 
 
+class TestRecvOverSenders:
+    def test_oldest_deliverable_message_of_each_sender_in_ascending_order(self, line3):
+        def program(ctx):
+            if ctx.id == 1:
+                first = yield Recv((2, 0))
+                second = yield Recv((0, 2))
+                return [first, second]
+            for payload in ("a", "b"):
+                ctx.send(1, f"{payload}{ctx.id}")
+            return None
+
+        res = run(line3, program)
+        assert res.outputs[1] == [[(0, "a0"), (2, "a2")], [(0, "b0"), (2, "b2")]]
+        assert res.rounds == 2  # both batches are deliverable in round 2
+
+    def test_blocks_while_no_message_is_deliverable(self, line3):
+        """Agent 1 waits on both neighbors from round 1; agent 0 answers its
+        ping in round 2, so the batch comes in round 3 and holds only 0's
+        message."""
+
+        def program(ctx):
+            if ctx.id == 0:
+                yield Recv(1)
+                ctx.send(1, "pong")
+            elif ctx.id == 1:
+                ctx.send(0, "ping")
+                got = yield Recv((0, 2))
+                ctx.send(2, "done")
+                return got
+            else:
+                yield Recv(1)
+            return None
+
+        res = run(line3, program)
+        assert res.outputs[1] == [(0, "pong")]
+        assert [(rec.round, rec.sender, rec.receiver) for rec in res.trace] == [
+            (1, 1, 0), (2, 0, 1), (3, 1, 2),
+        ]
+        assert res.rounds == 4
+
+    def test_a_non_neighbor_in_the_tuple_is_a_protocol_error(self, line3):
+        def program(ctx):
+            if ctx.id == 0:
+                yield Recv((1, 2))
+            return None
+
+        with pytest.raises(
+            ProtocolError, match="agent 0: receive from 2, which is not a neighbor"
+        ):
+            run(line3, program)
+
+    def test_an_empty_tuple_is_a_protocol_error(self, line3):
+        def program(ctx):
+            yield Recv(())
+
+        with pytest.raises(
+            ProtocolError, match=r"agent 0: receive from \(\), which is not a neighbor"
+        ):
+            run(line3, program)
+
+    def test_deadlock_names_every_awaited_sender(self, line3):
+        def program(ctx):
+            if ctx.id == 1:
+                yield Recv((0, 2))
+            elif ctx.id == 2:
+                yield Recv(1)
+            return None
+
+        with pytest.raises(
+            DeadlockError,
+            match="no message in flight can unblock: agent 1 awaits 0, "
+            "agent 1 awaits 2, agent 2 awaits 1$",
+        ):
+            run(line3, program)
+
+
 class TestTopologyGate:
     def test_disconnected_rejected_by_default(self):
         sysm = build_system(

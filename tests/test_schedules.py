@@ -2,15 +2,18 @@
 
 Every agent receives only from the neighbours it names, over FIFO channels,
 so by Kahn's determinacy no delivery delay can change what it computes.
+A ``Recv`` over a tuple of senders gives that up: which messages a batch
+holds depends on timing, so a protocol that uses it must make its outputs
+independent of the batches by design, as the relabel sweep does.
 ``oracles.run_delayed`` delays each message by 1 to 4 rounds and shuffles
 the agents each round; the protocols must give the lockstep outputs under
-every such schedule, and a toy that peeks at the schedule must not."""
+every such schedule, and toys that read the schedule must not."""
 
 from __future__ import annotations
 
 import random
 
-from oracles import run_delayed
+from oracles import neighbors, run_delayed
 from structctl.distributed import controlled_program
 from structctl.model import random_serial_system, random_system
 from structctl.runtime import Recv, run
@@ -60,6 +63,16 @@ def first_to_hear():
     return program
 
 
+def first_batch(ctx):
+    """A toy whose output is its timing: every agent sends each neighbor a
+    message and returns the senders of its first batch.  Lockstep delivers
+    them all in round 2; delays split them up."""
+    for j in ctx.neighbors:
+        ctx.send(j, ctx.id)
+    got = yield Recv(ctx.neighbors)
+    return [j for j, _ in got]
+
+
 class TestDelayedScheduler:
     def test_unit_delays_send_what_lockstep_sends(self):
         """With every delay 1 each agent sees what lockstep shows it, so
@@ -104,3 +117,10 @@ class TestScheduleIndependence:
         sysm = random_system(6, (1, 2), (0, 1), 0.3, seed=3)
         assert run(sysm, first_to_hear()).outputs == dict.fromkeys(range(6), 0)
         assert differing_schedules(sysm, first_to_hear) != []
+
+    def test_a_batch_over_senders_reads_the_schedule(self):
+        """What one ``Recv`` over a tuple of senders brings depends on timing."""
+        sysm = random_system(6, (1, 2), (0, 1), 0.3, seed=3)
+        want = {i: neighbors(sysm, i) for i in range(sysm.r)}
+        assert run(sysm, first_batch).outputs == want
+        assert differing_schedules(sysm, lambda: first_batch) != []

@@ -24,9 +24,9 @@ broadcast of 2(r - 1) messages (the runtime's ``tree_aggregate``).
 "any reached set grew", the label census of every pass, and the final
 AND-consensus.  They let ``controlled`` send only messages that carry news:
 reachability stops at its global fixpoint, the relabel sweep sends only
-news and its acknowledgements (see below), and accepts answer only offers.  Each skipped message is one whose
-effect the receiver could predict, so the outputs are those of the full
-exchange.
+news and its acknowledgements (see below), and accepts answer only offers.
+Each skipped message is one whose effect the receiver could predict, so the
+outputs are those of the full exchange.
 
 Termination and the pass bound: each pass starts by recomputing every own
 label as the residual distance to the sink given the cached boundary labels

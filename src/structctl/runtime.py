@@ -365,14 +365,13 @@ def run(sys: InterconnectedSystem, program: AgentProgram) -> RunResult:
                 queue = agent.inbox.get(action.frm)
                 if queue is None:  # a new tuple of senders, or not a neighbor
                     frm = action.frm if type(action.frm) is tuple else (action.frm,)
-                    queue = [(j, agent.inbox.get(j)) for j in sorted(frm)]
-                    bad = [j for j, q in queue if q is None]
-                    if bad or not queue:
+                    bad = [j for j in frm if type(agent.inbox.get(j)) is not deque]
+                    if bad or not frm:
                         raise ProtocolError(
                             f"agent {i}: receive from {bad[0] if bad else frm}, "
                             "which is not a neighbor"
                         )
-                    agent.inbox[frm] = queue
+                    queue = agent.inbox[frm] = [(j, agent.inbox[j]) for j in sorted(frm)]
             agent.awaiting = queue
         if finished:
             live = [(i, a) for i, a in live if a.awaiting is not None]

@@ -37,7 +37,7 @@ from structctl.distributed import (
     controlled_program,
 )
 from structctl.model import assemble_global, random_system, state_digraph
-from structctl.runtime import AgentContext, ProtocolError, Recv, bfs, run, tree_aggregate
+from structctl.runtime import AgentContext, ProtocolError, bfs, run, tree_aggregate
 
 
 def corpus(count, start=0, r_hi=5, n_hi=6):

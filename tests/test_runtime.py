@@ -301,14 +301,23 @@ class TestRecvOverSenders:
         ]
         assert res.rounds == 4
 
-    def test_a_non_neighbor_in_the_tuple_is_a_protocol_error(self, line3):
+    @pytest.mark.parametrize(
+        "frm, bad", [((1, 2), 2), ((1, "a"), "a"), ((1, (1,)), r"\(1,\)")]
+    )
+    def test_a_non_neighbor_in_the_tuple_is_a_protocol_error(self, line3, frm, bad):
+        """Any sender that is not a neighbor, a tuple that names another
+        awaited tuple included, is named."""
+
         def program(ctx):
             if ctx.id == 0:
-                yield Recv((1, 2))
+                yield Recv((1,))
+                yield Recv(frm)
+            elif ctx.id == 1:
+                ctx.send(0, "x")
             return None
 
         with pytest.raises(
-            ProtocolError, match="agent 0: receive from 2, which is not a neighbor"
+            ProtocolError, match=f"agent 0: receive from {bad}, which is not a neighbor"
         ):
             run(line3, program)
 

@@ -10,13 +10,14 @@ propagates internally.  The preflow for the matching condition is
 push-relabel, computed region by region: each agent owns the flow vertices
 of its own subsystem (source- and sink-adjacent copies of its states plus
 its inputs) and keeps cached labels for the boundary vertices of
-neighboring regions.  Distances cross an edge as (position, distance)
-pairs in a boundary order that both ends derive from the connections.
-Excess crosses region boundaries through an offer/accept exchange that only
-ever moves units from a strictly higher true label to a strictly lower one
-(each offer carries its vertex's label), so global label validity is
-preserved and, at quiescence, the flow into the sink equals the global
-maximum-matching size.
+neighboring regions.  Both ends of a connection derive one boundary order
+from its coupling pattern, for vertices and for edges alike, so everything
+crosses by position: distances as (position, distance) pairs, offers and
+accepts by the position of their cross edge.  Excess crosses region
+boundaries through an offer/accept exchange that only ever moves units from
+a strictly higher true label to a strictly lower one (each offer carries
+its vertex's label), so global label validity is preserved and, at
+quiescence, the flow into the sink equals the global maximum-matching size.
 
 Global aggregates travel on that tree: each one is a convergecast plus
 broadcast of 2(r - 1) messages (the runtime's ``tree_aggregate``).
@@ -169,15 +170,18 @@ class Region:
     vertex is the least (-label, id), and a push goes to the sink first (its
     label is 0), otherwise to the least (label, id).
 
-    Labels travel by position.  Both ends of an edge derive its boundary
-    order from the connections' E: the sender's lefts that feed the
-    receiver, then the sender's rights that the receiver feeds, each by
-    ascending state, which are ascending ids at both ends.
-    ``shared_with[j]`` lists the own ids in the order towards j, and
-    ``cached_from[j]`` the cached ids in j's order towards this region.
-    Without the incoming boundary a receiver caches only the sender's
-    rights, which the sender's region does not see, so every order is empty
-    and no distance is sent.
+    Vertices and edges travel by position in one boundary order that both
+    ends derive from the connections' E: what the sender feeds the
+    receiver, then what the receiver feeds the sender.  Its vertices are
+    the sender's lefts, then its rights, by ascending state (ascending ids
+    at both ends); its edges are each connection's cross edges by ascending
+    (k, l) of its E.  Towards j, ``shared_with[j]`` lists the own ids and
+    ``edges_to[j]`` the cross edges; in j's order, ``cached_from[j]`` lists
+    the cached ids and ``edges_from[j]`` the (own end, edge) pairs.  Without
+    the incoming boundary a receiver caches only the sender's rights, which
+    the sender's region does not see, so no vertex order has an entry and
+    no distance is sent; an edge order holds only the sender's edges, and
+    the receiver, which leaves out the edges onto its rights, has ``None``.
     """
 
     def __init__(self, ctx: AgentContext, include_incoming: bool = True):
@@ -189,19 +193,14 @@ class Region:
         self.include_incoming = include_incoming
         V = 2 * n + p
 
-        # (own end, remote vertex, neighbor, wire key) per cross edge
-        links = [
-            (l, ("R", j, k), j, (i, l, j, k))
-            for j in sorted(ctx.outgoing)
-            for k, l in sorted(ctx.outgoing[j].nonzeros)
-        ]
-        if include_incoming:
-            links += [
-                (n + k, ("L", j, l), j, (j, l, i, k))
-                for j in sorted(ctx.incoming)
-                for k, l in sorted(ctx.incoming[j].nonzeros)
-            ]
-        self.remote = remote = sorted({v for _, v, _, _ in links})
+        # (own end, remote vertex) per cross edge of each connection, by
+        # ascending (k, l) of its E: from us to j, and from j to us
+        out = {j: [(l, ("R", j, k)) for k, l in sorted(E.nonzeros)]
+               for j, E in ctx.outgoing.items()}
+        into = {j: [(n + k, ("L", j, l)) for k, l in sorted(E.nonzeros)]
+                for j, E in ctx.incoming.items()}
+        kept = [*out.values(), *into.values()] if include_incoming else out.values()
+        self.remote = remote = sorted({v for links in kept for _, v in links})
         rid = {v: V + x for x, v in enumerate(remote)}
         self.label = [2] * n + [1] * n + [2] * p
         self.label += [1 if v[0] == "R" else 2 for v in remote]
@@ -221,26 +220,32 @@ class Region:
             internal[w].append((v, e))
         # (vertex across the boundary, edge) for own and cached ids alike
         self.cross = cross = [[] for _ in range(V + len(remote))]
-        self.keys = keys = [None] * len(ends)  # wire key per cross edge
-        self.edge_of = edge_of = {}  # wire key -> cross edge
-        # each edge's boundary order, at both ends (see the class doc)
-        shared: dict = {j: set() for j in ctx.neighbors}
-        self.cached_from = {j: [] for j in ctx.neighbors}
-        for x, v, j, key in links:
+
+        def edge(x: int, v: tuple) -> int:
             e, y = len(ends), rid[v]
             ends.append((x, y) if x < n else (y, x))
             cross[x].append((y, e))
             cross[y].append((x, e))
-            keys.append(key)
-            edge_of[key] = e
+            return e
+
+        # each boundary order, at both ends (see the class doc)
+        self.edges_to, self.edges_from, self.shared_with = {}, {}, {}
+        self.cached_from = {j: [] for j in ctx.neighbors}
+        for j in ctx.neighbors:
+            ours = [(x, edge(x, v)) for x, v in out.get(j, [])]
             if include_incoming:
-                shared[j].add(x)
+                theirs = [(x, edge(x, v)) for x, v in into.get(j, [])]
+                self.edges_from[j] = theirs + ours
+                self.shared_with[j] = sorted({x for x, _ in theirs + ours})
+            else:  # the edges onto our rights are left out: j's offers find none
+                theirs, self.shared_with[j] = [], []
+                self.edges_from[j] = [(x, None) for x, _ in into.get(j, [])]
+            self.edges_to[j] = [e for _, e in ours + theirs]
         if include_incoming:
             for v in remote:
                 self.cached_from[v[1]].append(rid[v])
         for adjacency in (*internal, *cross):
             adjacency.sort()
-        self.shared_with = {j: sorted(ids) for j, ids in shared.items()}
         self.flow = [0] * len(ends)
 
     @cached_property
@@ -467,13 +472,16 @@ def _barrier(ctx: AgentContext, region: Region, cap: int, early: dict):
     distances below the cap (:meth:`Region.opening`), final once the
     discharge ends, as transfers move only cross flows and the census gap
     only labels.  The sweep leaves each cached label equal to its owner's,
-    so no label goes here.  An offer is ``[key, 1, label]``: one unit, and
-    the offering vertex's label, which the receiver compares with its own
-    end's; any other offer is a :class:`ProtocolError`.  Only a neighbor that
-    made offers gets an accepts message, possibly empty, so an agent waits
-    for replies only from the neighbors it offered to."""
-    label, excess, flow, n = region.label, region.excess, region.flow, region.n
-    offers_to: dict[int, list] = {j: [] for j in ctx.neighbors}
+    so no label goes here.  An offer is ``[position, label]``: one unit on
+    the cross edge at that position of the offerer's order, and the
+    offering vertex's label.  The receiver takes it if it has no edge there
+    or the label is above its own end's; any other offer is a
+    :class:`ProtocolError`.  Only a neighbor that made offers gets an
+    accepts message, the positions taken in ascending order (possibly
+    none), so an agent waits for replies only from the neighbors it offered
+    to."""
+    label, excess, flow = region.label, region.excess, region.flow
+    offered = {}  # cross edge -> the label of the own vertex offering on it
     for v, budget in enumerate(region.holding):
         if budget:
             room = region.open_at[v]
@@ -483,9 +491,11 @@ def _barrier(ctx: AgentContext, region: Region, cap: int, early: dict):
                 if flow[e] == room and label[v] > label[w]
             )
             for _, _, e in ranked[:budget]:
-                key = region.keys[e]
-                j = key[2] if key[0] == region.owner else key[0]
-                offers_to[j].append([list(key), 1, label[v]])
+                offered[e] = label[v]
+    offers_to = {
+        j: [[x, offered[e]] for x, e in enumerate(ids) if e in offered]
+        for j, ids in region.edges_to.items()
+    }
 
     dist = region.opening(cap) if region.include_incoming else None
     for j in ctx.neighbors:
@@ -493,30 +503,27 @@ def _barrier(ctx: AgentContext, region: Region, cap: int, early: dict):
         for x, v in enumerate(region.shared_with[j]):
             if dist[v] < cap:
                 mine += x, dist[v]
-        ctx.send(j, {"labels": mine, "offers": sorted(offers_to[j])})
+        ctx.send(j, {"labels": mine, "offers": offers_to[j]})
 
     inbound = {}
     accepts_to: dict[int, list] = {j: [] for j in ctx.neighbors}
-    incoming_units = []  # (own vertex, edge or None, new flow) moved to us
     for j in ctx.neighbors:
         inbound[j] = early.get(j) or (yield Recv(j))
+        theirs = region.edges_from[j]
         for offer in inbound[j]["offers"]:
-            shape = type(offer) is list and len(offer) == 3
-            if not shape or offer[1] != 1 or type(offer[2]) is not int:
+            shape = type(offer) is list and len(offer) == 2
+            if not (shape and type(offer[0]) is type(offer[1]) is int
+                    and 0 <= offer[0] < len(theirs)):
                 raise ProtocolError(
-                    f"agent {ctx.id}: offer {offer!r} from {j} is not [key, 1, label]"
+                    f"agent {ctx.id}: offer {offer!r} from {j} is not [position, label]"
                 )
-            key, _, price = offer
-            forward = key[2] == region.owner  # onto our right, else back
-            if forward and not region.include_incoming:
-                accepts_to[j].append(key)  # our region has no edge for it
-                incoming_units.append((n + key[3], None, 1))
-                continue
-            e = region.edge_of[tuple(key)]
-            v = region.ends[e][forward]  # our end: the right of a forward edge
-            if price > label[v]:
-                accepts_to[j].append(key)
-                incoming_units.append((v, e, int(forward)))
+            x, price = offer
+            v, e = theirs[x]
+            if e is None or price > label[v]:
+                accepts_to[j].append(x)
+                excess[v] += 1
+                if e is not None:
+                    flow[e] ^= 1  # a unit crosses a residual edge: its flow flips
 
     for j in ctx.neighbors:
         if inbound[j]["offers"]:
@@ -525,20 +532,12 @@ def _barrier(ctx: AgentContext, region: Region, cap: int, early: dict):
     for j in ctx.neighbors:
         if offers_to[j]:
             reply = yield Recv(j)
-            accepted += [region.edge_of[tuple(key)] for key in reply["accepts"]]
+            accepted += [region.edges_to[j][x] for x in reply["accepts"]]
 
-    for v, e, f in incoming_units:
-        excess[v] += 1
-        if e is not None:
-            flow[e] = f
-    for e in accepted:
+    for e in accepted:  # a forward offer from our left, or a back one from our right
         v, w = region.ends[e]
-        if v < len(excess):  # our forward offer went through
-            flow[e] = 1
-            excess[v] -= 1
-        else:  # our back offer went through
-            flow[e] = 0
-            excess[w] -= 1
+        excess[v if v < len(excess) else w] -= 1
+        flow[e] ^= 1
     if min(excess) < 0:
         raise RuntimeError(f"agent {ctx.id}: negative excess after the exchange")
     region.holding = [0] * len(excess)

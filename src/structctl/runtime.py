@@ -278,6 +278,14 @@ class _AgentState:
         self.output: object = None
 
 
+def _entry(inbox: dict, j):
+    """``inbox.get(j)``, or None if ``j`` cannot be a key (a list, say)."""
+    try:
+        return inbox.get(j)
+    except TypeError:
+        return None
+
+
 def _waits(agent: _AgentState) -> list:
     """The (sender, inbox queue) pairs a blocked agent waits on."""
     queue = agent.awaiting
@@ -362,10 +370,13 @@ def run(sys: InterconnectedSystem, program: AgentProgram) -> RunResult:
                     break
                 if not isinstance(action, Recv):
                     raise ProtocolError(f"agent {i}: yielded {action!r}; expected Recv")
-                queue = agent.inbox.get(action.frm)
+                try:
+                    queue = agent.inbox.get(action.frm)
+                except TypeError:  # unhashable: no neighbor, named below
+                    queue = None
                 if queue is None:  # a new tuple of senders, or not a neighbor
                     frm = action.frm if type(action.frm) is tuple else (action.frm,)
-                    bad = [j for j in frm if type(agent.inbox.get(j)) is not deque]
+                    bad = [j for j in frm if type(_entry(agent.inbox, j)) is not deque]
                     if bad or not frm:
                         raise ProtocolError(
                             f"agent {i}: receive from {bad[0] if bad else frm}, "

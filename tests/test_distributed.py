@@ -642,11 +642,25 @@ class TestSpeakerUnionOracle:
 class TestBarrier:
     def test_accepts_answer_exactly_the_offers(self, ring4):
         systems = [ring4] + [sysm for _, sysm in corpus(20, start=6700, r_hi=7)]
-        answered = unanswered = rejected = 0
+        # per variant: offer messages answered, labels/offers messages
+        # without an offer, and offers whose label is not above the end's
+        counts = {drop: Counter() for drop in (False, True)}
         for sysm in systems:
             for drop in (False, True):
                 program = controlled_program(drop_incoming_boundary=drop, collect_states=True)
                 res = run(sysm, program)
+                regions = [Region(ring_context(sysm, i), not drop) for i in range(sysm.r)]
+
+                def ends(i, j, x):
+                    """Offerer i's own end of the edge at position x of its
+                    order towards j, and receiver j's own end of it, named."""
+                    region, peer = regions[i], regions[j]
+                    left, right = region.ends[region.edges_to[j][x]]
+                    mine, other = (left, right) if left < region.n else (right, left)
+                    v, _ = peer.edges_from[i][x]
+                    assert region.names[other] == f"{j}.{peer.names[v]}", (i, j, x)
+                    return region.names[mine], peer.names[v]
+
                 # barriers[i, j]: labels/offers messages i has sent j so far;
                 # offers[j, i, b]: the offers j made i in barrier b, if any;
                 # accepts[j, i, b]: i's reply to them
@@ -660,16 +674,18 @@ class TestBarrier:
                     i, j = rec.sender, rec.receiver
                     if set(payload) == {"labels", "offers"}:
                         b = barriers[i, j] = barriers.get((i, j), 0) + 1
-                        # each offer is [key, 1, label]: it moves one unit, and
-                        # it carries the offering vertex's label in pass b
+                        # each offer is [position, label] in ascending
+                        # position: it carries the offering vertex's label in
+                        # pass b
                         labels = res.outputs[i]["states"][b - 1]["labels"]
-                        for key, amount, label in payload["offers"]:
-                            v = f"L{key[1]}" if key[0] == i else f"R{key[3]}"
-                            assert (amount, label) == (1, labels[v]), (i, j, b, key)
+                        positions = [x for x, _ in payload["offers"]]
+                        assert positions == sorted(set(positions)), (i, j, b)
+                        for x, label in payload["offers"]:
+                            assert label == labels[ends(i, j, x)[0]], (i, j, b, x)
                         if payload["offers"]:
                             offers[i, j, b] = payload["offers"]
                         else:
-                            unanswered += 1
+                            counts[drop]["unanswered"] += 1
                     elif set(payload) == {"accepts"}:
                         # i has already sent j this barrier's labels/offers
                         key = (j, i, barriers[i, j])
@@ -682,60 +698,69 @@ class TestBarrier:
                 for (i, j, b), accepted in accepts.items():
                     labels = res.outputs[j]["states"][b - 1]["labels"]
                     want = []
-                    for key, _, label in offers[i, j, b]:
-                        forward = key[2] == j
-                        end = f"R{key[3]}" if forward else f"L{key[1]}"
-                        if (drop and forward) or label > labels[end]:
-                            want.append(key)
-                        rejected += label <= labels[end]
-                    assert accepted == sorted(want), (i, j, b)
-                answered += len(offers)
-        assert answered > 0 and unanswered > 0 and rejected > 0
+                    for x, label in offers[i, j, b]:
+                        end = ends(i, j, x)[1]
+                        if (drop and end[0] == "R") or label > labels[end]:
+                            want.append(x)
+                        counts[drop]["rejected"] += label <= labels[end]
+                    assert accepted == want, (i, j, b)
+                counts[drop]["answered"] += len(offers)
+        for seen in counts.values():
+            assert seen["answered"] > 0 and seen["unanswered"] > 0 and seen["rejected"] > 0
 
     @staticmethod
     def offered(ring4, offer) -> list:
-        """Agent 0's barrier on ``ring4`` (cap 35), fed ``offer(key)`` as the
-        one offer from agent 3, on the real edge from 3's L2 onto 0's R2, and
-        empty messages otherwise; returns what agent 0 sent."""
+        """Agent 0's barrier on ``ring4`` (cap 35), fed ``offer(x)`` as the
+        one offer from agent 3, where x is the position of the real edge from
+        3's L2 onto 0's R2 in 3's order towards 0, and empty messages
+        otherwise; returns what agent 0 sent."""
         sent = []
         ctx = ring_context(ring4, 0, sent)
         region = Region(ctx)
-        key = next(list(key) for key in region.keys if key and key[2] == 0)
+        theirs = region.edges_from[3]
+        assert len(theirs) == 1  # 3 feeds 0, and 0 does not feed 3
+        x = next(x for x, (v, _) in enumerate(theirs) if region.names[v] == "R2")
         barrier = _barrier(ctx, region, 35, {})
         action = next(barrier)
         assert [to for to, _ in sent] == list(ctx.neighbors)  # labels and offers
         with contextlib.suppress(StopIteration):
             while True:
-                offers = [offer(key)] if action.frm == key[0] else []
+                offers = [offer(x)] if action.frm == 3 else []
                 action = barrier.send({"labels": [], "offers": offers})
         return sent
 
     def test_an_offer_is_taken_only_from_a_strictly_higher_label(self, ring4):
         # agent 0's R2 is at label 1 before any pass
         for label, taken in ((1, False), (2, True)):
-            sent = self.offered(ring4, lambda key: [key, 1, label])
-            assert [(to, bool(payload["accepts"])) for to, payload in sent[2:]] == [(3, taken)]
-
-    def test_offer_of_two_units_is_a_protocol_error(self, ring4):
-        fault = r"agent 0: offer \[\[3, .*\], 2, 9\] from 3 is not"
-        with pytest.raises(ProtocolError, match=fault):
-            self.offered(ring4, lambda key: [key, 2, 9])
+            sent = self.offered(ring4, lambda x: [x, label])
+            assert sent[2:] == [(3, {"accepts": [0] if taken else []})]
 
     @pytest.mark.parametrize(
         "offer",
         [
-            lambda key: [key, 1],
-            lambda key: [key, 1, 9, 9],
-            lambda key: [key, 1, "9"],
-            lambda key: key,
-            lambda key: 7,
+            lambda x: [x],
+            lambda x: [x, 9, 9],
+            lambda x: [x, "9"],
+            lambda x: [x, True],
+            lambda x: [3, 2, 0, 2],
+            lambda x: 7,
+            lambda x: [x + 1, 9],
+            lambda x: [-1, 9],
+            lambda x: [True, 9],
+            lambda x: [[3, 2, 0, 2], 1, 9],
         ],
-        ids=["no-label", "extra-field", "text-label", "bare-key", "not-a-list"],
+        ids=[
+            "no-label", "extra-field", "text-label", "bool-label", "bare-key",
+            "not-a-list", "position-out-of-range", "negative-position",
+            "bool-position", "old-form",
+        ],
     )
     def test_a_malformed_offer_names_the_agent_and_the_sender(self, ring4, offer):
-        """An offer that is not ``[key, 1, label]`` is a ProtocolError, not
-        a bare ValueError from unpacking it."""
-        fault = r"agent 0: offer .* from 3 is not \[key, 1, label\]"
+        """An offer that is not ``[position, label]``, with a position in 3's
+        order towards 0 (one edge), is a ProtocolError, not a bare
+        ValueError or IndexError from reading it.  The old wire form, a key
+        with a unit field, is refused whatever its unit."""
+        fault = r"agent 0: offer .* from 3 is not \[position, label\]"
         with pytest.raises(ProtocolError, match=fault):
             self.offered(ring4, offer)
 
@@ -755,6 +780,16 @@ class TestBarrier:
                             peer.names[w] for w in peer.cached_from[i]
                         ]
                         assert bool(own) == include
+                        # each edge position names the same edge at both
+                        # ends; the peer's end is one of its vertices, and
+                        # without the incoming boundary the peer has no edge
+                        theirs = peer.edges_from[i]
+                        assert len(region.edges_to[j]) == len(theirs)
+                        for e, (w, f) in zip(region.edges_to[j], theirs):
+                            ends = [spelled(region, v) for v in region.ends[e]]
+                            assert spelled(peer, w) in ends
+                            assert (f is None) != include
+                            assert f is None or [spelled(peer, v) for v in peer.ends[f]] == ends
 
     def test_a_barrier_without_offers_moves_nothing(self, ring4):
         """With no offer either way a barrier sends only its labels/offers
@@ -931,6 +966,12 @@ class TestTree:
             bools = [rec for rec in res.trace if rec.payload in ("true", "false")]
             assert len(census) == 2 * (sysm.r - 1)
             assert len(bools) == 2 * (sysm.r - 1)
+
+
+def spelled(region, v) -> str:
+    """Region id v's name as every region spells it: ``"<agent>.<key>"``."""
+    name = region.names[v]
+    return name if "." in name else f"{region.owner}.{name}"
 
 
 def cached_owners(region):

@@ -108,7 +108,7 @@ def test_distributed_traces():
         ))
     systems += [random_system(r, (1, 8), (1, 2), 0.3, seed=r) for r in (10, 20, 40)]
     out = [run(sysm, program).trace.to_jsonl() for sysm in systems for program in programs]
-    assert _digest(out) == "fbb82c85f59bf7afc5eb0801ee8f08e55d6b29ef143c45730dab30f4c8df12c4"
+    assert _digest(out) == "f6326625c3a6e7f87a99d67a9c59e09b7242ca683a807e09aa44a2219c508e76"
 
 
 def test_serial_details():

@@ -321,6 +321,23 @@ class TestRecvOverSenders:
         ):
             run(line3, program)
 
+    @pytest.mark.parametrize(
+        "frm, bad", [([1], r"\[1\]"), ((1, [0]), r"\[0\]")], ids=["list", "list-in-tuple"]
+    )
+    def test_an_unhashable_sender_is_a_protocol_error(self, line3, frm, bad):
+        """A list names no sender, alone or in a tuple: it is refused by
+        name, not with a bare TypeError from looking it up."""
+
+        def program(ctx):
+            if ctx.id == 0:
+                yield Recv(frm)
+            return None
+
+        with pytest.raises(
+            ProtocolError, match=f"agent 0: receive from {bad}, which is not a neighbor"
+        ):
+            run(line3, program)
+
     def test_an_empty_tuple_is_a_protocol_error(self, line3):
         def program(ctx):
             yield Recv(())
